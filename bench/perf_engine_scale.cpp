@@ -17,8 +17,8 @@
 //                   run of the same sweep (budget: <5% events/sec)
 //   --threaded      run the threaded-scheduler sweep instead: workers in
 //                   {1,2,4,8} x ranks x all four apps under the comm-aware
-//                   partition, with the workers=1 rows (sequential fast
-//                   path) as the baseline. The JSON records host_cores —
+//                   partition, with the workers=1 rows (one worker,
+//                   inline, no pool) as the baseline. The JSON records host_cores —
 //                   events/sec ratios are only meaningful against it
 //                   (workers > cores measures protocol overhead, not
 //                   speedup).
@@ -118,7 +118,7 @@ Point run_point(const std::string& app, const benchx::ProgramFactory& make,
 struct ThreadedPoint {
   std::string app;
   int procs = 0;
-  int workers = 0;  ///< 1 = sequential fast path (the baseline rows)
+  int workers = 0;  ///< 1 = one inline worker (the baseline rows)
   harness::Schedule schedule = harness::Schedule::kConservative;
   harness::RunOutcome outcome;
 
@@ -168,8 +168,8 @@ void write_threaded_json(const std::string& path,
   os << "{\n  \"bench\": \"threaded_scale\",\n  \"mode\": \"am\",\n"
      << "  \"partition\": \"comm\",\n"
      << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
-     << "  \"note\": \"workers=1 conservative rows are the sequential fast"
-        " path; digests are identical across all rows of one (app, procs)"
+     << "  \"note\": \"workers=1 conservative rows run one worker inline"
+        " (no pool); digests are identical across all rows of one (app, procs)"
         " regardless of schedule; optimistic rows report checkpoint counts"
         " and peak consumption-log bytes (bounded by the checkpoint"
         " interval, not total message volume)\",\n"
@@ -177,7 +177,7 @@ void write_threaded_json(const std::string& path,
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ThreadedPoint& p = points[i];
     // Baseline = the conservative workers=1 row of the same (app, procs):
-    // both protocols are measured against the one sequential fast path.
+    // both protocols are measured against the one-worker inline round.
     double base_wall = 0.0;
     for (const ThreadedPoint& q : points) {
       if (q.app == p.app && q.procs == p.procs && q.workers == 1 &&
@@ -245,7 +245,7 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
       std::cout, "BENCH threaded_scale",
       "Threaded scheduler vs worker count and protocol (AM mode, comm "
       "partition)",
-      {"workers=1 conservative rows take the sequential fast path (the",
+      {"workers=1 conservative rows run one worker inline (the",
        "baseline); speedup_vs_seq is baseline wall-clock / wall-clock,",
        "only meaningful up to the host core count recorded in the JSON",
        "digests are bit-identical across every row of one (app, procs)"});

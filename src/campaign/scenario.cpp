@@ -82,9 +82,9 @@ std::string run_tag(const harness::RunSpec& spec) {
 
 void validate_spec(const harness::RunSpec& spec, const std::string& where) {
   const harness::RunConfig& c = spec.config;
-  if (c.mode == harness::Mode::kMeasured && c.threads > 0) {
+  if (c.mode == harness::Mode::kMeasured && c.threads > 1) {
     throw std::runtime_error(
-        where + ": measured mode is sequential-only (workers must be 0)");
+        where + ": measured mode requires one host worker (workers 0 or 1)");
   }
   if (c.mode == harness::Mode::kAnalytical && c.params.empty() &&
       spec.calibrate_procs <= 0) {

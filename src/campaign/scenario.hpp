@@ -70,7 +70,7 @@ struct Scenario {
 /// Expands a scenario document. Throws std::runtime_error with context on
 /// schema violations: unknown keys, unknown apps/machines/modes, analytical
 /// sweeps with neither "calibrate" nor inline "params", measured runs with
-/// workers > 0 (emulation is sequential-only).
+/// workers > 1 (emulation needs one host worker).
 Scenario parse_scenario(const json::Value& doc);
 
 /// Convenience: parse text, then expand.

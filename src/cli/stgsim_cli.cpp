@@ -108,9 +108,9 @@
 // the optimistic path for the gate to rediscover. Four knobs tune the
 // optimistic engine without changing any simulated result (digests are
 // bit-identical across every setting):
-//   --gvt-interval N          committed events between GVT passes on the
-//                             sequential drivers (adaptively retuned at
-//                             runtime unless the config disables it)
+//   --gvt-interval N          scheduler iterations between exact GVT passes
+//                             with one worker (adaptively retuned at
+//                             runtime)
 //   --checkpoint-interval N   committed consumes between per-rank restore
 //                             points; rollback coast-forwards from the
 //                             newest checkpoint at-or-before the violation
@@ -120,7 +120,8 @@
 //   --checkpoint-adaptive     auto-tune the interval per rank from observed
 //                             rollback frequency (default on)
 //   --speculation-window SEC  hold back ranks more than SEC of virtual time
-//                             ahead of GVT (default unbounded)
+//                             ahead of GVT (default unbounded; multi-worker
+//                             runs only)
 //
 // `serve` runs the long-lived campaign daemon (DESIGN.md §16): a local
 // HTTP API (loopback by default, ephemeral port published via

@@ -530,7 +530,7 @@ json::Value run_spec_schema_json() {
                         "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]"));
   props.set("workers",
             schema_type("integer",
-                        "host worker threads (0 = sequential scheduler)"));
+                        "host worker threads (0 and 1 = one worker on the calling thread)"));
   props.set("partition", schema_enum({"block", "interleave", "comm"},
                                      "rank->worker placement policy"));
   props.set("schedule", schema_enum({"conservative", "optimistic"},

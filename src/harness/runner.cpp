@@ -126,15 +126,13 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     STGSIM_CHECK(!config.unsafe_commit_before_gvt)
         << "unsafe_commit_before_gvt requires the optimistic schedule";
   }
-  if (config.threads > 0) {
+  if (config.threads > 1) {
     ec.host_workers = config.threads;
-    ec.use_threads = true;
     STGSIM_CHECK(timers == nullptr && branches == nullptr)
-        << "calibration/profiling require the sequential scheduler";
+        << "calibration/profiling require one host worker";
     STGSIM_CHECK(config.mode != Mode::kMeasured)
-        << "emulation (NIC contention state) is sequential-only";
-    if (config.partition != simk::PartitionMode::kBlock &&
-        config.threads > 1) {
+        << "emulation (NIC contention state) requires one host worker";
+    if (config.partition != simk::PartitionMode::kBlock) {
       if (config.partition == simk::PartitionMode::kComm) {
         const simk::Affinity aff = comm_affinity(prog, config.nprocs);
         ec.partition = simk::make_partition(config.partition, config.nprocs,

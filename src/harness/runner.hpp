@@ -36,8 +36,7 @@ enum class Mode { kMeasured, kDirectExec, kAnalytical };
 const char* mode_name(Mode m);
 
 /// Parallel synchronization protocol for the simulation engine.
-///   kConservative — never execute past the lookahead-window safe bound
-///                   (sequential scheduler when threads == 0).
+///   kConservative — never execute past the lookahead-window safe bound.
 ///   kOptimistic   — Time Warp: execute speculatively, roll back on
 ///                   stragglers/anti-messages, commit via GVT. Digests are
 ///                   bit-identical to the conservative schedulers.
@@ -80,20 +79,21 @@ struct RunConfig {
   /// Record the slice trace for emulated parallel-host replays.
   bool record_host_trace = false;
 
-  /// Run the threaded conservative scheduler with this many workers
-  /// (0 = sequential scheduler).
+  /// Host workers (simk::EngineConfig::host_workers). 0 and 1 both run
+  /// one worker inline on the calling thread; calibration/profiling
+  /// recorders and kMeasured mode require it.
   int threads = 0;
 
-  /// Rank→worker placement policy for the threaded scheduler (ignored
-  /// when threads == 0). kComm derives rank affinity from the program's
+  /// Rank→worker placement policy for multi-worker runs (ignored when
+  /// threads <= 1). kComm derives rank affinity from the program's
   /// communication structure (harness::comm_affinity) and partitions to
   /// minimize cross-worker traffic. Never affects simulated results.
   simk::PartitionMode partition = simk::PartitionMode::kBlock;
 
-  /// Synchronization protocol. kOptimistic applies to both the sequential
-  /// scheduler (threads == 0; speculative wildcard commits corrected by
-  /// rollback) and the threaded scheduler (no lookahead window; workers
-  /// run ahead freely and GVT commits behind them). Incompatible with
+  /// Synchronization protocol. kOptimistic applies to one worker
+  /// (threads <= 1; wildcards commit on sight) and to several (no
+  /// lookahead window; workers run ahead freely and GVT commits behind
+  /// them). Incompatible with
   /// kMeasured mode, calibration/profiling hooks, and host-trace
   /// recording — all of which carry state a rollback cannot restore.
   Schedule schedule = Schedule::kConservative;
@@ -107,9 +107,9 @@ struct RunConfig {
   // setting; they trade rollback re-execution cost against checkpoint and
   // log memory.
 
-  /// Committed events between GVT passes on the sequential drivers
-  /// (0 = engine default). The engine retunes the live interval around
-  /// this value when gvt_adaptive is on.
+  /// Scheduler iterations between exact GVT passes with one worker or
+  /// under the checker (0 = engine default). The engine retunes the live
+  /// interval from a baseline of max(this, nprocs).
   std::uint64_t gvt_interval = 0;
 
   /// Committed consumes between per-rank checkpoints (0 = checkpoints
@@ -122,8 +122,8 @@ struct RunConfig {
   bool checkpoint_adaptive = true;
 
   /// Bounded-speculation window in seconds: a rank whose clock is more
-  /// than this ahead of GVT is held back until GVT catches up
-  /// (0 = unbounded). Ignored under model checking.
+  /// than this ahead of GVT sits out the rest of its round
+  /// (0 = unbounded). Ignored with one worker, which never rolls back.
   double speculation_window_sec = 0.0;
 
   std::size_t fiber_stack_bytes = 256 * 1024;
@@ -146,9 +146,9 @@ struct RunConfig {
   obs::Recorder* obs = nullptr;
 
   /// Schedule oracle for model-checking runs (not owned; must outlive the
-  /// run). Under the sequential scheduler it switches the engine to MC
-  /// mode (explicit delivery steps, forced wildcard parking); under the
-  /// threaded scheduler it only perturbs mailbox drain order. See
+  /// run). With one worker it switches the engine to MC mode (explicit
+  /// delivery steps, forced wildcard parking); with several it only
+  /// perturbs mailbox drain order. See
   /// simk::ScheduleOracle.
   simk::ScheduleOracle* oracle = nullptr;
 
@@ -208,8 +208,8 @@ struct RunOutcome {
   std::vector<simk::Slice> host_trace;  ///< when record_host_trace
   int nprocs = 0;
 
-  /// Threaded-conservative protocol counters (all zero for sequential
-  /// runs and for threads == 1, which takes the sequential fast path).
+  /// Round, message and Time Warp counters (the round and message fields
+  /// stay zero with one worker, threads <= 1).
   simk::ParallelStats parallel;
 
   /// Aggregated observability metrics; empty unless RunConfig::obs was

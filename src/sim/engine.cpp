@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -13,6 +14,10 @@ namespace stgsim::simk {
 
 namespace {
 
+/// The partition-round worker this thread runs: set by run_partition_round,
+/// so it is 0 on every thread that is not a pool worker (the caller of a
+/// one-worker or MC run, or a multi-worker run's barrier). Indexes the
+/// per-worker stat cells and anti-message queues.
 thread_local int g_current_worker = 0;
 
 /// The process whose fiber this thread is currently executing (null in
@@ -283,20 +288,19 @@ Engine::Engine(EngineConfig config) : config_(config) {
   memory_.set_cap(config_.memory_cap_bytes);
   observer_ = config_.observer;
   oracle_ = config_.oracle;
-  mc_active_ =
-      oracle_ != nullptr && !(config_.use_threads && config_.host_workers > 1);
+  mc_active_ = oracle_ != nullptr && config_.host_workers == 1;
   if (mc_active_) {
     STGSIM_CHECK(!config_.record_host_trace)
         << "host-trace recording is meaningless under MC schedule control";
   }
-  if (config_.use_threads) {
+  if (config_.host_workers > 1) {
     STGSIM_CHECK(!config_.record_host_trace)
-        << "host-trace recording requires the sequential scheduler";
+        << "host-trace recording requires a single host worker";
   }
   if (config_.optimistic) {
     STGSIM_CHECK(!config_.record_host_trace)
-        << "host-trace recording requires the conservative sequential "
-           "scheduler (rollback replay would double-count slices)";
+        << "host-trace recording requires the conservative protocol "
+           "(rollback replay would double-count slices)";
     STGSIM_CHECK(!config_.unsafe_wildcard_commit)
         << "unsafe-wildcard injection targets the conservative safety "
            "bound; use unsafe_commit_before_gvt against the optimistic "
@@ -511,15 +515,14 @@ void Engine::wake_process(Process& p, VTime arrival) {
   p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
   if (observer_ != nullptr) observer_->on_wake(p.rank_, p.clock_, arrival);
-  if (threaded_run_) {
-    // Local deliveries happen on the destination's own worker; flush
-    // deliveries and promotions happen between rounds — both may touch
-    // this list.
-    worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(
-        p.rank_);
-  } else {
-    ready_.push_back(p.rank_);
-  }
+  make_ready(p);
+}
+
+void Engine::make_ready(Process& p) {
+  // Local deliveries happen on the destination's own worker; flush
+  // deliveries and promotions happen between rounds — both may touch this
+  // list, never at the same time.
+  worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
 }
 
 void Engine::park_wildcard(Process& p) {
@@ -574,9 +577,7 @@ Message Engine::clone_message(const Message& m) {
 }
 
 Engine::WorkerStat& Engine::opt_stat() {
-  return worker_stats_[threaded_run_
-                           ? static_cast<std::size_t>(g_current_worker)
-                           : 0];
+  return worker_stats_[static_cast<std::size_t>(g_current_worker)];
 }
 
 bool Engine::opt_feed_replay(Process& p, const MatchSpec& spec,
@@ -618,8 +619,7 @@ std::size_t Engine::opt_entry_bytes(const Message& m) {
 
 void Engine::opt_log_charge(Process& p, const Message& m) {
   // Plain per-rank counter: a rank's log is only ever touched by its
-  // owning worker (or the lone sequential thread). The global figure is
-  // folded from the per-rank counters at GVT passes and at run end — see
+  // owning worker. The global figure is folded from the per-rank counters at GVT passes and at run end — see
   // opt_fold_log_bytes — so the per-message cost is one add instead of
   // two contended atomic RMWs. The reported peak is therefore sampled at
   // fold points, which is where the log is largest anyway (a fold runs
@@ -634,7 +634,7 @@ void Engine::opt_log_release(Process& p, const Message& m) {
 }
 
 std::uint64_t Engine::opt_fold_log_bytes() {
-  // Scheduler thread only (sequential drivers, or the threaded driver at
+  // Scheduler thread only (one-worker and MC drivers, or a threaded run at
   // a barrier / before its own fossil sweep): workers are quiesced, so
   // plain reads of the per-rank counters and plain stores of the global
   // are race-free.
@@ -814,15 +814,6 @@ MsgNode* Engine::opt_insert_sorted(Process& p, Message&& m) {
   return node;
 }
 
-void Engine::opt_make_ready(Process& p) {
-  if (threaded_run_) {
-    worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(
-        p.rank_);
-  } else {
-    ready_.push_back(p.rank_);
-  }
-}
-
 void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
   STGSIM_DCHECK(g_current_proc != static_cast<void*>(&p))
       << "rank " << p.rank_ << " cannot roll itself back mid-slice";
@@ -861,10 +852,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
       << "rollback past the fossil-collected send horizon on rank "
       << p.rank_;
   const std::size_t keep = static_cast<std::size_t>(s_k - o.send_base);
-  auto& queue = opt_anti_queues_[threaded_run_
-                                     ? static_cast<std::size_t>(
-                                           g_current_worker)
-                                     : 0];
+  auto& queue = opt_anti_queues_[static_cast<std::size_t>(g_current_worker)];
   for (std::size_t i = keep; i < o.sends.size(); ++i) {
     const SendRecord& sr = o.sends[i];
     Message a;
@@ -962,7 +950,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
   p.blocked_ = false;
   p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
-  if (!was_queued) opt_make_ready(p);
+  if (!was_queued) make_ready(p);
 }
 
 void Engine::opt_finish_unwind(Process& p) {
@@ -977,8 +965,7 @@ void Engine::opt_finish_unwind(Process& p) {
 }
 
 void Engine::opt_flush_antis() {
-  const std::size_t w =
-      threaded_run_ ? static_cast<std::size_t>(g_current_worker) : 0;
+  const auto w = static_cast<std::size_t>(g_current_worker);
   if (opt_flushing_[w]) return;  // already draining further up the stack
   auto& q = opt_anti_queues_[w];
   if (q.empty()) return;
@@ -1010,7 +997,8 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
 
 bool Engine::opt_throttled(const Process& p) const {
   const VTime w = config_.speculation_window;
-  if (w <= 0 || mc_active_) return false;
+  // One worker (MC included) never rolls back, so there is nothing to damp.
+  if (w <= 0 || !threaded_run_) return false;
   if (opt_throttle_override_.load(std::memory_order_relaxed)) return false;
   const VTime g = gvt_.load(std::memory_order_relaxed);
   if (g > kVTimeNever - w) return false;  // saturate instead of overflow
@@ -1018,23 +1006,19 @@ bool Engine::opt_throttled(const Process& p) const {
 }
 
 void Engine::opt_retune_gvt() {
-  if (config_.gvt_adaptive) {
-    const std::uint64_t cur =
-        opt_log_bytes_.load(std::memory_order_relaxed);
-    // Log pressure rising past 1 MiB: fossil-collect more aggressively.
-    // Pressure flat or falling: back off toward (and past) the configured
-    // cadence, up to 4x — GVT passes are O(P) and pure overhead when the
-    // logs stay small. Inputs are virtual-state byte counts, not host
-    // timing, so the cadence (and the run) stays deterministic.
-    if (cur > opt_log_bytes_last_pass_ && cur > opt_gvt_pressure_bytes_) {
-      opt_gvt_interval_ = std::max<std::uint64_t>(16, opt_gvt_interval_ / 2);
-    } else if (opt_gvt_interval_ < 4 * opt_gvt_base_) {
-      opt_gvt_interval_ =
-          std::min(4 * opt_gvt_base_,
-                   opt_gvt_interval_ + opt_gvt_interval_ / 4 + 1);
-    }
-    opt_log_bytes_last_pass_ = cur;
+  const std::uint64_t cur = opt_log_bytes_.load(std::memory_order_relaxed);
+  // Log pressure rising past the threshold: fossil-collect more
+  // aggressively. Pressure flat or falling: back off toward (and past) the
+  // baseline cadence, up to 4x — GVT passes are O(P) and pure overhead
+  // when the logs stay small. Inputs are virtual-state byte counts, not
+  // host timing, so the cadence (and the run) stays deterministic.
+  if (cur > opt_log_bytes_last_pass_ && cur > opt_gvt_pressure_bytes_) {
+    opt_gvt_interval_ = std::max<std::uint64_t>(16, opt_gvt_interval_ / 2);
+  } else if (opt_gvt_interval_ < 4 * opt_gvt_base_) {
+    opt_gvt_interval_ = std::min(
+        4 * opt_gvt_base_, opt_gvt_interval_ + opt_gvt_interval_ / 4 + 1);
   }
+  opt_log_bytes_last_pass_ = cur;
   opt_gvt_countdown_ = opt_gvt_interval_;
 }
 
@@ -1314,7 +1298,7 @@ void Engine::raise_deadlock() {
   if (threaded_run_) {
     // Per-partition detail: which worker owns the blocked ranks and what
     // each is waiting on, so a parallel deadlock report reads like the
-    // sequential one instead of an undifferentiated rank list.
+    // one-worker one instead of an undifferentiated rank list.
     std::map<int, std::vector<const DeadlockError::BlockedRank*>> by_worker;
     for (const auto& b : blocked) by_worker[b.home_worker].push_back(&b);
     for (const auto& [w, ranks] : by_worker) {
@@ -1390,11 +1374,10 @@ RunResult Engine::run() {
     procs_.push_back(std::move(p));
   }
 
+  const auto nctx = static_cast<std::size_t>(config_.host_workers);
+  worker_ready_.assign(nctx, {});
+  worker_stats_.assign(nctx, WorkerStat{});
   if (config_.optimistic) {
-    const auto nctx = static_cast<std::size_t>(
-        (config_.use_threads && config_.host_workers > 1)
-            ? config_.host_workers
-            : 1);
     opt_anti_queues_.clear();
     opt_anti_queues_.resize(nctx);
     opt_flushing_.assign(nctx, 0);
@@ -1404,20 +1387,16 @@ RunResult Engine::run() {
       opt_floor_[i].store(0, std::memory_order_relaxed);
       opt_out_min_[i].store(kVTimeNever, std::memory_order_relaxed);
     }
-    if (worker_stats_.empty()) worker_stats_.assign(1, WorkerStat{});
     for (auto& p : procs_) {
       p->opt_.effective_interval = config_.checkpoint_interval;
     }
-    // Fixed cadence honors the configured interval exactly; adaptive
-    // mode raises the baseline to the rank count so the O(P) pass costs
-    // O(1) amortized per scheduler pop regardless of scale, and treats
-    // ~16 KiB of logged state per rank as steady-state (one in-flight
-    // eager message each), not memory pressure.
-    opt_gvt_base_ = config_.gvt_interval;
-    if (config_.gvt_adaptive) {
-      opt_gvt_base_ = std::max<std::uint64_t>(
-          opt_gvt_base_, static_cast<std::uint64_t>(config_.num_processes));
-    }
+    // The GVT baseline is at least the rank count, so the O(P) pass costs
+    // O(1) amortized per scheduler pop regardless of scale, and ~16 KiB of
+    // logged state per rank is steady state (one in-flight eager message
+    // each), not memory pressure.
+    opt_gvt_base_ = std::max<std::uint64_t>(
+        config_.gvt_interval,
+        static_cast<std::uint64_t>(config_.num_processes));
     opt_gvt_pressure_bytes_ = std::max<std::uint64_t>(
         std::uint64_t{1} << 20,
         (std::uint64_t{16} << 10) *
@@ -1427,19 +1406,15 @@ RunResult Engine::run() {
     opt_log_bytes_last_pass_ = 0;
     opt_log_bytes_.store(0, std::memory_order_relaxed);
     opt_log_bytes_peak_.store(0, std::memory_order_relaxed);
-    opt_throttled_.clear();
     opt_throttle_override_.store(false, std::memory_order_relaxed);
-    opt_release_exempt_ = -1;
   }
 
   host_t0_sec_ = steady_now_sec();
 
-  if (config_.use_threads && config_.host_workers > 1) {
-    run_threaded();
-  } else if (mc_active_) {
+  if (mc_active_) {
     run_sequential_mc();
   } else {
-    run_sequential();
+    run_rounds();
   }
 
   if (config_.optimistic) {
@@ -1487,102 +1462,6 @@ RunResult Engine::run() {
   return res;
 }
 
-void Engine::run_sequential() {
-  // Runnable processes keyed by virtual clock; clocks are frozen while a
-  // process is ready, so entries never go stale. (key, id) pop order
-  // matches the std::priority_queue<pair> the heap replaced.
-  IndexedMinHeap<VTime> heap(config_.num_processes);
-  ready_.reserve(procs_.size());
-  for (const auto& p : procs_) heap.push(p->rank_, p->clock_);
-
-  std::size_t remaining = procs_.size();
-  std::uint64_t iter = 0;
-  while (remaining > 0) {
-    if (!wildcard_pending_.empty()) {
-      promote_safe_wildcards(/*stuck=*/heap.empty());
-      for (int woken : ready_) {
-        heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
-      }
-      ready_.clear();
-    }
-    if (config_.optimistic && heap.empty() && !opt_throttled_.empty()) {
-      // Every runnable rank has sped past the speculation window. Advance
-      // GVT, then re-admit ranks back inside the (new) window. If none
-      // qualify — the GVT-minimum rank may itself be blocked on a message
-      // a throttled peer has yet to send — release the earliest-clock one
-      // unconditionally so progress resumes.
-      opt_gvt_pass();
-      opt_retune_gvt();
-      const VTime g = gvt_.load(std::memory_order_relaxed);
-      const VTime w = config_.speculation_window;
-      std::size_t kept = 0;
-      std::size_t min_at = 0;
-      VTime min_clock = kVTimeNever;
-      for (const int r : opt_throttled_) {
-        Process& t = *procs_[static_cast<std::size_t>(r)];
-        if (g > kVTimeNever - w || t.clock_ <= g + w) {
-          heap.push(r, t.clock_);
-          continue;
-        }
-        if (t.clock_ < min_clock) {
-          min_clock = t.clock_;
-          min_at = kept;
-        }
-        opt_throttled_[kept++] = r;
-      }
-      opt_throttled_.resize(kept);
-      if (heap.empty() && kept > 0) {
-        const int r = opt_throttled_[min_at];
-        opt_throttled_.erase(opt_throttled_.begin() +
-                             static_cast<std::ptrdiff_t>(min_at));
-        heap.push(r, procs_[static_cast<std::size_t>(r)]->clock_);
-        // The forced release must survive the throttle re-check at pop
-        // time, or the loop spins without running anything.
-        opt_release_exempt_ = r;
-      }
-      for (int woken : ready_) {
-        heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
-      }
-      ready_.clear();
-    }
-    if (heap.empty()) raise_deadlock();
-    // A process that blocks immediately never runs advance(), so its
-    // in-fiber watchdog never fires; probe from the scheduler too.
-    if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
-      raise_budget(BudgetExceededError::Kind::kHostWallClock,
-                   "host wall-clock watchdog fired in scheduler");
-    }
-    if (config_.optimistic && --opt_gvt_countdown_ == 0) {
-      opt_gvt_pass();
-      opt_retune_gvt();
-    }
-    const int rank = heap.pop();
-    Process& p = *procs_[static_cast<std::size_t>(rank)];
-    const bool release_exempt = (rank == opt_release_exempt_);
-    if (release_exempt) opt_release_exempt_ = -1;
-    if (config_.optimistic && !release_exempt && opt_throttled(p)) {
-      // Past the speculation window: hold the rank out of the schedule
-      // until GVT catches up (see the re-admission block above the
-      // deadlock check).
-      opt_throttled_.push_back(rank);
-      continue;
-    }
-    resume_process(p);
-    if (error_) abort_run(error_);
-    if (config_.optimistic) {
-      // Rollbacks during the slice may have resurrected finished ranks.
-      remaining += static_cast<std::size_t>(
-          opt_unfinished_delta_.exchange(0, std::memory_order_relaxed));
-    }
-    if (p.finished_) --remaining;
-    // Deliveries during the slice queued wakeups into ready_.
-    for (int woken : ready_) {
-      heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
-    }
-    ready_.clear();
-  }
-}
-
 std::size_t Engine::oracle_choose(const std::vector<ChoiceOption>& options) {
   STGSIM_DCHECK(!options.empty());
   try {
@@ -1601,10 +1480,16 @@ void Engine::run_sequential_mc() {
   // Ready ranks in a sorted vector (not the clock-ordered heap): in MC
   // mode *which* ready rank runs next is the oracle's choice, and the
   // sorted order gives the option list a canonical shape.
+  // Wakes land on worker 0's ready list (the only worker) and move into
+  // the set after every step.
   std::vector<int> ready_set;
-  auto add_ready = [&](int rank) {
-    ready_set.insert(
-        std::lower_bound(ready_set.begin(), ready_set.end(), rank), rank);
+  std::vector<int>& woken = worker_ready_[0];
+  auto take_woken = [&] {
+    for (int rank : woken) {
+      ready_set.insert(
+          std::lower_bound(ready_set.begin(), ready_set.end(), rank), rank);
+    }
+    woken.clear();
   };
   for (const auto& p : procs_) ready_set.push_back(p->rank_);
 
@@ -1622,8 +1507,7 @@ void Engine::run_sequential_mc() {
     // threaded scheduler's barrier establishes before it promotes.
     if (inflight_total_ == 0 && !wildcard_pending_.empty()) {
       promote_safe_wildcards(/*stuck=*/ready_set.empty());
-      for (int woken : ready_) add_ready(woken);
-      ready_.clear();
+      take_woken();
     }
     if ((++iter & 255U) == 0 && host_budget_exhausted()) {
       raise_budget(BudgetExceededError::Kind::kHostWallClock,
@@ -1672,8 +1556,7 @@ void Engine::run_sequential_mc() {
       remaining += static_cast<std::size_t>(
           opt_unfinished_delta_.exchange(0, std::memory_order_relaxed));
     }
-    for (int woken : ready_) add_ready(woken);
-    ready_.clear();
+    take_woken();
   }
 }
 
@@ -1784,14 +1667,23 @@ void Engine::run_partition_round(int worker) {
       }
     }
   };
-  for (;;) {
-    // In-window cross-partition messages delivered by peers since the
-    // last check; wakeups land on local_ready.
-    drain_mailboxes(worker, /*redelivery=*/true);
+  auto take_ready = [&] {
     for (int woken : local_ready) {
       heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
     }
     local_ready.clear();
+  };
+  for (;;) {
+    // In-window cross-partition messages delivered by peers since the
+    // last check; wakeups land on local_ready.
+    if (threaded_run_) drain_mailboxes(worker, /*redelivery=*/true);
+    take_ready();
+    if (!threaded_run_ && !wildcard_pending_.empty()) {
+      // One worker: no clock races, so parked wildcards are promoted
+      // between slices instead of waiting for the barrier.
+      promote_safe_wildcards(/*stuck=*/heap.empty());
+      take_ready();
+    }
 
     if (heap.empty()) {
       if (active) {
@@ -1811,7 +1703,7 @@ void Engine::run_partition_round(int worker) {
       if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
         note_error(std::make_exception_ptr(BudgetExceededError(
             BudgetExceededError::Kind::kHostWallClock,
-            "host wall-clock watchdog fired in threaded worker " +
+            "host wall-clock watchdog fired in worker " +
                 std::to_string(worker))));
         break;
       }
@@ -1825,20 +1717,26 @@ void Engine::run_partition_round(int worker) {
     }
     // The round barrier only probes the wall-clock watchdog between
     // rounds; a round that never drains (e.g. two processes in the same
-    // partition ping-ponging without advancing their clocks) would
-    // otherwise spin forever. Probe in-loop, like the sequential
-    // scheduler; the scheduler thread tears the run down at the barrier.
-    if ((++iter & 1023U) == 0) {
-      if (has_error_.load(std::memory_order_acquire)) break;
-      if (host_budget_exhausted()) {
-        note_error(std::make_exception_ptr(BudgetExceededError(
-            BudgetExceededError::Kind::kHostWallClock,
-            "host wall-clock watchdog fired in threaded worker " +
-                std::to_string(worker))));
-        break;
+    // partition ping-ponging without advancing their clocks, or a rank
+    // that blocks before it ever calls advance()) would otherwise spin
+    // forever. Probe in-loop; the barrier tears the run down.
+    if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
+      note_error(std::make_exception_ptr(BudgetExceededError(
+          BudgetExceededError::Kind::kHostWallClock,
+          "host wall-clock watchdog fired in worker " +
+              std::to_string(worker))));
+      break;
+    }
+    if (config_.optimistic) {
+      if (threaded_run_) {
+        if ((iter & 255U) == 0) opt_publish_and_fossil();
+      } else if (--opt_gvt_countdown_ == 0) {
+        // One worker: no clock races, so the exact pass replaces the
+        // publish, on an adaptive cadence that amortizes its O(P) scan.
+        opt_gvt_pass();
+        opt_retune_gvt();
       }
     }
-    if (config_.optimistic && (iter & 255U) == 0) opt_publish_and_fossil();
     const int rank = heap.pop();
     Process& p = *procs_[static_cast<std::size_t>(rank)];
     if (config_.optimistic && opt_throttled(p)) {
@@ -1849,6 +1747,9 @@ void Engine::run_partition_round(int worker) {
     resume_process(p);
     ws.busy_vtime += p.clock_ - clock_before;
     ++ws.slices;
+    // Stop at the first error: a failed slice ends the round before any
+    // other rank runs.
+    if (has_error_.load(std::memory_order_acquire)) break;
   }
   if (active) round_running_.fetch_sub(1, std::memory_order_acq_rel);
   local_ready.insert(local_ready.end(), throttled.begin(), throttled.end());
@@ -1877,16 +1778,17 @@ std::size_t advance_bucket(VTime adv) {
 
 }  // namespace
 
-void Engine::run_threaded() {
+void Engine::run_rounds() {
   const int workers = config_.host_workers;
-  threaded_run_ = true;
+  // Several workers run on a thread pool and race each other's clocks;
+  // a single worker runs inline on this thread, where the safety bound can
+  // be evaluated mid-slice and the round/mailbox counters stay zero.
+  threaded_run_ = workers > 1;
   round_outboxes_.clear();
   round_outboxes_.resize(static_cast<std::size_t>(workers));
-  worker_ready_.assign(static_cast<std::size_t>(workers), {});
   worker_wildcard_pending_.assign(static_cast<std::size_t>(workers), {});
   worker_heaps_.resize(static_cast<std::size_t>(workers));
   for (auto& h : worker_heaps_) h.reset(config_.num_processes);
-  worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStat{});
   const auto lanes = static_cast<std::size_t>(workers) *
                      static_cast<std::size_t>(workers);
   mailboxes_.clear();
@@ -1897,23 +1799,22 @@ void Engine::run_threaded() {
   spill_epoch_.assign(lanes, 0);
   round_epoch_ = 0;
   pstats_ = ParallelStats{};
-  pstats_.window_advance_hist.assign(kAdvanceBuckets, 0);
-  for (const auto& p : procs_) {
-    worker_ready_[static_cast<std::size_t>(p->home_worker_)].push_back(
-        p->rank_);
-  }
+  if (threaded_run_) pstats_.window_advance_hist.assign(kAdvanceBuckets, 0);
+  for (const auto& p : procs_) make_ready(*p);
 
-  // Workers persist for the whole run; each pool round runs one
-  // conservative window. A worker-side exception (simulator invariant
-  // failure) must not escape the pool thread — record it and let the
-  // scheduler abort at the barrier.
-  WorkerPool pool(workers, [this](int w) {
+  // A worker-side exception (simulator invariant failure) must not escape
+  // a pool thread — record it and let the barrier abort the run. Pool
+  // workers persist for the whole run; each pool round runs one
+  // conservative window.
+  auto run_worker = [this](int w) {
     try {
       run_partition_round(w);
     } catch (...) {
       note_error(std::current_exception());
     }
-  });
+  };
+  std::optional<WorkerPool> pool;
+  if (threaded_run_) pool.emplace(workers, run_worker);
 
   auto any_ready = [&] {
     for (const auto& v : worker_ready_) {
@@ -1930,54 +1831,60 @@ void Engine::run_threaded() {
       if (all_done) break;
       raise_deadlock();
     }
-
-    // Conservative window for this round: no message sent from here on
-    // can arrive before (min unfinished clock) + (latency floor), so
-    // anything arriving at or below that bound is safe to hand straight
-    // to the destination worker mid-round.
-    VTime min_clock = kVTimeNever;
-    for (const auto& p : procs_) {
-      if (!p->finished_) min_clock = std::min(min_clock, p->clock_);
-    }
-    if (config_.optimistic) {
-      // No safe bound: every cross-partition message may ride the mailbox
-      // and be consumed speculatively. Stragglers are corrected by
-      // rollback, so the window is unbounded.
-      window_bound_ = kVTimeNever;
-      // Seed the asynchronous-GVT inputs for this round: each worker's
-      // clock floor starts at the global min (clocks only matter once a
-      // rollback lowers them, and the triggering message's arrival is
-      // covered by the sender's out_min or the sender's floor), and the
-      // in-transit minimum restarts empty.
-      for (int v = 0; v < workers; ++v) {
-        opt_floor_[static_cast<std::size_t>(v)].store(
-            min_clock, std::memory_order_relaxed);
-        opt_out_min_[static_cast<std::size_t>(v)].store(
-            kVTimeNever, std::memory_order_relaxed);
-      }
-    } else {
-      const VTime lookahead =
-          wildcard_min_latency_.load(std::memory_order_relaxed);
-      window_bound_ =
-          min_clock == kVTimeNever ? kVTimeNever : min_clock + lookahead;
-    }
-    ++pstats_.rounds;
-    pstats_.window_advance_hist[advance_bucket(
-        prev_min == kVTimeNever ? 0 : min_clock - prev_min)] += 1;
-    prev_min = min_clock;
-    ++round_epoch_;
-
-    std::uint64_t slices_before = 0;
-    for (const auto& w : worker_stats_) slices_before += w.slices;
-    round_running_.store(workers, std::memory_order_relaxed);
-    threaded_phase_ = true;
-    pool.run_round();
-    threaded_phase_ = false;
-    if (error_) abort_run(error_);
     if (host_budget_exhausted()) {
       raise_budget(BudgetExceededError::Kind::kHostWallClock,
                    "host wall-clock watchdog fired at round barrier");
     }
+
+    if (threaded_run_) {
+      // Conservative window for this round: no message sent from here on
+      // can arrive before (min unfinished clock) + (latency floor), so
+      // anything arriving at or below that bound is safe to hand straight
+      // to the destination worker mid-round.
+      VTime min_clock = kVTimeNever;
+      for (const auto& p : procs_) {
+        if (!p->finished_) min_clock = std::min(min_clock, p->clock_);
+      }
+      if (config_.optimistic) {
+        // No safe bound: every cross-partition message may ride the
+        // mailbox and be consumed speculatively. Stragglers are corrected
+        // by rollback, so the window is unbounded.
+        window_bound_ = kVTimeNever;
+        // Seed the asynchronous-GVT inputs for this round: each worker's
+        // clock floor starts at the global min (clocks only matter once a
+        // rollback lowers them, and the triggering message's arrival is
+        // covered by the sender's out_min or the sender's floor), and the
+        // in-transit minimum restarts empty.
+        for (int v = 0; v < workers; ++v) {
+          opt_floor_[static_cast<std::size_t>(v)].store(
+              min_clock, std::memory_order_relaxed);
+          opt_out_min_[static_cast<std::size_t>(v)].store(
+              kVTimeNever, std::memory_order_relaxed);
+        }
+      } else {
+        const VTime lookahead =
+            wildcard_min_latency_.load(std::memory_order_relaxed);
+        window_bound_ =
+            min_clock == kVTimeNever ? kVTimeNever : min_clock + lookahead;
+      }
+      ++pstats_.rounds;
+      pstats_.window_advance_hist[advance_bucket(
+          prev_min == kVTimeNever ? 0 : min_clock - prev_min)] += 1;
+      prev_min = min_clock;
+      ++round_epoch_;
+    }
+
+    std::uint64_t slices_before = 0;
+    for (const auto& w : worker_stats_) slices_before += w.slices;
+    round_running_.store(workers, std::memory_order_relaxed);
+    if (pool) {
+      threaded_phase_ = true;
+      pool->run_round();
+      threaded_phase_ = false;
+    } else {
+      run_worker(0);
+    }
+    if (error_) abort_run(error_);
 
     // Barrier reached: deliver everything still in flight. Mailboxes
     // first (a lane's outbox spill began only after its last successful
@@ -1994,11 +1901,11 @@ void Engine::run_threaded() {
       outbox.clear();
     }
 
-    // Wildcard receives always park during a round (clocks race); now the
-    // barrier has frozen every clock and flushed every message, evaluate
-    // the safety bound. Worker lists merge in fixed order, and promotion
-    // itself is (arrival, rank)-deterministic, so this preserves the
-    // sequential scheduler's commit choices.
+    // Wildcard receives always park during a threaded round (clocks
+    // race); now the barrier has frozen every clock and flushed every
+    // message, evaluate the safety bound. Worker lists merge in fixed
+    // order, and promotion itself is (arrival, rank)-deterministic, so
+    // this preserves the one-worker commit choices.
     for (auto& pending : worker_wildcard_pending_) {
       wildcard_pending_.insert(wildcard_pending_.end(), pending.begin(),
                                pending.end());
@@ -2010,20 +1917,10 @@ void Engine::run_threaded() {
 
     if (config_.optimistic) {
       // Exact GVT at the barrier: every worker is idle and every message
-      // flushed, so min unfinished clock is the committed horizon. (The
-      // barrier flush above may itself have triggered rollbacks — on this
-      // thread — so clocks are read after it.)
-      VTime g = kVTimeNever;
-      for (const auto& p : procs_) {
-        if (!p->finished_) g = std::min(g, p->clock_);
-      }
-      opt_fold_log_bytes();
-      if (g != kVTimeNever && g > gvt_.load(std::memory_order_relaxed)) {
-        gvt_.store(g, std::memory_order_relaxed);
-        gvt_passes_.fetch_add(1, std::memory_order_relaxed);
-        for (const auto& p : procs_) opt_fossil_rank(*p, g);
-      }
-      if (config_.speculation_window > 0) {
+      // flushed. (The flush above may itself have triggered rollbacks —
+      // on this thread — so clocks are read after it.)
+      opt_gvt_pass();
+      if (threaded_run_ && config_.speculation_window > 0) {
         // A round in which every worker only stashed throttled ranks made
         // zero slices while work remains: GVT cannot advance (the minimum
         // rank is blocked on a throttled peer), so let the next round run
@@ -2037,17 +1934,19 @@ void Engine::run_threaded() {
     }
   }
 
-  for (const auto& ws : worker_stats_) {
-    pstats_.intra_messages += ws.intra;
-    pstats_.mailbox_messages += ws.mailbox;
-    pstats_.barrier_messages += ws.barrier;
-    pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
-    pstats_.worker_slices.push_back(ws.slices);
-  }
-  // Trim the histogram to the last populated bucket.
-  while (!pstats_.window_advance_hist.empty() &&
-         pstats_.window_advance_hist.back() == 0) {
-    pstats_.window_advance_hist.pop_back();
+  if (threaded_run_) {
+    for (const auto& ws : worker_stats_) {
+      pstats_.intra_messages += ws.intra;
+      pstats_.mailbox_messages += ws.mailbox;
+      pstats_.barrier_messages += ws.barrier;
+      pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
+      pstats_.worker_slices.push_back(ws.slices);
+    }
+    // Trim the histogram to the last populated bucket.
+    while (!pstats_.window_advance_hist.empty() &&
+           pstats_.window_advance_hist.back() == 0) {
+      pstats_.window_advance_hist.pop_back();
+    }
   }
   threaded_run_ = false;
 }

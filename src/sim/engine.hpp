@@ -9,30 +9,34 @@
 // the property direct-execution simulators rely on. Wildcard receives are
 // the exception and are guarded by a conservative safety bound.
 //
-// Three scheduler modes are provided:
-//  * Sequential: runs fibers lowest-clock-first on one OS thread. While it
-//    runs, it records a *slice trace* (host-time cost of every execution
-//    slice and the message dependencies between slices). Replaying the
-//    trace under a k-worker list schedule yields the wall-clock the same
-//    simulation would take on k host processors — this stands in for the
-//    paper's measurements of MPI-Sim on a parallel host (Figs. 14-16),
-//    since this container has a single core.
-//  * Threaded conservative: partitions processes over a persistent pool
-//    of worker threads. Each round the scheduler computes a conservative
-//    lookahead window W = (min unfinished clock) + (network latency
-//    floor); workers execute their partitions and exchange cross-partition
-//    messages arriving inside the window through bounded SPSC mailboxes,
-//    deferring the rest to the round barrier, where the deterministic
-//    flush/merge order (and wildcard promotion) keeps results bit-identical
-//    to the sequential scheduler. See DESIGN.md §10 for the protocol and
-//    its safety argument.
-//  * Optimistic (Time Warp, EngineConfig::optimistic): processes execute
-//    speculatively past the safe bound; causality violations trigger
-//    rollback via coast-forward replay from a per-process consumption log
-//    (sim/rollback.hpp), speculative output is cancelled with
-//    anti-messages, and periodic GVT passes fossil-collect the logs.
-//    Committed results stay bit-identical to the sequential scheduler.
-//    See DESIGN.md §15.
+// Two drivers decide which process runs next:
+//  * Partition rounds (every run without a schedule oracle): processes are
+//    partitioned over EngineConfig::host_workers workers, each running its
+//    partition lowest-clock-first. With several workers they are threads
+//    of a persistent pool; each round the scheduler computes a
+//    conservative lookahead window W = (min unfinished clock) + (network
+//    latency floor), workers exchange cross-partition messages arriving
+//    inside the window through bounded SPSC mailboxes and defer the rest
+//    to the round barrier, where the deterministic flush/merge order (and
+//    wildcard promotion) keeps results bit-identical to one worker. See
+//    DESIGN.md §10 for the protocol and its safety argument. One worker
+//    runs inline on the caller's thread: clocks cannot race, so wildcard
+//    receives are checked against the safety bound mid-slice and the run
+//    can record a *slice trace* (host-time cost of every execution slice
+//    and the message dependencies between slices). Replaying the trace
+//    under a k-worker list schedule (replay_host_trace) predicts the
+//    wall-clock on k host processors, as the paper's Figs. 14-16 measure
+//    MPI-Sim on a parallel host.
+//  * MC (EngineConfig::oracle with one worker): a ScheduleOracle picks
+//    every resume, in-flight lane delivery and wildcard tie.
+// Either driver runs either protocol: conservative (wildcard receives wait
+// for the safety bound) or optimistic (Time Warp, EngineConfig::optimistic:
+// processes execute speculatively past the safe bound; causality
+// violations trigger rollback via coast-forward replay from a per-process
+// consumption log (sim/rollback.hpp), speculative output is cancelled with
+// anti-messages, and periodic GVT passes fossil-collect the logs).
+// Committed results are bit-identical across drivers, worker counts and
+// protocols. See DESIGN.md §15.
 //
 // Hot-path data structures (all per-engine, no global state):
 //  * runnable processes sit in an IndexedMinHeap keyed by virtual clock;
@@ -127,12 +131,12 @@ struct ChoiceOption {
 };
 
 /// Schedule-control hook (EngineConfig::oracle). With an oracle installed
-/// and the sequential scheduler selected, the engine runs in MC mode:
-/// sends are buffered in per-(src,dst) FIFO lanes instead of landing in
-/// the destination inbox immediately, and every nondeterministic choice —
-/// which ready rank runs next, which lane delivers its head message,
-/// which of several tied parked wildcards is promoted first — is routed
-/// through choose(). Under the threaded scheduler only the mailbox drain
+/// and one host worker, the engine runs in MC mode: sends are buffered in
+/// per-(src,dst) FIFO lanes instead of landing in the destination inbox
+/// immediately, and every nondeterministic choice — which ready rank runs
+/// next, which lane delivers its head message, which of several tied
+/// parked wildcards is promoted first — is routed through choose(). With
+/// several host workers only the mailbox drain
 /// order is exposed (permute_drain_order); simulated results must not
 /// depend on it, which is exactly what a checker perturbs it to prove.
 class ScheduleOracle {
@@ -337,12 +341,11 @@ struct HostModel {
 struct EngineConfig {
   int num_processes = 1;
 
-  /// Threaded conservative mode when > 1 and use_threads; otherwise the
-  /// value is only used as the default worker count for trace replay.
+  /// Workers of the partition-round driver. 1 runs inline on the caller's
+  /// thread; more run on a thread pool with a lookahead window per round.
   int host_workers = 1;
-  bool use_threads = false;
 
-  /// rank -> worker map for the threaded scheduler (from
+  /// rank -> worker map for the partition-round driver (from
   /// simk::make_partition or custom). Empty means the historical block
   /// partition. Size must equal num_processes; values in
   /// [0, host_workers). Never affects simulated results — only which
@@ -353,17 +356,17 @@ struct EngineConfig {
   std::size_t memory_cap_bytes = 0;  ///< 0 = uncapped
   std::uint64_t seed = 0x5eedULL;
 
-  /// Record the slice trace (sequential scheduler only).
+  /// Record the slice trace (one host worker, conservative, no oracle).
   bool record_host_trace = false;
 
   /// Instrumentation sink (not owned; must outlive the engine). Null
   /// disables all observer callbacks at the cost of one branch per event.
   EngineObserver* observer = nullptr;
 
-  /// Schedule-control hook (not owned; must outlive the engine). With the
-  /// sequential scheduler this switches the engine into MC mode (see
-  /// ScheduleOracle); with the threaded scheduler it only perturbs the
-  /// mailbox drain order. Incompatible with record_host_trace.
+  /// Schedule-control hook (not owned; must outlive the engine). With one
+  /// host worker this switches the engine into MC mode (see
+  /// ScheduleOracle); with several it only perturbs the mailbox drain
+  /// order. Incompatible with record_host_trace.
   ScheduleOracle* oracle = nullptr;
 
   /// Test-only fault injection: wildcard receives commit to the first
@@ -378,8 +381,8 @@ struct EngineConfig {
   /// (coast-forward replay from the consumption log, see sim/rollback.hpp)
   /// and anti-messages for its speculative output; periodic GVT passes
   /// drive fossil collection. Committed results are bit-identical to the
-  /// conservative sequential scheduler. Works under all three drivers
-  /// (sequential, MC, threaded). Incompatible with record_host_trace.
+  /// conservative protocol. Works under both drivers and every worker
+  /// count. Incompatible with record_host_trace.
   bool optimistic = false;
 
   /// Test-only fault injection for the optimistic mode: wildcard commits
@@ -388,9 +391,9 @@ struct EngineConfig {
   /// commit — the commit-before-GVT race `stgsim check` must rediscover.
   bool unsafe_commit_before_gvt = false;
 
-  /// Optimistic mode: scheduler iterations between GVT / fossil passes.
-  /// With gvt_adaptive the value is the starting cadence; the engine then
-  /// retunes it from consumption-log pressure.
+  /// Optimistic mode: scheduler iterations between exact GVT / fossil
+  /// passes (one worker and MC). The baseline is max(this, process
+  /// count); the engine then retunes it from consumption-log pressure.
   std::uint64_t gvt_interval = 256;
 
   /// Optimistic mode: committed consumptions between per-rank checkpoints
@@ -407,15 +410,10 @@ struct EngineConfig {
   /// committed results — only where restore points sit.
   bool checkpoint_adaptive = true;
 
-  /// Adapt the GVT cadence of the single-threaded optimistic drivers to
-  /// consumption-log pressure: pass more often while retained log bytes
-  /// grow, back off while the logs stay small.
-  bool gvt_adaptive = true;
-
   /// Optimistic mode: bound on speculation depth. A ready rank whose clock
-  /// is more than this far past GVT is throttled until GVT catches up
-  /// (rollback-storm damper). 0 = unbounded speculation. Not applied in MC
-  /// mode, where the oracle owns the schedule.
+  /// is more than this far past GVT sits out the rest of its round
+  /// (rollback-storm damper). 0 = unbounded speculation. Applied only with
+  /// host_workers > 1: one worker (MC included) never rolls back.
   VTime speculation_window = 0;
 
   // Run budgets (0 = unlimited). When a budget is exceeded the run is torn
@@ -427,11 +425,11 @@ struct EngineConfig {
   double max_host_seconds = 0.0;    ///< cap on real wall-clock for the run
 };
 
-/// Counters describing one threaded-conservative run (all zero after a
-/// sequential run). Message counts are deterministic for a fixed partition
-/// and fault plan; `rounds` and the mailbox/barrier split depend on host
-/// timing (a message races the end of the round it was sent in) — they
-/// are excluded from run digests.
+/// Counters describing one run; the round, message and per-worker fields
+/// stay empty with one worker. Message counts are deterministic for a
+/// fixed partition and fault plan; `rounds` and the mailbox/barrier split
+/// depend on host timing (a message races the end of the round it was
+/// sent in) — they are excluded from run digests.
 struct ParallelStats {
   std::uint64_t rounds = 0;
   std::uint64_t intra_messages = 0;    ///< both endpoints on one worker
@@ -452,10 +450,9 @@ struct ParallelStats {
   std::vector<VTime> worker_busy_vtime;
   std::vector<std::uint64_t> worker_slices;
 
-  // Optimistic-mode counters (all zero under the conservative schedulers).
-  // Deterministic under the sequential driver; under the threaded driver
-  // rollback/anti counts depend on host timing. Excluded from run digests
-  // either way.
+  // Optimistic-mode counters (all zero under the conservative protocol).
+  // Deterministic with one worker; with several, rollback/anti counts
+  // depend on host timing. Excluded from run digests either way.
   std::uint64_t rollbacks = 0;         ///< causality-violation rollbacks
   std::uint64_t anti_messages = 0;     ///< anti-messages sent
   std::uint64_t gvt_passes = 0;        ///< GVT computations that advanced
@@ -492,8 +489,7 @@ class DeadlockError : public std::runtime_error {
     int waiting_src = -2;  ///< MatchSpec::kAnySource for wildcard; -2 none
     int waiting_tag = -1;
     std::string waiting_what;  ///< MatchSpec::what, e.g. "recv"
-    int home_worker = 0;  ///< owning partition (0 under the sequential
-                          ///< scheduler)
+    int home_worker = 0;  ///< owning partition (0 with one worker)
   };
 
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
@@ -593,8 +589,8 @@ class Engine {
   PayloadPool::Stats payload_stats() { return payload_pool_.stats(); }
   ObjectArena<Message>::Stats arena_stats() { return msg_arena_.stats(); }
 
-  /// Counters from the threaded conservative protocol; all zero after a
-  /// sequential run. Valid once run() returned.
+  /// Round, message and Time Warp counters (see ParallelStats). Valid once
+  /// run() returned.
   const ParallelStats& parallel_stats() const { return pstats_; }
 
   /// Test hook: optimistic log/checkpoint geometry of one rank, for
@@ -632,15 +628,17 @@ class Engine {
   /// wake-or-park. In MC mode deliver() buffers into an in-flight lane
   /// instead and the MC loop calls this when the oracle picks the lane.
   void deliver_now(Message&& msg);
-  void run_sequential();
-  /// Sequential scheduler under full oracle control (MC mode): every
+  /// One-worker driver under full oracle control (MC mode): every
   /// resume, lane delivery and stuck-promotion tie goes through
   /// config.oracle->choose(). See DESIGN.md §13 for the choice-point model.
   void run_sequential_mc();
   /// Routes oracle->choose() through abort_run on throw so suspended
   /// fibers unwind before the exception leaves Engine::run().
   std::size_t oracle_choose(const std::vector<ChoiceOption>& options);
-  void run_threaded();
+  /// Partition-round driver: runs rounds of run_partition_round (inline
+  /// with one worker, on a WorkerPool otherwise) separated by barriers
+  /// that flush deferred messages, promote wildcards and pass GVT.
+  void run_rounds();
   /// One round of worker `w`: execute the partition, draining incoming
   /// mailboxes between slices, until no local work remains and the round
   /// is quiescing.
@@ -651,9 +649,12 @@ class Engine {
   void resume_process(Process& p);
   [[noreturn]] void raise_deadlock();
 
-  /// Unblocks `p` and queues it on the appropriate ready list. `arrival`
-  /// is the waking message's arrival time (for the observer).
+  /// Unblocks `p` and queues it on its worker's ready list. `arrival` is
+  /// the waking message's arrival time (for the observer).
   void wake_process(Process& p, VTime arrival);
+  /// Queues `p` on its worker's ready list (the driver moves it into its
+  /// heap or ready set), without wake_process's unblock/observer step.
+  void make_ready(Process& p);
 
   // --- Optimistic (Time Warp) mode; see DESIGN.md §15 ---
 
@@ -687,9 +688,6 @@ class Engine {
   /// Inserts a rolled-back (unconsumed again) message into its channel in
   /// seq order — reinserted seqs can interleave with still-queued ones.
   MsgNode* opt_insert_sorted(Process& p, Message&& m);
-  /// Queues `p` on the ready list of its driver (heap push happens in the
-  /// driver loop, like wake_process without the unblock/observer step).
-  void opt_make_ready(Process& p);
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
@@ -715,15 +713,16 @@ class Engine {
   void opt_log_release(Process& p, const Message& m);
   std::uint64_t opt_fold_log_bytes();
   static std::size_t opt_entry_bytes(const Message& m);
-  /// True when the optimistic speculation window throttles `p`: its clock
-  /// is more than config.speculation_window past GVT. Never true for the
-  /// GVT-defining (minimum-clock) rank, so progress is preserved.
+  /// True when the optimistic speculation window throttles `p`: a
+  /// multi-worker run, `p`'s clock more than config.speculation_window
+  /// past GVT, and the previous round made progress
+  /// (opt_throttle_override_).
   bool opt_throttled(const Process& p) const;
-  /// Re-arms the single-threaded drivers' GVT countdown; with gvt_adaptive
-  /// the cadence shrinks while consumption-log bytes grow and stretches
-  /// back out while they shrink (bounds [16, 4x configured]).
+  /// Re-arms the exact-GVT countdown (one worker and MC): the cadence
+  /// shrinks while consumption-log bytes grow and stretches back out
+  /// while they shrink (bounds [16, 4x baseline]).
   void opt_retune_gvt();
-  /// Per-context stat cell (worker-local when threaded, slot 0 otherwise).
+  /// This thread's worker stat cell (slot 0 outside pool workers).
   WorkerStat& opt_stat();
   /// Records `p` (blocked on a wildcard spec with at least one queued
   /// match) for later safety-bound promotion.
@@ -732,7 +731,7 @@ class Engine {
   /// safety bound. When `stuck` (no process can run, so the queued message
   /// set is final), and no parked process is bound-safe, wakes exactly the
   /// one with the smallest (arrival, rank) — the choice is then exact.
-  /// Single-threaded contexts only (sequential loop / round barrier).
+  /// Single-threaded contexts only (one-worker round / round barrier).
   void promote_safe_wildcards(bool stuck);
 
   /// Raises BudgetExceededError: thrown in place when called from inside a
@@ -768,10 +767,6 @@ class Engine {
   std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;
 
-  // Processes woken by deliveries during the current slice (sequential
-  // scheduler); drained into the ready heap after each slice.
-  std::vector<int> ready_;
-
   std::vector<Slice> trace_;
   std::atomic<std::uint64_t> messages_delivered_{0};
   // Per-engine resume count. Not the global Fiber::switch_count(): several
@@ -780,10 +775,13 @@ class Engine {
   std::atomic<std::uint64_t> slices_{0};
   bool ran_ = false;
 
-  // Threaded mode: per-worker ready lists, ready heaps (persistent across
-  // rounds; drained within each), and outboxes for cross-partition
-  // messages that could not ride a mailbox, flushed at the end-of-round
-  // barrier.
+  // Per-worker ready lists (every wake lands on its rank's worker list;
+  // the driver moves it into the worker's heap or the MC ready set),
+  // ready heaps (persistent across rounds; drained within each), and
+  // outboxes for cross-partition messages that could not ride a mailbox,
+  // flushed at the end-of-round barrier. threaded_run_ marks a
+  // multi-worker run (clocks race); threaded_phase_ marks the part of it
+  // where pool workers are executing a round.
   std::vector<std::vector<int>> worker_ready_;
   std::vector<IndexedMinHeap<VTime>> worker_heaps_;
   std::vector<std::vector<Message>> round_outboxes_;
@@ -813,7 +811,7 @@ class Engine {
     std::uint64_t barrier = 0;
     std::uint64_t slices = 0;
     VTime busy_vtime = 0;
-    // Optimistic-mode counters (slot 0 under the sequential drivers).
+    // Optimistic-mode counters (slot 0 with one worker).
     std::uint64_t rollbacks = 0;
     std::uint64_t antis = 0;
     std::uint64_t fossil = 0;
@@ -843,7 +841,7 @@ class Engine {
   std::atomic<std::uint64_t> opt_log_bytes_{0};
   std::atomic<std::uint64_t> opt_log_bytes_peak_{0};
 
-  // Adaptive GVT cadence for the single-threaded optimistic drivers:
+  // Adaptive GVT cadence for the one-worker and MC optimistic drivers:
   // countdown to the next pass, re-armed to opt_gvt_interval_ which the
   // pass itself retunes from log pressure (within [16, 4x the baseline]).
   // A pass is an O(P) scan, so the adaptive baseline scales with the
@@ -857,22 +855,15 @@ class Engine {
   std::uint64_t opt_gvt_pressure_bytes_ = std::uint64_t{1} << 20;
   std::uint64_t opt_log_bytes_last_pass_ = 0;
 
-  // Speculation-window throttling: ready ranks past the window wait here
-  // (sequential driver) until a GVT pass re-admits them; the threaded
-  // driver instead skips over-window heap minima for a round, with a
-  // one-shot override when a whole round made no progress (the
-  // window-defining minimum rank may be blocked on a throttled peer).
-  std::vector<int> opt_throttled_;
+  // Speculation-window throttling: a worker sets over-window heap minima
+  // aside for the rest of its round and requeues them at round end; the
+  // barrier sets this one-round override when a whole round made no
+  // progress (the window-defining minimum rank may be blocked on a
+  // throttled peer).
   std::atomic<bool> opt_throttle_override_{false};
-  // Rank granted a one-slice pass through the throttle check by the
-  // sequential driver's forced release. Without it the released rank is
-  // re-throttled at the very next pop (its clock is still past the
-  // window) and the driver livelocks: GVT pass, release, re-throttle,
-  // with no virtual state changing in between.
-  int opt_release_exempt_ = -1;
 
   // Wildcard safety: ranks blocked on a wildcard receive whose queued
-  // candidate has not passed the safety bound yet. Sequential deliveries
+  // candidate has not passed the safety bound yet. One-worker deliveries
   // park into the global list; deliveries during a threaded round park
   // into the current worker's list, merged at the barrier. The latency
   // floor is atomic only because smpi::Comm instances set it (to the same
@@ -881,7 +872,7 @@ class Engine {
   std::vector<int> wildcard_pending_;
   std::vector<std::vector<int>> worker_wildcard_pending_;
 
-  // MC mode (oracle + sequential scheduler): sends buffer into per-
+  // MC mode (oracle + one worker): sends buffer into per-
   // (src,dst) FIFO lanes and delivery of a lane head is itself a
   // schedulable step. Declared after the pools so queued payloads are
   // released before the pools tear down. Lanes are kept sorted by
@@ -904,7 +895,7 @@ class Engine {
   std::size_t inflight_total_ = 0;
 
   ScheduleOracle* oracle_ = nullptr;
-  bool mc_active_ = false;  ///< oracle installed and scheduler sequential
+  bool mc_active_ = false;  ///< oracle installed and one host worker
   std::atomic<bool> saw_wildcard_recv_{false};
 
   EngineObserver* observer_ = nullptr;

@@ -125,7 +125,7 @@ TEST(Scenario, SchemaViolationsAreStructuredErrors) {
       campaign::parse_scenario(json::Value::parse(
           R"({"name":"x","sweeps":[{"app":"sample","procs":[2],"mode":["am"]}]})")),
       std::runtime_error);
-  // Measured mode is sequential-only.
+  // Measured mode needs one host worker.
   EXPECT_THROW(
       campaign::parse_scenario(json::Value::parse(
           R"({"name":"x","sweeps":[{"app":"sample","procs":[2],"mode":["measured"],"workers":2}]})")),

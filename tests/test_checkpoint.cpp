@@ -286,7 +286,6 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
   cfg.checkpoint_interval = 4;
   cfg.checkpoint_adaptive = false;
   cfg.gvt_interval = 16;
-  cfg.gvt_adaptive = false;
   simk::Engine e(cfg);
   e.set_body([](simk::Process& p) {
     const int r = p.rank();

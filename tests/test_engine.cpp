@@ -464,7 +464,6 @@ TEST(Engine, HostWatchdogStopsSpinningThreadedWorker) {
   // fire instead.
   EngineConfig cfg;
   cfg.num_processes = 2;
-  cfg.use_threads = true;
   cfg.host_workers = 1;  // both ranks share one partition
   cfg.max_host_seconds = 0.2;
   Engine e(cfg);
@@ -574,26 +573,25 @@ void ring_body(Process& p) {
   // message in its inbox — legal, like an unmatched MPI send at exit.
 }
 
-std::vector<VTime> run_ring(int procs, int workers, bool threads) {
+std::vector<VTime> run_ring(int procs, int workers) {
   EngineConfig cfg;
   cfg.num_processes = procs;
   cfg.host_workers = workers;
-  cfg.use_threads = threads;
   Engine e(cfg);
   e.set_body(ring_body);
   return e.run().per_rank_completion;
 }
 
 TEST(Engine, RepeatedRunsAreBitIdentical) {
-  EXPECT_EQ(run_ring(6, 1, false), run_ring(6, 1, false));
+  EXPECT_EQ(run_ring(6, 1), run_ring(6, 1));
 }
 
 class ThreadedEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedEquivalence, MatchesSequentialScheduler) {
   const int workers = GetParam();
-  auto seq = run_ring(8, 1, false);
-  auto par = run_ring(8, workers, true);
+  auto seq = run_ring(8, 1);
+  auto par = run_ring(8, workers);
   EXPECT_EQ(seq, par) << "workers = " << workers;
 }
 
@@ -601,25 +599,85 @@ INSTANTIATE_TEST_SUITE_P(Workers, ThreadedEquivalence,
                          ::testing::Values(2, 3, 4, 8));
 
 TEST(Engine, SingleWorkerTakesSequentialFastPath) {
-  // threads == 1 must not pay for the pool, mailboxes, or rounds: it runs
-  // the sequential scheduler verbatim, so parallel stats stay zero.
+  // One worker must not pay for the pool or mailboxes: the round driver
+  // runs inline on the caller's thread, so parallel stats stay zero.
   EngineConfig cfg;
   cfg.num_processes = 6;
   cfg.host_workers = 1;
-  cfg.use_threads = true;
   Engine e(cfg);
   e.set_body(ring_body);
   auto par = e.run().per_rank_completion;
-  EXPECT_EQ(par, run_ring(6, 1, false));
+  EXPECT_EQ(par, run_ring(6, 1));
   EXPECT_EQ(e.parallel_stats().rounds, 0u);
   EXPECT_EQ(e.parallel_stats().cross_messages(), 0u);
+}
+
+TEST(Engine, OneWorkerPromotesParkedWildcardsBetweenSlices) {
+  // Rank 0's wildcard receive parks on rank 1's message (arrival 1us)
+  // while ranks 2 and 3 are still at clock 0. Once rank 2 blocks at 21us
+  // with rank 3 ready at 20us, the candidate is bound-safe and rank 0 must
+  // run next — before rank 3, so rank 0's reply is queued by the time
+  // rank 3 asks for it. Deferring promotion until no rank is runnable
+  // would cost rank 3 an extra block-and-wake slice (9 instead of 8).
+  EngineConfig cfg;
+  cfg.num_processes = 4;
+  Engine e(cfg);
+  e.set_body([](Process& p) {
+    const VTime us = vtime_from_us(1);
+    auto recv = [&](int src, int tag) {
+      p.lift_clock(p.blocking_match(match_tag(src, tag)).arrival);
+    };
+    switch (p.rank()) {
+      case 0:
+        recv(MatchSpec::kAnySource, 1);
+        p.send(make_msg(0, 2, 2, p.now(), p.now() + us));
+        p.send(make_msg(0, 3, 3, p.now(), p.now() + us));
+        break;
+      case 1:
+        p.send(make_msg(1, 0, 1, 0, us));
+        break;
+      case 2:
+        recv(3, 4);
+        p.send(make_msg(2, 3, 5, p.now(), p.now() + us));
+        recv(0, 2);
+        break;
+      case 3:
+        p.advance(20 * us);
+        p.send(make_msg(3, 2, 4, p.now(), p.now() + us));
+        recv(2, 5);
+        recv(0, 3);
+        break;
+    }
+  });
+  const RunResult r = e.run();
+  EXPECT_EQ(r.slices, 8u);
+  EXPECT_EQ(r.per_rank_completion[3], vtime_from_us(22));
+}
+
+TEST(Engine, OneWorkerStopsAtFirstError) {
+  // The slice that throws ends the run: no other rank is resumed after it
+  // (blocked fibers are unwound without an on_resume).
+  struct ResumeLog : EngineObserver {
+    std::vector<int> ranks;
+    void on_resume(int rank, VTime) override { ranks.push_back(rank); }
+  } log;
+  EngineConfig cfg;
+  cfg.num_processes = 4;
+  cfg.host_workers = 1;
+  cfg.observer = &log;
+  Engine e(cfg);
+  e.set_body([](Process& p) {
+    if (p.rank() == 1) throw std::runtime_error("boom");
+    p.blocking_match(match_tag((p.rank() + 1) % p.world_size(), 7));
+  });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(log.ranks, (std::vector<int>{0, 1}));
 }
 
 TEST(Engine, ThreadedRunPopulatesParallelStats) {
   EngineConfig cfg;
   cfg.num_processes = 8;
   cfg.host_workers = 4;
-  cfg.use_threads = true;
   Engine e(cfg);
   e.set_body(ring_body);
   e.run();
@@ -644,7 +702,6 @@ TEST(Engine, ThreadedDeadlockReportsPerWorkerDetail) {
   EngineConfig cfg;
   cfg.num_processes = 4;
   cfg.host_workers = 2;
-  cfg.use_threads = true;
   Engine e(cfg);
   e.set_body([](Process& p) {
     // Everyone waits on a tag nobody sends.

@@ -182,10 +182,7 @@ TEST_P(RandomPrograms, ThreadedSchedulerMatchesSequential) {
     smpi::World world(wopts, nprocs);
     simk::EngineConfig ec;
     ec.num_processes = nprocs;
-    if (threads > 0) {
-      ec.host_workers = threads;
-      ec.use_threads = true;
-    }
+    if (threads > 0) ec.host_workers = threads;
     simk::Engine engine(ec);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
