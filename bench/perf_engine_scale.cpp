@@ -21,7 +21,11 @@
 //                   inline, no pool) as the baseline. The JSON records host_cores —
 //                   events/sec ratios are only meaningful against it
 //                   (workers > cores measures protocol overhead, not
-//                   speedup).
+//                   speedup). Each row reports wall_sec (the engine
+//                   loop, sim_host_seconds) and run_sec (the whole
+//                   harness::run_program call), so run_sec - wall_sec is
+//                   the set-up before the first event: affinity walk and
+//                   comm partitioning included.
 //   --schedule X    (--threaded only) which synchronization protocols to
 //                   sweep: the conservative lookahead window, the
 //                   optimistic Time Warp scheduler, or both (default).
@@ -32,6 +36,7 @@
 //                   total message volume.
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -121,6 +126,10 @@ struct ThreadedPoint {
   int workers = 0;  ///< 1 = one inline worker (the baseline rows)
   harness::Schedule schedule = harness::Schedule::kConservative;
   harness::RunOutcome outcome;
+  /// Steady-clock time of the whole harness::run_program call: the engine
+  /// loop (outcome.sim_host_seconds, reported as wall_sec) plus the set-up
+  /// before its first event, comm partitioning included.
+  double run_sec = 0.0;
 
   double events_per_sec() const {
     return safe_rate(
@@ -153,7 +162,11 @@ ThreadedPoint run_threaded_point(const std::string& app,
   p.procs = procs;
   p.workers = workers;
   p.schedule = schedule;
+  const auto start = std::chrono::steady_clock::now();
   p.outcome = harness::run_program(compiled.simplified.program, cfg);
+  p.run_sec = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
   STGSIM_CHECK(p.outcome.ok())
       << app << " @ " << procs << " x " << workers << " workers ("
       << harness::schedule_name(schedule) << "): "
@@ -192,6 +205,7 @@ void write_threaded_json(const std::string& path,
        << ", \"messages\": " << p.outcome.messages
        << ", \"slices\": " << p.outcome.slices
        << ", \"wall_sec\": " << p.outcome.sim_host_seconds
+       << ", \"run_sec\": " << p.run_sec
        << ", \"events_per_sec\": " << p.events_per_sec()
        << ", \"speedup_vs_seq\": "
        << safe_speedup(base_wall, p.outcome.sim_host_seconds)
@@ -252,7 +266,8 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
 
   std::vector<ThreadedPoint> points;
   TablePrinter t({"app", "procs", "workers", "schedule", "wall (s)",
-                  "events/s", "rounds", "cross msgs", "rollbacks"});
+                  "run (s)", "events/s", "rounds", "cross msgs",
+                  "rollbacks"});
   for (const auto& [app, make] :
        std::vector<std::pair<std::string, benchx::ProgramFactory>>{
            {"sample", make_sample},
@@ -271,6 +286,7 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
                      TablePrinter::fmt_int(p.workers),
                      harness::schedule_name(p.schedule),
                      TablePrinter::fmt(p.outcome.sim_host_seconds, 3),
+                     TablePrinter::fmt(p.run_sec, 3),
                      TablePrinter::fmt_int(
                          static_cast<std::int64_t>(p.events_per_sec())),
                      TablePrinter::fmt_int(

@@ -10,6 +10,12 @@
 // evaluate is skipped. Collectives are ignored — their traffic touches all
 // partitions regardless of the mapping, so they carry no placement signal.
 //
+// What depends only on the program text is built once and shared by every
+// rank's walk: each walked expression is compiled to a sym::CompiledExpr
+// tape (bit-identical to Expr::eval, including which unbound reads throw)
+// over interned variable ids, and which statements contain communication
+// is memoized. A rank's walk then keeps only a dense value array.
+//
 // The result feeds simk::comm_partition (--partition=comm). Inaccuracy is
 // harmless: the partition never affects simulated results, only which
 // worker executes each rank.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <set>
 
 #include "support/check.hpp"
 
@@ -151,6 +152,17 @@ std::vector<int> greedy_grow(const Affinity& aff, int workers,
   return part;
 }
 
+/// Candidates of one side of a KL pass, best first: (D desc, rank asc).
+/// Equal-D ranks stay rank-ordered, so the pool's head is the same
+/// deterministic top-k a stable sort of the side list would give.
+struct ByGain {
+  bool operator()(const std::pair<double, int>& a,
+                  const std::pair<double, int>& b) const {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  }
+};
+using Pool = std::set<std::pair<double, int>, ByGain>;
+
 /// One Kernighan–Lin pass between parts `p` and `q`. The classic inner
 /// loop: tentatively apply the best available swap (or quota-permitted
 /// one-sided move) *even when its gain is negative*, lock the moved ranks,
@@ -158,8 +170,10 @@ std::vector<int> greedy_grow(const Affinity& aff, int workers,
 /// best cumulative gain and roll the rest back. Accepting interim negative
 /// moves is what lets the pass climb out of zero-gain plateaus (e.g. a
 /// row-blocked grid, where every single swap is gain <= 0 but a pair of
-/// swaps re-tiles the boundary). Each rank moves at most once per pass, so
-/// a pass is O(boundary^2) worst case, bounded by `max_moves`.
+/// swaps re-tiles the boundary). Each rank moves at most once per pass.
+/// The unlocked ranks of each side sit in an ordered pool keyed by D, so a
+/// move costs O(degree * log n) to re-key its neighbours and a pass
+/// O(moves * degree * log n), bounded by `max_moves`.
 bool refine_pair(const Affinity& aff, std::vector<int>* part,
                  std::vector<int>* sizes, const std::vector<int>& quota,
                  int p, int q, int max_moves) {
@@ -168,8 +182,7 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
   // D[r] = (weight to the other part) - (weight to own part): the cut
   // reduction of moving r across, before accounting for the partner swap.
   std::vector<double> d(static_cast<std::size_t>(n), 0.0);
-  std::vector<bool> locked(static_cast<std::size_t>(n), false);
-  std::vector<int> in_p, in_q;
+  Pool pool_p, pool_q;
   for (int r = 0; r < n; ++r) {
     const int pr = (*part)[static_cast<std::size_t>(r)];
     if (pr != p && pr != q) continue;
@@ -177,8 +190,9 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
     const int other = pr == p ? q : p;
     d[static_cast<std::size_t>(r)] = w[static_cast<std::size_t>(other)] -
                                      w[static_cast<std::size_t>(pr)];
-    (pr == p ? in_p : in_q).push_back(r);
+    (pr == p ? pool_p : pool_q).emplace(d[static_cast<std::size_t>(r)], r);
   }
+  auto pool_of = [&](int side) -> Pool& { return side == p ? pool_p : pool_q; };
 
   auto weight_between = [&](int a, int b) {
     for (const auto& [peer, pw] : aff.neighbors(a)) {
@@ -187,7 +201,11 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
     return 0.0;
   };
 
+  // Moves r across and locks it: a moved rank leaves its pool for the rest
+  // of the pass (so the rollback below, which moves only locked ranks,
+  // never re-enters one). Neighbours still in a pool are re-keyed.
   auto apply_move = [&](int r, int from, int to) {
+    pool_of(from).erase({d[static_cast<std::size_t>(r)], r});
     (*part)[static_cast<std::size_t>(r)] = to;
     --(*sizes)[static_cast<std::size_t>(from)];
     ++(*sizes)[static_cast<std::size_t>(to)];
@@ -196,10 +214,18 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
     d[static_cast<std::size_t>(r)] = -d[static_cast<std::size_t>(r)];
     for (const auto& [peer, pw] : aff.neighbors(r)) {
       const int pp = (*part)[static_cast<std::size_t>(peer)];
+      if (pp != to && pp != from) continue;
+      double& dp = d[static_cast<std::size_t>(peer)];
+      Pool& pool = pool_of(pp);
+      auto node = pool.extract({dp, peer});
       if (pp == to) {
-        d[static_cast<std::size_t>(peer)] -= 2.0 * pw;
-      } else if (pp == from) {
-        d[static_cast<std::size_t>(peer)] += 2.0 * pw;
+        dp -= 2.0 * pw;
+      } else {
+        dp += 2.0 * pw;
+      }
+      if (node) {
+        node.value().first = dp;
+        pool.insert(std::move(node));
       }
     }
   };
@@ -221,31 +247,17 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
   constexpr std::size_t kPool = 8;
 
   std::vector<int> cand_p, cand_q;
-  auto top_candidates = [&](const std::vector<int>& side, int owner,
-                            std::vector<int>* out) {
+  auto top_candidates = [](const Pool& pool, std::vector<int>* out) {
     out->clear();
-    for (int r : side) {
-      if (locked[static_cast<std::size_t>(r)] ||
-          (*part)[static_cast<std::size_t>(r)] != owner) {
-        continue;
-      }
-      // Insertion sort by (D desc, rank asc); side lists are in ascending
-      // rank order, so equal-D candidates stay rank-ordered.
-      std::size_t i = out->size();
-      out->push_back(r);
-      while (i > 0 && d[static_cast<std::size_t>((*out)[i - 1])] <
-                          d[static_cast<std::size_t>(r)]) {
-        (*out)[i] = (*out)[i - 1];
-        --i;
-      }
-      (*out)[i] = r;
-      if (out->size() > kPool) out->pop_back();
+    for (auto it = pool.begin(); it != pool.end() && out->size() < kPool;
+         ++it) {
+      out->push_back(it->second);
     }
   };
 
   while (static_cast<int>(moves.size()) < max_moves) {
-    top_candidates(in_p, p, &cand_p);
-    top_candidates(in_q, q, &cand_q);
+    top_candidates(pool_p, &cand_p);
+    top_candidates(pool_q, &cand_q);
     if (cand_p.empty() && cand_q.empty()) break;
 
     // Option 1: one-sided move, when the balance budget allows it (only
@@ -289,14 +301,11 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
     if (move_gain == kNoGain && swap_gain == kNoGain) break;
     if (move_gain >= swap_gain) {
       apply_move(move_rank, move_from, move_to);
-      locked[static_cast<std::size_t>(move_rank)] = true;
       moves.push_back({move_rank, move_from, move_to});
       cumulative += move_gain;
     } else {
       apply_move(rp, p, q);
       apply_move(rq, q, p);
-      locked[static_cast<std::size_t>(rp)] = true;
-      locked[static_cast<std::size_t>(rq)] = true;
       moves.push_back({rp, p, q});
       moves.push_back({rq, q, p});
       cumulative += swap_gain;

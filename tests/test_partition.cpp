@@ -6,14 +6,21 @@
 // simulated results (digest identity across modes and schedulers).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
+#include <cstdint>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "apps/nas_sp.hpp"
+#include "apps/registry.hpp"
 #include "apps/sweep3d.hpp"
+#include "core/compiler.hpp"
 #include "harness/affinity.hpp"
 #include "harness/digest.hpp"
 #include "harness/runner.hpp"
+#include "ir/builder.hpp"
 #include "sim/partition.hpp"
 
 namespace stgsim {
@@ -114,6 +121,94 @@ TEST(Partition, MakePartitionDispatchesAndParses) {
             simk::comm_partition(aff, 2));
 }
 
+// FNV-1a over 64-bit words: pins exact outputs without listing them.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Hash of the graph exactly as stored: every (rank, peer, weight bits) in
+/// neighbour order, so a change in insertion order or in one rounding bit
+/// shows up.
+std::uint64_t affinity_hash(const Affinity& aff) {
+  Fnv f;
+  for (int r = 0; r < aff.nranks(); ++r) {
+    for (const auto& [peer, w] : aff.neighbors(r)) {
+      f.add(static_cast<std::uint64_t>(r));
+      f.add(static_cast<std::uint64_t>(peer));
+      f.add(std::bit_cast<std::uint64_t>(w));
+    }
+  }
+  return f.h;
+}
+
+std::uint64_t partition_hash(const std::vector<int>& part) {
+  Fnv f;
+  for (int p : part) f.add(static_cast<std::uint64_t>(p));
+  return f.h;
+}
+
+TEST(Partition, CommOutputPinnedAtScale) {
+  // Placement (and the affinity graph it is computed from) for the shipped
+  // apps at production-like scale, pinned bit for bit: the AM programs the
+  // benchmark simulates, plus sweep3d's full DE program so the walker's
+  // unresolvable expressions (array reads, kernel-dependent values) are
+  // covered too. Any change to the partitioner or the walker must leave
+  // every value here unchanged.
+  struct Case {
+    const char* app;
+    int nprocs;
+    bool am;
+    std::uint64_t affinity;
+    std::uint64_t part[4];  // k = 2, 3, 4, 8
+    double cut[4];
+  };
+  const Case cases[] = {
+      {"sweep3d", 4096, true, 0x3a26b360ac6bf785ull,
+       {0xd8e15f0032c3a325ull, 0x4b1e69e54c0ceca4ull,
+        0x59138ad62614a325ull, 0xbdf6d0fcdd72a325ull},
+       {135364608.0, 258038784.0, 270729216.0, 541458432.0}},
+      {"tomcatv", 4096, true, 0x2e961f16e1a1ecd9ull,
+       {0xd8e15f0032c3a325ull, 0xda854b59db9c8bc4ull,
+        0xa66fbbecd714a325ull, 0x5dd239ca7e72a325ull},
+       {1572864.0, 3145728.0, 4718592.0, 11010048.0}},
+      {"sample", 4096, true, 0x2688ab5e0f175659ull,
+       {0xd8e15f0032c3a325ull, 0xda854b59db9c8bc4ull,
+        0xa66fbbecd714a325ull, 0x5dd239ca7e72a325ull},
+       {786432.0, 1572864.0, 2359296.0, 5505024.0}},
+      {"nas_sp", 1024, true, 0x0edca5ee0ea36695ull,
+       {0x713de5845bca8325ull, 0x4aa942e0a7194bc4ull,
+        0xbd4860cb9ebec325ull, 0xe639a5f9b0964325ull},
+       {20971520.0, 43253760.0, 41943040.0, 83886080.0}},
+      {"sweep3d", 1024, false, 0x8e4420670af278adull,
+       {0x713de5845bca8325ull, 0x4aa942e0a7194bc4ull,
+        0xbd4860cb9ebec325ull, 0xe639a5f9b0964325ull},
+       {8460288.0, 17449344.0, 16920576.0, 33841152.0}},
+  };
+  const int ks[4] = {2, 3, 4, 8};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.app) + "@" + std::to_string(c.nprocs) +
+                 (c.am ? " am" : " de"));
+    const ir::Program built = apps::build_app({c.app, {}}, c.nprocs);
+    std::optional<core::CompileResult> compiled;
+    if (c.am) compiled.emplace(core::compile(built));
+    const ir::Program& prog = c.am ? compiled->simplified.program : built;
+    const Affinity aff = harness::comm_affinity(prog, c.nprocs);
+    EXPECT_EQ(affinity_hash(aff), c.affinity);
+    for (int i = 0; i < 4; ++i) {
+      const auto part = simk::comm_partition(aff, ks[i]);
+      expect_balanced(part, c.nprocs, ks[i]);
+      EXPECT_EQ(partition_hash(part), c.part[i]) << "k=" << ks[i];
+      EXPECT_EQ(simk::cut_weight(aff, part), c.cut[i]) << "k=" << ks[i];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Static affinity extraction
 // ---------------------------------------------------------------------------
@@ -134,6 +229,72 @@ TEST(Affinity, Sweep3dAffinityIsTheProcessGrid) {
     }
   }
   EXPECT_GT(aff.total_weight(), 0.0);
+}
+
+TEST(Affinity, WalkerEdgeCasesSurviveTapes) {
+  // Each block exercises one rule of the static walk; the expected graph
+  // below records which edges each rule keeps and at what weight.
+  using sym::Expr;
+  constexpr int kRanks = 8;
+  ir::ProgramBuilder b("walker_edges");
+  const Expr me = b.get_rank("me");
+  const Expr np = b.get_size("np");
+  b.decl_array("buf", {Expr::integer(64)});
+  const Expr depth = b.decl_int("depth", Expr::integer(0));
+  // 1. A peer read from a parameter lives in the smpi world: skipped.
+  const Expr q = b.read_param("q", "w_q");
+  b.send("buf", q, Expr::integer(1), Expr::integer(0), 1);
+  // 2. select() with an unbound variable in the untaken branch: the edge
+  //    is kept; on the last rank the branch is taken and the edge dropped.
+  b.send("buf", sym::select(sym::lt(me, np - 1), me + 1, Expr::var("nobody")),
+         Expr::integer(2), Expr::integer(0), 2);
+  // 3. A peer that divides by zero: skipped.
+  b.send("buf", sym::idiv(me, me - me), Expr::integer(1), Expr::integer(0), 3);
+  // 4. Unresolvable loop bounds: the body runs once with `i` unset, so the
+  //    i-independent peer is kept and the i-dependent one skipped.
+  b.for_loop("i", Expr::integer(0), q, [&](Expr i) {
+    b.send("buf", sym::imod(me + 2, np), Expr::integer(3), Expr::integer(0), 4);
+    b.send("buf", i, Expr::integer(1), Expr::integer(0), 5);
+  });
+  // 5. Unresolvable size: unit weight.
+  b.send("buf", sym::imod(me + 3, np), q, Expr::integer(0), 6);
+  // 6. A recursive kCall chain is cut past the walker's depth limit; the
+  //    growing `depth` size records how many levels were walked.
+  b.procedure("dive", [&] {
+    b.assign("depth", depth + 1);
+    b.send("buf", sym::imod(me + 4, np), depth, Expr::integer(0), 7);
+    b.call("dive");
+  });
+  b.call("dive");
+  const ir::Program prog = b.take();
+
+  const Affinity aff = harness::comm_affinity(prog, kRanks);
+  std::vector<std::tuple<int, int, double>> edges;
+  for (int r = 0; r < kRanks; ++r) {
+    for (const auto& [peer, w] : aff.neighbors(r)) {
+      edges.emplace_back(r, peer, w);
+    }
+  }
+  // Rank r's row, in neighbour order: r±1 (rule 2, 16 bytes each way), r±2
+  // (rule 4, 24 bytes), r±3 (rule 5, weight 1) and r+4 (rule 6: both ends
+  // send 8 * (1 + ... + 64) bytes, i.e. 64 call levels were walked).
+  const std::vector<std::tuple<int, int, double>> want = {
+      {0, 1, 16}, {0, 2, 24}, {0, 3, 1}, {0, 4, 33280},
+      {0, 5, 1}, {0, 6, 24}, {1, 0, 16}, {1, 2, 16},
+      {1, 3, 24}, {1, 4, 1}, {1, 5, 33280}, {1, 6, 1},
+      {1, 7, 24}, {2, 0, 24}, {2, 1, 16}, {2, 3, 16},
+      {2, 4, 24}, {2, 5, 1}, {2, 6, 33280}, {2, 7, 1},
+      {3, 0, 1}, {3, 1, 24}, {3, 2, 16}, {3, 4, 16},
+      {3, 5, 24}, {3, 6, 1}, {3, 7, 33280}, {4, 0, 33280},
+      {4, 1, 1}, {4, 2, 24}, {4, 3, 16}, {4, 5, 16},
+      {4, 6, 24}, {4, 7, 1}, {5, 1, 33280}, {5, 2, 1},
+      {5, 3, 24}, {5, 4, 16}, {5, 6, 16}, {5, 7, 24},
+      {5, 0, 1}, {6, 2, 33280}, {6, 3, 1}, {6, 4, 24},
+      {6, 5, 16}, {6, 7, 16}, {6, 0, 24}, {6, 1, 1},
+      {7, 3, 33280}, {7, 4, 1}, {7, 5, 24}, {7, 6, 16},
+      {7, 1, 24}, {7, 2, 1},
+  };
+  EXPECT_EQ(edges, want);
 }
 
 // ---------------------------------------------------------------------------
