@@ -9,17 +9,6 @@
 
 namespace stgsim::campaign {
 
-namespace {
-
-apps::AppSpec app_spec_of(const harness::RunSpec& spec) {
-  apps::AppSpec app;
-  app.name = spec.app;
-  app.options = spec.app_options;
-  return app;
-}
-
-}  // namespace
-
 std::map<std::string, double> run_calibration(const harness::RunSpec& spec) {
   if (spec.calibrate_procs <= 0) {
     throw std::runtime_error("run spec has no calibration configuration");
@@ -27,7 +16,7 @@ std::map<std::string, double> run_calibration(const harness::RunSpec& spec) {
   // The calibration program must be built for the calibration size (apps
   // whose communication shape depends on the process grid).
   ir::Program calib_prog =
-      apps::build_app(app_spec_of(spec), spec.calibrate_procs);
+      apps::build_app(harness::app_spec_of(spec), spec.calibrate_procs);
   core::CompileResult compiled = core::compile(calib_prog);
   return harness::calibrate(compiled.timer_program, spec.calibrate_procs,
                             spec.config.machine, /*required_params=*/{},
@@ -50,12 +39,22 @@ harness::RunSpec resolve_spec(
   // Zero-fill parameters the target program reads but the calibration run
   // never executed (paper §3.3: tasks inside branches not taken at the
   // calibration configuration contributed nothing to the measurement).
-  ir::Program prog = apps::build_app(app_spec_of(spec), spec.config.nprocs);
+  ir::Program prog =
+      apps::build_app(harness::app_spec_of(spec), spec.config.nprocs);
   core::CompileResult compiled = core::compile(prog);
   for (const auto& p : compiled.simplified.params) {
     resolved.config.params.emplace(p, 0.0);
   }
   return resolved;
+}
+
+ir::Program program_for_spec(const harness::RunSpec& spec) {
+  ir::Program prog =
+      apps::build_app(harness::app_spec_of(spec), spec.config.nprocs);
+  if (spec.config.mode == harness::Mode::kAnalytical) {
+    return std::move(core::compile(prog).simplified.program);
+  }
+  return prog;
 }
 
 harness::RunOutcome execute_spec(const harness::RunSpec& spec,
@@ -67,12 +66,7 @@ harness::RunOutcome execute_spec(const harness::RunSpec& spec,
   if (with_metrics) cfg.obs = &recorder;
 
   try {
-    ir::Program prog = apps::build_app(app_spec_of(spec), cfg.nprocs);
-    if (cfg.mode == harness::Mode::kAnalytical) {
-      core::CompileResult compiled = core::compile(prog);
-      return harness::run_program(compiled.simplified.program, cfg);
-    }
-    return harness::run_program(prog, cfg);
+    return harness::run_program(program_for_spec(spec), cfg);
   } catch (const std::exception& e) {
     // Misconfigured point (bad app shape for this process count, invalid
     // combination): a structured outcome so the campaign keeps going and

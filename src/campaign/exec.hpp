@@ -2,7 +2,7 @@
 // description into simulation work.
 //
 // The CLI (`stgsim run`, `stgsim calibrate`), the campaign runner, and the
-// campaign-based benches all funnel through these three functions instead
+// campaign-based benches all funnel through these functions instead
 // of hand-rolling build-app / compile / calibrate / run_program pipelines.
 // The split between resolve and execute exists for the cache: an
 // analytical run's prediction depends on its w_i table, so the campaign
@@ -14,6 +14,7 @@
 #include <string>
 
 #include "harness/config_json.hpp"
+#include "ir/program.hpp"
 
 namespace stgsim::campaign {
 
@@ -32,6 +33,11 @@ std::map<std::string, double> run_calibration(const harness::RunSpec& spec);
 harness::RunSpec resolve_spec(
     const harness::RunSpec& spec,
     const std::map<std::string, double>* calib_params);
+
+/// The executable program of a *resolved* spec: the app itself, or under
+/// am the compiler-simplified program that reads the inline w_i params.
+/// Throws std::runtime_error when the app cannot be built at this size.
+ir::Program program_for_spec(const harness::RunSpec& spec);
 
 /// Executes a *resolved* spec and returns its outcome. `with_metrics`
 /// attaches a metrics-only obs::Recorder (deterministic counters; never

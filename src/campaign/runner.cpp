@@ -84,21 +84,19 @@ std::string options_string(const std::map<std::string, std::string>& opts) {
 }
 
 /// Grouping key for measured-vs-predicted comparisons: the canonical spec
-/// with the prediction-method fields (mode, params, calibrate) and the
-/// host-side execution fields (workers, partition, abstract_comm — they
-/// never change simulated results or define the baseline) removed. Runs
-/// sharing a key predict the same experiment by different methods.
+/// without the prediction-method fields (and "calibrate", which feeds
+/// params) and the host-side fields, which never change simulated results.
+/// Runs sharing a key predict the same experiment by different methods.
 std::string comparison_key(const harness::RunSpec& spec) {
   json::Value doc = harness::run_spec_to_json(spec);
-  json::Value key = json::Value::object();
-  for (const auto& [k, v] : doc.as_object()) {
-    if (k == "mode" || k == "params" || k == "calibrate" || k == "workers" ||
-        k == "partition" || k == "abstract_comm") {
-      continue;
+  json::Value::Object& fields = doc.as_object();
+  for (const harness::RunConfigField& f : harness::run_config_fields()) {
+    if (f.role != harness::RunConfigField::Role::kExperiment) {
+      fields.erase(f.key);
     }
-    key.set(k, v);
   }
-  return key.dump();
+  fields.erase("calibrate");
+  return doc.dump();
 }
 
 }  // namespace
@@ -329,6 +327,9 @@ json::Value report_json(const CampaignResult& result) {
       e.set("mode", harness::mode_key(r.resolved.config.mode));
       e.set("workers", r.resolved.config.threads);
       if (r.resolved.config.abstract_comm) e.set("abstract_comm", true);
+      if (r.resolved.config.schedule == harness::Schedule::kOptimistic) {
+        e.set("schedule", harness::schedule_name(r.resolved.config.schedule));
+      }
       e.set("status", harness::run_status_name(r.outcome.status));
       e.set("predicted_ns",
             static_cast<std::int64_t>(r.outcome.predicted_time));

@@ -82,19 +82,12 @@ std::string run_tag(const harness::RunSpec& spec) {
 
 void validate_spec(const harness::RunSpec& spec, const std::string& where) {
   const harness::RunConfig& c = spec.config;
-  if (c.mode == harness::Mode::kMeasured && c.threads > 1) {
-    throw std::runtime_error(
-        where + ": measured mode requires one host worker (workers 0 or 1)");
-  }
   if (c.mode == harness::Mode::kAnalytical && c.params.empty() &&
       spec.calibrate_procs <= 0) {
     throw std::runtime_error(
         where +
         ": analytical runs need either inline \"params\" or a \"calibrate\" "
         "process count");
-  }
-  if (c.threads < 0) {
-    throw std::runtime_error(where + ": workers must be >= 0");
   }
 }
 

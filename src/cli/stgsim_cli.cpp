@@ -5,16 +5,8 @@
 //                   [--dump-stg f.dot] [--dump-dtg f.dot]
 //                   [--print-simplified] [--print-timer]
 //   stgsim run      [--config spec.json] [--app <name>] [--<option> v ...]
-//                   [--procs P] [--mode measured|de|am]
-//                   [--machine "ibm_sp[latency_us=30,bw=120e6]"]
-//                   [--calibrate N] [--load-params f] [--save-params f]
-//                   [--workers N] [--partition block|interleave|comm]
-//                   [--schedule conservative|optimistic]
-//                   [--gvt-interval N] [--checkpoint-interval N|none]
-//                   [--checkpoint-adaptive on|off] [--speculation-window SEC]
-//                   [--abstract-comm] [--memory-cap-mb M]
-//                   [--seed S] [--fault SPEC]
-//                   [--max-vtime-sec T] [--max-messages N] [--max-host-sec T]
+//                   [<RunConfig flags>] [--calibrate N]
+//                   [--load-params f] [--save-params f]
 //                   [--digest] [--print-config]
 //                   [--trace-out f.json] [--metrics-out f.json]
 //                   [--comm-matrix-out f.json] [--links-out f.json]
@@ -22,13 +14,9 @@
 //                   [--machine M] [--seed S] [--save-params f] [--json]
 //   stgsim campaign <scenario.json> [--jobs N] [--cache-dir D] [--out-dir D]
 //                   [--retry-failed] [--no-metrics] [--print-report]
-//   stgsim check    --app <name> [--<option> v ...] [--procs P (<= 8)]
-//                   [--mode de|am] [--machine M] [--seed S] [--fault SPEC]
-//                   [--max-schedules N] [--max-depth N] [--max-host-sec T]
-//                   [--workers N] [--trials N] [--drain-seed S]
-//                   [--schedule conservative|optimistic] [--no-dpor]
-//                   [--gvt-interval N] [--checkpoint-interval N|none]
-//                   [--keep-going]
+//   stgsim check    --app <name> [--<option> v ...] [<RunConfig flags>]
+//                   [--max-schedules N] [--max-depth N]
+//                   [--trials N] [--drain-seed S] [--no-dpor] [--keep-going]
 //                   [--inject unsafe-wildcard|commit-before-gvt]
 //                   [--counterexample-out f.json]
 //   stgsim check    --replay f.json [--trace-out f] [--metrics-out f]
@@ -47,6 +35,14 @@
 // Flags take either "--key value" or "--key=value" form. Boolean flags
 // accept --key, --key=true/1/yes/on and --key=false/0/no/off; any other
 // value is an error (it used to silently read as true).
+//
+// <RunConfig flags> set the RunSpec fields, one flag per field (--procs P,
+// --mode measured|de|am, --machine M, --workers N, --schedule
+// conservative|optimistic, --fault SPEC, ...). The one list of them, with
+// each flag's JSON key, value type and meaning, is the field table
+// harness::run_config_fields() in src/harness/config_json.cpp. Unset fields
+// keep RunConfig's defaults, except --procs (16). `check` accepts --procs
+// up to 8, --mode de|am, and --workers 0 or >= 2.
 //
 // `run` executes one simulation. Its configuration is the RunSpec JSON
 // schema (harness/config_json.hpp): start from --config if given, then
@@ -106,22 +102,10 @@
 // rollback/commit protocol against the conservative sequential digest, and
 // --inject commit-before-gvt plants a commit-finalized-before-GVT race on
 // the optimistic path for the gate to rediscover. Four knobs tune the
-// optimistic engine without changing any simulated result (digests are
-// bit-identical across every setting):
-//   --gvt-interval N          scheduler iterations between exact GVT passes
-//                             with one worker (adaptively retuned at
-//                             runtime)
-//   --checkpoint-interval N   committed consumes between per-rank restore
-//                             points; rollback coast-forwards from the
-//                             newest checkpoint at-or-before the violation
-//                             and GVT prunes the consumption log behind
-//                             committed checkpoints. "none" disables both
-//                             (replay from rank start, unpruned log).
-//   --checkpoint-adaptive     auto-tune the interval per rank from observed
-//                             rollback frequency (default on)
-//   --speculation-window SEC  hold back ranks more than SEC of virtual time
-//                             ahead of GVT (default unbounded; multi-worker
-//                             runs only)
+// optimistic engine without changing any simulated result: --gvt-interval,
+// --checkpoint-interval (N or "none"), --checkpoint-adaptive and
+// --speculation-window, documented on their RunConfig fields
+// (harness/runner.hpp).
 //
 // `serve` runs the long-lived campaign daemon (DESIGN.md §16): a local
 // HTTP API (loopback by default, ephemeral port published via
@@ -200,23 +184,23 @@ namespace {
 /// envelope on stdout instead of "error: ..." prose on stderr.
 bool g_json_errors = false;
 
-int status_exit_code(const harness::RunOutcome& out) {
-  switch (out.status) {
-    case harness::RunStatus::kOk: return 0;
-    case harness::RunStatus::kOutOfMemory: return 2;
-    case harness::RunStatus::kDeadlock: return 3;
-    case harness::RunStatus::kBudgetExceeded: return 4;
-    case harness::RunStatus::kInternalError: return 5;
-  }
-  return 5;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot read '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Writes the output file `path` through `writer`, then notes it on stderr.
+/// An empty path (the output was not requested) writes nothing.
+template <typename Writer>
+void write_output(const std::string& path, const Writer& writer) {
+  if (path.empty()) return;
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error("cannot write " + path);
+  writer(os);
+  std::cerr << "wrote " << path << '\n';
 }
 
 /// Collects --<option> flags for `app` from the registry's accepted list
@@ -235,8 +219,36 @@ void apply_app_option_flags(json::Value* doc, const std::string& app,
   doc->set("options", opts);
 }
 
-/// Builds the RunSpec document for `run`/`compile`: the --config file (if
-/// any) with flag overrides applied on top.
+/// The JSON value of field `f`'s flag (which must be present).
+json::Value flag_value(Args& args, const harness::RunConfigField& f) {
+  using Flag = harness::RunConfigField::Flag;
+  const std::string flag = f.flag;
+  json::Value v;
+  switch (f.flag_kind) {
+    case Flag::kBoolean: return json::Value(args.flag(flag));
+    case Flag::kString: return json::Value(args.str(flag, ""));
+    case Flag::kSeconds: return json::Value(args.real(flag, 0.0) * 1e9);
+    case Flag::kNumber: v = json::Value(args.real(flag, 0.0)); break;
+    case Flag::kCountOrNone:
+      if (args.str(flag, "") == "none") return json::Value(0);
+      [[fallthrough]];
+    case Flag::kInteger:
+      v = json::Value(static_cast<std::int64_t>(args.num(flag, 0)));
+      break;
+  }
+  if (f.flag_positive != nullptr && v.as_number() <= 0) {
+    std::string message = "flag --" + flag + ": " + f.flag_positive;
+    if (f.flag_kind != Flag::kNumber) {
+      message += ", got '" + std::to_string(v.as_int()) + "'";
+    }
+    throw std::runtime_error(message);
+  }
+  return v;
+}
+
+/// Builds the RunSpec document for `run`/`check`/`compile`: the --config
+/// file (if any) with flag overrides applied on top. The RunConfig flags
+/// are the rows of harness::run_config_fields().
 json::Value spec_doc_from_args(Args& args) {
   args.reject_legacy("threads", "workers");
   args.reject_legacy("calib", "calibrate");
@@ -249,79 +261,18 @@ json::Value spec_doc_from_args(Args& args) {
   }
 
   if (args.has("app")) doc.set("app", json::Value(args.str("app", "")));
-  if (args.has("procs")) {
-    doc.set("procs", json::Value(static_cast<std::int64_t>(args.num("procs", 0))));
-  } else if (!doc.has("procs")) {
-    doc.set("procs", json::Value(16));  // historical CLI default
-  }
-  if (args.has("mode")) doc.set("mode", json::Value(args.str("mode", "")));
-  if (args.has("machine")) {
-    doc.set("machine", json::Value(args.str("machine", "")));
-  }
-  if (args.has("workers")) {
-    doc.set("workers",
-            json::Value(static_cast<std::int64_t>(args.num("workers", 0))));
-  }
-  if (args.has("partition")) {
-    doc.set("partition", json::Value(args.str("partition", "")));
-  }
-  if (args.has("schedule")) {
-    doc.set("schedule", json::Value(args.str("schedule", "")));
-  }
-  if (args.has("gvt-interval")) {
-    const long long v = args.num("gvt-interval", 0);
-    if (v < 1) {
-      throw std::runtime_error("flag --gvt-interval: must be >= 1, got '" +
-                               std::to_string(v) + "'");
+  for (const harness::RunConfigField& f : harness::run_config_fields()) {
+    if (f.flag != nullptr && args.has(f.flag)) {
+      doc.set(f.key, flag_value(args, f));
     }
-    doc.set("gvt_interval", json::Value(static_cast<std::int64_t>(v)));
   }
-  if (args.has("checkpoint-interval")) {
-    // "none" disables checkpoints (rollback replays from rank start);
-    // otherwise the value is a committed-consume count >= 1.
-    long long v = 0;
-    if (args.str("checkpoint-interval", "") != "none") {
-      v = args.num("checkpoint-interval", 0);
-      if (v < 1) {
-        throw std::runtime_error(
-            "flag --checkpoint-interval: must be >= 1 or 'none', got '" +
-            std::to_string(v) + "'");
-      }
-    }
-    doc.set("checkpoint_interval", json::Value(static_cast<std::int64_t>(v)));
-  }
-  if (args.has("checkpoint-adaptive")) {
-    doc.set("checkpoint_adaptive", json::Value(args.flag("checkpoint-adaptive")));
-  }
-  if (args.has("speculation-window")) {
-    const double v = args.real("speculation-window", 0.0);
-    if (v <= 0.0) {
-      throw std::runtime_error(
-          "flag --speculation-window: must be > 0 seconds of virtual time");
-    }
-    doc.set("speculation_window_sec", json::Value(v));
-  }
-  if (args.flag("abstract-comm")) doc.set("abstract_comm", json::Value(true));
-  if (args.has("memory-cap-mb")) {
-    doc.set("memory_cap_mb", json::Value(args.real("memory-cap-mb", 0.0)));
-  }
-  if (args.has("stack-kb")) {
-    doc.set("fiber_stack_kb", json::Value(args.real("stack-kb", 256.0)));
-  }
-  if (args.has("seed")) {
-    doc.set("seed", json::Value(static_cast<std::int64_t>(args.num("seed", 0))));
-  }
-  if (args.has("fault")) doc.set("fault", json::Value(args.str("fault", "")));
-  if (args.has("max-vtime-sec")) {
-    doc.set("max_vtime_ns",
-            json::Value(args.real("max-vtime-sec", 0.0) * 1e9));
-  }
-  if (args.has("max-messages")) {
-    doc.set("max_messages", json::Value(static_cast<std::int64_t>(
-                                args.num("max-messages", 0))));
-  }
-  if (args.has("max-host-sec")) {
-    doc.set("max_host_sec", json::Value(args.real("max-host-sec", 0.0)));
+  // Unset fields take RunConfig's defaults, except the historical CLI
+  // default of 16 processes.
+  harness::RunConfig defaults;
+  defaults.nprocs = 16;
+  const json::Value default_doc = harness::run_config_to_json(defaults);
+  for (const auto& [key, value] : default_doc.as_object()) {
+    if (!doc.has(key)) doc.set(key, value);
   }
   if (args.has("calibrate")) {
     doc.set("calibrate",
@@ -332,13 +283,6 @@ json::Value spec_doc_from_args(Args& args) {
       doc.has("app") ? doc.at("app").as_string() : args.str("app", "");
   apply_app_option_flags(&doc, app, args);
   return doc;
-}
-
-apps::AppSpec app_spec_of(const harness::RunSpec& spec) {
-  apps::AppSpec app;
-  app.name = spec.app;
-  app.options = spec.app_options;
-  return app;
 }
 
 int cmd_list_apps(Args& args) {
@@ -362,14 +306,9 @@ int cmd_compile(Args& args) {
   args.no_positionals();
   json::Value doc = spec_doc_from_args(args);
   if (!doc.has("app")) throw std::runtime_error("compile needs --app");
-  const std::string app = doc.at("app").as_string();
-  const int procs = static_cast<int>(doc.at("procs").as_int());
-  apps::AppSpec app_spec;
-  app_spec.name = app;
-  for (const auto& [name, v] : doc.at("options").as_object()) {
-    app_spec.options[name] = v.as_string();
-  }
-  ir::Program prog = apps::build_app(app_spec, procs);
+  const harness::RunSpec spec = harness::run_spec_from_json(doc);
+  const int procs = spec.config.nprocs;
+  ir::Program prog = apps::build_app(harness::app_spec_of(spec), procs);
   core::CompileResult compiled = core::compile(prog);
 
   std::cout << compiled.report(prog);
@@ -419,6 +358,49 @@ int cmd_compile(Args& args) {
   args.check_all_consumed();
   return 0;
 }
+
+/// The observability output files a run was asked for. Writing them never
+/// changes simulated results.
+struct ObsOutputs {
+  std::string trace, metrics, matrix, links;
+
+  /// Reads --trace-out, --metrics-out, --comm-matrix-out and, when
+  /// `with_links`, --links-out.
+  static ObsOutputs from_args(Args& args, bool with_links) {
+    return {args.str("trace-out", ""), args.str("metrics-out", ""),
+            args.str("comm-matrix-out", ""),
+            with_links ? args.str("links-out", "") : std::string()};
+  }
+
+  /// A recorder attached to `cfg` when any output was requested.
+  std::unique_ptr<obs::Recorder> attach(harness::RunConfig* cfg) const {
+    if (trace.empty() && metrics.empty() && matrix.empty() && links.empty()) {
+      return nullptr;
+    }
+    obs::Options oopts;
+    oopts.trace = !trace.empty();
+    oopts.comm_matrix = !matrix.empty();
+    auto recorder = std::make_unique<obs::Recorder>(oopts, cfg->nprocs);
+    cfg->obs = recorder.get();
+    return recorder;
+  }
+
+  void write(const obs::Recorder& recorder,
+             const obs::MetricsSnapshot& snapshot) const {
+    write_output(trace, [&](std::ostream& os) {
+      recorder.write_chrome_trace(os);
+    });
+    write_output(metrics, [&](std::ostream& os) {
+      obs::Recorder::write_metrics_json(os, snapshot);
+    });
+    write_output(matrix, [&](std::ostream& os) {
+      obs::Recorder::write_comm_matrix_json(os, snapshot);
+    });
+    write_output(links, [&](std::ostream& os) {
+      obs::Recorder::write_link_stats_json(os, snapshot);
+    });
+  }
+};
 
 int cmd_run(Args& args) {
   args.no_positionals();
@@ -470,32 +452,15 @@ int cmd_run(Args& args) {
 
   harness::RunConfig cfg = resolved.config;
   const bool want_digest = args.flag("digest");
-  const std::string trace_out = args.str("trace-out", "");
-  const std::string metrics_out = args.str("metrics-out", "");
-  const std::string matrix_out = args.str("comm-matrix-out", "");
-  const std::string links_out = args.str("links-out", "");
-  std::unique_ptr<obs::Recorder> recorder;
-  if (!trace_out.empty() || !metrics_out.empty() || !matrix_out.empty() ||
-      !links_out.empty()) {
-    obs::Options oopts;
-    oopts.trace = !trace_out.empty();
-    oopts.comm_matrix = !matrix_out.empty();
-    recorder = std::make_unique<obs::Recorder>(oopts, cfg.nprocs);
-    cfg.obs = recorder.get();
-  }
+  const ObsOutputs outputs = ObsOutputs::from_args(args, /*with_links=*/true);
+  const std::unique_ptr<obs::Recorder> recorder = outputs.attach(&cfg);
   args.check_all_consumed();
 
   // Same execution pipeline as campaign::execute_spec, but configuration
   // errors (bad app shape for this process count) exit 1 as usage errors
   // instead of becoming a structured outcome.
-  ir::Program prog = apps::build_app(app_spec_of(resolved), cfg.nprocs);
-  harness::RunOutcome out;
-  if (cfg.mode == harness::Mode::kAnalytical) {
-    core::CompileResult compiled = core::compile(prog);
-    out = harness::run_program(compiled.simplified.program, cfg);
-  } else {
-    out = harness::run_program(prog, cfg);
-  }
+  const harness::RunOutcome out =
+      harness::run_program(campaign::program_for_spec(resolved), cfg);
 
   if (!out.ok()) {
     if (g_json_errors) {
@@ -510,7 +475,8 @@ int cmd_run(Args& args) {
       std::cout << "RUN FAILED [" << harness::run_status_name(out.status)
                 << "]: " << out.diagnostic << '\n';
     }
-    return status_exit_code(out);
+    // Run statuses are error categories, so they share the exit codes.
+    return errors::category_exit_code(harness::run_status_name(out.status));
   }
   TablePrinter t({"quantity", "value"});
   t.add_row({"app", resolved.app});
@@ -540,31 +506,7 @@ int cmd_run(Args& args) {
   std::cout << t.to_ascii();
 
   if (recorder != nullptr) {
-    auto open_out = [](const std::string& path) {
-      std::ofstream os(path);
-      if (!os) throw std::runtime_error("cannot write " + path);
-      return os;
-    };
-    if (!trace_out.empty()) {
-      auto os = open_out(trace_out);
-      recorder->write_chrome_trace(os);
-      std::cerr << "wrote " << trace_out << '\n';
-    }
-    if (!metrics_out.empty()) {
-      auto os = open_out(metrics_out);
-      obs::Recorder::write_metrics_json(os, out.metrics);
-      std::cerr << "wrote " << metrics_out << '\n';
-    }
-    if (!matrix_out.empty()) {
-      auto os = open_out(matrix_out);
-      obs::Recorder::write_comm_matrix_json(os, out.metrics);
-      std::cerr << "wrote " << matrix_out << '\n';
-    }
-    if (!links_out.empty()) {
-      auto os = open_out(links_out);
-      obs::Recorder::write_link_stats_json(os, out.metrics);
-      std::cerr << "wrote " << links_out << '\n';
-    }
+    outputs.write(*recorder, out.metrics);
     TablePrinter mt({"metric", "value"});
     for (const auto& [name, value] : out.metrics.scalars) {
       const auto ll = static_cast<long long>(value);
@@ -683,17 +625,26 @@ int cmd_campaign(Args& args) {
   return 0;
 }
 
-/// Builds the executable program for a fully-resolved spec: the app
-/// itself under de, the compiler-simplified program (with inline w_i
-/// params) under am.
-ir::Program program_for_spec(const harness::RunSpec& resolved) {
-  ir::Program prog =
-      apps::build_app(app_spec_of(resolved), resolved.config.nprocs);
-  if (resolved.config.mode == harness::Mode::kAnalytical) {
-    core::CompileResult compiled = core::compile(prog);
-    return std::move(compiled.simplified.program);
+/// The test-only protocol races `check --inject` can plant, by name (the
+/// name counterexample files record under "inject"), with the schedule
+/// whose commit path each one breaks.
+constexpr struct {
+  simk::Inject inject;
+  const char* name;
+  harness::Schedule schedule;
+} kInjections[] = {
+    {simk::Inject::kUnsafeWildcard, "unsafe-wildcard",
+     harness::Schedule::kConservative},
+    {simk::Inject::kCommitBeforeGvt, "commit-before-gvt",
+     harness::Schedule::kOptimistic},
+};
+
+const auto& injection(const std::string& name) {
+  for (const auto& i : kInjections) {
+    if (name == i.name) return i;
   }
-  return prog;
+  throw std::runtime_error("unknown --inject '" + name +
+                           "' (expected unsafe-wildcard|commit-before-gvt)");
 }
 
 int run_check_replay(Args& args, const std::string& path) {
@@ -717,32 +668,17 @@ int run_check_replay(Args& args, const std::string& path) {
   cfg.record_host_trace = false;
   cfg.max_host_seconds = 0.0;
   if (const json::Value* inj = doc.find("inject")) {
-    if (inj->as_string() == "unsafe-wildcard") {
-      cfg.unsafe_wildcard_commit = true;
-    } else if (inj->as_string() == "commit-before-gvt") {
-      cfg.unsafe_commit_before_gvt = true;
-    } else {
-      throw std::runtime_error("unknown inject '" + inj->as_string() + "'");
-    }
+    cfg.inject = injection(inj->as_string()).inject;
   }
 
   // Full observability is the point of replay: attach a recorder when any
   // output was requested (never changes simulated results).
-  const std::string trace_out = args.str("trace-out", "");
-  const std::string metrics_out = args.str("metrics-out", "");
-  const std::string matrix_out = args.str("comm-matrix-out", "");
+  const ObsOutputs outputs = ObsOutputs::from_args(args, /*with_links=*/false);
   const std::string div_out = args.str("divergence-out", "");
-  std::unique_ptr<obs::Recorder> recorder;
-  if (!trace_out.empty() || !metrics_out.empty() || !matrix_out.empty()) {
-    obs::Options oopts;
-    oopts.trace = !trace_out.empty();
-    oopts.comm_matrix = !matrix_out.empty();
-    recorder = std::make_unique<obs::Recorder>(oopts, cfg.nprocs);
-    cfg.obs = recorder.get();
-  }
+  const std::unique_ptr<obs::Recorder> recorder = outputs.attach(&cfg);
   args.check_all_consumed();
 
-  ir::Program prog = program_for_spec(spec);
+  ir::Program prog = campaign::program_for_spec(spec);
 
   std::unique_ptr<simk::ScheduleOracle> oracle;
   if (const json::Value* steps = doc.find("steps")) {
@@ -773,31 +709,8 @@ int run_check_replay(Args& args, const std::string& path) {
                                                  : "yes"});
   std::cout << t.to_ascii();
 
-  if (recorder != nullptr) {
-    auto open_out = [](const std::string& p) {
-      std::ofstream os(p);
-      if (!os) throw std::runtime_error("cannot write " + p);
-      return os;
-    };
-    if (!trace_out.empty()) {
-      auto os = open_out(trace_out);
-      recorder->write_chrome_trace(os);
-      std::cerr << "wrote " << trace_out << '\n';
-    }
-    if (!metrics_out.empty()) {
-      auto os = open_out(metrics_out);
-      obs::Recorder::write_metrics_json(os, recorder->snapshot());
-      std::cerr << "wrote " << metrics_out << '\n';
-    }
-    if (!matrix_out.empty()) {
-      auto os = open_out(matrix_out);
-      obs::Recorder::write_comm_matrix_json(os, recorder->snapshot());
-      std::cerr << "wrote " << matrix_out << '\n';
-    }
-  }
+  if (recorder != nullptr) outputs.write(*recorder, recorder->snapshot());
   if (!div_out.empty()) {
-    std::ofstream os(div_out);
-    if (!os) throw std::runtime_error("cannot write " + div_out);
     std::vector<std::pair<std::string, std::string>> canon_fields = {
         {"digest", canonical_digest},
         {"status", doc.at("canonical").at("status").as_string()},
@@ -811,9 +724,10 @@ int run_check_replay(Args& args, const std::string& path) {
       obs_fields.emplace_back("rank" + std::to_string(r) + "_clock",
                               std::to_string(out.per_rank[r]));
     }
-    obs::Recorder::write_divergence_json(
-        os, doc.at("description").as_string(), canon_fields, obs_fields);
-    std::cerr << "wrote " << div_out << '\n';
+    write_output(div_out, [&](std::ostream& os) {
+      obs::Recorder::write_divergence_json(
+          os, doc.at("description").as_string(), canon_fields, obs_fields);
+    });
   }
   return replayed_digest == canonical_digest ? 0 : 6;
 }
@@ -835,7 +749,7 @@ int cmd_check(Args& args) {
   copts.keep_going = args.flag("keep-going");
   copts.threaded_trials = static_cast<int>(args.num("trials", 4));
   copts.drain_seed = static_cast<std::uint64_t>(args.num("drain-seed", 1));
-  const std::string inject = args.str("inject", "");
+  const std::string inject_arg = args.str("inject", "");
   const std::string cex_out = args.str("counterexample-out", "");
   args.check_all_consumed();
 
@@ -864,22 +778,14 @@ int cmd_check(Args& args) {
   if (spec.config.max_host_seconds > 0.0) {
     copts.max_host_seconds = spec.config.max_host_seconds;
   }
-  if (!inject.empty() && inject != "unsafe-wildcard" &&
-      inject != "commit-before-gvt") {
-    throw std::runtime_error(
-        "unknown --inject '" + inject +
-        "' (expected unsafe-wildcard|commit-before-gvt)");
-  }
-  const bool optimistic =
-      spec.config.schedule == harness::Schedule::kOptimistic;
-  if (inject == "unsafe-wildcard" && optimistic) {
-    throw std::runtime_error(
-        "--inject unsafe-wildcard targets the conservative commit path; "
-        "use --inject commit-before-gvt with --schedule optimistic");
-  }
-  if (inject == "commit-before-gvt" && !optimistic) {
-    throw std::runtime_error(
-        "--inject commit-before-gvt requires --schedule optimistic");
+  if (!inject_arg.empty()) {
+    const auto& planted = injection(inject_arg);
+    if (spec.config.schedule != planted.schedule) {
+      throw std::runtime_error("--inject " + inject_arg +
+                               " requires --schedule " +
+                               harness::schedule_name(planted.schedule));
+    }
+    spec.config.inject = planted.inject;
   }
 
   // Resolve w_i parameters for analytical-model checks.
@@ -895,9 +801,7 @@ int cmd_check(Args& args) {
   }
 
   copts.base = resolved.config;
-  copts.base.unsafe_wildcard_commit = (inject == "unsafe-wildcard");
-  copts.base.unsafe_commit_before_gvt = (inject == "commit-before-gvt");
-  ir::Program prog = program_for_spec(resolved);
+  ir::Program prog = campaign::program_for_spec(resolved);
 
   mc::CheckReport rep = mc::check_program(prog, copts);
   if (!rep.error.empty()) {
@@ -967,11 +871,8 @@ int cmd_check(Args& args) {
   if (!cex_out.empty()) {
     json::Value cex = mc::counterexample_to_json(
         rep.divergences.front(), rep, harness::run_spec_to_json(resolved));
-    if (!inject.empty()) cex.set("inject", inject);
-    std::ofstream os(cex_out);
-    if (!os) throw std::runtime_error("cannot write " + cex_out);
-    os << cex.dump(2) << '\n';
-    std::cerr << "wrote " << cex_out << '\n';
+    if (!inject_arg.empty()) cex.set("inject", inject_arg);
+    write_output(cex_out, [&](std::ostream& os) { os << cex.dump(2) << '\n'; });
   }
   std::cout << "PROTOCOL GATE FAILED: " << rep.divergences.size()
             << " divergent schedule(s); replay with stgsim check --replay "
@@ -1128,15 +1029,10 @@ void write_frame_reports(const json::Value& f, const std::string& out_dir) {
     throw std::runtime_error("cannot create output directory '" + out_dir +
                              "': " + ec.message());
   }
-  auto write_file = [&](const char* name, const std::string& body) {
-    const std::string path = (fs::path(out_dir) / name).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write '" + path + "'");
-    out << body;
-  };
-  write_file("report.json", f.at("report").dump(2) + "\n");
-  write_file("report.csv", f.at("report_csv").as_string());
-  std::cerr << "wrote " << out_dir << "/report.{json,csv}\n";
+  write_output((fs::path(out_dir) / "report.json").string(),
+               [&](std::ostream& os) { os << f.at("report").dump(2) << '\n'; });
+  write_output((fs::path(out_dir) / "report.csv").string(),
+               [&](std::ostream& os) { os << f.at("report_csv").as_string(); });
 }
 
 int cmd_submit(Args& args) {
@@ -1229,12 +1125,7 @@ int cmd_status(Args& args) {
   if (metrics || !metrics_out.empty()) {
     const serve::HttpResponse resp =
         serve::http_request(host, port, "GET", "/v1/metrics", "");
-    if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out, std::ios::trunc);
-      if (!os) throw std::runtime_error("cannot write " + metrics_out);
-      os << resp.body;
-      std::cerr << "wrote " << metrics_out << '\n';
-    }
+    write_output(metrics_out, [&](std::ostream& os) { os << resp.body; });
     if (metrics) std::cout << resp.body;
     return resp.status == 200 ? 0 : 5;
   }
@@ -1254,6 +1145,19 @@ int cmd_shutdown(Args& args) {
   return resp.status == 200 ? 0 : 5;
 }
 
+/// Every subcommand, in usage order.
+constexpr struct {
+  const char* name;
+  int (*handler)(Args&);
+} kCommands[] = {
+    {"list-apps", cmd_list_apps}, {"compile", cmd_compile},
+    {"run", cmd_run},             {"calibrate", cmd_calibrate},
+    {"campaign", cmd_campaign},   {"check", cmd_check},
+    {"serve", cmd_serve},         {"submit", cmd_submit},
+    {"status", cmd_status},       {"shutdown", cmd_shutdown},
+    {"schema", cmd_schema},
+};
+
 int main(int argc, char** argv) {
   // The global --json-errors flag may appear anywhere; strip it before
   // subcommand parsing so every command shares it.
@@ -1271,9 +1175,14 @@ int main(int argc, char** argv) {
 
   try {
     if (argc < 2) {
+      std::string names;
+      for (const auto& c : kCommands) {
+        names += names.empty() ? "" : "|";
+        names += c.name;
+      }
       throw std::runtime_error(
-          "usage: stgsim <list-apps|compile|run|calibrate|campaign|check|"
-          "serve|submit|status|shutdown|schema> [--flags]\n"
+          "usage: stgsim <" + names +
+          "> [--flags]\n"
           "see the header of src/cli/stgsim_cli.cpp for examples");
     }
     const std::string cmd = argv[1];
@@ -1289,17 +1198,9 @@ int main(int argc, char** argv) {
           std::move(detail));
     }
     Args args(argc, argv, 2);
-    if (cmd == "list-apps") return cmd_list_apps(args);
-    if (cmd == "compile") return cmd_compile(args);
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "calibrate") return cmd_calibrate(args);
-    if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "check") return cmd_check(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "submit") return cmd_submit(args);
-    if (cmd == "status") return cmd_status(args);
-    if (cmd == "shutdown") return cmd_shutdown(args);
-    if (cmd == "schema") return cmd_schema(args);
+    for (const auto& c : kCommands) {
+      if (cmd == c.name) return c.handler(args);
+    }
     throw errors::StructuredError("usage.unknown_command",
                                   errors::kCategoryUsage,
                                   "unknown command '" + cmd + "'");

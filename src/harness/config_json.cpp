@@ -1,6 +1,7 @@
 #include "harness/config_json.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "apps/registry.hpp"
 #include "fault/fault.hpp"
@@ -45,6 +46,60 @@ std::string option_to_string(const std::string& key, const json::Value& v) {
                            "' must be a string, number or bool");
 }
 
+/// JSON <-> RunConfig for a member stored as its JSON value, or, with
+/// `Scale`, in units of Scale (memory in MiB, fiber stack in KiB).
+template <auto Member, double Scale = 1.0>
+json::Value write_member(const RunConfig& c) {
+  if constexpr (Scale == 1.0) {
+    return json::Value(c.*Member);
+  } else {
+    return json::Value(static_cast<double>(c.*Member) / Scale);
+  }
+}
+
+template <auto Member, double Scale = 1.0>
+void read_member(const json::Value& v, RunConfig* c) {
+  auto& field = c->*Member;
+  using T = std::remove_reference_t<decltype(field)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    field = v.as_bool();
+  } else {
+    field = static_cast<T>(v.as_number() * Scale);
+  }
+}
+
+/// Applies one RunConfig schema key. Returns false when the key does not
+/// belong to the RunConfig part of the schema (so RunSpec parsing can
+/// route its own keys and reject true unknowns with a full key list).
+bool apply_config_key(RunConfig* config, const std::string& key,
+                      const json::Value& value) {
+  using Bound = RunConfigField::Bound;
+  for (const RunConfigField& f : run_config_fields()) {
+    if (key != f.key) continue;
+    if (std::string(f.type) == "integer") (void)value.as_int();
+    if (f.bound == Bound::kPositive && value.as_number() <= 0) {
+      throw std::runtime_error(key + " must be positive");
+    }
+    if (f.bound == Bound::kNonNegative && value.as_number() < 0) {
+      throw std::runtime_error(key + " must be >= 0");
+    }
+    f.read(value, config);
+    return true;
+  }
+  return false;
+}
+
+/// Sets "app" and its canonical "options" on `out`.
+void set_canonical_app(json::Value* out, const RunSpec& spec) {
+  const apps::AppSpec app = apps::canonical_app_spec(app_spec_of(spec));
+  out->set("app", json::Value(app.name));
+  json::Value opts = json::Value::object();
+  for (const auto& [name, value] : app.options) {
+    opts.set(name, json::Value(value));
+  }
+  out->set("options", opts);
+}
+
 }  // namespace
 
 const std::vector<std::string>& published_schema_versions() {
@@ -74,9 +129,9 @@ const char* mode_key(Mode m) {
 }
 
 Mode parse_mode(const std::string& key) {
-  if (key == "measured") return Mode::kMeasured;
-  if (key == "de") return Mode::kDirectExec;
-  if (key == "am") return Mode::kAnalytical;
+  for (const Mode m : {Mode::kMeasured, Mode::kDirectExec, Mode::kAnalytical}) {
+    if (key == mode_key(m)) return m;
+  }
   throw std::runtime_error("unknown mode '" + key +
                            "' (expected measured|de|am)");
 }
@@ -95,112 +150,166 @@ std::map<std::string, double> params_from_json(const json::Value& v) {
   return out;
 }
 
+const std::vector<RunConfigField>& run_config_fields() {
+  using Role = RunConfigField::Role;
+  using Bound = RunConfigField::Bound;
+  using Flag = RunConfigField::Flag;
+  static const std::vector<RunConfigField> kFields = {
+      {.key = "procs", .role = Role::kExperiment, .type = "integer",
+       .description = "target process count (>= 1)",
+       .bound = Bound::kPositive, .flag = "procs", .flag_kind = Flag::kInteger,
+       .write = write_member<&RunConfig::nprocs>,
+       .read = read_member<&RunConfig::nprocs>},
+      {.key = "mode", .role = Role::kMethod, .type = "string",
+       .description = "execution mode", .choices = {"measured", "de", "am"},
+       .flag = "mode",
+       .write = [](const RunConfig& c) {
+         return json::Value(mode_key(c.mode));
+       },
+       .read = [](const json::Value& v, RunConfig* c) {
+         c->mode = parse_mode(v.as_string());
+       }},
+      {.key = "machine", .role = Role::kExperiment, .type = "string",
+       .description = "machine registry name or spec string, e.g. "
+                      "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]",
+       .flag = "machine",
+       .write = [](const RunConfig& c) {
+         return json::Value(machine_spec_string(c.machine));
+       },
+       .read = [](const json::Value& v, RunConfig* c) {
+         c->machine = parse_machine_spec(v.as_string());
+       }},
+      {.key = "workers", .role = Role::kHostSide, .type = "integer",
+       .description = "host worker threads (0 and 1 = one worker on the "
+                      "calling thread)",
+       .bound = Bound::kNonNegative, .flag = "workers",
+       .flag_kind = Flag::kInteger,
+       .write = write_member<&RunConfig::threads>,
+       .read = read_member<&RunConfig::threads>},
+      {.key = "partition", .role = Role::kHostSide, .type = "string",
+       .description = "rank->worker placement policy",
+       .choices = {"block", "interleave", "comm"}, .flag = "partition",
+       .write = [](const RunConfig& c) {
+         return json::Value(simk::partition_mode_name(c.partition));
+       },
+       .read = [](const json::Value& v, RunConfig* c) {
+         if (!simk::parse_partition_mode(v.as_string(), &c->partition)) {
+           throw std::runtime_error("unknown partition mode '" +
+                                    v.as_string() +
+                                    "' (expected block|interleave|comm)");
+         }
+       }},
+      {.key = "schedule", .role = Role::kHostSide, .type = "string",
+       .description = "synchronization protocol",
+       .choices = {"conservative", "optimistic"}, .flag = "schedule",
+       .write = [](const RunConfig& c) {
+         return json::Value(schedule_name(c.schedule));
+       },
+       .read = [](const json::Value& v, RunConfig* c) {
+         if (!parse_schedule(v.as_string(), &c->schedule)) {
+           throw std::runtime_error("unknown schedule '" + v.as_string() +
+                                    "' (expected conservative|optimistic)");
+         }
+       }},
+      {.key = "gvt_interval", .role = Role::kHostSide, .type = "integer",
+       .description = "committed events between GVT passes",
+       .bound = Bound::kNonNegative, .flag = "gvt-interval",
+       .flag_kind = Flag::kInteger, .flag_positive = "must be >= 1",
+       .write = write_member<&RunConfig::gvt_interval>,
+       .read = read_member<&RunConfig::gvt_interval>},
+      {.key = "checkpoint_interval", .role = Role::kHostSide,
+       .type = "integer",
+       .description = "committed consumes between per-rank checkpoints "
+                      "(0 disables checkpoints)",
+       .bound = Bound::kNonNegative, .flag = "checkpoint-interval",
+       .flag_kind = Flag::kCountOrNone,
+       .flag_positive = "must be >= 1 or 'none'",
+       .write = write_member<&RunConfig::checkpoint_interval>,
+       .read = read_member<&RunConfig::checkpoint_interval>},
+      {.key = "checkpoint_adaptive", .role = Role::kHostSide,
+       .type = "boolean", .description = "auto-tune the checkpoint interval",
+       .flag = "checkpoint-adaptive", .flag_kind = Flag::kBoolean,
+       .write = write_member<&RunConfig::checkpoint_adaptive>,
+       .read = read_member<&RunConfig::checkpoint_adaptive>},
+      {.key = "speculation_window_sec", .role = Role::kHostSide,
+       .type = "number",
+       .description = "bounded-speculation window (0 = unbounded)",
+       .bound = Bound::kNonNegative, .flag = "speculation-window",
+       .flag_kind = Flag::kNumber,
+       .flag_positive = "must be > 0 seconds of virtual time",
+       .write = write_member<&RunConfig::speculation_window_sec>,
+       .read = read_member<&RunConfig::speculation_window_sec>},
+      {.key = "abstract_comm", .role = Role::kMethod, .type = "boolean",
+       .description = "abstract communication model",
+       .flag = "abstract-comm", .flag_kind = Flag::kBoolean,
+       .write = write_member<&RunConfig::abstract_comm>,
+       .read = read_member<&RunConfig::abstract_comm>},
+      {.key = "memory_cap_mb", .role = Role::kExperiment, .type = "number",
+       .description = "simulated-data cap", .bound = Bound::kNonNegative,
+       .flag = "memory-cap-mb", .flag_kind = Flag::kNumber,
+       .write = write_member<&RunConfig::memory_cap_bytes, 1024.0 * 1024.0>,
+       .read = read_member<&RunConfig::memory_cap_bytes, 1024.0 * 1024.0>},
+      {.key = "fiber_stack_kb", .role = Role::kExperiment, .type = "number",
+       .description = "per-rank fiber stack", .bound = Bound::kNonNegative,
+       .flag = "stack-kb", .flag_kind = Flag::kNumber,
+       .write = write_member<&RunConfig::fiber_stack_bytes, 1024.0>,
+       .read = read_member<&RunConfig::fiber_stack_bytes, 1024.0>},
+      {.key = "seed", .role = Role::kExperiment, .type = "number",
+       .description = "RNG seed", .bound = Bound::kNonNegative,
+       .flag = "seed", .flag_kind = Flag::kInteger,
+       .write = write_member<&RunConfig::seed>,
+       .read = read_member<&RunConfig::seed>},
+      {.key = "fault", .role = Role::kExperiment, .type = "string",
+       .description = "fault-plan clause string (empty = none)",
+       .flag = "fault",
+       .write = [](const RunConfig& c) {
+         return json::Value(c.faults.to_string());
+       },
+       .read = [](const json::Value& v, RunConfig* c) {
+         c->faults = v.as_string().empty()
+                         ? fault::FaultPlan{}
+                         : fault::parse_fault_plan(v.as_string());
+       }},
+      {.key = "max_vtime_ns", .role = Role::kExperiment, .type = "number",
+       .description = "virtual-time budget", .flag = "max-vtime-sec",
+       .flag_kind = Flag::kSeconds,
+       .write = write_member<&RunConfig::max_virtual_time>,
+       .read = read_member<&RunConfig::max_virtual_time>},
+      {.key = "max_messages", .role = Role::kExperiment, .type = "number",
+       .description = "message-count budget", .bound = Bound::kNonNegative,
+       .flag = "max-messages", .flag_kind = Flag::kInteger,
+       .write = write_member<&RunConfig::max_messages>,
+       .read = read_member<&RunConfig::max_messages>},
+      {.key = "max_host_sec", .role = Role::kExperiment, .type = "number",
+       .description = "host wall-clock watchdog budget",
+       .flag = "max-host-sec", .flag_kind = Flag::kNumber,
+       .write = write_member<&RunConfig::max_host_seconds>,
+       .read = read_member<&RunConfig::max_host_seconds>},
+      {.key = "params", .role = Role::kMethod, .type = "object",
+       .description = "inline w_i table for analytical runs (name -> "
+                      "sec/iter)",
+       .write = [](const RunConfig& c) { return params_to_json(c.params); },
+       .read = [](const json::Value& v, RunConfig* c) {
+         c->params = params_from_json(v);
+       }},
+  };
+  return kFields;
+}
+
+apps::AppSpec app_spec_of(const RunSpec& spec) {
+  apps::AppSpec app;
+  app.name = spec.app;
+  app.options = spec.app_options;
+  return app;
+}
+
 json::Value run_config_to_json(const RunConfig& config) {
   json::Value out = json::Value::object();
-  out.set("procs", json::Value(config.nprocs));
-  out.set("mode", json::Value(mode_key(config.mode)));
-  out.set("machine", json::Value(machine_spec_string(config.machine)));
-  out.set("workers", json::Value(config.threads));
-  out.set("partition",
-          json::Value(simk::partition_mode_name(config.partition)));
-  out.set("schedule", json::Value(schedule_name(config.schedule)));
-  out.set("gvt_interval",
-          json::Value(static_cast<double>(config.gvt_interval)));
-  out.set("checkpoint_interval",
-          json::Value(static_cast<double>(config.checkpoint_interval)));
-  out.set("checkpoint_adaptive", json::Value(config.checkpoint_adaptive));
-  out.set("speculation_window_sec",
-          json::Value(config.speculation_window_sec));
-  out.set("abstract_comm", json::Value(config.abstract_comm));
-  out.set("memory_cap_mb",
-          json::Value(static_cast<double>(config.memory_cap_bytes) /
-                      (1024.0 * 1024.0)));
-  out.set("fiber_stack_kb",
-          json::Value(static_cast<double>(config.fiber_stack_bytes) / 1024.0));
-  out.set("seed", json::Value(static_cast<double>(config.seed)));
-  out.set("fault", json::Value(config.faults.to_string()));
-  out.set("max_vtime_ns",
-          json::Value(static_cast<double>(config.max_virtual_time)));
-  out.set("max_messages",
-          json::Value(static_cast<double>(config.max_messages)));
-  out.set("max_host_sec", json::Value(config.max_host_seconds));
-  out.set("params", params_to_json(config.params));
+  for (const RunConfigField& f : run_config_fields()) {
+    out.set(f.key, f.write(config));
+  }
   return out;
 }
-
-namespace {
-
-/// Applies one RunConfig schema key. Returns false when the key does not
-/// belong to the RunConfig part of the schema (so RunSpec parsing can
-/// route its own keys and reject true unknowns with a full key list).
-bool apply_config_key(RunConfig* config, const std::string& key,
-                      const json::Value& value) {
-  if (key == "procs") {
-    config->nprocs = static_cast<int>(value.as_int());
-    if (config->nprocs <= 0) {
-      throw std::runtime_error("procs must be positive");
-    }
-  } else if (key == "mode") {
-    config->mode = parse_mode(value.as_string());
-  } else if (key == "machine") {
-    config->machine = parse_machine_spec(value.as_string());
-  } else if (key == "workers") {
-    config->threads = static_cast<int>(value.as_int());
-  } else if (key == "partition") {
-    if (!simk::parse_partition_mode(value.as_string(), &config->partition)) {
-      throw std::runtime_error("unknown partition mode '" +
-                               value.as_string() +
-                               "' (expected block|interleave|comm)");
-    }
-  } else if (key == "schedule") {
-    if (!parse_schedule(value.as_string(), &config->schedule)) {
-      throw std::runtime_error("unknown schedule '" + value.as_string() +
-                               "' (expected conservative|optimistic)");
-    }
-  } else if (key == "gvt_interval") {
-    const std::int64_t n = value.as_int();
-    if (n < 0) throw std::runtime_error("gvt_interval must be >= 0");
-    config->gvt_interval = static_cast<std::uint64_t>(n);
-  } else if (key == "checkpoint_interval") {
-    const std::int64_t n = value.as_int();
-    if (n < 0) throw std::runtime_error("checkpoint_interval must be >= 0");
-    config->checkpoint_interval = static_cast<std::uint64_t>(n);
-  } else if (key == "checkpoint_adaptive") {
-    config->checkpoint_adaptive = value.as_bool();
-  } else if (key == "speculation_window_sec") {
-    config->speculation_window_sec = value.as_number();
-    if (config->speculation_window_sec < 0.0) {
-      throw std::runtime_error("speculation_window_sec must be >= 0");
-    }
-  } else if (key == "abstract_comm") {
-    config->abstract_comm = value.as_bool();
-  } else if (key == "memory_cap_mb") {
-    config->memory_cap_bytes =
-        static_cast<std::size_t>(value.as_number() * 1024.0 * 1024.0);
-  } else if (key == "fiber_stack_kb") {
-    config->fiber_stack_bytes =
-        static_cast<std::size_t>(value.as_number() * 1024.0);
-  } else if (key == "seed") {
-    config->seed = static_cast<std::uint64_t>(value.as_number());
-  } else if (key == "fault") {
-    config->faults = value.as_string().empty()
-                         ? fault::FaultPlan{}
-                         : fault::parse_fault_plan(value.as_string());
-  } else if (key == "max_vtime_ns") {
-    config->max_virtual_time = static_cast<VTime>(value.as_number());
-  } else if (key == "max_messages") {
-    config->max_messages = static_cast<std::uint64_t>(value.as_number());
-  } else if (key == "max_host_sec") {
-    config->max_host_seconds = value.as_number();
-  } else if (key == "params") {
-    config->params = params_from_json(value);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 RunConfig run_config_from_json(const json::Value& v) {
   RunConfig config;
@@ -214,16 +323,7 @@ RunConfig run_config_from_json(const json::Value& v) {
 
 json::Value run_spec_to_json(const RunSpec& spec) {
   json::Value out = run_config_to_json(spec.config);
-  apps::AppSpec app;
-  app.name = spec.app;
-  app.options = spec.app_options;
-  app = apps::canonical_app_spec(app);
-  out.set("app", json::Value(app.name));
-  json::Value opts = json::Value::object();
-  for (const auto& [name, value] : app.options) {
-    opts.set(name, json::Value(value));
-  }
-  out.set("options", opts);
+  set_canonical_app(&out, spec);
   // `calibrate` describes how w_i params get produced, so it only means
   // something for analytical runs that do not carry them inline. Emitting 0
   // otherwise keeps it out of the digest: a de run swept with
@@ -275,12 +375,17 @@ RunSpec run_spec_from_json(const json::Value& v) {
   if (spec.app.empty()) {
     throw std::runtime_error("run spec is missing required key 'app'");
   }
+  // Usage errors here, instead of the harness's internal checks later.
+  if (spec.config.mode == Mode::kMeasured &&
+      (spec.config.threads > 1 ||
+       spec.config.schedule != Schedule::kConservative)) {
+    throw std::runtime_error(
+        "measured mode requires one host worker (workers 0 or 1) and the "
+        "conservative schedule");
+  }
   // Canonicalize eagerly so a bad app name / option / value fails at parse
   // time, and so to_json(from_json(x)) is already in canonical form.
-  apps::AppSpec app;
-  app.name = spec.app;
-  app.options = spec.app_options;
-  spec.app_options = apps::canonical_app_spec(app).options;
+  spec.app_options = apps::canonical_app_spec(app_spec_of(spec)).options;
   return spec;
 }
 
@@ -298,17 +403,8 @@ std::uint64_t calibration_digest(const RunSpec& spec) {
   // (procs, workers, budgets, faults) deliberately excluded — every
   // analytical point of a sweep shares one calibration.
   json::Value key = json::Value::object();
-  apps::AppSpec app;
-  app.name = spec.app;
-  app.options = spec.app_options;
-  app = apps::canonical_app_spec(app);
   key.set("kind", json::Value("calibration"));
-  key.set("app", json::Value(app.name));
-  json::Value opts = json::Value::object();
-  for (const auto& [name, value] : app.options) {
-    opts.set(name, json::Value(value));
-  }
-  key.set("options", opts);
+  set_canonical_app(&key, spec);
   key.set("machine", json::Value(machine_spec_string(spec.config.machine)));
   key.set("seed", json::Value(static_cast<double>(spec.config.seed)));
   key.set("procs", json::Value(spec.calibrate_procs));
@@ -478,11 +574,11 @@ json::Value schema_type(const char* type, const char* description = nullptr) {
   return t;
 }
 
-json::Value schema_enum(std::initializer_list<const char*> values,
+json::Value schema_enum(const std::vector<std::string>& values,
                         const char* description) {
   json::Value t = schema_type("string", description);
   json::Value e = json::Value::array();
-  for (const char* v : values) e.push_back(json::Value(v));
+  for (const std::string& v : values) e.push_back(json::Value(v));
   t.set("enum", e);
   return t;
 }
@@ -503,18 +599,10 @@ json::Value number_array_schema(const char* description) {
 
 json::Value run_spec_schema_json() {
   json::Value props = json::Value::object();
-  {
-    json::Value schema_versions = json::Value::array();
-    for (const std::string& v : published_schema_versions()) {
-      schema_versions.push_back(json::Value(v));
-    }
-    json::Value s = schema_type(
-        "string",
-        "optional explicit schema version; unknown versions are rejected "
-        "with a structured error");
-    s.set("enum", schema_versions);
-    props.set("schema", s);
-  }
+  props.set("schema",
+            schema_enum(published_schema_versions(),
+                        "optional explicit schema version; unknown versions "
+                        "are rejected with a structured error"));
   props.set("app", schema_type("string", "app registry name"));
   {
     json::Value opts = schema_type(
@@ -522,46 +610,14 @@ json::Value run_spec_schema_json() {
     opts.set("additionalProperties", json::Value(true));
     props.set("options", opts);
   }
-  props.set("procs", schema_type("integer", "target process count (>= 1)"));
-  props.set("mode", schema_enum({"measured", "de", "am"}, "execution mode"));
-  props.set("machine",
-            schema_type("string",
-                        "machine registry name or spec string, e.g. "
-                        "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]"));
-  props.set("workers",
-            schema_type("integer",
-                        "host worker threads (0 and 1 = one worker on the calling thread)"));
-  props.set("partition", schema_enum({"block", "interleave", "comm"},
-                                     "rank->worker placement policy"));
-  props.set("schedule", schema_enum({"conservative", "optimistic"},
-                                    "synchronization protocol"));
-  props.set("gvt_interval",
-            schema_type("integer", "committed events between GVT passes"));
-  props.set("checkpoint_interval",
-            schema_type("integer",
-                        "committed consumes between per-rank checkpoints "
-                        "(0 disables checkpoints)"));
-  props.set("checkpoint_adaptive",
-            schema_type("boolean", "auto-tune the checkpoint interval"));
-  props.set("speculation_window_sec",
-            schema_type("number",
-                        "bounded-speculation window (0 = unbounded)"));
-  props.set("abstract_comm",
-            schema_type("boolean", "abstract communication model"));
-  props.set("memory_cap_mb", schema_type("number", "simulated-data cap"));
-  props.set("fiber_stack_kb", schema_type("number", "per-rank fiber stack"));
-  props.set("seed", schema_type("number", "RNG seed"));
-  props.set("fault",
-            schema_type("string", "fault-plan clause string (empty = none)"));
-  props.set("max_vtime_ns", schema_type("number", "virtual-time budget"));
-  props.set("max_messages", schema_type("number", "message-count budget"));
-  props.set("max_host_sec",
-            schema_type("number", "host wall-clock watchdog budget"));
-  {
-    json::Value params = schema_type(
-        "object", "inline w_i table for analytical runs (name -> sec/iter)");
-    params.set("additionalProperties", schema_type("number"));
-    props.set("params", params);
+  for (const RunConfigField& f : run_config_fields()) {
+    json::Value t = f.choices.empty() ? schema_type(f.type, f.description)
+                                      : schema_enum(f.choices, f.description);
+    // The one object-typed field (params) maps names to numbers.
+    if (std::string(f.type) == "object") {
+      t.set("additionalProperties", schema_type("number"));
+    }
+    props.set(f.key, t);
   }
   props.set("calibrate",
             schema_type("integer",

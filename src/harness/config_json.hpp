@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "harness/runner.hpp"
 #include "support/json.hpp"
 
@@ -78,12 +79,59 @@ struct RunSpec {
   int calibrate_procs = 0;
 };
 
+/// One RunConfig field of the RunSpec schema. run_config_fields() is the
+/// only place a field is declared: JSON emit and parse, the published
+/// schema, the `stgsim run`/`check`/`compile` flag overrides and the
+/// campaign comparison key are all loops over it.
+struct RunConfigField {
+  /// What the field means for a prediction.
+  enum class Role {
+    kExperiment,  ///< part of the simulated experiment
+    kMethod,      ///< how the prediction is made (mode, comm model, w_i)
+    kHostSide,    ///< host execution only: never changes a run digest
+  };
+  /// Values the JSON key rejects (with "<key> must be ...").
+  enum class Bound { kAny, kNonNegative, kPositive };
+  /// How the CLI flag spells the value.
+  enum class Flag {
+    kInteger,
+    kNumber,
+    kString,
+    kBoolean,
+    kSeconds,      ///< seconds on the command line, nanoseconds in JSON
+    kCountOrNone,  ///< an integer, or "none" for 0
+  };
+
+  const char* key;  ///< JSON key
+  Role role;
+  const char* type;  ///< JSON Schema type
+  const char* description;
+  std::vector<std::string> choices = {};  ///< JSON Schema enum
+  Bound bound = Bound::kAny;
+  const char* flag = nullptr;  ///< CLI spelling without "--"; none if null
+  Flag flag_kind = Flag::kString;
+  /// Set when the flag, unlike the JSON key, must be positive: the
+  /// requirement its error message states.
+  const char* flag_positive = nullptr;
+  json::Value (*write)(const RunConfig&);
+  /// Stores a JSON value; throws std::runtime_error when it is invalid.
+  void (*read)(const json::Value&, RunConfig*);
+};
+
+/// Every RunConfig field, in CLI flag-processing order.
+const std::vector<RunConfigField>& run_config_fields();
+
+/// The app part of a RunSpec, as the app registry takes it.
+apps::AppSpec app_spec_of(const RunSpec& spec);
+
 /// RunConfig <-> JSON (without the app — used inside RunSpec's schema).
 json::Value run_config_to_json(const RunConfig& config);
 RunConfig run_config_from_json(const json::Value& v);
 
 /// RunSpec <-> JSON. from_json rejects unknown keys with a structured
-/// error; to_json emits the canonical (defaults-resolved, sorted) form.
+/// error, and rejects measured mode with several workers or the
+/// optimistic schedule (the engine cannot run it); to_json emits the
+/// canonical (defaults-resolved, sorted) form.
 json::Value run_spec_to_json(const RunSpec& spec);
 RunSpec run_spec_from_json(const json::Value& v);
 

@@ -26,13 +26,11 @@ const char* schedule_name(Schedule s) {
 }
 
 bool parse_schedule(const std::string& text, Schedule* out) {
-  if (text == "conservative") {
-    *out = Schedule::kConservative;
-    return true;
-  }
-  if (text == "optimistic") {
-    *out = Schedule::kOptimistic;
-    return true;
+  for (const Schedule s : {Schedule::kConservative, Schedule::kOptimistic}) {
+    if (text == schedule_name(s)) {
+      *out = s;
+      return true;
+    }
   }
   return false;
 }
@@ -101,11 +99,10 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   ec.max_host_seconds = config.max_host_seconds;
   ec.observer = config.obs;
   ec.oracle = config.oracle;
-  ec.unsafe_wildcard_commit = config.unsafe_wildcard_commit;
+  ec.inject = config.inject;
   const bool optimistic = config.schedule == Schedule::kOptimistic;
   if (optimistic) {
     ec.optimistic = true;
-    ec.unsafe_commit_before_gvt = config.unsafe_commit_before_gvt;
     if (config.gvt_interval > 0) ec.gvt_interval = config.gvt_interval;
     ec.checkpoint_interval = config.checkpoint_interval;
     ec.checkpoint_adaptive = config.checkpoint_adaptive;
@@ -122,9 +119,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     STGSIM_CHECK(!config.record_host_trace)
         << "optimistic schedule: host traces of rolled-back slices are "
            "meaningless";
-  } else {
-    STGSIM_CHECK(!config.unsafe_commit_before_gvt)
-        << "unsafe_commit_before_gvt requires the optimistic schedule";
   }
   if (config.threads > 1) {
     ec.host_workers = config.threads;

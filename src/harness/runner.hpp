@@ -152,11 +152,10 @@ struct RunConfig {
   /// simk::ScheduleOracle.
   simk::ScheduleOracle* oracle = nullptr;
 
-  /// Test-only fault injection: commit wildcard receives on sight,
-  /// bypassing the conservative safety bound — reintroduces the wildcard
-  /// race the bound exists to prevent, so `stgsim check` has a known bug
-  /// to find. Never set outside tests/CI.
-  bool unsafe_wildcard_commit = false;
+  /// Test-only protocol race for `stgsim check` to find (simk::Inject;
+  /// kCommitBeforeGvt needs the optimistic schedule, kUnsafeWildcard the
+  /// conservative one). Never set outside tests/CI.
+  simk::Inject inject = simk::Inject::kNone;
 
   /// Test-only fault injection: inflate the wildcard latency floor by
   /// this much past the network's sound bound (smpi::World::Options::
@@ -164,13 +163,6 @@ struct RunConfig {
   /// that a slower sender could still beat, so regression tests can show
   /// the floor's soundness is load-bearing. Never set outside tests/CI.
   VTime unsafe_floor_slack = 0;
-
-  /// Test-only fault injection (optimistic schedule only): finalize
-  /// speculative wildcard commits immediately — no violation records, no
-  /// straggler detection — i.e. commit before GVT has passed the commit
-  /// point. Reintroduces the Time Warp race rollback exists to fix, so
-  /// `stgsim check` has a known bug to rediscover on the optimistic path.
-  bool unsafe_commit_before_gvt = false;
 };
 
 /// How a run ended. Every run — including pathological target programs and

@@ -87,7 +87,7 @@ CheckReport check_program(const ir::Program& prog, const CheckOptions& opts) {
   mc_cfg.oracle = nullptr;
 
   // Canonical reference: the plain sequential scheduler, same config
-  // (including any injected fault such as unsafe_wildcard_commit — the
+  // (including any injected fault such as Inject::kUnsafeWildcard — the
   // check asserts schedule-invariance of the engine *as configured*).
   // Exception: when checking the optimistic schedule the contract is
   // "optimistic commits the *conservative* sequential digest", so the
@@ -96,7 +96,7 @@ CheckReport check_program(const ir::Program& prog, const CheckOptions& opts) {
   RunConfig canon_cfg = mc_cfg;
   if (opts.base.schedule == harness::Schedule::kOptimistic) {
     canon_cfg.schedule = harness::Schedule::kConservative;
-    canon_cfg.unsafe_commit_before_gvt = false;
+    canon_cfg.inject = simk::Inject::kNone;
   }
   rep.canonical = harness::run_program(prog, canon_cfg);
   rep.canonical_digest = harness::run_digest_hex(rep.canonical);

@@ -301,13 +301,12 @@ Engine::Engine(EngineConfig config) : config_(config) {
     STGSIM_CHECK(!config_.record_host_trace)
         << "host-trace recording requires the conservative protocol "
            "(rollback replay would double-count slices)";
-    STGSIM_CHECK(!config_.unsafe_wildcard_commit)
+    STGSIM_CHECK(config_.inject != Inject::kUnsafeWildcard)
         << "unsafe-wildcard injection targets the conservative safety "
-           "bound; use unsafe_commit_before_gvt against the optimistic "
-           "scheduler";
+           "bound; use commit-before-gvt against the optimistic scheduler";
     if (config_.gvt_interval == 0) config_.gvt_interval = 256;
   } else {
-    STGSIM_CHECK(!config_.unsafe_commit_before_gvt)
+    STGSIM_CHECK(config_.inject != Inject::kCommitBeforeGvt)
         << "commit-before-gvt injection requires the optimistic scheduler";
   }
 }
@@ -332,7 +331,7 @@ bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
     // single-candidate, fixed-source completions, which are not choices).
     return false;
   }
-  if (config_.unsafe_wildcard_commit) {
+  if (config_.inject == Inject::kUnsafeWildcard) {
     // Test-only fault injection: commit on sight, reproducing the racy
     // pre-safety-bound behavior for the schedule checker to rediscover.
     return true;
@@ -680,7 +679,7 @@ void Engine::opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob) {
 
 void Engine::opt_record_wildcard(Process& p, const MatchSpec& spec,
                                  const Message& m) {
-  if (config_.unsafe_commit_before_gvt) {
+  if (config_.inject == Inject::kCommitBeforeGvt) {
     // Injected fault: the commit is finalized on the spot, so no straggler
     // can ever correct it — the race `stgsim check` must rediscover.
     return;
@@ -703,7 +702,7 @@ void Engine::opt_record_wildcard(Process& p, const MatchSpec& spec,
 }
 
 bool Engine::opt_check_violation(Process& dst, const MsgNode* node) {
-  if (config_.unsafe_commit_before_gvt) return false;
+  if (config_.inject == Inject::kCommitBeforeGvt) return false;
   OptState& o = dst.opt_;
   if (o.records.empty()) return false;
   const Message& m = node->value;

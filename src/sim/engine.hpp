@@ -338,6 +338,21 @@ struct HostModel {
   double duration_scale = 1.0;
 };
 
+/// Test-only fault injections (`stgsim check --inject`): each plants a
+/// known protocol race for the schedule checker to rediscover. Never set
+/// outside tests and CI.
+enum class Inject {
+  kNone,
+  /// Conservative scheduler: wildcard receives commit to the first
+  /// matching message on sight, skipping the safety bound (the pre-fix
+  /// racy behavior).
+  kUnsafeWildcard,
+  /// Optimistic scheduler: wildcard commits are finalized immediately
+  /// instead of being tracked until GVT passes them, so stragglers never
+  /// trigger the rollback that would correct the commit.
+  kCommitBeforeGvt,
+};
+
 struct EngineConfig {
   int num_processes = 1;
 
@@ -369,11 +384,9 @@ struct EngineConfig {
   /// order. Incompatible with record_host_trace.
   ScheduleOracle* oracle = nullptr;
 
-  /// Test-only fault injection: wildcard receives commit to the first
-  /// matching message on sight, skipping the safety bound — the pre-fix
-  /// racy behavior the schedule checker must be able to rediscover.
-  /// Never set outside tests and `stgsim check --inject`.
-  bool unsafe_wildcard_commit = false;
+  /// Test-only protocol race to plant (kUnsafeWildcard needs the
+  /// conservative scheduler, kCommitBeforeGvt the optimistic one).
+  Inject inject = Inject::kNone;
 
   /// Optimistic (Time Warp) scheduler mode: processes execute
   /// speculatively past the conservative safety bound; a straggler or
@@ -384,12 +397,6 @@ struct EngineConfig {
   /// conservative protocol. Works under both drivers and every worker
   /// count. Incompatible with record_host_trace.
   bool optimistic = false;
-
-  /// Test-only fault injection for the optimistic mode: wildcard commits
-  /// are finalized immediately instead of being tracked until GVT passes
-  /// them, so stragglers never trigger the rollback that would correct the
-  /// commit — the commit-before-GVT race `stgsim check` must rediscover.
-  bool unsafe_commit_before_gvt = false;
 
   /// Optimistic mode: scheduler iterations between exact GVT / fossil
   /// passes (one worker and MC). The baseline is max(this, process

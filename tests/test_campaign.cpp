@@ -358,6 +358,59 @@ TEST(Campaign, MisconfiguredPointBecomesStructuredOutcome) {
   EXPECT_EQ(report.at("status_counts").at("internal_error").as_int(), 1);
 }
 
+TEST(Campaign, ComparisonGroupsIgnoreTheSchedule) {
+  // The schedule and the Time Warp settings never change a digest, so an
+  // optimistic prediction belongs to the same comparison group as the
+  // conservative ones and its entry names the schedule.
+  const json::Value doc = json::Value::parse(R"({
+    "name": "schedules",
+    "defaults": {"app": "sample", "procs": 4, "seed": 11,
+                 "options": {"iters": 2, "work": 1000}},
+    "runs": [
+      {"mode": "measured"},
+      {"mode": "de"},
+      {"mode": "de", "schedule": "optimistic", "gvt_interval": 8,
+       "checkpoint_interval": 4, "checkpoint_adaptive": false,
+       "speculation_window_sec": 0.5},
+      {"mode": "am", "schedule": "optimistic", "calibrate": 2}
+    ]
+  })");
+  ScratchDir dir("schedules");
+  campaign::CampaignOptions opts;
+  opts.cache_dir = dir.sub("cache");
+  const campaign::CampaignResult result =
+      campaign::run_campaign(campaign::parse_scenario(doc), opts);
+  for (const auto& r : result.runs) {
+    ASSERT_TRUE(r.outcome.ok()) << r.id << ": " << r.outcome.diagnostic;
+  }
+
+  const json::Value report = campaign::report_json(result);
+  const json::Value::Array& groups = report.at("comparisons").as_array();
+  ASSERT_EQ(groups.size(), 1u);
+  const json::Value::Array& predictions =
+      groups[0].at("predictions").as_array();
+  ASSERT_EQ(predictions.size(), 3u);
+  EXPECT_FALSE(predictions[0].has("schedule"));
+  EXPECT_EQ(predictions[1].at("schedule").as_string(), "optimistic");
+  EXPECT_EQ(predictions[2].at("schedule").as_string(), "optimistic");
+  EXPECT_EQ(predictions[2].at("mode").as_string(), "am");
+  // Every optimistic prediction also gets its error column in the CSV.
+  std::istringstream csv(campaign::report_csv(result));
+  std::string line;
+  std::getline(csv, line);  // header
+  int with_error = 0;
+  while (std::getline(csv, line)) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(cell);
+    }
+    ASSERT_GT(cells.size(), 11u) << line;
+    if (!cells[11].empty()) ++with_error;  // error_vs_measured_pct
+  }
+  EXPECT_EQ(with_error, 3);
+}
+
 TEST(Campaign, WriteReportsEmitsAllThreeFiles) {
   ScratchDir dir("reports");
   campaign::CampaignOptions opts;

@@ -3,6 +3,7 @@
 // JSON schema with its content-address digests (harness/config_json.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -266,6 +267,121 @@ TEST(RunSpecJson, PublishedJsonSchemasNameTheCurrentVersion) {
   const json::Value outcome_schema = harness::run_outcome_schema_json();
   EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-8/run-outcome");
   EXPECT_TRUE(outcome_schema.at("properties").has("digest"));
+}
+
+// Every RunConfig field at a non-default value. The pins below hold the
+// canonical bytes, the cache key, the published schema and the rejection
+// messages: a refactor of the emit/parse/schema code must leave them as
+// they are, so never re-capture them to make a change pass.
+harness::RunSpec every_field_spec() {
+  harness::RunSpec spec = sample_spec();
+  harness::RunConfig& c = spec.config;
+  c.nprocs = 6;
+  c.mode = harness::Mode::kAnalytical;
+  c.machine = harness::parse_machine_spec("origin2000[latency_us=7]");
+  c.threads = 3;
+  c.partition = simk::PartitionMode::kComm;
+  c.schedule = harness::Schedule::kOptimistic;
+  c.gvt_interval = 100;
+  c.checkpoint_interval = 32;
+  c.checkpoint_adaptive = false;
+  c.speculation_window_sec = 0.5;
+  c.abstract_comm = true;
+  c.memory_cap_bytes = std::size_t{96} << 20;
+  c.fiber_stack_bytes = 512 * 1024;
+  c.seed = 99;
+  c.faults = fault::parse_fault_plan("straggler:rank=1,factor=3");
+  c.max_virtual_time = vtime_from_sec(2.5);
+  c.max_messages = 12345;
+  c.max_host_seconds = 30.0;
+  c.params = {{"w_sample_work", 1.25e-6}};
+  spec.calibrate_procs = 4;
+  return spec;
+}
+
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RunSpecJson, EveryFieldPinnedAtParent) {
+  const harness::RunSpec spec = every_field_spec();
+  const std::string dump = harness::run_spec_to_json(spec).dump();
+  EXPECT_EQ(dump,
+            R"({"abstract_comm":true,"app":"sample","calibrate":0,)"
+            R"("checkpoint_adaptive":false,"checkpoint_interval":32,)"
+            R"("fault":"straggler:rank=1,factor=3","fiber_stack_kb":512,)"
+            R"("gvt_interval":100,"machine":"origin2000[latency_us=7]",)"
+            R"("max_host_sec":30,"max_messages":12345,)"
+            R"("max_vtime_ns":2500000000,"memory_cap_mb":96,"mode":"am",)"
+            R"("options":{"iters":"3","msg-doubles":"1024","pattern":"nn",)"
+            R"("work":"2000"},"params":{"w_sample_work":1.25e-06},)"
+            R"("partition":"comm","procs":6,"schedule":"optimistic",)"
+            R"("seed":99,"speculation_window_sec":0.5,"workers":3})");
+  EXPECT_EQ(harness::run_spec_digest_hex(spec), "1de2cf0f0bebc892");
+  EXPECT_EQ(fnv1a_hex(harness::run_spec_schema_json().dump()),
+            "2bb31b50a6d557b9");
+  // Every field survives the round trip.
+  EXPECT_EQ(harness::run_spec_to_json(
+                harness::run_spec_from_json(json::Value::parse(dump)))
+                .dump(),
+            dump);
+
+  // The exact rejection message for each invalid value.
+  const std::pair<const char*, const char*> rejected[] = {
+      {R"({"procs": 0})",
+       "procs must be positive"},
+      {R"({"mode": "fast"})",
+       "unknown mode 'fast' (expected measured|de|am)"},
+      {R"({"partition": "random"})",
+       "unknown partition mode 'random' (expected block|interleave|comm)"},
+      {R"({"schedule": "eager"})",
+       "unknown schedule 'eager' (expected conservative|optimistic)"},
+      {R"({"gvt_interval": -1})",
+       "gvt_interval must be >= 0"},
+      {R"({"checkpoint_interval": -1})",
+       "checkpoint_interval must be >= 0"},
+      {R"({"speculation_window_sec": -1})",
+       "speculation_window_sec must be >= 0"},
+      {R"({"turbo": true})",
+       "unknown run-spec key 'turbo'"},
+  };
+  for (const auto& [patch, message] : rejected) {
+    json::Value doc = harness::run_spec_to_json(sample_spec());
+    const json::Value overrides = json::Value::parse(patch);
+    for (const auto& [key, value] : overrides.as_object()) {
+      doc.set(key, value);
+    }
+    try {
+      (void)harness::run_spec_from_json(doc);
+      ADD_FAILURE() << patch << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), message) << patch;
+    }
+  }
+}
+
+TEST(RunSpecJson, CountsAndSizesRejectNegativeValues) {
+  // Stored unsigned (or, for workers, a host thread count): a negative
+  // value is a usage error, never a wrapped or undefined conversion.
+  for (const char* key : {"workers", "seed", "max_messages", "memory_cap_mb",
+                          "fiber_stack_kb"}) {
+    json::Value doc = harness::run_spec_to_json(sample_spec());
+    doc.set(key, json::Value(-1));
+    try {
+      (void)harness::run_spec_from_json(doc);
+      ADD_FAILURE() << key << " = -1 was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string(key) + " must be >= 0");
+    }
+  }
 }
 
 TEST(OutcomeJson, RoundTripPreservesDigest) {

@@ -102,7 +102,7 @@ TEST(McCheck, InjectedUnsafeWildcardYieldsReplayableCounterexample) {
   const ir::Program prog = anysource_program(3);
   mc::CheckOptions opts;
   opts.base = base_config(3);
-  opts.base.unsafe_wildcard_commit = true;
+  opts.base.inject = simk::Inject::kUnsafeWildcard;
   const mc::CheckReport rep = mc::check_program(prog, opts);
   ASSERT_TRUE(rep.error.empty()) << rep.error;
   ASSERT_FALSE(rep.divergences.empty())
@@ -122,7 +122,7 @@ TEST(McCheck, InjectedUnsafeWildcardYieldsReplayableCounterexample) {
   for (int i = 0; i < 2; ++i) {
     mc::ReplayOracle oracle(parsed);
     harness::RunConfig rc = base_config(3);
-    rc.unsafe_wildcard_commit = true;
+    rc.inject = simk::Inject::kUnsafeWildcard;
     rc.oracle = &oracle;
     const harness::RunOutcome out = harness::run_program(prog, rc);
     ASSERT_TRUE(out.ok()) << out.diagnostic;
@@ -292,7 +292,7 @@ TEST(McCheck, InjectedCommitBeforeGvtIsRediscoveredOnTheOptimisticPath) {
   mc::CheckOptions opts;
   opts.base = base_config(3);
   opts.base.schedule = harness::Schedule::kOptimistic;
-  opts.base.unsafe_commit_before_gvt = true;
+  opts.base.inject = simk::Inject::kCommitBeforeGvt;
   const mc::CheckReport rep = mc::check_program(prog, opts);
   ASSERT_TRUE(rep.error.empty()) << rep.error;
   ASSERT_FALSE(rep.divergences.empty())

@@ -259,7 +259,7 @@ TEST(Optimistic, CommitBeforeGvtInjectionDivergesDeterministically) {
   StragglerFirstOracle oracle;
   harness::RunConfig bad = ref;
   bad.schedule = harness::Schedule::kOptimistic;
-  bad.unsafe_commit_before_gvt = true;
+  bad.inject = simk::Inject::kCommitBeforeGvt;
   bad.oracle = &oracle;
   harness::RunOutcome out = harness::run_program(prog, bad);
   ASSERT_TRUE(out.ok()) << out.diagnostic;

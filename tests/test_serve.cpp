@@ -507,6 +507,42 @@ TEST(Service, WatchdogClampBoundsRunHostBudget) {
   EXPECT_EQ(result.at("spec").at("max_host_sec").as_number(), 123.0);
 }
 
+TEST(Service, UnrunnableRunIsAnInvalidPayloadAndCachesNothing) {
+  // Measured mode needs one worker and the conservative schedule: the
+  // request is rejected at parse time, before anything executes.
+  ScratchDir dir("unrunnable");
+  serve::Service::Options so;
+  so.cache_dir = dir.sub("cache");
+  serve::Service service(so);
+
+  for (const char* extra :
+       {R"({"workers": 2})", R"({"schedule": "optimistic"})",
+        R"({"mode": "de", "workers": -3})"}) {
+    serve::Request req = run_request("client");
+    req.payload.set("mode", "measured");
+    const json::Value overrides = json::Value::parse(extra);
+    for (const auto& [key, value] : overrides.as_object()) {
+      req.payload.set(key, value);
+    }
+    const std::vector<json::Value> frames = collect(service, req);
+    ASSERT_EQ(frames.size(), 1u) << extra;
+    EXPECT_EQ(frames[0].at("event").as_string(), "error") << extra;
+    EXPECT_EQ(frames[0].at("error").at("code").as_string(),
+              "serve.invalid_payload")
+        << extra;
+    EXPECT_EQ(frames[0].at("error").at("category").as_string(),
+              errors::kCategoryUsage)
+        << extra;
+  }
+  std::size_t entries = 0;
+  if (fs::exists(so.cache_dir)) {
+    for (const auto& e : fs::recursive_directory_iterator(so.cache_dir)) {
+      if (e.is_regular_file()) ++entries;
+    }
+  }
+  EXPECT_EQ(entries, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Service: campaign byte-identity with the offline runner
 // ---------------------------------------------------------------------------
