@@ -16,7 +16,7 @@ namespace {
 
 /// The partition-round worker this thread runs: set by run_partition_round,
 /// so it is 0 on every thread that is not a pool worker (the caller of a
-/// one-worker or MC run, or a multi-worker run's barrier). Indexes the
+/// one-worker run, or a multi-worker run's barrier). Indexes the
 /// per-worker stat cells and anti-message queues.
 thread_local int g_current_worker = 0;
 
@@ -111,13 +111,7 @@ bool Process::try_match(const MatchSpec& spec, Message* out) {
     return engine_->opt_feed_replay(*this, spec, out);
   }
   auto take = [&](Channel& ch, MsgNode* node, MsgNode* prev) {
-    if (prev != nullptr) {
-      prev->next = node->next;
-    } else {
-      ch.head = node->next;
-    }
-    if (ch.tail == node) ch.tail = prev;
-    --inbox_size_;
+    unlink(ch, node, prev);
     *out = engine_->msg_arena_.release(node);
     if (engine_->config_.optimistic) {
       // Consumption log: the replay feed and the anti-message lookup both
@@ -421,6 +415,37 @@ Engine::InflightLane& Engine::inflight_lane(int src, int dst) {
   return *it;
 }
 
+MsgNode* Engine::insert_sorted(Process& p, Message&& m) {
+  Process::Channel& ch = p.channel(m.src);
+  // In-order arrival (every conservative message, and the optimistic
+  // no-rollback common case) appends at the tail in O(1). Only a Time Warp
+  // rollback at the *receiver* can requeue higher-seq messages ahead of a
+  // re-sent (post-replay) lower-seq one, forcing the head scan.
+  MsgNode* prev = ch.tail;
+  MsgNode* next = nullptr;
+  if (prev != nullptr && prev->value.seq >= m.seq) {
+    STGSIM_DCHECK(config_.optimistic)
+        << "FIFO violation on channel " << m.src << "->" << m.dst;
+    prev = nullptr;
+    next = ch.head;
+    while (next->value.seq < m.seq) {
+      prev = next;
+      next = next->next;
+    }
+    STGSIM_DCHECK(next->value.seq != m.seq);
+  }
+  MsgNode* node = msg_arena_.acquire(std::move(m));
+  node->next = next;
+  if (prev != nullptr) {
+    prev->next = node;
+  } else {
+    ch.head = node;
+  }
+  if (next == nullptr) ch.tail = node;
+  ++p.inbox_size_;
+  return node;
+}
+
 void Engine::deliver_now(Message&& msg) {
   Process& dst = *procs_[static_cast<std::size_t>(msg.dst)];
 
@@ -430,25 +455,7 @@ void Engine::deliver_now(Message&& msg) {
     return;
   }
 
-  MsgNode* node;
-  if (config_.optimistic) {
-    // Seq-sorted insert, not tail-append: a rollback at the *receiver* can
-    // requeue higher-seq messages, after which a re-sent (post-replay)
-    // message from the same source arrives with a lower seq.
-    node = opt_insert_sorted(dst, std::move(msg));
-  } else {
-    Process::Channel& ch = dst.channel(msg.src);
-    STGSIM_DCHECK(ch.tail == nullptr || ch.tail->value.seq < msg.seq)
-        << "FIFO violation on channel " << msg.src << "->" << msg.dst;
-    node = msg_arena_.acquire(std::move(msg));
-    if (ch.tail != nullptr) {
-      ch.tail->next = node;
-    } else {
-      ch.head = node;
-    }
-    ch.tail = node;
-    ++dst.inbox_size_;
-  }
+  MsgNode* node = insert_sorted(dst, std::move(msg));
   const std::uint64_t delivered = ++messages_delivered_;
   if (config_.max_messages > 0 && delivered > config_.max_messages) {
     if (threaded_phase_ && Fiber::current() == nullptr) {
@@ -633,10 +640,10 @@ void Engine::opt_log_release(Process& p, const Message& m) {
 }
 
 std::uint64_t Engine::opt_fold_log_bytes() {
-  // Scheduler thread only (one-worker and MC drivers, or a threaded run at
-  // a barrier / before its own fossil sweep): workers are quiesced, so
-  // plain reads of the per-rank counters and plain stores of the global
-  // are race-free.
+  // Scheduler thread only (one-worker rounds, or a threaded run at a
+  // barrier / before its own fossil sweep): workers are quiesced, so plain
+  // reads of the per-rank counters and plain stores of the global are
+  // race-free.
   std::uint64_t sum = 0;
   for (const auto& p : procs_) sum += p->opt_.log_bytes;
   opt_log_bytes_.store(sum, std::memory_order_relaxed);
@@ -745,13 +752,7 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
     MsgNode* prev = nullptr;
     for (MsgNode* n = ch->head; n != nullptr; prev = n, n = n->next) {
       if (n->value.seq == anti.seq) {
-        if (prev != nullptr) {
-          prev->next = n->next;
-        } else {
-          ch->head = n->next;
-        }
-        if (ch->tail == n) ch->tail = prev;
-        --dst.inbox_size_;
+        dst.unlink(*ch, n, prev);
         msg_arena_.recycle(n);
         messages_delivered_.fetch_sub(1, std::memory_order_relaxed);
         return;
@@ -775,42 +776,6 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
   STGSIM_CHECK(false) << "anti-message " << anti.src << "->" << anti.dst
                       << " seq " << anti.seq
                       << " has no positive counterpart";
-}
-
-MsgNode* Engine::opt_insert_sorted(Process& p, Message&& m) {
-  Process::Channel& ch = p.channel(m.src);
-  // In-order arrival (the no-rollback common case) appends at the tail in
-  // O(1) — same cost as the conservative channel plus one compare. Only a
-  // receiver-side rollback requeue can put a higher-seq message ahead of
-  // a re-sent lower-seq one, forcing the head scan.
-  if (ch.tail == nullptr || ch.tail->value.seq < m.seq) {
-    MsgNode* node = msg_arena_.acquire(std::move(m));
-    if (ch.tail != nullptr) {
-      ch.tail->next = node;
-    } else {
-      ch.head = node;
-    }
-    ch.tail = node;
-    ++p.inbox_size_;
-    return node;
-  }
-  MsgNode* prev = nullptr;
-  MsgNode* n = ch.head;
-  while (n != nullptr && n->value.seq < m.seq) {
-    prev = n;
-    n = n->next;
-  }
-  STGSIM_DCHECK(n == nullptr || n->value.seq != m.seq);
-  MsgNode* node = msg_arena_.acquire(std::move(m));
-  node->next = n;
-  if (prev != nullptr) {
-    prev->next = node;
-  } else {
-    ch.head = node;
-  }
-  if (n == nullptr) ch.tail = node;
-  ++p.inbox_size_;
-  return node;
 }
 
 void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
@@ -875,7 +840,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
     ConsumedEntry& e = o.consumed[i];
     opt_log_release(p, e.msg);
     if (drop_entry && i == k_rel) continue;
-    opt_insert_sorted(p, std::move(e.msg));
+    insert_sorted(p, std::move(e.msg));
   }
   o.consumed.resize(k_rel);
 
@@ -942,10 +907,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
 
   // 5) Scheduling: make the rank runnable exactly once.
   const bool was_queued = !p.blocked_ && !p.finished_;
-  if (p.finished_) {
-    p.finished_ = false;
-    opt_unfinished_delta_.fetch_add(1, std::memory_order_relaxed);
-  }
+  p.finished_ = false;
   p.blocked_ = false;
   p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
@@ -1228,21 +1190,13 @@ void Engine::abort_run(std::exception_ptr fallback) {
   aborting_ = true;
   // Unwind every suspended fiber so its RAII state (arrays, requests,
   // inbox payloads) is destroyed; never-started fibers hold no state.
+  // Every started fiber is suspended at a blocking_match yield, which
+  // throws FiberAborted once aborting_ is set: a blocked one, one woken but
+  // not yet resumed, and a rolled-back one whose old incarnation was never
+  // re-resumed (no fresh fiber is attached during an abort).
   for (auto& p : procs_) {
-    if (p->finished_ || p->fiber_ == nullptr) continue;
-    if (config_.optimistic && p->opt_.pending_unwind) {
-      // Rolled back but never re-resumed: the old incarnation is still
-      // suspended on its stack. Unwind it the same way (FiberAborted at
-      // the yield point); no fresh fiber is attached during an abort.
-      p->opt_.pending_unwind = false;
-      p->opt_.rollback_abort = true;
-      p->blocked_ = false;
-      p->waiting_on_ = nullptr;
-      p->fiber_->resume();
-      p->finished_ = true;
-      continue;
-    }
-    if (!p->blocked_) continue;
+    if (p->finished_ || p->fiber_ == nullptr || p->opt_.fresh) continue;
+    p->opt_.pending_unwind = false;
     p->blocked_ = false;
     p->waiting_on_ = nullptr;
     p->fiber_->resume();
@@ -1410,11 +1364,7 @@ RunResult Engine::run() {
 
   host_t0_sec_ = steady_now_sec();
 
-  if (mc_active_) {
-    run_sequential_mc();
-  } else {
-    run_rounds();
-  }
+  run_rounds();
 
   if (config_.optimistic) {
     pstats_.rollback_depth_hist.assign(WorkerStat::kDepthBuckets, 0);
@@ -1463,104 +1413,54 @@ RunResult Engine::run() {
 
 std::size_t Engine::oracle_choose(const std::vector<ChoiceOption>& options) {
   STGSIM_DCHECK(!options.empty());
-  try {
-    const std::size_t idx = oracle_->choose(options);
-    STGSIM_CHECK_LT(idx, options.size())
-        << "schedule oracle chose out of range";
-    return idx;
-  } catch (...) {
-    // Unwind suspended fibers before the oracle's exception (typically a
-    // deliberate prefix-abandon) leaves Engine::run().
-    abort_run(std::current_exception());
-  }
+  // Under MC the oracle is only consulted inside run_partition_round (the
+  // barrier's promotion never finds a tie there: the round's own stuck
+  // promotion already woke a rank or found no candidate), so an oracle
+  // exception (the checker's prefix-abandon) reaches run_rounds, which
+  // unwinds the suspended fibers.
+  const std::size_t idx = oracle_->choose(options);
+  STGSIM_CHECK_LT(idx, options.size())
+      << "schedule oracle chose out of range";
+  return idx;
 }
 
-void Engine::run_sequential_mc() {
-  // Ready ranks in a sorted vector (not the clock-ordered heap): in MC
-  // mode *which* ready rank runs next is the oracle's choice, and the
-  // sorted order gives the option list a canonical shape.
-  // Wakes land on worker 0's ready list (the only worker) and move into
-  // the set after every step.
-  std::vector<int> ready_set;
-  std::vector<int>& woken = worker_ready_[0];
-  auto take_woken = [&] {
-    for (int rank : woken) {
-      ready_set.insert(
-          std::lower_bound(ready_set.begin(), ready_set.end(), rank), rank);
-    }
-    woken.clear();
-  };
-  for (const auto& p : procs_) ready_set.push_back(p->rank_);
-
-  std::size_t remaining = procs_.size();
-  std::uint64_t iter = 0;
+int Engine::oracle_pick(IndexedMinHeap<VTime>& heap) {
+  // Canonical option order: every ready rank ascending, then the head of
+  // every non-empty in-flight lane in (src, dst) order.
   std::vector<ChoiceOption> options;
-  // Optimistic mode cannot declare the run complete while messages are
-  // still in flight: an undelivered anti-message (or a straggling
-  // positive) can roll a *finished* rank back, so the lanes must drain
-  // before the final state is certified.
-  while (remaining > 0 || (config_.optimistic && inflight_total_ > 0)) {
-    // Promotion point: with every lane drained no further message can
-    // appear without some rank running first, so parked wildcard
-    // candidate sets are final — the same quiescent condition the
-    // threaded scheduler's barrier establishes before it promotes.
-    if (inflight_total_ == 0 && !wildcard_pending_.empty()) {
-      promote_safe_wildcards(/*stuck=*/ready_set.empty());
-      take_woken();
-    }
-    if ((++iter & 255U) == 0 && host_budget_exhausted()) {
-      raise_budget(BudgetExceededError::Kind::kHostWallClock,
-                   "host wall-clock watchdog fired in MC scheduler");
-    }
-    if (config_.optimistic && --opt_gvt_countdown_ == 0) {
-      opt_gvt_pass();
-      opt_retune_gvt();
-    }
-
-    options.clear();
-    for (int rank : ready_set) {
-      ChoiceOption c;
-      c.kind = ChoiceOption::Kind::kResume;
-      c.rank = rank;
-      options.push_back(c);
-    }
-    for (const auto& lane : inflight_) {
-      if (lane.q.empty()) continue;
-      ChoiceOption c;
-      c.kind = ChoiceOption::Kind::kDeliver;
-      c.src = lane.src;
-      c.dst = lane.dst;
-      c.tag = lane.q.front().tag;
-      options.push_back(c);
-    }
-    if (options.empty()) raise_deadlock();
-
-    const ChoiceOption& c = options[oracle_choose(options)];
-    if (c.kind == ChoiceOption::Kind::kResume) {
-      ready_set.erase(
-          std::find(ready_set.begin(), ready_set.end(), c.rank));
-      Process& p = *procs_[static_cast<std::size_t>(c.rank)];
-      resume_process(p);
-      if (error_) abort_run(error_);
-      if (p.finished_) --remaining;
-    } else {
-      InflightLane& lane = inflight_lane(c.src, c.dst);
-      STGSIM_CHECK(!lane.q.empty());
-      Message m = std::move(lane.q.front());
-      lane.q.pop_front();
-      --inflight_total_;
-      deliver_now(std::move(m));
-    }
-    if (config_.optimistic) {
-      remaining += static_cast<std::size_t>(
-          opt_unfinished_delta_.exchange(0, std::memory_order_relaxed));
-    }
-    take_woken();
+  for (int r = 0; r < config_.num_processes; ++r) {
+    if (!heap.contains(r)) continue;
+    ChoiceOption c;
+    c.kind = ChoiceOption::Kind::kResume;
+    c.rank = r;
+    options.push_back(c);
   }
+  for (const auto& lane : inflight_) {
+    if (lane.q.empty()) continue;
+    ChoiceOption c;
+    c.kind = ChoiceOption::Kind::kDeliver;
+    c.src = lane.src;
+    c.dst = lane.dst;
+    c.tag = lane.q.front().tag;
+    options.push_back(c);
+  }
+  const ChoiceOption c = options[oracle_choose(options)];
+  if (c.kind == ChoiceOption::Kind::kResume) {
+    heap.erase(c.rank);
+    return c.rank;
+  }
+  InflightLane& lane = inflight_lane(c.src, c.dst);
+  Message m = std::move(lane.q.front());
+  lane.q.pop_front();
+  --inflight_total_;
+  deliver_now(std::move(m));
+  return -1;
 }
 
 bool Engine::drain_mailboxes(int worker, bool redelivery) {
   const int workers = config_.host_workers;
+  // No peers: nothing to drain, and no drain order for an oracle to permute.
+  if (workers == 1) return false;
   bool any = false;
   Message m;
   auto drain_from = [&](int u) {
@@ -1672,19 +1572,33 @@ void Engine::run_partition_round(int worker) {
     }
     local_ready.clear();
   };
+  // Under an oracle an in-flight lane head is work too. A conservative run
+  // still ends once every rank finished (nothing is left to receive what
+  // the lanes hold); an optimistic one drains them first, since an
+  // undelivered anti-message or straggler can roll a finished rank back.
+  auto has_work = [&] {
+    if (!heap.empty()) return true;
+    if (inflight_total_ == 0) return false;
+    if (config_.optimistic) return true;
+    return std::any_of(procs_.begin(), procs_.end(),
+                       [](const auto& pp) { return !pp->finished_; });
+  };
   for (;;) {
     // In-window cross-partition messages delivered by peers since the
     // last check; wakeups land on local_ready.
     if (threaded_run_) drain_mailboxes(worker, /*redelivery=*/true);
     take_ready();
-    if (!threaded_run_ && !wildcard_pending_.empty()) {
+    if (!threaded_run_ && inflight_total_ == 0 &&
+        !wildcard_pending_.empty()) {
       // One worker: no clock races, so parked wildcards are promoted
-      // between slices instead of waiting for the barrier.
+      // between slices instead of waiting for the barrier. With every
+      // in-flight lane drained, no message can appear before some rank
+      // runs, so each parked candidate set is final.
       promote_safe_wildcards(/*stuck=*/heap.empty());
       take_ready();
     }
 
-    if (heap.empty()) {
+    if (!has_work()) {
       if (active) {
         active = false;
         round_running_.fetch_sub(1, std::memory_order_acq_rel);
@@ -1736,7 +1650,13 @@ void Engine::run_partition_round(int worker) {
         opt_retune_gvt();
       }
     }
-    const int rank = heap.pop();
+    int rank;
+    if (mc_active_) {
+      rank = oracle_pick(heap);
+      if (rank < 0) continue;  // delivered an in-flight lane head
+    } else {
+      rank = heap.pop();
+    }
     Process& p = *procs_[static_cast<std::size_t>(rank)];
     if (config_.optimistic && opt_throttled(p)) {
       throttled.push_back(rank);

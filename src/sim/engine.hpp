@@ -9,33 +9,36 @@
 // the property direct-execution simulators rely on. Wildcard receives are
 // the exception and are guarded by a conservative safety bound.
 //
-// Two drivers decide which process runs next:
-//  * Partition rounds (every run without a schedule oracle): processes are
-//    partitioned over EngineConfig::host_workers workers, each running its
-//    partition lowest-clock-first. With several workers they are threads
-//    of a persistent pool; each round the scheduler computes a
-//    conservative lookahead window W = (min unfinished clock) + (network
-//    latency floor), workers exchange cross-partition messages arriving
-//    inside the window through bounded SPSC mailboxes and defer the rest
-//    to the round barrier, where the deterministic flush/merge order (and
-//    wildcard promotion) keeps results bit-identical to one worker. See
-//    DESIGN.md §10 for the protocol and its safety argument. One worker
-//    runs inline on the caller's thread: clocks cannot race, so wildcard
+// One driver decides which process runs next: rounds of
+// run_partition_round over EngineConfig::host_workers workers, separated by
+// barriers. Processes are partitioned over the workers; each round's pick
+// step is one of three pickers:
+//  * Heap (one worker, no oracle): the worker's ready heap, lowest clock
+//    first, inline on the caller's thread. Clocks cannot race, so wildcard
 //    receives are checked against the safety bound mid-slice and the run
 //    can record a *slice trace* (host-time cost of every execution slice
 //    and the message dependencies between slices). Replaying the trace
 //    under a k-worker list schedule (replay_host_trace) predicts the
 //    wall-clock on k host processors, as the paper's Figs. 14-16 measure
 //    MPI-Sim on a parallel host.
-//  * MC (EngineConfig::oracle with one worker): a ScheduleOracle picks
-//    every resume, in-flight lane delivery and wildcard tie.
-// Either driver runs either protocol: conservative (wildcard receives wait
+//  * Oracle (EngineConfig::oracle with one worker, MC mode): a
+//    ScheduleOracle picks every resume, in-flight lane delivery and
+//    wildcard tie.
+//  * Partition round (several workers): threads of a persistent pool, each
+//    popping its own heap lowest-clock-first. Each round the scheduler
+//    computes a conservative lookahead window W = (min unfinished clock) +
+//    (network latency floor), workers exchange cross-partition messages
+//    arriving inside the window through bounded SPSC mailboxes and defer
+//    the rest to the round barrier, where the deterministic flush/merge
+//    order (and wildcard promotion) keeps results bit-identical to one
+//    worker. See DESIGN.md §10 for the protocol and its safety argument.
+// Every picker runs either protocol: conservative (wildcard receives wait
 // for the safety bound) or optimistic (Time Warp, EngineConfig::optimistic:
 // processes execute speculatively past the safe bound; causality
 // violations trigger rollback via coast-forward replay from a per-process
 // consumption log (sim/rollback.hpp), speculative output is cancelled with
 // anti-messages, and periodic GVT passes fossil-collect the logs).
-// Committed results are bit-identical across drivers, worker counts and
+// Committed results are bit-identical across pickers, worker counts and
 // protocols. See DESIGN.md §15.
 //
 // Hot-path data structures (all per-engine, no global state):
@@ -266,6 +269,17 @@ class Process {
     channels_.push_back(Channel{src, nullptr, nullptr});
     return channels_.back();
   }
+  /// Removes `node` from `ch`; `prev` is its predecessor (null at the
+  /// head). The caller takes the node back to the arena.
+  void unlink(Channel& ch, MsgNode* node, MsgNode* prev) {
+    if (prev != nullptr) {
+      prev->next = node->next;
+    } else {
+      ch.head = node->next;
+    }
+    if (ch.tail == node) ch.tail = prev;
+    --inbox_size_;
+  }
 
   /// Next outgoing seq for `dst` (flat map: senders talk to few peers).
   std::uint64_t next_seq_for(int dst) {
@@ -379,9 +393,10 @@ struct EngineConfig {
   EngineObserver* observer = nullptr;
 
   /// Schedule-control hook (not owned; must outlive the engine). With one
-  /// host worker this switches the engine into MC mode (see
-  /// ScheduleOracle); with several it only perturbs the mailbox drain
-  /// order. Incompatible with record_host_trace.
+  /// host worker this switches the engine into MC mode: the oracle makes
+  /// the pick step of the partition round (see ScheduleOracle). With
+  /// several it only perturbs the mailbox drain order. Incompatible with
+  /// record_host_trace.
   ScheduleOracle* oracle = nullptr;
 
   /// Test-only protocol race to plant (kUnsafeWildcard needs the
@@ -394,13 +409,14 @@ struct EngineConfig {
   /// (coast-forward replay from the consumption log, see sim/rollback.hpp)
   /// and anti-messages for its speculative output; periodic GVT passes
   /// drive fossil collection. Committed results are bit-identical to the
-  /// conservative protocol. Works under both drivers and every worker
+  /// conservative protocol. Works under every picker and every worker
   /// count. Incompatible with record_host_trace.
   bool optimistic = false;
 
   /// Optimistic mode: scheduler iterations between exact GVT / fossil
-  /// passes (one worker and MC). The baseline is max(this, process
-  /// count); the engine then retunes it from consumption-log pressure.
+  /// passes (one-worker runs, oracle-driven ones included). The baseline
+  /// is max(this, process count); the engine then retunes it from
+  /// consumption-log pressure.
   std::uint64_t gvt_interval = 256;
 
   /// Optimistic mode: committed consumptions between per-rank checkpoints
@@ -633,15 +649,21 @@ class Engine {
   void deliver(Message&& msg, bool redelivery = false);
   /// The direct-insert tail of deliver(): channel insert, message budget,
   /// wake-or-park. In MC mode deliver() buffers into an in-flight lane
-  /// instead and the MC loop calls this when the oracle picks the lane.
+  /// instead and oracle_pick calls this when the oracle picks the lane.
   void deliver_now(Message&& msg);
-  /// One-worker driver under full oracle control (MC mode): every
-  /// resume, lane delivery and stuck-promotion tie goes through
-  /// config.oracle->choose(). See DESIGN.md §13 for the choice-point model.
-  void run_sequential_mc();
-  /// Routes oracle->choose() through abort_run on throw so suspended
-  /// fibers unwind before the exception leaves Engine::run().
+  /// Queues `m` in its channel of `p`'s inbox in seq order: a tail append
+  /// unless a Time Warp rollback requeued higher-seq messages (under the
+  /// conservative protocol, anything but an append is a FIFO violation).
+  MsgNode* insert_sorted(Process& p, Message&& m);
+  /// oracle->choose() with its range check. An oracle exception unwinds
+  /// the fibers through run_rounds like any other round error.
   std::size_t oracle_choose(const std::vector<ChoiceOption>& options);
+  /// The MC-mode pick step of run_partition_round: offers every rank in
+  /// `heap` and every in-flight lane head to the oracle. A resume removes
+  /// the rank from `heap` and returns it; a delivery hands the lane head
+  /// to deliver_now and returns -1. See DESIGN.md §13 for the choice-point
+  /// model.
+  int oracle_pick(IndexedMinHeap<VTime>& heap);
   /// Partition-round driver: runs rounds of run_partition_round (inline
   /// with one worker, on a WorkerPool otherwise) separated by barriers
   /// that flush deferred messages, promote wildcards and pass GVT.
@@ -659,8 +681,8 @@ class Engine {
   /// Unblocks `p` and queues it on its worker's ready list. `arrival` is
   /// the waking message's arrival time (for the observer).
   void wake_process(Process& p, VTime arrival);
-  /// Queues `p` on its worker's ready list (the driver moves it into its
-  /// heap or ready set), without wake_process's unblock/observer step.
+  /// Queues `p` on its worker's ready list (the round moves it into its
+  /// heap), without wake_process's unblock/observer step.
   void make_ready(Process& p);
 
   // --- Optimistic (Time Warp) mode; see DESIGN.md §15 ---
@@ -692,14 +714,12 @@ class Engine {
   /// Performs the deferred fiber unwind + recreation scheduled by
   /// opt_rollback (runs at the next resume, from scheduler context).
   void opt_finish_unwind(Process& p);
-  /// Inserts a rolled-back (unconsumed again) message into its channel in
-  /// seq order — reinserted seqs can interleave with still-queued ones.
-  MsgNode* opt_insert_sorted(Process& p, Message&& m);
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
-  /// Exact GVT pass for the single-threaded drivers: min over unfinished
-  /// clocks (and MC in-flight lanes), then fossil-collects every rank.
+  /// Exact GVT pass for one-worker rounds and the round barrier: min over
+  /// unfinished clocks (and MC in-flight lanes), then fossil-collects
+  /// every rank.
   void opt_gvt_pass();
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
   /// wildcard records with arrival < g, prunes the committed send-log
@@ -725,7 +745,7 @@ class Engine {
   /// past GVT, and the previous round made progress
   /// (opt_throttle_override_).
   bool opt_throttled(const Process& p) const;
-  /// Re-arms the exact-GVT countdown (one worker and MC): the cadence
+  /// Re-arms the exact-GVT countdown (one-worker runs): the cadence
   /// shrinks while consumption-log bytes grow and stretches back out
   /// while they shrink (bounds [16, 4x baseline]).
   void opt_retune_gvt();
@@ -783,7 +803,7 @@ class Engine {
   bool ran_ = false;
 
   // Per-worker ready lists (every wake lands on its rank's worker list;
-  // the driver moves it into the worker's heap or the MC ready set),
+  // the round moves it into the worker's heap),
   // ready heaps (persistent across rounds; drained within each), and
   // outboxes for cross-partition messages that could not ride a mailbox,
   // flushed at the end-of-round barrier. threaded_run_ marks a
@@ -839,7 +859,6 @@ class Engine {
   std::vector<char> opt_flushing_;
   std::atomic<VTime> gvt_{0};
   std::atomic<std::uint64_t> gvt_passes_{0};
-  std::atomic<int> opt_unfinished_delta_{0};  ///< finished ranks resurrected
   std::unique_ptr<std::atomic<VTime>[]> opt_floor_;
   std::unique_ptr<std::atomic<VTime>[]> opt_out_min_;
 
@@ -848,7 +867,7 @@ class Engine {
   std::atomic<std::uint64_t> opt_log_bytes_{0};
   std::atomic<std::uint64_t> opt_log_bytes_peak_{0};
 
-  // Adaptive GVT cadence for the one-worker and MC optimistic drivers:
+  // Adaptive GVT cadence for one-worker optimistic runs (oracle or not):
   // countdown to the next pass, re-armed to opt_gvt_interval_ which the
   // pass itself retunes from log pressure (within [16, 4x the baseline]).
   // A pass is an O(P) scan, so the adaptive baseline scales with the

@@ -8,6 +8,10 @@
 
 #include "support/check.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace stgsim::simk {
 
 namespace {
@@ -18,6 +22,28 @@ thread_local Fiber* g_current_fiber = nullptr;
 // every resume performed off the scheduler thread. A relaxed increment is
 // noise next to the swapcontext it accompanies.
 std::atomic<unsigned long long> g_switches{0};
+
+// AddressSanitizer tracks one stack per thread. Every swapcontext below is
+// announced to it, so a throw on a fiber stack (which unpoisons "the"
+// stack in __asan_handle_no_return) sees the right bounds instead of
+// reporting the scheduler's frames as stack-use-after-scope, and
+// detect_stack_use_after_return's fake frames follow the fiber. No-ops in
+// other builds.
+void start_switch([[maybe_unused]] void** fake_stack_save,
+                  [[maybe_unused]] const void* bottom,
+                  [[maybe_unused]] std::size_t size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+}
+
+void finish_switch([[maybe_unused]] void* fake_stack_save,
+                   [[maybe_unused]] const void** bottom_old,
+                   [[maybe_unused]] std::size_t* size_old) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#endif
+}
 
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -71,11 +97,14 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 void Fiber::run_body() {
+  finish_switch(nullptr, &caller_stack_bottom_, &caller_stack_size_);
   body_();
   finished_ = true;
-  // Return to whoever resumed us last; the fiber is never resumed again.
+  // Return to whoever resumed us last; the fiber is never resumed again
+  // (a null save slot lets ASan free this fiber's fake stack).
   Fiber* self = g_current_fiber;
   g_current_fiber = nullptr;
+  start_switch(nullptr, self->caller_stack_bottom_, self->caller_stack_size_);
   swapcontext(&self->context_, &self->return_context_);
   STGSIM_UNREACHABLE("finished fiber resumed");
 }
@@ -87,7 +116,10 @@ void Fiber::resume() {
   started_ = true;
   g_current_fiber = this;
   g_switches.fetch_add(1, std::memory_order_relaxed);
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack, context_.uc_stack.ss_sp, context_.uc_stack.ss_size);
   STGSIM_CHECK_EQ(swapcontext(&return_context_, &context_), 0);
+  finish_switch(fake_stack, nullptr, nullptr);
   STGSIM_CHECK(g_current_fiber == nullptr);
 }
 
@@ -95,9 +127,13 @@ void Fiber::yield_to_scheduler() {
   Fiber* self = g_current_fiber;
   STGSIM_CHECK(self != nullptr) << "yield outside of fiber";
   g_current_fiber = nullptr;
+  start_switch(&self->fake_stack_, self->caller_stack_bottom_,
+               self->caller_stack_size_);
   STGSIM_CHECK_EQ(swapcontext(&self->context_, &self->return_context_), 0);
-  // Resumed again: restore current pointer (resume() set it before the
-  // swap back into us).
+  // Resumed again, possibly from another thread's stack: record it, and
+  // restore current pointer (resume() set it before the swap back into us).
+  finish_switch(self->fake_stack_, &self->caller_stack_bottom_,
+                &self->caller_stack_size_);
   g_current_fiber = self;
 }
 

@@ -57,6 +57,12 @@ class Fiber {
   std::size_t map_bytes_ = 0;
   bool started_ = false;
   bool finished_ = false;
+  // AddressSanitizer fiber bookkeeping (unused in other builds): this
+  // fiber's fake stack while it is switched out, and the stack of the
+  // context that last resumed it.
+  void* fake_stack_ = nullptr;
+  const void* caller_stack_bottom_ = nullptr;
+  std::size_t caller_stack_size_ = 0;
 };
 
 }  // namespace stgsim::simk

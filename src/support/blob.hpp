@@ -65,6 +65,7 @@ class BlobReader {
 
   void raw(void* p, std::size_t n) {
     STGSIM_CHECK(pos_ + n <= size_) << "checkpoint blob truncated";
+    if (n == 0) return;  // p may be null (an empty vector's data())
     std::memcpy(p, data_ + pos_, n);
     pos_ += n;
   }

@@ -458,30 +458,42 @@ TEST(Engine, HostWatchdogStopsSpinningRun) {
 
 TEST(Engine, HostWatchdogStopsSpinningThreadedWorker) {
   // Two ranks in the same partition ping-ponging zero-latency messages
-  // never leave run_partition_until_blocked (every wake lands in the same
-  // worker's ready list), so the between-rounds watchdog on the scheduler
-  // thread never gets a chance — the in-loop probe inside the worker must
-  // fire instead.
-  EngineConfig cfg;
-  cfg.num_processes = 2;
-  cfg.host_workers = 1;  // both ranks share one partition
-  cfg.max_host_seconds = 0.2;
-  Engine e(cfg);
-  e.set_body([](Process& p) {
-    MatchSpec from_peer;
-    from_peer.src = 1 - p.rank();
-    from_peer.tag = 1;
-    if (p.rank() == 0) p.send(make_msg(0, 1, 1, p.now(), p.now()));
-    for (;;) {
-      (void)p.blocking_match(from_peer);
-      p.send(make_msg(p.rank(), 1 - p.rank(), 1, p.now(), p.now()));
+  // never leave run_partition_round (every wake lands in the same worker's
+  // ready list), so the between-rounds watchdog on the scheduler thread
+  // never gets a chance — the in-loop probe inside the round must fire
+  // instead. The same holds when a schedule oracle makes every pick (MC
+  // mode): its resumes and lane deliveries run in the same round loop.
+  struct FirstOption : ScheduleOracle {
+    std::size_t choose(const std::vector<ChoiceOption>&) override {
+      return 0;
     }
-  });
-  try {
-    e.run();
-    FAIL() << "expected BudgetExceededError";
-  } catch (const BudgetExceededError& b) {
-    EXPECT_EQ(b.kind(), BudgetExceededError::Kind::kHostWallClock);
+  };
+  FirstOption first_option;
+  for (ScheduleOracle* oracle : {static_cast<ScheduleOracle*>(nullptr),
+                                 static_cast<ScheduleOracle*>(&first_option)}) {
+    SCOPED_TRACE(oracle == nullptr ? "heap picks" : "oracle picks");
+    EngineConfig cfg;
+    cfg.num_processes = 2;
+    cfg.host_workers = 1;  // both ranks share one partition
+    cfg.max_host_seconds = 0.2;
+    cfg.oracle = oracle;
+    Engine e(cfg);
+    e.set_body([](Process& p) {
+      MatchSpec from_peer;
+      from_peer.src = 1 - p.rank();
+      from_peer.tag = 1;
+      if (p.rank() == 0) p.send(make_msg(0, 1, 1, p.now(), p.now()));
+      for (;;) {
+        (void)p.blocking_match(from_peer);
+        p.send(make_msg(p.rank(), 1 - p.rank(), 1, p.now(), p.now()));
+      }
+    });
+    try {
+      e.run();
+      FAIL() << "expected BudgetExceededError";
+    } catch (const BudgetExceededError& b) {
+      EXPECT_EQ(b.kind(), BudgetExceededError::Kind::kHostWallClock);
+    }
   }
 }
 
@@ -498,18 +510,20 @@ TEST(Engine, AbortUnwindsBlockedFibersRunningDestructors) {
     Sentinel s;
     if (p.rank() == 0) {
       // Block until the LAST rank pokes us, so every fiber has started
-      // (and suspended) by the time we blow up.
+      // (and suspended) by the time we blow up. Wake rank 1 first: it is
+      // then ready but never resumed, and must be unwound all the same.
       p.blocking_match(match_tag(2, 1));
+      p.send(make_msg(0, 1, 99, p.now(), p.now()));
       throw std::runtime_error("boom");
     }
     if (p.rank() == 2) {
       p.send(make_msg(2, 0, 1, 0, vtime_from_us(1)));
     }
-    p.blocking_match(match_tag(0, 99));  // blocks forever
+    p.blocking_match(match_tag(0, 99));  // blocks forever on rank 2
   });
   EXPECT_THROW(e.run(), std::runtime_error);
-  // All three fibers' stack objects were destroyed (0 threw; 1, 2 were
-  // unwound via FiberAborted).
+  // All three fibers' stack objects were destroyed (0 threw; 1, woken,
+  // and 2, blocked, were unwound via FiberAborted).
   EXPECT_EQ(destroyed.load(), 3);
 }
 

@@ -3,8 +3,9 @@
 // Covers: digest invariance across exhaustively explored schedules, the
 // injected pre-safety-bound wildcard race (a divergence must be found,
 // serialized, and deterministically replayable), deadlock-report
-// invariance across schedules AND across threaded worker counts, and the
-// DPOR reduction's equivalence with full exploration.
+// invariance across schedules AND across threaded worker counts, the
+// DPOR reduction's equivalence with full exploration, and exploration
+// pinned choice for choice on the CI gate configurations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -261,6 +262,102 @@ TEST(McExplore, DporExploresSameDigestsAsFullExploration) {
   EXPECT_EQ(dpor.distinct_schedule_digests, full.distinct_schedule_digests);
   EXPECT_LE(dpor.stats.schedules, full.stats.schedules);
   EXPECT_GT(full.stats.schedules, 1u);
+}
+
+/// FNV-1a over every logged choice point: the option list in engine order,
+/// then the chosen option.
+std::uint64_t choice_log_hash(const std::vector<mc::StepLog>& log) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_option = [&](const simk::ChoiceOption& o) {
+    mix(static_cast<std::int64_t>(o.kind));
+    mix(o.rank);
+    mix(o.src);
+    mix(o.dst);
+    mix(o.tag);
+  };
+  for (const mc::StepLog& step : log) {
+    mix(static_cast<std::int64_t>(step.options.size()));
+    for (const simk::ChoiceOption& o : step.options) mix_option(o);
+    mix_option(step.chosen);
+  }
+  return h;
+}
+
+TEST(McExplore, ExplorationPinnedAtParent) {
+  // Exploration is choice-for-choice reproducible: the same option lists
+  // in the same order, the same schedule counts and the same digests. Any
+  // change to how the engine enumerates or applies oracle choices moves
+  // one of these values; never re-capture them to make an engine change
+  // pass.
+  struct Pin {
+    const char* name;
+    apps::AppSpec app;
+    int nprocs;
+    harness::Schedule schedule;
+    simk::Inject inject;
+    std::uint64_t max_schedules;
+    std::uint64_t schedules, pruned;
+    std::size_t max_depth_seen;
+    bool complete;
+    const char* digest;
+    std::uint64_t first_log_hash;
+  };
+  // The CI protocol-gate configurations (`stgsim check` defaults).
+  const apps::AppSpec sample{
+      "sample", {{"pattern", "anysource"}, {"iters", "1"}, {"work", "2000"}}};
+  const apps::AppSpec tomcatv{"tomcatv", {{"n", "64"}, {"iters", "1"}}};
+  const apps::AppSpec sweep3d{"sweep3d", {{"kt", "8"}, {"kb", "4"}}};
+  constexpr auto kCons = harness::Schedule::kConservative;
+  constexpr auto kNoInject = simk::Inject::kNone;
+  const std::vector<Pin> pins = {
+      {"sample-3", sample, 3, kCons, kNoInject, 256, 6, 4, 7, true,
+       "3c8be893359a1bcf", 0xc5e20b4fe96ba1a7ULL},
+      {"sample-3-optimistic", sample, 3, harness::Schedule::kOptimistic,
+       kNoInject, 256, 8, 4, 7, true, "3c8be893359a1bcf",
+       0x8010579f406aa8f8ULL},
+      // Stops at the first divergence: one schedule, incomplete.
+      {"sample-3-unsafe-wildcard", sample, 3, kCons,
+       simk::Inject::kUnsafeWildcard, 256, 1, 0, 7, false, "3c8be893359a1bcf",
+       0x8010579f406aa8f8ULL},
+      {"tomcatv-2", tomcatv, 2, kCons, kNoInject, 256, 22, 19, 14, true,
+       "82eea5e9d223a9a5", 0x83abb5d1732c7190ULL},
+      {"sweep3d-4", sweep3d, 4, kCons, kNoInject, 32, 32, 76, 235, false,
+       "b3a589a6a893e5ef", 0x24830229c54dacc1ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const ir::Program prog = apps::build_app(pin.app, pin.nprocs);
+    mc::CheckOptions opts;
+    opts.base = base_config(pin.nprocs);
+    opts.base.schedule = pin.schedule;
+    opts.base.inject = pin.inject;
+    opts.max_schedules = pin.max_schedules;
+    opts.max_host_seconds = 0.0;  // pins must not depend on host speed
+    opts.threaded_workers = 0;    // isolate the oracle-driven exploration
+    const mc::CheckReport rep = mc::check_program(prog, opts);
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+
+    // The first explored run: empty prefix, empty sleep set.
+    harness::RunConfig rc = opts.base;
+    mc::RecordingOracle oracle({}, {},
+                               mc::make_independence(rep.used_wildcard_recv));
+    rc.oracle = &oracle;
+    const harness::RunOutcome first = harness::run_program(prog, rc);
+    ASSERT_TRUE(first.ok()) << first.diagnostic;
+
+    EXPECT_EQ(rep.stats.schedules, pin.schedules);
+    EXPECT_EQ(rep.stats.pruned, pin.pruned);
+    EXPECT_EQ(rep.stats.max_depth_seen, pin.max_depth_seen);
+    EXPECT_EQ(rep.stats.complete, pin.complete);
+    EXPECT_EQ(rep.canonical_digest, pin.digest);
+    EXPECT_EQ(choice_log_hash(oracle.log()), pin.first_log_hash);
+  }
 }
 
 // ---------------------------------------------------------------------------
