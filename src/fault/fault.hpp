@@ -110,8 +110,8 @@ struct FaultPlan {
   /// Factor by which the plan provably raises *every* wire latency: the
   /// product of latency factors over clauses that match all traffic at all
   /// times (src = dst = kAnyRank, window [0, never)). Always >= 1. The
-  /// threaded scheduler multiplies the network latency floor by this to
-  /// widen its lookahead window; clauses scoped to specific links or time
+  /// wildcard safety bound multiplies the network latency floor by this;
+  /// clauses scoped to specific links or time
   /// windows contribute nothing (they cannot raise the floor for traffic
   /// they do not cover).
   double latency_floor_factor() const;

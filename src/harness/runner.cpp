@@ -159,8 +159,8 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
       // never feed back into timing, so digests stay identical.
       world->network().enable_link_stats();
     }
-    // Wildcard (ANY_SOURCE/waitany) commits — and the threaded scheduler's
-    // lookahead window — are gated on the latency floor; set it up front so
+    // Wildcard (ANY_SOURCE/waitany) commits are gated on the latency
+    // floor; set it up front so
     // even a run whose first operation is a wildcard receive is bounded
     // correctly. The floor includes the fault plan's always-on global
     // latency factors (a sound, possibly larger bound that never changes

@@ -36,7 +36,8 @@ enum class Mode { kMeasured, kDirectExec, kAnalytical };
 const char* mode_name(Mode m);
 
 /// Parallel synchronization protocol for the simulation engine.
-///   kConservative — never execute past the lookahead-window safe bound.
+///   kConservative — wildcard receives commit only once the safety bound
+///                   passes their candidate; nothing is ever undone.
 ///   kOptimistic   — Time Warp: execute speculatively, roll back on
 ///                   stragglers/anti-messages, commit via GVT. Digests are
 ///                   bit-identical to the conservative schedulers.
@@ -91,9 +92,8 @@ struct RunConfig {
   simk::PartitionMode partition = simk::PartitionMode::kBlock;
 
   /// Synchronization protocol. kOptimistic applies to one worker
-  /// (threads <= 1; wildcards commit on sight) and to several (no
-  /// lookahead window; workers run ahead freely and GVT commits behind
-  /// them). Incompatible with
+  /// (threads <= 1; wildcards commit on sight) and to several (workers
+  /// run ahead freely and GVT commits behind them). Incompatible with
   /// kMeasured mode, calibration/profiling hooks, and host-trace
   /// recording — all of which carry state a rollback cannot restore.
   Schedule schedule = Schedule::kConservative;

@@ -77,11 +77,11 @@ struct MetricsSnapshot {
   /// bytes in [2^k, 2^(k+1)); bucket 0 also holds zero-byte messages.
   std::vector<std::uint64_t> msg_size_hist;
 
-  /// Threaded-scheduler window-advance histogram (empty for sequential
-  /// runs): bucket k>0 counts rounds whose safe-window base advanced by
-  /// [2^(k-1), 2^k) ns over the previous round; bucket 0 counts
-  /// zero-advance rounds. Appended by the harness from
-  /// simk::ParallelStats.
+  /// Threaded-scheduler round-advance histogram (empty for sequential
+  /// runs; the key keeps its historical name): bucket k>0 counts rounds
+  /// whose minimum unfinished clock advanced by [2^(k-1), 2^k) ns over
+  /// the previous round; bucket 0 counts zero-advance rounds. Appended by
+  /// the harness from simk::ParallelStats.
   std::vector<std::uint64_t> window_advance_hist;
 
   /// Optimistic-rollback depth histogram (empty for conservative runs):

@@ -346,25 +346,18 @@ bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
 
 double Engine::now_host_sec() const { return steady_now_sec() - host_t0_sec_; }
 
-void Engine::deliver(Message&& msg, bool redelivery) {
+void Engine::deliver(Message&& msg) {
   Process& dst = *procs_[static_cast<std::size_t>(msg.dst)];
 
   if (threaded_phase_) {
     const int w = g_current_worker;
     if (dst.home_worker_ != w) {
-      // Cross-partition. In-window messages ride the SPSC mailbox so the
-      // owning worker can consume them this round; the rest wait for the
-      // end-of-round barrier. Once one message on a (sender worker,
-      // destination worker) lane spills to the outbox, every later
-      // message on that lane must follow it this round — the barrier
-      // flushes outboxes after mailboxes, and per-(src,dst) channel FIFO
-      // must survive the split. (Payload buffers allocated on this worker
-      // travel with the message; the pool is spinlocked.)
-      WorkerStat& ws = worker_stats_[static_cast<std::size_t>(w)];
-      const std::size_t lane =
-          static_cast<std::size_t>(w) *
-              static_cast<std::size_t>(config_.host_workers) +
-          static_cast<std::size_t>(dst.home_worker_);
+      // Cross-partition: ride the (sender worker, destination worker) lane,
+      // which the destination drains between its slices. The lane is FIFO
+      // and carries every message between the two partitions, so each
+      // per-(src,dst) channel keeps its send order. (Payload buffers
+      // allocated on this worker travel with the message; the pool is
+      // spinlocked.)
       if (config_.optimistic) {
         // Asynchronous GVT: record the smallest arrival this worker has
         // put in transit since the last barrier (monotone min, reset at
@@ -377,19 +370,13 @@ void Engine::deliver(Message&& msg, bool redelivery) {
                                          std::memory_order_relaxed)) {
         }
       }
-      if (spill_epoch_[lane] != round_epoch_ &&
-          msg.arrival <= window_bound_ &&
-          mailboxes_[lane]->try_push(std::move(msg))) {
-        ++ws.mailbox;
-      } else {
-        spill_epoch_[lane] = round_epoch_;
-        ++ws.barrier;
-        round_outboxes_[static_cast<std::size_t>(w)].push_back(
-            std::move(msg));
-      }
+      mailboxes_[static_cast<std::size_t>(w) *
+                     static_cast<std::size_t>(config_.host_workers) +
+                 static_cast<std::size_t>(dst.home_worker_)]
+          ->push(std::move(msg));
       return;
     }
-    if (!redelivery) ++worker_stats_[static_cast<std::size_t>(w)].intra;
+    ++worker_stats_[static_cast<std::size_t>(w)].intra;
   }
 
   if (mc_active_) {
@@ -525,9 +512,9 @@ void Engine::wake_process(Process& p, VTime arrival) {
 }
 
 void Engine::make_ready(Process& p) {
-  // Local deliveries happen on the destination's own worker; flush
-  // deliveries and promotions happen between rounds — both may touch this
-  // list, never at the same time.
+  // Local deliveries and lane drains happen on the destination's own
+  // worker; barrier drains and promotions happen between rounds — both
+  // may touch this list, never at the same time.
   worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
 }
 
@@ -1457,20 +1444,20 @@ int Engine::oracle_pick(IndexedMinHeap<VTime>& heap) {
   return -1;
 }
 
-bool Engine::drain_mailboxes(int worker, bool redelivery) {
+std::uint64_t Engine::drain_mailboxes(int worker) {
   const int workers = config_.host_workers;
   // No peers: nothing to drain, and no drain order for an oracle to permute.
-  if (workers == 1) return false;
-  bool any = false;
+  if (workers == 1) return 0;
+  std::uint64_t drained = 0;
   Message m;
   auto drain_from = [&](int u) {
-    SpscRing<Message>& ring =
+    SpscLane<Message>& lane =
         *mailboxes_[static_cast<std::size_t>(u) *
                         static_cast<std::size_t>(workers) +
                     static_cast<std::size_t>(worker)];
-    while (ring.try_pop(&m)) {
-      deliver(std::move(m), redelivery);
-      any = true;
+    while (lane.try_pop(&m)) {
+      deliver_now(std::move(m));
+      ++drained;
     }
   };
   if (oracle_ != nullptr) {
@@ -1494,13 +1481,13 @@ bool Engine::drain_mailboxes(int worker, bool redelivery) {
       seen |= 1ULL << u;
       drain_from(u);
     }
-    return any;
+    return drained;
   }
   for (int u = 0; u < workers; ++u) {
     if (u == worker) continue;
     drain_from(u);
   }
-  return any;
+  return drained;
 }
 
 void Engine::run_partition_round(int worker) {
@@ -1512,8 +1499,9 @@ void Engine::run_partition_round(int worker) {
   // round_running_ counts workers that currently have (or may produce)
   // local work. A worker leaves the count when its heap and mailboxes are
   // both empty, rejoins if a mailbox delivery wakes one of its ranks, and
-  // exits the round when the count hits zero — at that point every worker
-  // is idle, so only barrier-deferred messages remain.
+  // exits the round when the count hits zero and a last drain finds
+  // nothing. A peer that rejoins after that can still push to this worker;
+  // the barrier drains what it leaves.
   bool active = true;
   std::uint64_t iter = 0;
   const int workers = config_.host_workers;
@@ -1584,9 +1572,9 @@ void Engine::run_partition_round(int worker) {
                        [](const auto& pp) { return !pp->finished_; });
   };
   for (;;) {
-    // In-window cross-partition messages delivered by peers since the
-    // last check; wakeups land on local_ready.
-    if (threaded_run_) drain_mailboxes(worker, /*redelivery=*/true);
+    // Cross-partition messages pushed by peers since the last check;
+    // wakeups land on local_ready.
+    if (threaded_run_) ws.mailbox += drain_mailboxes(worker);
     take_ready();
     if (!threaded_run_ && inflight_total_ == 0 &&
         !wildcard_pending_.empty()) {
@@ -1607,7 +1595,9 @@ void Engine::run_partition_round(int worker) {
       if (round_running_.load(std::memory_order_acquire) == 0) {
         // Everyone is idle. One last drain: a peer may have pushed right
         // before it went idle; the acquire above makes that push visible.
-        if (!drain_mailboxes(worker, /*redelivery=*/true)) break;
+        const std::uint64_t drained = drain_mailboxes(worker);
+        if (drained == 0) break;
+        ws.mailbox += drained;
         continue;
       }
       // A peer is still running and may yet feed us through a mailbox.
@@ -1676,11 +1666,6 @@ void Engine::run_partition_round(int worker) {
 
 namespace {
 
-/// Mailbox depth per (sender worker, receiver worker) lane. Overflow is
-/// not an error — excess traffic spills to the barrier outbox — so this
-/// only bounds how much can bypass the barrier per round.
-constexpr std::size_t kMailboxCapacity = 256;
-
 /// Log2-ns buckets for ParallelStats::window_advance_hist.
 constexpr std::size_t kAdvanceBuckets = 48;
 
@@ -1703,8 +1688,6 @@ void Engine::run_rounds() {
   // a single worker runs inline on this thread, where the safety bound can
   // be evaluated mid-slice and the round/mailbox counters stay zero.
   threaded_run_ = workers > 1;
-  round_outboxes_.clear();
-  round_outboxes_.resize(static_cast<std::size_t>(workers));
   worker_wildcard_pending_.assign(static_cast<std::size_t>(workers), {});
   worker_heaps_.resize(static_cast<std::size_t>(workers));
   for (auto& h : worker_heaps_) h.reset(config_.num_processes);
@@ -1713,18 +1696,16 @@ void Engine::run_rounds() {
   mailboxes_.clear();
   mailboxes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    mailboxes_.push_back(std::make_unique<SpscRing<Message>>(kMailboxCapacity));
+    mailboxes_.push_back(std::make_unique<SpscLane<Message>>());
   }
-  spill_epoch_.assign(lanes, 0);
-  round_epoch_ = 0;
   pstats_ = ParallelStats{};
   if (threaded_run_) pstats_.window_advance_hist.assign(kAdvanceBuckets, 0);
   for (const auto& p : procs_) make_ready(*p);
 
   // A worker-side exception (simulator invariant failure) must not escape
   // a pool thread — record it and let the barrier abort the run. Pool
-  // workers persist for the whole run; each pool round runs one
-  // conservative window.
+  // workers persist for the whole run; each pool round runs until every
+  // worker is idle.
   auto run_worker = [this](int w) {
     try {
       run_partition_round(w);
@@ -1756,19 +1737,11 @@ void Engine::run_rounds() {
     }
 
     if (threaded_run_) {
-      // Conservative window for this round: no message sent from here on
-      // can arrive before (min unfinished clock) + (latency floor), so
-      // anything arriving at or below that bound is safe to hand straight
-      // to the destination worker mid-round.
       VTime min_clock = kVTimeNever;
       for (const auto& p : procs_) {
         if (!p->finished_) min_clock = std::min(min_clock, p->clock_);
       }
       if (config_.optimistic) {
-        // No safe bound: every cross-partition message may ride the
-        // mailbox and be consumed speculatively. Stragglers are corrected
-        // by rollback, so the window is unbounded.
-        window_bound_ = kVTimeNever;
         // Seed the asynchronous-GVT inputs for this round: each worker's
         // clock floor starts at the global min (clocks only matter once a
         // rollback lowers them, and the triggering message's arrival is
@@ -1780,17 +1753,11 @@ void Engine::run_rounds() {
           opt_out_min_[static_cast<std::size_t>(v)].store(
               kVTimeNever, std::memory_order_relaxed);
         }
-      } else {
-        const VTime lookahead =
-            wildcard_min_latency_.load(std::memory_order_relaxed);
-        window_bound_ =
-            min_clock == kVTimeNever ? kVTimeNever : min_clock + lookahead;
       }
       ++pstats_.rounds;
       pstats_.window_advance_hist[advance_bucket(
           prev_min == kVTimeNever ? 0 : min_clock - prev_min)] += 1;
       prev_min = min_clock;
-      ++round_epoch_;
     }
 
     std::uint64_t slices_before = 0;
@@ -1805,24 +1772,17 @@ void Engine::run_rounds() {
     }
     if (error_) abort_run(error_);
 
-    // Barrier reached: deliver everything still in flight. Mailboxes
-    // first (a lane's outbox spill began only after its last successful
-    // mailbox push, so draining rings before outboxes preserves
-    // per-channel FIFO), in fixed (sender, receiver) order; then the
-    // outboxes in worker order. Both orders are fixed and per-channel
-    // order is preserved within each, so the flush — and therefore the
-    // whole run — is deterministic.
+    // Barrier reached: deliver what peers pushed after a worker's last
+    // drain, receiver by receiver. Every lane is FIFO, so per-channel
+    // order survives whichever side of the barrier a message lands on.
     for (int v = 0; v < workers; ++v) {
-      drain_mailboxes(v, /*redelivery=*/true);
-    }
-    for (auto& outbox : round_outboxes_) {
-      for (auto& msg : outbox) deliver(std::move(msg), /*redelivery=*/true);
-      outbox.clear();
+      worker_stats_[static_cast<std::size_t>(v)].barrier +=
+          drain_mailboxes(v);
     }
 
     // Wildcard receives always park during a threaded round (clocks
-    // race); now the barrier has frozen every clock and flushed every
-    // message, evaluate the safety bound. Worker lists merge in fixed
+    // race); now the barrier has frozen every clock and drained every
+    // lane, evaluate the safety bound. Worker lists merge in fixed
     // order, and promotion itself is (arrival, rank)-deterministic, so
     // this preserves the one-worker commit choices.
     for (auto& pending : worker_wildcard_pending_) {
@@ -1835,8 +1795,8 @@ void Engine::run_rounds() {
     }
 
     if (config_.optimistic) {
-      // Exact GVT at the barrier: every worker is idle and every message
-      // flushed. (The flush above may itself have triggered rollbacks —
+      // Exact GVT at the barrier: every worker is idle and every lane
+      // drained. (The drain above may itself have triggered rollbacks —
       // on this thread — so clocks are read after it.)
       opt_gvt_pass();
       if (threaded_run_ && config_.speculation_window > 0) {

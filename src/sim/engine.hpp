@@ -25,13 +25,14 @@
 //    ScheduleOracle picks every resume, in-flight lane delivery and
 //    wildcard tie.
 //  * Partition round (several workers): threads of a persistent pool, each
-//    popping its own heap lowest-clock-first. Each round the scheduler
-//    computes a conservative lookahead window W = (min unfinished clock) +
-//    (network latency floor), workers exchange cross-partition messages
-//    arriving inside the window through bounded SPSC mailboxes and defer
-//    the rest to the round barrier, where the deterministic flush/merge
-//    order (and wildcard promotion) keeps results bit-identical to one
-//    worker. See DESIGN.md §10 for the protocol and its safety argument.
+//    popping its own heap lowest-clock-first. Every cross-partition
+//    message rides an unbounded SPSC lane that its destination worker
+//    drains between slices, so it is consumed mid-round. Deterministic
+//    receives complete at max(clock, arrival) on per-source FIFO
+//    channels, so host delivery order cannot change them; wildcard
+//    receives park until the round barrier, where they are promoted
+//    against the safety bound. Results stay bit-identical to one worker.
+//    See DESIGN.md §10 for the protocol and its safety argument.
 // Every picker runs either protocol: conservative (wildcard receives wait
 // for the safety bound) or optimistic (Time Warp, EngineConfig::optimistic:
 // processes execute speculatively past the safe bound; causality
@@ -344,7 +345,6 @@ struct Slice {
 struct HostModel {
   double per_slice_overhead_sec = 0.4e-6;   ///< scheduler/context switch
   double cross_worker_msg_sec = 3.0e-6;     ///< remote delivery overhead
-  double per_round_sync_base_sec = 4.0e-6;  ///< (reserved for window modes)
 
   /// Multiplier applied to measured slice durations (and send offsets):
   /// set to the target-era slowdown to model the simulator running on the
@@ -371,7 +371,7 @@ struct EngineConfig {
   int num_processes = 1;
 
   /// Workers of the partition-round driver. 1 runs inline on the caller's
-  /// thread; more run on a thread pool with a lookahead window per round.
+  /// thread; more run on a thread pool, in rounds separated by barriers.
   int host_workers = 1;
 
   /// rank -> worker map for the partition-round driver (from
@@ -455,17 +455,22 @@ struct EngineConfig {
 /// sent in) — they are excluded from run digests.
 struct ParallelStats {
   std::uint64_t rounds = 0;
-  std::uint64_t intra_messages = 0;    ///< both endpoints on one worker
-  std::uint64_t mailbox_messages = 0;  ///< cross-partition, in-window SPSC
-  std::uint64_t barrier_messages = 0;  ///< cross-partition, barrier-flushed
+  std::uint64_t intra_messages = 0;  ///< both endpoints on one worker
+  /// Cross-partition messages drained by their destination worker during
+  /// a round.
+  std::uint64_t mailbox_messages = 0;
+  /// Cross-partition messages left in a lane for the scheduler's barrier
+  /// drain (pushed after their destination worker left the round).
+  std::uint64_t barrier_messages = 0;
 
   std::uint64_t cross_messages() const {
     return mailbox_messages + barrier_messages;
   }
 
-  /// Bucket k>0 counts rounds whose safe-window base (min unfinished
-  /// clock) advanced by [2^(k-1), 2^k) ns since the previous round;
-  /// bucket 0 counts zero-advance rounds.
+  /// Bucket k>0 counts rounds whose minimum unfinished clock advanced by
+  /// [2^(k-1), 2^k) ns since the previous round; bucket 0 counts
+  /// zero-advance rounds. Published as `window_advance_hist`, its
+  /// historical name, in the run-outcome JSON.
   std::vector<std::uint64_t> window_advance_hist;
 
   /// Per-worker virtual time spent executing slices (sum over executed
@@ -641,12 +646,10 @@ class Engine {
   struct WorkerStat;  // defined below (used by opt_stat)
 
   /// Routes a message to its destination. During a threaded round a
-  /// cross-partition message goes to the in-window SPSC mailbox (or the
-  /// barrier outbox when out-of-window / full / order requires it);
-  /// otherwise it is inserted into the destination inbox directly.
-  /// `redelivery` marks the second leg of a deferred message (mailbox
-  /// drain / barrier flush) so protocol counters count each message once.
-  void deliver(Message&& msg, bool redelivery = false);
+  /// cross-partition message goes to the lane toward its destination
+  /// worker; otherwise it is inserted into the destination inbox directly
+  /// (in MC mode, into its in-flight lane).
+  void deliver(Message&& msg);
   /// The direct-insert tail of deliver(): channel insert, message budget,
   /// wake-or-park. In MC mode deliver() buffers into an in-flight lane
   /// instead and oracle_pick calls this when the oracle picks the lane.
@@ -666,15 +669,15 @@ class Engine {
   int oracle_pick(IndexedMinHeap<VTime>& heap);
   /// Partition-round driver: runs rounds of run_partition_round (inline
   /// with one worker, on a WorkerPool otherwise) separated by barriers
-  /// that flush deferred messages, promote wildcards and pass GVT.
+  /// that drain the lanes, promote wildcards and pass GVT.
   void run_rounds();
   /// One round of worker `w`: execute the partition, draining incoming
   /// mailboxes between slices, until no local work remains and the round
   /// is quiescing.
   void run_partition_round(int worker);
-  /// Pops every queued message from `worker`'s incoming mailboxes and
-  /// inserts it locally. Returns true if anything was delivered.
-  bool drain_mailboxes(int worker, bool redelivery);
+  /// Pops every queued message from `worker`'s incoming lanes and hands it
+  /// to deliver_now. Returns how many it delivered.
+  std::uint64_t drain_mailboxes(int worker);
   void resume_process(Process& p);
   [[noreturn]] void raise_deadlock();
 
@@ -803,29 +806,19 @@ class Engine {
   bool ran_ = false;
 
   // Per-worker ready lists (every wake lands on its rank's worker list;
-  // the round moves it into the worker's heap),
-  // ready heaps (persistent across rounds; drained within each), and
-  // outboxes for cross-partition messages that could not ride a mailbox,
-  // flushed at the end-of-round barrier. threaded_run_ marks a
-  // multi-worker run (clocks race); threaded_phase_ marks the part of it
+  // the round moves it into the worker's heap) and ready heaps
+  // (persistent across rounds; drained within each). threaded_run_ marks
+  // a multi-worker run (clocks race); threaded_phase_ marks the part of it
   // where pool workers are executing a round.
   std::vector<std::vector<int>> worker_ready_;
   std::vector<IndexedMinHeap<VTime>> worker_heaps_;
-  std::vector<std::vector<Message>> round_outboxes_;
   bool threaded_run_ = false;
   bool threaded_phase_ = false;
 
-  // Lookahead-window state. mailboxes_[w * workers + v] carries messages
-  // from worker w to worker v; spill_epoch_ records, per lane, the last
-  // round in which a message was diverted to the outbox — once one spills,
-  // the rest of that lane's round must follow it (per-channel FIFO).
-  // window_bound_ is written by the scheduler before each round (the
-  // pool barrier publishes it); round_running_ lets an idle worker leave
-  // the round as soon as it is the last one that could still produce work.
-  std::vector<std::unique_ptr<SpscRing<Message>>> mailboxes_;
-  std::vector<std::uint64_t> spill_epoch_;
-  std::uint64_t round_epoch_ = 0;
-  VTime window_bound_ = kVTimeNever;
+  // mailboxes_[w * workers + v] carries messages from worker w to worker
+  // v; round_running_ lets an idle worker leave the round as soon as it is
+  // the last one that could still produce work.
+  std::vector<std::unique_ptr<SpscLane<Message>>> mailboxes_;
   std::atomic<int> round_running_{0};
   std::atomic<bool> has_error_{false};
 

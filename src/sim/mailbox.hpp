@@ -1,77 +1,89 @@
-// Bounded single-producer single-consumer ring used as a cross-partition
-// mailbox by the threaded conservative scheduler.
+// Unbounded single-producer single-consumer lane used as a cross-partition
+// mailbox by the threaded scheduler.
 //
-// One ring connects one (sending worker, receiving worker) pair. During a
+// One lane connects one (sending worker, receiving worker) pair. During a
 // round the sending worker is the only producer and the receiving worker
-// the only consumer, so the ring needs no locks — just acquire/release
-// pairs on the head and tail indices. At the round barrier the scheduler
-// thread takes over the consumer role; the worker pool's barrier provides
-// the happens-before edge that makes that hand-off safe.
+// the only consumer, so the lane needs no locks — just acquire/release
+// pairs on each chunk's fill count and link. At the round barrier the
+// scheduler thread takes over the consumer role; the worker pool's barrier
+// provides the happens-before edge that makes that hand-off safe.
 //
-// try_push never blocks: a full ring reports failure and the caller falls
-// back to the per-round outbox (flushed at the barrier), so a burst of
-// cross-partition traffic degrades to the old barrier path instead of
-// stalling a worker.
+// The lane is a linked list of fixed-size chunks, so push never fails and
+// never blocks: a burst of cross-partition traffic only links another
+// chunk. The consumer hands each drained chunk back through a one-slot
+// spare, so a lane in steady state allocates nothing.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <utility>
-#include <vector>
-
-#include "support/check.hpp"
 
 namespace stgsim::simk {
 
-template <typename T>
-class SpscRing {
+template <typename T, std::size_t kChunkSlots = 64>
+class SpscLane {
+  static_assert(kChunkSlots >= 1);
+
  public:
-  /// `capacity` is rounded up to a power of two (>= 2).
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
+  SpscLane() : head_(new Chunk), tail_(head_) {}
+  ~SpscLane() {
+    while (head_ != nullptr) {
+      Chunk* next = head_->next.load(std::memory_order_relaxed);
+      delete head_;
+      head_ = next;
+    }
+    delete spare_.load(std::memory_order_relaxed);
   }
 
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-  SpscRing(SpscRing&&) = delete;
+  SpscLane(const SpscLane&) = delete;
+  SpscLane& operator=(const SpscLane&) = delete;
 
-  std::size_t capacity() const { return slots_.size(); }
-
-  /// Producer side. Returns false (leaving `v` untouched) when full.
-  bool try_push(T&& v) {
-    const std::size_t h = head_.load(std::memory_order_relaxed);
-    if (h - tail_.load(std::memory_order_acquire) == slots_.size()) {
-      return false;
+  /// Producer side.
+  void push(T&& v) {
+    std::size_t n = tail_->filled.load(std::memory_order_relaxed);
+    if (n == kChunkSlots) {
+      Chunk* c = spare_.exchange(nullptr, std::memory_order_acquire);
+      if (c == nullptr) {
+        c = new Chunk;
+      } else {
+        c->filled.store(0, std::memory_order_relaxed);
+        c->next.store(nullptr, std::memory_order_relaxed);
+      }
+      tail_->next.store(c, std::memory_order_release);
+      tail_ = c;
+      n = 0;
     }
-    slots_[h & mask_] = std::move(v);
-    head_.store(h + 1, std::memory_order_release);
-    return true;
+    tail_->slots[n] = std::move(v);
+    tail_->filled.store(n + 1, std::memory_order_release);
   }
 
   /// Consumer side. Returns false when empty.
   bool try_pop(T* out) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (head_.load(std::memory_order_acquire) == t) return false;
-    *out = std::move(slots_[t & mask_]);
-    tail_.store(t + 1, std::memory_order_release);
+    if (read_ == kChunkSlots) {
+      Chunk* next = head_->next.load(std::memory_order_acquire);
+      if (next == nullptr) return false;
+      // The producer linked `next` only after filling head_, and never
+      // touches head_ again: it is ours to recycle.
+      delete spare_.exchange(head_, std::memory_order_acq_rel);
+      head_ = next;
+      read_ = 0;
+    }
+    if (head_->filled.load(std::memory_order_acquire) == read_) return false;
+    *out = std::move(head_->slots[read_++]);
     return true;
   }
 
-  /// Consumer-side emptiness check (exact for the consumer; a producer
-  /// may have pushed since for other observers).
-  bool empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_relaxed);
-  }
-
  private:
-  std::vector<T> slots_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  ///< next push index
-  alignas(64) std::atomic<std::size_t> tail_{0};  ///< next pop index
+  struct Chunk {
+    T slots[kChunkSlots];
+    std::atomic<std::size_t> filled{0};  ///< slots published by the producer
+    std::atomic<Chunk*> next{nullptr};
+  };
+
+  alignas(64) Chunk* head_;        ///< consumer's chunk
+  std::size_t read_ = 0;           ///< consumer's next slot in head_
+  alignas(64) Chunk* tail_;        ///< producer's chunk
+  std::atomic<Chunk*> spare_{nullptr};  ///< drained chunk awaiting reuse
 };
 
 }  // namespace stgsim::simk

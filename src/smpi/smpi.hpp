@@ -176,9 +176,9 @@ class World {
   /// Lower bound on any message's wire latency under this world's fault
   /// plan: the network floor, raised by the product of always-on global
   /// link-degradation factors (scoped clauses cannot raise the floor).
-  /// Feeds the engine's wildcard safety bound and the threaded
-  /// scheduler's lookahead window; a sound *larger* floor never changes
-  /// which wildcard candidate commits, so digests are unaffected.
+  /// Feeds the engine's wildcard safety bound; a sound *larger* floor
+  /// never changes which wildcard candidate commits, so digests are
+  /// unaffected.
   VTime wildcard_latency_floor() const {
     const double f = options_.faults.latency_floor_factor();
     const VTime base = network_.min_latency();

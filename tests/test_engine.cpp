@@ -712,6 +712,42 @@ TEST(Engine, ThreadedRunPopulatesParallelStats) {
   EXPECT_EQ(hist_total, ps.rounds);
 }
 
+TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
+  // Four ranks on two workers (block partition: 0,1 -> worker 0; 2,3 ->
+  // worker 1), chained 0 -> 2 -> 1 -> 3, so every hop crosses partitions.
+  // Rank 0 pushes the first hop in its first slice, while worker 0 still
+  // counts in the round; worker 1 cannot leave the round before worker 0
+  // goes idle, so its drain takes that message mid-round.
+  const int chain[] = {0, 2, 1, 3};
+  auto body = [&](Process& p) {
+    int pos = 0;
+    while (chain[pos] != p.rank()) ++pos;
+    if (pos > 0) {
+      p.lift_clock(p.blocking_match(match_tag(chain[pos - 1], 1)).arrival);
+    }
+    p.advance(vtime_from_us(3));
+    if (pos < 3) {
+      p.send(make_msg(p.rank(), chain[pos + 1], 1, p.now(),
+                      p.now() + vtime_from_us(2)));
+    }
+  };
+  auto run = [&](int workers, ParallelStats* ps) {
+    EngineConfig cfg;
+    cfg.num_processes = 4;
+    cfg.host_workers = workers;
+    Engine e(cfg);
+    e.set_body(body);
+    const RunResult r = e.run();
+    if (ps != nullptr) *ps = e.parallel_stats();
+    return r.per_rank_completion;
+  };
+  ParallelStats ps;
+  EXPECT_EQ(run(2, &ps), run(1, nullptr));
+  EXPECT_GT(ps.mailbox_messages, 0u);
+  EXPECT_EQ(ps.cross_messages(), 3u);
+  EXPECT_EQ(ps.intra_messages, 0u);
+}
+
 TEST(Engine, ThreadedDeadlockReportsPerWorkerDetail) {
   EngineConfig cfg;
   cfg.num_processes = 4;
@@ -735,60 +771,57 @@ TEST(Engine, ThreadedDeadlockReportsPerWorkerDetail) {
 }
 
 // ---------------------------------------------------------------------------
-// SPSC mailbox ring
+// SPSC mailbox lane
 // ---------------------------------------------------------------------------
 
-TEST(SpscRing, PushPopFifoAndCapacity) {
-  SpscRing<int> ring(3);  // rounds up to 4
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  int overflow = 99;
-  EXPECT_FALSE(ring.try_push(std::move(overflow)));
-  EXPECT_EQ(overflow, 99);  // full push leaves the value untouched
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.try_pop(&out));
+TEST(SpscLane, PushNeverFailsAcrossChunks) {
+  // Several chunks' worth with no consumer: push never fails, and the
+  // consumer then sees every value in FIFO order across chunk links.
+  SpscLane<int, 4> lane;
+  int out = -1;
+  EXPECT_FALSE(lane.try_pop(&out));
+  for (int i = 0; i < 4 * 5 + 3; ++i) lane.push(int{i});
+  for (int i = 0; i < 4 * 5 + 3; ++i) {
+    ASSERT_TRUE(lane.try_pop(&out));
     EXPECT_EQ(out, i);
   }
-  int out;
-  EXPECT_FALSE(ring.try_pop(&out));
-  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(lane.try_pop(&out));
+  lane.push(99);  // the consumer's chunk is still usable after draining
+  ASSERT_TRUE(lane.try_pop(&out));
+  EXPECT_EQ(out, 99);
 }
 
-TEST(SpscRing, WrapsAroundManyTimes) {
-  SpscRing<std::uint64_t> ring(4);
+TEST(SpscLane, WrapsAroundManyTimes) {
+  // Bursts of 1..7 pushes against 3-slot chunks: the consumer empties the
+  // lane at every chunk offset, and drained chunks are recycled.
+  SpscLane<std::uint64_t, 3> lane;
+  std::uint64_t next_push = 0;
   std::uint64_t next_pop = 0;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(std::uint64_t{i}));
-    if (i % 3 == 2) {  // drain in bursts so head/tail wrap at different times
-      std::uint64_t out;
-      while (ring.try_pop(&out)) EXPECT_EQ(out, next_pop++);
-    }
+  for (std::uint64_t burst = 0; next_push < 1000; ++burst) {
+    for (std::uint64_t k = 0; k <= burst % 7; ++k) lane.push(next_push++);
+    std::uint64_t out;
+    while (lane.try_pop(&out)) EXPECT_EQ(out, next_pop++);
+    EXPECT_EQ(next_pop, next_push);
   }
-  std::uint64_t out;
-  while (ring.try_pop(&out)) EXPECT_EQ(out, next_pop++);
-  EXPECT_EQ(next_pop, 1000u);
 }
 
-TEST(SpscRing, ConcurrentProducerConsumerPreservesOrder) {
-  SpscRing<std::uint64_t> ring(64);
+TEST(SpscLane, ConcurrentProducerConsumerPreservesOrder) {
+  SpscLane<std::uint64_t, 16> lane;
   constexpr std::uint64_t kCount = 100000;
   std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount;) {
-      if (ring.try_push(std::uint64_t{i})) ++i;
-    }
+    for (std::uint64_t i = 0; i < kCount; ++i) lane.push(std::uint64_t{i});
   });
   std::uint64_t expect = 0;
   while (expect < kCount) {
     std::uint64_t out;
-    if (ring.try_pop(&out)) {
+    if (lane.try_pop(&out)) {
       ASSERT_EQ(out, expect);
       ++expect;
     }
   }
   producer.join();
-  EXPECT_TRUE(ring.empty());
+  std::uint64_t out;
+  EXPECT_FALSE(lane.try_pop(&out));
 }
 
 // ---------------------------------------------------------------------------

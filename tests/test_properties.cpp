@@ -4,16 +4,22 @@
 //   * the compiler accepts the program and its outputs validate;
 //   * the simplified program performs identical communication;
 //   * simulation is deterministic across repeated runs;
-//   * the threaded conservative scheduler agrees with the sequential one.
+//   * workers {0,2,4} under both protocols agree with the sequential
+//     conservative run, digest for digest.
 //
 // The generator produces ring-topology programs: random scalar dataflow,
 // random (possibly nested) loops and branches, kernels with random affine
-// scaling functions, neighbour sends/receives and global reductions. All
-// rank-variant values are kept out of message sizes so the programs are
-// communication-correct by construction.
+// scaling functions, neighbour sends/receives, global reductions,
+// ANY_SOURCE gathers after rank-dependent work, and nonblocking exchanges
+// with a rank-dependent peer. Message sizes and loop bounds are
+// rank-invariant, every send has exactly one matching receive, and no
+// rank waits on a message it must send later (shifts are pipelined, the
+// gather's root only receives, the exchange posts both sides before its
+// waitall), so the programs are deadlock-free by construction.
 #include <gtest/gtest.h>
 
 #include "core/compiler.hpp"
+#include "harness/digest.hpp"
 #include "ir/builder.hpp"
 #include "testutil.hpp"
 
@@ -65,16 +71,27 @@ class ProgramGenerator {
     }
   }
 
+  enum Segment {
+    kScalar, kKernel, kShift, kCollective, kGather, kExchange, kLoop, kBranch
+  };
+
+  /// Rank-invariant message count within every array: min(e, N) >= 1.
+  Expr random_count() {
+    return sym::max(sym::min(random_expr(1), Expr::var("N")), I(1));
+  }
+
   void emit_block(int depth, int segments) {
+    // Loops and branches nest at most two deep.
+    const int kinds = depth < 2 ? kBranch + 1 : kLoop;
     for (int s = 0; s < segments; ++s) {
-      switch (rng_.next_below(depth < 2 ? 6 : 4)) {
-        case 0: {  // scalar dataflow
+      switch (static_cast<Segment>(rng_.next_below(kinds))) {
+        case kScalar: {  // scalar dataflow
           const std::string name = "s" + std::to_string(next_scalar_++);
           b_.decl_int(name, random_expr(2));
           scalars_.push_back(name);
           break;
         }
-        case 1: {  // compute kernel with random scaling function
+        case kKernel: {  // compute kernel with random scaling function
           ir::KernelSpec k;
           k.task = "t" + std::to_string(next_task_++);
           k.iters = random_expr(2);
@@ -83,11 +100,10 @@ class ProgramGenerator {
           b_.compute(std::move(k));
           break;
         }
-        case 2: {  // right-shift neighbour exchange (pipeline-safe order)
+        case kShift: {  // right-shift neighbour exchange (pipeline-safe order)
           const std::string& arr = arrays_[rng_.next_below(arrays_.size())];
           const int tag = static_cast<int>(next_tag_++);
-          // Count must be rank-invariant and within bounds: min(e, N).
-          Expr count = sym::max(sym::min(random_expr(1), Expr::var("N")), I(1));
+          Expr count = random_count();
           Expr myid = Expr::var("myid");
           Expr P = Expr::var("P");
           b_.if_then(sym::gt(myid, I(0)),
@@ -96,7 +112,7 @@ class ProgramGenerator {
                      [&] { b_.send(arr, myid + 1, count, I(0), tag); });
           break;
         }
-        case 3: {  // global reduction or barrier
+        case kCollective: {  // global reduction or barrier
           if (rng_.next_below(2) == 0) {
             b_.allreduce_sum("acc");
           } else {
@@ -104,7 +120,49 @@ class ProgramGenerator {
           }
           break;
         }
-        case 4: {  // loop (rank-invariant bounds)
+        case kGather: {  // ANY_SOURCE gather to rank 0 (sample's anysource)
+          const std::string& arr = arrays_[rng_.next_below(arrays_.size())];
+          const int tag = static_cast<int>(next_tag_++);
+          Expr count = random_count();
+          Expr myid = Expr::var("myid");
+          Expr P = Expr::var("P");
+          // Rank-dependent work before each send, so the order in which
+          // the root's wildcard receives see their candidates varies.
+          ir::KernelSpec k;
+          k.task = "t" + std::to_string(next_task_++);
+          Expr skew = rng_.next_below(2) == 0 ? P - myid
+                                               : sym::imod(myid * 3, P) + 1;
+          k.iters = random_expr(1) * skew;
+          k.flops_per_iter = static_cast<double>(rng_.next_in(1, 4));
+          k.writes = {arr};
+          b_.if_then(sym::gt(myid, I(0)), [&] {
+            b_.compute(std::move(k));
+            b_.send(arr, I(0), count, I(0), tag);
+          });
+          const std::string var = "g" + std::to_string(next_loop_++);
+          b_.if_then(sym::eq(myid, I(0)), [&] {
+            b_.for_loop(var, I(1), P - 1, [&](Expr) {
+              b_.recv(arr, I(-1), count, I(0), tag);
+            });
+          });
+          break;
+        }
+        case kExchange: {  // nonblocking shift by k to (myid + k) mod P
+          const std::string& arr = arrays_[rng_.next_below(arrays_.size())];
+          const int tag = static_cast<int>(next_tag_++);
+          Expr count = random_count();
+          Expr myid = Expr::var("myid");
+          Expr P = Expr::var("P");
+          // k < P for every world size the tests use (P >= 4), so no rank
+          // talks to itself. The receive lands beside the send region.
+          const auto k = rng_.next_in(1, 3);
+          const std::string reqs = "r" + std::to_string(next_reqs_++);
+          b_.isend(reqs, arr, sym::imod(myid + k, P), count, I(0), tag);
+          b_.irecv(reqs, arr, sym::imod(myid + P - k, P), count, count, tag);
+          b_.waitall(reqs);
+          break;
+        }
+        case kLoop: {  // loop (rank-invariant bounds)
           const std::string var = "i" + std::to_string(next_loop_++);
           const auto trip = rng_.next_in(1, 3);
           const int inner = static_cast<int>(rng_.next_in(1, 3));
@@ -119,7 +177,7 @@ class ProgramGenerator {
           scalars_.resize(scope);
           break;
         }
-        default: {  // branch on rank-invariant condition
+        case kBranch: {  // branch on rank-invariant condition
           Expr cond = sym::lt(random_expr(1), random_expr(1));
           const int inner = static_cast<int>(rng_.next_in(1, 2));
           const std::size_t scope = scalars_.size();
@@ -142,6 +200,7 @@ class ProgramGenerator {
   int next_scalar_ = 0;
   int next_task_ = 0;
   int next_loop_ = 0;
+  int next_reqs_ = 0;
   std::uint64_t next_tag_ = 1;
 };
 
@@ -177,27 +236,46 @@ TEST_P(RandomPrograms, ThreadedSchedulerMatchesSequential) {
   const int nprocs = 6;
   ir::Program prog = ProgramGenerator(GetParam()).generate();
 
-  auto run_with_threads = [&](int threads) {
-    smpi::World::Options wopts;
-    smpi::World world(wopts, nprocs);
-    simk::EngineConfig ec;
-    ec.num_processes = nprocs;
-    if (threads > 0) ec.host_workers = threads;
-    simk::Engine engine(ec);
-    engine.set_body([&](simk::Process& p) {
-      smpi::Comm comm(world, p);
-      ir::execute(prog, comm);
-    });
-    return engine.run().per_rank_completion;
+  auto digest = [&](int workers, harness::Schedule schedule) {
+    harness::RunConfig cfg;
+    cfg.nprocs = nprocs;
+    cfg.mode = harness::Mode::kDirectExec;
+    cfg.threads = workers;
+    cfg.schedule = schedule;
+    const harness::RunOutcome out = harness::run_program(prog, cfg);
+    EXPECT_TRUE(out.ok()) << out.diagnostic;
+    return harness::run_digest(out);
   };
 
-  const auto seq = run_with_threads(0);
-  EXPECT_EQ(seq, run_with_threads(2)) << "seed " << GetParam();
-  EXPECT_EQ(seq, run_with_threads(3)) << "seed " << GetParam();
+  const std::uint64_t seq = digest(0, harness::Schedule::kConservative);
+  for (harness::Schedule schedule : {harness::Schedule::kConservative,
+                                     harness::Schedule::kOptimistic}) {
+    for (int workers : {0, 2, 4}) {
+      EXPECT_EQ(seq, digest(workers, schedule))
+          << "seed " << GetParam() << ", " << workers << " workers, "
+          << harness::schedule_name(schedule);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+// The wildcard seeds are the ones the threaded comparison above exists
+// for: guard against a generator change that quietly stops emitting them.
+TEST(RandomProgramsCoverage, ManySeedsRunWildcardReceives) {
+  int wildcard_seeds = 0;
+  for (std::uint64_t seed = 1; seed < 25; ++seed) {
+    harness::RunConfig cfg;
+    cfg.nprocs = 6;
+    cfg.mode = harness::Mode::kDirectExec;
+    const harness::RunOutcome out =
+        harness::run_program(ProgramGenerator(seed).generate(), cfg);
+    ASSERT_TRUE(out.ok()) << "seed " << seed << ": " << out.diagnostic;
+    if (out.used_wildcard_recv) ++wildcard_seeds;
+  }
+  EXPECT_GE(wildcard_seeds, 8);
+}
 
 }  // namespace
 }  // namespace stgsim
