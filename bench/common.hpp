@@ -7,11 +7,13 @@
 // EXPERIMENTS.md records against the paper's reported shapes.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -30,7 +32,9 @@ struct PointOptions {
   bool run_de = true;
   bool run_am = true;
   std::size_t memory_cap_bytes = 0;
-  bool record_host_trace = false;
+  /// Host workers for the DE and AM runs (RunConfig::threads); the
+  /// measured run always takes one, as kMeasured mode requires.
+  int threads = 0;
   std::size_t fiber_stack_bytes = 256 * 1024;
 };
 
@@ -74,13 +78,13 @@ inline ValidationPoint validate_point(
   cfg.nprocs = procs;
   cfg.machine = machine;
   cfg.memory_cap_bytes = opts.memory_cap_bytes;
-  cfg.record_host_trace = opts.record_host_trace;
   cfg.fiber_stack_bytes = opts.fiber_stack_bytes;
 
   if (opts.run_measured) {
     cfg.mode = harness::Mode::kMeasured;
     point.measured = harness::run_program(prog, cfg);
   }
+  cfg.threads = opts.threads;
   if (opts.run_de) {
     cfg.mode = harness::Mode::kDirectExec;
     point.de = harness::run_program(prog, cfg);
@@ -96,32 +100,55 @@ inline ValidationPoint validate_point(
 
 /// Host-era normalization factor for absolute simulator-performance
 /// figures (12/13): the paper ran MPI-Sim on the same IBM SP it was
-/// predicting, so host and target speeds matched; this container is ~two
-/// orders of magnitude faster than a 1999 SP node. Multiplying replayed
+/// predicting, so host and target speeds matched; this host is ~two
+/// orders of magnitude faster than a 1999 SP node. Multiplying measured
 /// simulator wall-clocks by
 ///     (total virtual computation DE executed) / (host seconds DE took)
-/// re-expresses them as if the simulator ran on target-era nodes. This is
-/// a single measured ratio per run — not a fit to the paper's numbers.
-inline double era_factor(const ValidationPoint& p) {
-  STGSIM_CHECK(p.de.has_value() && p.de->ok());
+/// re-expresses them as if the simulator ran on target-era nodes. `de` is
+/// a one-worker direct-execution run, so its engine wall is the host time
+/// of that computation. This is a single measured ratio per run — not a
+/// fit to the paper's numbers.
+inline double era_factor(const harness::RunOutcome& de) {
+  STGSIM_CHECK(de.ok());
   const double virtual_compute =
-      vtime_to_sec(p.de->stats.compute_time) * p.procs;
-  // Normalize against the DE run's *traced* execution time (the same
-  // quantity duration_scale multiplies), so a 1-host era-normalized DE
-  // replay lands at the total target-era computation by construction.
-  double traced = 0.0;
-  for (const auto& s : p.de->host_trace) traced += s.duration_sec;
-  return virtual_compute / std::max(1e-9, traced);
+      vtime_to_sec(de.stats.compute_time) * de.nprocs;
+  return virtual_compute / std::max(1e-9, de.sim_host_seconds);
 }
 
-/// Host model for replays expressed in target-era units: slice durations
-/// slowed to era hardware, cross-worker messaging at SP-interconnect cost.
-inline simk::HostModel era_host_model(const ValidationPoint& p) {
-  simk::HostModel m;
-  m.duration_scale = era_factor(p);
-  m.cross_worker_msg_sec = 30e-6;
-  m.per_slice_overhead_sec = 2e-6;
-  return m;
+/// The measured / DE / AM triple at `procs` with DE and AM on `hosts`
+/// worker threads, plus the era factor of a one-worker DE run at the same
+/// point in `*era`: one row of the #host = #target figures.
+inline ValidationPoint threaded_point(
+    const ProgramFactory& make, int procs, int hosts,
+    const harness::MachineSpec& machine,
+    const std::map<std::string, double>& params, double* era) {
+  ValidationPoint p = validate_point(make, procs, machine, params);
+  *era = era_factor(*p.de);
+  if (hosts > 1) {
+    PointOptions opts;
+    opts.run_measured = false;
+    opts.threads = hosts;
+    ValidationPoint par = validate_point(make, procs, machine, params, opts);
+    p.de = std::move(par.de);
+    p.am = std::move(par.am);
+  }
+  return p;
+}
+
+/// Host processors this machine offers (at least one). The parallel-host
+/// figures (12-16) run the simulator on real worker threads, so they
+/// print this in their header and no row past it.
+inline int host_nproc() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// Host worker counts 1, 2, 4, ... up to min(max_hosts, host_nproc()).
+inline std::vector<int> host_counts(int max_hosts) {
+  std::vector<int> out;
+  for (int k = 1; k <= std::min(max_hosts, host_nproc()); k *= 2) {
+    out.push_back(k);
+  }
+  return out;
 }
 
 inline std::string cell_time(const std::optional<harness::RunOutcome>& o) {

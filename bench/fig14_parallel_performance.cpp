@@ -3,9 +3,9 @@
 // simulator versions scale well; MPI-SIM-AM is on average 5.4x faster
 // than MPI-SIM-DE.
 //
-// The 1-host column is the real wall-clock of the sequential run on this
-// machine; k-host columns replay the recorded slice trace on an emulated
-// k-worker conservative host (see DESIGN.md's substitution note).
+// Every row is a measured engine wall-clock on k real worker threads
+// (RunConfig::threads = k), for k = 1, 2, 4, ... up to this host's nproc;
+// rows past nproc wait for a larger host.
 #include "apps/sweep3d.hpp"
 #include "bench/common.hpp"
 
@@ -35,31 +35,36 @@ int main() {
   };
   const auto params = benchx::calibrate_at(make, 16, machine);
 
-  benchx::PointOptions opts;
-  opts.record_host_trace = true;
-  auto p = benchx::validate_point(make, targets, machine, params, opts);
+  benchx::PointOptions measured_only;
+  measured_only.run_de = false;
+  measured_only.run_am = false;
+  const auto app =
+      benchx::validate_point(make, targets, machine, params, measured_only);
 
   print_experiment_header(
       std::cout, "Figure 14",
       "Parallel performance: Sweep3D 150^3, 64 targets, 1-64 host procs",
-      {"application (measured target time): " +
-           TablePrinter::fmt(p.measured->predicted_seconds(), 3) + " s",
+      {"host: nproc = " + std::to_string(benchx::host_nproc()),
+       "walls measured on k worker threads, k <= nproc",
+       "application (measured target time): " +
+           TablePrinter::fmt(app.measured->predicted_seconds(), 3) + " s",
        "paper shape: both simulators scale; AM ~5.4x faster than DE on",
        "average; AM speedup flattens past ~8 hosts (communication-bound)"});
 
   TablePrinter t({"host procs", "MPI-SIM-DE wall (s)", "MPI-SIM-AM wall (s)",
                   "AM speedup vs DE"});
-  const auto host = benchx::era_host_model(p);
-  for (int hosts : {1, 2, 4, 8, 16, 32, 64}) {
-    const double de_wall = harness::emulated_host_seconds(*p.de, hosts, host);
-    const double am_wall = harness::emulated_host_seconds(*p.am, hosts, host);
+  for (int hosts : benchx::host_counts(64)) {
+    benchx::PointOptions opts;
+    opts.run_measured = false;
+    opts.threads = hosts;
+    const auto run =
+        benchx::validate_point(make, targets, machine, params, opts);
+    const double de_wall = run.de->sim_host_seconds;
+    const double am_wall = run.am->sim_host_seconds;
     t.add_row({TablePrinter::fmt_int(hosts), TablePrinter::fmt(de_wall, 3),
                TablePrinter::fmt(am_wall, 4),
                TablePrinter::fmt(de_wall / am_wall, 1) + "x"});
   }
   std::cout << t.to_ascii();
-  std::cout << "1-host real wall-clock of this run: DE "
-            << TablePrinter::fmt(p.de->sim_host_seconds, 3) << " s, AM "
-            << TablePrinter::fmt(p.am->sim_host_seconds, 3) << " s\n";
   return 0;
 }

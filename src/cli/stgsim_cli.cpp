@@ -665,7 +665,6 @@ int run_check_replay(Args& args, const std::string& path) {
 
   harness::RunConfig cfg = spec.config;
   cfg.threads = 0;
-  cfg.record_host_trace = false;
   cfg.max_host_seconds = 0.0;
   if (const json::Value* inj = doc.find("inject")) {
     cfg.inject = injection(inj->as_string()).inject;

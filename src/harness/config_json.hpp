@@ -147,8 +147,7 @@ std::uint64_t calibration_digest(const RunSpec& spec);
 std::string calibration_digest_hex(const RunSpec& spec);
 
 /// RunOutcome <-> JSON. Everything reports and digests need round-trips;
-/// host_trace and the parallel protocol counters (host-timing dependent)
-/// are excluded.
+/// the parallel protocol counters (host-timing dependent) are excluded.
 json::Value outcome_to_json(const RunOutcome& outcome);
 RunOutcome outcome_from_json(const json::Value& v);
 

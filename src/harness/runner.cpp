@@ -93,7 +93,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   ec.memory_cap_bytes = config.memory_cap_bytes;
   ec.fiber_stack_bytes = config.fiber_stack_bytes;
   ec.seed = config.seed;
-  ec.record_host_trace = config.record_host_trace;
   ec.max_virtual_time = config.max_virtual_time;
   ec.max_messages = config.max_messages;
   ec.max_host_seconds = config.max_host_seconds;
@@ -116,9 +115,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
                  kernel_meta == nullptr)
         << "optimistic schedule: calibration/profiling recorders cannot be "
            "rolled back";
-    STGSIM_CHECK(!config.record_host_trace)
-        << "optimistic schedule: host traces of rolled-back slices are "
-           "meaningless";
   }
   if (config.threads > 1) {
     ec.host_workers = config.threads;
@@ -189,7 +185,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     out.slices = rr.slices;
     out.stats = world->aggregate_stats();
     out.per_rank_stats = world->all_stats();
-    if (config.record_host_trace) out.host_trace = engine.host_trace();
     out.parallel = engine.parallel_stats();
     if (config.obs != nullptr) {
       out.metrics = config.obs->snapshot();
@@ -337,14 +332,6 @@ std::map<std::string, double> estimate_params(
   }
   for (const auto& name : required_params) params.emplace(name, 0.0);
   return params;
-}
-
-double emulated_host_seconds(const RunOutcome& outcome, int workers,
-                             const simk::HostModel& model) {
-  STGSIM_CHECK(!outcome.host_trace.empty())
-      << "run with record_host_trace=true to replay host schedules";
-  return simk::replay_host_trace(outcome.host_trace, outcome.nprocs, workers,
-                                 model);
 }
 
 }  // namespace stgsim::harness

@@ -77,9 +77,6 @@ struct RunConfig {
   /// requirements restricted the largest target architecture").
   std::size_t memory_cap_bytes = 0;
 
-  /// Record the slice trace for emulated parallel-host replays.
-  bool record_host_trace = false;
-
   /// Host workers (simk::EngineConfig::host_workers). 0 and 1 both run
   /// one worker inline on the calling thread; calibration/profiling
   /// recorders and kMeasured mode require it.
@@ -94,8 +91,8 @@ struct RunConfig {
   /// Synchronization protocol. kOptimistic applies to one worker
   /// (threads <= 1; wildcards commit on sight) and to several (workers
   /// run ahead freely and GVT commits behind them). Incompatible with
-  /// kMeasured mode, calibration/profiling hooks, and host-trace
-  /// recording — all of which carry state a rollback cannot restore.
+  /// kMeasured mode and calibration/profiling hooks, both of which carry
+  /// state a rollback cannot restore.
   Schedule schedule = Schedule::kConservative;
 
   /// Replace the detailed communication simulation with the abstract
@@ -197,7 +194,6 @@ struct RunOutcome {
   smpi::RankStats stats;         ///< aggregate across ranks
   std::vector<smpi::RankStats> per_rank_stats;  ///< indexed by rank
 
-  std::vector<simk::Slice> host_trace;  ///< when record_host_trace
   int nprocs = 0;
 
   /// Round, message and Time Warp counters (the round and message fields
@@ -254,11 +250,5 @@ std::map<std::string, double> estimate_params(
     const ir::Program& original, int calib_procs, const MachineSpec& machine,
     const std::set<std::string>& required_params = {},
     std::uint64_t seed = 20260704);
-
-/// Predicted simulator wall-clock on `workers` host processors, from a
-/// recorded host trace (our stand-in for running MPI-Sim's conservative
-/// parallel protocols on a real multiprocessor host).
-double emulated_host_seconds(const RunOutcome& outcome, int workers,
-                             const simk::HostModel& model = {});
 
 }  // namespace stgsim::harness

@@ -78,10 +78,9 @@ CheckReport check_program(const ir::Program& prog, const CheckOptions& opts) {
 
   // Exploration-run configuration: sequential scheduler under oracle
   // control, no per-run wall budget (schedule-nondeterministic — the
-  // exploration-level deadline below bounds total time), no host trace.
+  // exploration-level deadline below bounds total time).
   RunConfig mc_cfg = opts.base;
   mc_cfg.threads = 0;
-  mc_cfg.record_host_trace = false;
   mc_cfg.max_host_seconds = 0.0;
   mc_cfg.obs = nullptr;
   mc_cfg.oracle = nullptr;

@@ -28,8 +28,8 @@
 namespace stgsim::mc {
 
 struct CheckOptions {
-  /// Base run configuration. The checker forces threads=0, oracle,
-  /// record_host_trace=false and max_host_seconds=0 for exploration runs
+  /// Base run configuration. The checker forces threads=0, oracle and
+  /// max_host_seconds=0 for exploration runs
   /// (a per-run wall budget is schedule-nondeterministic; the exploration
   /// wall budget below bounds total time instead). mode must be
   /// kDirectExec or kAnalytical: kMeasured's seeded noise and NIC

@@ -30,17 +30,6 @@ double steady_now_sec() {
       .count();
 }
 
-/// CPU time consumed by this thread. Slice durations use this rather than
-/// wall time so preemption by other host processes cannot poison the
-/// recorded trace (a slice on a dedicated parallel host would not be
-/// preempted).
-double thread_cpu_sec() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -75,10 +64,6 @@ void Process::send(Message msg) {
   STGSIM_DCHECK(msg.dst >= 0 && msg.dst < world_size());
   STGSIM_DCHECK(msg.arrival >= msg.sent_at);
   msg.seq = next_seq_for(msg.dst);
-  if (engine_->config().record_host_trace) {
-    msg.producer_slice = current_slice_;
-    msg.producer_offset_sec = thread_cpu_sec() - slice_begin_sec_;
-  }
   if (engine_->observer_ != nullptr) engine_->observer_->on_send(msg);
   if (engine_->config_.optimistic) {
     const std::uint64_t ord = opt_.send_ordinal++;
@@ -123,15 +108,6 @@ bool Process::try_match(const MatchSpec& spec, Message* out) {
       engine_->opt_log_charge(*this, e.msg);
       opt_.consumed.push_back(std::move(e));
       engine_->opt_note_consume(*this);
-    }
-    if (engine_->config().record_host_trace) {
-      // Consuming a message is a dependency point: end the current slice
-      // here and begin a new one gated on the message's production point.
-      // (On a parallel host this is exactly where the process could have
-      // had to block, letting its worker run other processes meanwhile.)
-      engine_->split_slice(*this);
-      engine_->trace_[current_slice_].deps.push_back(
-          {out->producer_slice, out->producer_offset_sec, out->src});
     }
   };
 
@@ -283,18 +259,7 @@ Engine::Engine(EngineConfig config) : config_(config) {
   observer_ = config_.observer;
   oracle_ = config_.oracle;
   mc_active_ = oracle_ != nullptr && config_.host_workers == 1;
-  if (mc_active_) {
-    STGSIM_CHECK(!config_.record_host_trace)
-        << "host-trace recording is meaningless under MC schedule control";
-  }
-  if (config_.host_workers > 1) {
-    STGSIM_CHECK(!config_.record_host_trace)
-        << "host-trace recording requires a single host worker";
-  }
   if (config_.optimistic) {
-    STGSIM_CHECK(!config_.record_host_trace)
-        << "host-trace recording requires the conservative protocol "
-           "(rollback replay would double-count slices)";
     STGSIM_CHECK(config_.inject != Inject::kUnsafeWildcard)
         << "unsafe-wildcard injection targets the conservative safety "
            "bound; use commit-before-gvt against the optimistic scheduler";
@@ -1138,33 +1103,16 @@ void Engine::resume_process(Process& p) {
   STGSIM_DCHECK(!p.finished_ && !p.blocked_);
   if (observer_ != nullptr) observer_->on_resume(p.rank_, p.clock_);
   slices_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.record_host_trace) {
-    p.current_slice_ = trace_.size();
-    trace_.push_back(Slice{p.rank_, 0.0, {}});
-    p.slice_begin_sec_ = thread_cpu_sec();
-  }
   p.opt_.fresh = false;
   g_current_proc = &p;
   p.fiber_->resume();
   g_current_proc = nullptr;
-  if (config_.record_host_trace) {
-    trace_[p.current_slice_].duration_sec =
-        thread_cpu_sec() - p.slice_begin_sec_;
-  }
   if (p.fiber_->finished()) {
     p.finished_ = true;
   } else {
     STGSIM_CHECK(p.blocked_)
         << "process " << p.rank_ << " yielded without blocking or finishing";
   }
-}
-
-void Engine::split_slice(Process& p) {
-  const double now = thread_cpu_sec();
-  trace_[p.current_slice_].duration_sec = now - p.slice_begin_sec_;
-  p.current_slice_ = trace_.size();
-  trace_.push_back(Slice{p.rank_, 0.0, {}});
-  p.slice_begin_sec_ = now;
 }
 
 void Engine::note_error(std::exception_ptr e) {
@@ -1390,9 +1338,7 @@ RunResult Engine::run() {
   }
   res.host_seconds = now_host_sec();
   res.messages_delivered = messages_delivered_;
-  res.slices = config_.record_host_trace
-                   ? trace_.size()
-                   : slices_.load(std::memory_order_relaxed);
+  res.slices = slices_.load(std::memory_order_relaxed);
   res.peak_target_bytes = memory_.peak_bytes();
   res.final_target_bytes = memory_.current_bytes();
   return res;
@@ -1473,12 +1419,12 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
     const std::size_t n = order.size();
     oracle_->permute_drain_order(worker, order);
     STGSIM_CHECK_EQ(order.size(), n) << "drain order must stay a permutation";
-    std::uint64_t seen = 0;
+    std::vector<char> seen(static_cast<std::size_t>(workers), 0);
     for (int u : order) {
       STGSIM_CHECK(u >= 0 && u < workers && u != worker &&
-                   (seen & (1ULL << u)) == 0)
+                   seen[static_cast<std::size_t>(u)] == 0)
           << "drain order must stay a permutation of the sender set";
-      seen |= 1ULL << u;
+      seen[static_cast<std::size_t>(u)] = 1;
       drain_from(u);
     }
     return drained;
@@ -1828,41 +1774,6 @@ void Engine::run_rounds() {
     }
   }
   threaded_run_ = false;
-}
-
-double replay_host_trace(const std::vector<Slice>& trace, int num_processes,
-                         int workers, const HostModel& model) {
-  STGSIM_CHECK_GT(workers, 0);
-  STGSIM_CHECK_GT(num_processes, 0);
-
-  auto worker_of = [&](int lp) {
-    return static_cast<int>(static_cast<long long>(lp) * workers /
-                            num_processes);
-  };
-
-  std::vector<double> worker_free(static_cast<std::size_t>(workers), 0.0);
-  std::vector<double> slice_start(trace.size(), 0.0);
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Slice& s = trace[i];
-    const int w = worker_of(s.lp);
-    double ready = worker_free[static_cast<std::size_t>(w)];
-    for (const Slice::Dep& d : s.deps) {
-      STGSIM_DCHECK(d.slice <= i);
-      double avail =
-          slice_start[d.slice] + d.offset_sec * model.duration_scale;
-      if (worker_of(d.producer_lp) != w) avail += model.cross_worker_msg_sec;
-      ready = std::max(ready, avail);
-    }
-    slice_start[i] = ready;
-    worker_free[static_cast<std::size_t>(w)] =
-        ready + s.duration_sec * model.duration_scale +
-        model.per_slice_overhead_sec;
-  }
-
-  double makespan = 0.0;
-  for (double t : worker_free) makespan = std::max(makespan, t);
-  return makespan;
 }
 
 }  // namespace stgsim::simk

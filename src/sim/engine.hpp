@@ -15,12 +15,7 @@
 // step is one of three pickers:
 //  * Heap (one worker, no oracle): the worker's ready heap, lowest clock
 //    first, inline on the caller's thread. Clocks cannot race, so wildcard
-//    receives are checked against the safety bound mid-slice and the run
-//    can record a *slice trace* (host-time cost of every execution slice
-//    and the message dependencies between slices). Replaying the trace
-//    under a k-worker list schedule (replay_host_trace) predicts the
-//    wall-clock on k host processors, as the paper's Figs. 14-16 measure
-//    MPI-Sim on a parallel host.
+//    receives are checked against the safety bound mid-slice.
 //  * Oracle (EngineConfig::oracle with one worker, MC mode): a
 //    ScheduleOracle picks every resume, in-flight lane delivery and
 //    wildcard tie.
@@ -318,38 +313,6 @@ class Process {
 
   // Next seq per destination for outgoing messages.
   std::vector<std::pair<int, std::uint64_t>> next_seq_;
-
-  // Host-trace state: current slice id and its start instant.
-  std::uint64_t current_slice_ = 0;
-  double slice_begin_sec_ = 0.0;
-  double resume_ready_sec_ = 0.0;  // host_avail of the message that woke us
-};
-
-/// One execution slice in the host trace: process `lp` ran for
-/// `duration_sec` of host time; it could not start before its dependencies
-/// (send points inside earlier slices) were produced.
-struct Slice {
-  int lp = 0;
-  double duration_sec = 0.0;
-  /// (producer slice index, host-time offset of the send within it,
-  ///  producer lp) for every message consumed to unblock/feed this slice.
-  struct Dep {
-    std::uint64_t slice;
-    double offset_sec;
-    int producer_lp;
-  };
-  std::vector<Dep> deps;
-};
-
-/// Knobs for replaying a slice trace on an emulated parallel host.
-struct HostModel {
-  double per_slice_overhead_sec = 0.4e-6;   ///< scheduler/context switch
-  double cross_worker_msg_sec = 3.0e-6;     ///< remote delivery overhead
-
-  /// Multiplier applied to measured slice durations (and send offsets):
-  /// set to the target-era slowdown to model the simulator running on the
-  /// same machine generation it predicts, as the paper's did.
-  double duration_scale = 1.0;
 };
 
 /// Test-only fault injections (`stgsim check --inject`): each plants a
@@ -385,9 +348,6 @@ struct EngineConfig {
   std::size_t memory_cap_bytes = 0;  ///< 0 = uncapped
   std::uint64_t seed = 0x5eedULL;
 
-  /// Record the slice trace (one host worker, conservative, no oracle).
-  bool record_host_trace = false;
-
   /// Instrumentation sink (not owned; must outlive the engine). Null
   /// disables all observer callbacks at the cost of one branch per event.
   EngineObserver* observer = nullptr;
@@ -395,8 +355,7 @@ struct EngineConfig {
   /// Schedule-control hook (not owned; must outlive the engine). With one
   /// host worker this switches the engine into MC mode: the oracle makes
   /// the pick step of the partition round (see ScheduleOracle). With
-  /// several it only perturbs the mailbox drain order. Incompatible with
-  /// record_host_trace.
+  /// several it only perturbs the mailbox drain order.
   ScheduleOracle* oracle = nullptr;
 
   /// Test-only protocol race to plant (kUnsafeWildcard needs the
@@ -410,7 +369,7 @@ struct EngineConfig {
   /// and anti-messages for its speculative output; periodic GVT passes
   /// drive fossil collection. Committed results are bit-identical to the
   /// conservative protocol. Works under every picker and every worker
-  /// count. Incompatible with record_host_trace.
+  /// count.
   bool optimistic = false;
 
   /// Optimistic mode: scheduler iterations between exact GVT / fossil
@@ -586,9 +545,6 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
   MemoryTracker& memory() { return memory_; }
-
-  /// Recorded slice trace (empty unless config.record_host_trace).
-  const std::vector<Slice>& host_trace() const { return trace_; }
 
   /// Lower bound on the arrival time of any message that could still be
   /// sent: min over unfinished processes of their clock, plus
@@ -776,9 +732,6 @@ class Engine {
 
   double now_host_sec() const;
 
-  /// Ends the current slice of `p` and starts a fresh one (trace only).
-  void split_slice(Process& p);
-
   /// Stores the first exception thrown by a process body.
   void note_error(std::exception_ptr e);
   /// Resumes every blocked fiber so it unwinds via FiberAborted, then
@@ -797,7 +750,6 @@ class Engine {
   std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;
 
-  std::vector<Slice> trace_;
   std::atomic<std::uint64_t> messages_delivered_{0};
   // Per-engine resume count. Not the global Fiber::switch_count(): several
   // engines run concurrently under the campaign job pool, and a shared
@@ -960,10 +912,5 @@ inline void Process::lift_clock(VTime t) {
     }
   }
 }
-
-/// Replays `trace` on an emulated `workers`-processor host (block mapping
-/// of processes to workers) and returns the predicted wall-clock seconds.
-double replay_host_trace(const std::vector<Slice>& trace, int num_processes,
-                         int workers, const HostModel& model = {});
 
 }  // namespace stgsim::simk

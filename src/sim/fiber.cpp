@@ -11,6 +11,9 @@
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace stgsim::simk {
 
@@ -27,13 +30,20 @@ std::atomic<unsigned long long> g_switches{0};
 // announced to it, so a throw on a fiber stack (which unpoisons "the"
 // stack in __asan_handle_no_return) sees the right bounds instead of
 // reporting the scheduler's frames as stack-use-after-scope, and
-// detect_stack_use_after_return's fake frames follow the fiber. No-ops in
-// other builds.
+// detect_stack_use_after_return's fake frames follow the fiber.
+// ThreadSanitizer likewise keeps one shadow call stack and vector clock
+// per context: each switch names the TSan fiber it enters, so a fiber
+// resumed by another worker thread carries its own history with it. No-ops
+// in other builds.
 void start_switch([[maybe_unused]] void** fake_stack_save,
                   [[maybe_unused]] const void* bottom,
-                  [[maybe_unused]] std::size_t size) {
+                  [[maybe_unused]] std::size_t size,
+                  [[maybe_unused]] void* tsan_to) {
 #if defined(__SANITIZE_ADDRESS__)
   __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(tsan_to, 0);
 #endif
 }
 
@@ -78,6 +88,9 @@ Fiber::Fiber(BodyFn body, std::size_t stack_bytes) : body_(std::move(body)) {
   makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
               static_cast<unsigned>(self >> 32),
               static_cast<unsigned>(self & 0xffffffffu));
+#if defined(__SANITIZE_THREAD__)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber() {
@@ -88,6 +101,9 @@ Fiber::~Fiber() {
   if (stack_base_ != nullptr) {
     munmap(stack_base_, map_bytes_);
   }
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
 }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
@@ -104,7 +120,8 @@ void Fiber::run_body() {
   // (a null save slot lets ASan free this fiber's fake stack).
   Fiber* self = g_current_fiber;
   g_current_fiber = nullptr;
-  start_switch(nullptr, self->caller_stack_bottom_, self->caller_stack_size_);
+  start_switch(nullptr, self->caller_stack_bottom_, self->caller_stack_size_,
+               self->tsan_caller_);
   swapcontext(&self->context_, &self->return_context_);
   STGSIM_UNREACHABLE("finished fiber resumed");
 }
@@ -117,7 +134,11 @@ void Fiber::resume() {
   g_current_fiber = this;
   g_switches.fetch_add(1, std::memory_order_relaxed);
   void* fake_stack = nullptr;
-  start_switch(&fake_stack, context_.uc_stack.ss_sp, context_.uc_stack.ss_size);
+#if defined(__SANITIZE_THREAD__)
+  tsan_caller_ = __tsan_get_current_fiber();
+#endif
+  start_switch(&fake_stack, context_.uc_stack.ss_sp, context_.uc_stack.ss_size,
+               tsan_fiber_);
   STGSIM_CHECK_EQ(swapcontext(&return_context_, &context_), 0);
   finish_switch(fake_stack, nullptr, nullptr);
   STGSIM_CHECK(g_current_fiber == nullptr);
@@ -128,7 +149,7 @@ void Fiber::yield_to_scheduler() {
   STGSIM_CHECK(self != nullptr) << "yield outside of fiber";
   g_current_fiber = nullptr;
   start_switch(&self->fake_stack_, self->caller_stack_bottom_,
-               self->caller_stack_size_);
+               self->caller_stack_size_, self->tsan_caller_);
   STGSIM_CHECK_EQ(swapcontext(&self->context_, &self->return_context_), 0);
   // Resumed again, possibly from another thread's stack: record it, and
   // restore current pointer (resume() set it before the swap back into us).

@@ -63,6 +63,10 @@ class Fiber {
   void* fake_stack_ = nullptr;
   const void* caller_stack_bottom_ = nullptr;
   std::size_t caller_stack_size_ = 0;
+  // ThreadSanitizer fiber bookkeeping (unused in other builds): this
+  // fiber's TSan context, and the context of whoever last resumed it.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
 };
 
 }  // namespace stgsim::simk

@@ -32,10 +32,6 @@ struct Message {
   std::uint64_t aux = 0;    ///< protocol-defined (rendezvous/collective ids)
   std::size_t wire_bytes = 0;
   PayloadBuf payload;       ///< pooled; empty under the analytical model
-
-  // Host-trace bookkeeping (set by the engine on send).
-  std::uint64_t producer_slice = 0;
-  double producer_offset_sec = 0.0;
 };
 
 /// Matching rule for a (blocking) receive: plain data compared inline —

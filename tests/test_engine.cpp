@@ -1,8 +1,8 @@
 // Unit tests for the PDES kernel: fibers, message delivery, scheduling
-// determinism, the threaded conservative mode, abort unwinding, and the
-// host-trace replay model.
+// determinism, the threaded conservative mode and abort unwinding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -748,6 +748,28 @@ TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
   EXPECT_EQ(ps.intra_messages, 0u);
 }
 
+TEST(Engine, ThreadedDrainPermutationPastSixtyFourWorkers) {
+  // A schedule oracle may reorder each worker's mailbox drain; the engine
+  // checks the order is still a permutation of the sender workers. With
+  // 65 workers the sender ids reach 64, past a 64-bit mask.
+  struct ReverseDrain : ScheduleOracle {
+    std::size_t choose(const std::vector<ChoiceOption>&) override {
+      return 0;
+    }
+    void permute_drain_order(int, std::vector<int>& from) override {
+      std::reverse(from.begin(), from.end());
+    }
+  };
+  ReverseDrain reverse;
+  EngineConfig cfg;
+  cfg.num_processes = 130;
+  cfg.host_workers = 65;
+  cfg.oracle = &reverse;
+  Engine e(cfg);
+  e.set_body(ring_body);
+  EXPECT_EQ(e.run().per_rank_completion, run_ring(130, 1));
+}
+
 TEST(Engine, ThreadedDeadlockReportsPerWorkerDetail) {
   EngineConfig cfg;
   cfg.num_processes = 4;
@@ -883,110 +905,6 @@ TEST(Engine, NonBlockingProcessesFinishIndependently) {
     EXPECT_EQ(r.per_rank_completion[static_cast<std::size_t>(i)],
               vtime_from_us(i + 1));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Host-trace replay
-// ---------------------------------------------------------------------------
-
-Slice slice(int lp, double dur, std::vector<Slice::Dep> deps = {}) {
-  Slice s;
-  s.lp = lp;
-  s.duration_sec = dur;
-  s.deps = std::move(deps);
-  return s;
-}
-
-TEST(Replay, IndependentSlicesParallelizePerfectly) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.0;
-  std::vector<Slice> trace;
-  for (int lp = 0; lp < 4; ++lp) trace.push_back(slice(lp, 1.0));
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 4, 1, m), 4.0);
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 4, 4, m), 1.0);
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 4, 2, m), 2.0);
-}
-
-TEST(Replay, DependencyChainSerializes) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.0;
-  m.cross_worker_msg_sec = 0.0;
-  std::vector<Slice> trace;
-  trace.push_back(slice(0, 1.0));
-  trace.push_back(slice(1, 1.0, {{0, 1.0, 0}}));  // sent at end of slice 0
-  trace.push_back(slice(2, 1.0, {{1, 1.0, 1}}));
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 3, 3, m), 3.0);
-}
-
-TEST(Replay, CrossWorkerMessagesAddOverhead) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.0;
-  m.cross_worker_msg_sec = 0.5;
-  std::vector<Slice> trace;
-  trace.push_back(slice(0, 1.0));
-  trace.push_back(slice(1, 1.0, {{0, 1.0, 0}}));
-  // Same worker: no cross cost.
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 2, 1, m), 2.0);
-  // Different workers: +0.5 delivery.
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 2, 2, m), 2.5);
-}
-
-TEST(Replay, MidSliceSendOffsetsRespected) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.0;
-  m.cross_worker_msg_sec = 0.0;
-  std::vector<Slice> trace;
-  trace.push_back(slice(0, 1.0));
-  // Message produced 0.5s into slice 0: the consumer overlaps with the
-  // rest of the producing slice instead of waiting for its end.
-  trace.push_back(slice(1, 1.0, {{0, 0.5, 0}}));
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 2, 2, m), 1.5);
-}
-
-TEST(Replay, DurationScaleStretchesWorkNotMessaging) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.0;
-  m.cross_worker_msg_sec = 0.25;
-  m.duration_scale = 10.0;
-  std::vector<Slice> trace;
-  trace.push_back(slice(0, 1.0));
-  trace.push_back(slice(1, 1.0, {{0, 1.0, 0}}));
-  // (1.0 * 10) + 0.25 + (1.0 * 10)
-  EXPECT_DOUBLE_EQ(replay_host_trace(trace, 2, 2, m), 20.25);
-}
-
-TEST(Replay, PerSliceOverheadAccumulates) {
-  HostModel m;
-  m.per_slice_overhead_sec = 0.1;
-  std::vector<Slice> trace;
-  for (int i = 0; i < 5; ++i) trace.push_back(slice(0, 1.0));
-  EXPECT_NEAR(replay_host_trace(trace, 1, 1, m), 5.5, 1e-12);
-}
-
-TEST(Engine, HostTraceRecordsSlicesAndDeps) {
-  EngineConfig cfg;
-  cfg.num_processes = 2;
-  cfg.record_host_trace = true;
-  Engine e(cfg);
-  e.set_body([](Process& p) {
-    if (p.rank() == 0) {
-      p.send(make_msg(0, 1, 1, 0, vtime_from_us(5)));
-    } else {
-      Message m = p.blocking_match(match_tag(0, 1));
-      p.lift_clock(m.arrival);
-    }
-  });
-  e.run();
-  const auto& trace = e.host_trace();
-  ASSERT_GE(trace.size(), 2u);
-  bool found_dep = false;
-  for (const auto& s : trace) {
-    for (const auto& d : s.deps) {
-      found_dep = true;
-      EXPECT_EQ(d.producer_lp, 0);
-    }
-  }
-  EXPECT_TRUE(found_dep);
 }
 
 }  // namespace

@@ -203,11 +203,6 @@ TEST(Harness, AbstractRendezvousSizedSendDoesNotBlock) {
   engine.run();
 }
 
-TEST(Harness, EmulatedHostSecondsRequiresATrace) {
-  RunOutcome empty;
-  EXPECT_THROW(emulated_host_seconds(empty, 4), CheckError);
-}
-
 TEST(Harness, ThreadedMeasuredModeIsRejected) {
   ir::Program prog = small_tomcatv();
   RunConfig cfg;
