@@ -181,11 +181,16 @@ void write_threaded_json(const std::string& path,
   os << "{\n  \"bench\": \"threaded_scale\",\n  \"mode\": \"am\",\n"
      << "  \"partition\": \"comm\",\n"
      << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+     << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"compiler\": \"" << PERF_COMPILER << "\", \"build_type\": \""
+     << PERF_BUILD_TYPE << "\", \"git_rev\": \"" << PERF_GIT_REV << "\"},\n"
      << "  \"note\": \"workers=1 conservative rows run one worker inline"
         " (no pool); digests are identical across all rows of one (app, procs)"
         " regardless of schedule; optimistic rows report checkpoint counts"
-        " and peak consumption-log bytes (bounded by the checkpoint"
-        " interval, not total message volume)\",\n"
+        " and peak consumption-log bytes: GVT advances mid-round at every"
+        " worker count, so fossil collection keeps the log near the"
+        " checkpoint interval's worth per rank; with several workers the"
+        " peak is the sum of each worker's own-rank peak\",\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ThreadedPoint& p = points[i];

@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "sim/worker_pool.hpp"
 
@@ -272,14 +273,87 @@ Engine::Engine(EngineConfig config) : config_(config) {
 
 Engine::~Engine() = default;
 
-VTime Engine::wildcard_safe_bound(VTime min_latency, int exclude_rank) const {
-  VTime lo = kVTimeNever;
-  for (const auto& p : procs_) {
-    if (p->finished_ || p->rank_ == exclude_rank) continue;
-    lo = std::min(lo, p->clock_);
+Engine::ClockFloor Engine::clock_floor(int w) const {
+  ClockFloor f;
+  if (w >= 0 && threaded_run_) {
+    const IndexedMinHeap<VTime>& h = worker_floors_[static_cast<std::size_t>(w)];
+    if (h.empty()) return f;
+    std::tie(f.min, f.argmin) = h.top();
+    f.second = h.second_key(kVTimeNever);
+    return f;
   }
-  if (lo == kVTimeNever) return kVTimeNever;
-  return lo + min_latency;
+  for (const auto& p : procs_) {
+    if (p->finished_) continue;
+    if (p->clock_ < f.min) {
+      f.second = f.min;
+      f.min = p->clock_;
+      f.argmin = p->rank_;
+    } else if (p->clock_ < f.second) {
+      // Covers duplicates of min too: excluding argmin still leaves a
+      // process at that clock, so second must equal min then.
+      f.second = p->clock_;
+    }
+  }
+  return f;
+}
+
+void Engine::refloor(const Process& p) {
+  if (!threaded_run_) return;
+  IndexedMinHeap<VTime>& h = worker_floors_[static_cast<std::size_t>(p.home_worker_)];
+  if (!p.finished_) {
+    h.push_or_update(p.rank_, p.clock_);
+  } else if (h.contains(p.rank_)) {
+    h.erase(p.rank_);
+  }
+}
+
+VTime Engine::after_floor_latency(VTime t) const {
+  // A rollback happens the moment its message arrives, so Time Warp bounds
+  // arrivals by the sender's clock itself; a conservative wildcard also
+  // knows every send takes at least the latency floor.
+  const VTime lat = config_.optimistic
+                        ? 0
+                        : wildcard_min_latency_.load(std::memory_order_relaxed);
+  return t > kVTimeNever - lat ? kVTimeNever : t + lat;
+}
+
+VTime Engine::peer_floor(int w) const {
+  VTime b = kVTimeNever;
+  if (!threaded_run_) return b;
+  for (int v = 0; v < config_.host_workers; ++v) {
+    if (v == w) continue;
+    b = std::min(b, floor_words_[static_cast<std::size_t>(v)].v.load(
+                        std::memory_order_acquire));
+  }
+  return b;
+}
+
+void Engine::publish_floor(int w) {
+  VTime word = after_floor_latency(clock_floor(w).min);
+  for (int v = 0; v < config_.host_workers; ++v) {
+    if (v == w) continue;
+    Lane& out = lane(w, v);
+    const std::uint64_t done = out.delivered.load(std::memory_order_acquire);
+    while (!out.transit.empty() && out.transit.front().first < done) {
+      out.transit.pop_front();
+    }
+    if (!out.transit.empty()) word = std::min(word, out.transit.front().second);
+  }
+  opt_sample_log_peak(w);
+  std::atomic<VTime>& slot = floor_words_[static_cast<std::size_t>(w)].v;
+  if (slot.load(std::memory_order_relaxed) != word) {
+    slot.store(word, std::memory_order_release);
+    floor_stores_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  // Only now may the senders of what this worker delivered stop counting
+  // it: a rollback that delivery caused is already in the word.
+  for (int u = 0; u < config_.host_workers; ++u) {
+    if (u == w) continue;
+    Lane& in = lane(u, w);
+    if (in.delivered.load(std::memory_order_relaxed) != in.popped) {
+      in.delivered.store(in.popped, std::memory_order_release);
+    }
+  }
 }
 
 bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
@@ -295,17 +369,17 @@ bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
     // pre-safety-bound behavior for the schedule checker to rediscover.
     return true;
   }
-  if (threaded_phase_) return false;  // clocks race during a round
   if (mc_active_) {
     // MC mode: never commit mid-slice. Wildcards park and are promoted
     // only when every in-flight lane is drained, so the candidate set the
-    // promotion scan evaluates is final (mirrors the threaded barrier).
+    // promotion scan evaluates is final.
     return false;
   }
-  const VTime bound = wildcard_safe_bound(
-      wildcard_min_latency_.load(std::memory_order_relaxed), p.rank_);
   // kVTimeNever: no other unfinished process exists, so the queued message
   // set is final and any match is safe.
+  const VTime bound =
+      std::min(after_floor_latency(clock_floor(p.home_worker_).without(p.rank_)),
+               peer_floor(p.home_worker_));
   return bound == kVTimeNever || arrival < bound;
 }
 
@@ -314,7 +388,7 @@ double Engine::now_host_sec() const { return steady_now_sec() - host_t0_sec_; }
 void Engine::deliver(Message&& msg) {
   Process& dst = *procs_[static_cast<std::size_t>(msg.dst)];
 
-  if (threaded_phase_) {
+  if (threaded_run_) {
     const int w = g_current_worker;
     if (dst.home_worker_ != w) {
       // Cross-partition: ride the (sender worker, destination worker) lane,
@@ -322,23 +396,15 @@ void Engine::deliver(Message&& msg) {
       // and carries every message between the two partitions, so each
       // per-(src,dst) channel keeps its send order. (Payload buffers
       // allocated on this worker travel with the message; the pool is
-      // spinlocked.)
-      if (config_.optimistic) {
-        // Asynchronous GVT: record the smallest arrival this worker has
-        // put in transit since the last barrier (monotone min, reset at
-        // the barrier), so mid-round estimates account for messages the
-        // destination has not drained yet.
-        std::atomic<VTime>& om = opt_out_min_[static_cast<std::size_t>(w)];
-        VTime cur = om.load(std::memory_order_relaxed);
-        while (msg.arrival < cur &&
-               !om.compare_exchange_weak(cur, msg.arrival,
-                                         std::memory_order_relaxed)) {
-        }
+      // spinlocked.) The sender counts its arrival in its floor word until
+      // the destination has delivered it.
+      Lane& out = lane(w, dst.home_worker_);
+      while (!out.transit.empty() && out.transit.back().second >= msg.arrival) {
+        out.transit.pop_back();
       }
-      mailboxes_[static_cast<std::size_t>(w) *
-                     static_cast<std::size_t>(config_.host_workers) +
-                 static_cast<std::size_t>(dst.home_worker_)]
-          ->push(std::move(msg));
+      out.transit.emplace_back(out.pushed++, msg.arrival);
+      round_busy_.fetch_add(1, std::memory_order_relaxed);
+      out.q.push(std::move(msg));
       return;
     }
     ++worker_stats_[static_cast<std::size_t>(w)].intra;
@@ -410,7 +476,7 @@ void Engine::deliver_now(Message&& msg) {
   MsgNode* node = insert_sorted(dst, std::move(msg));
   const std::uint64_t delivered = ++messages_delivered_;
   if (config_.max_messages > 0 && delivered > config_.max_messages) {
-    if (threaded_phase_ && Fiber::current() == nullptr) {
+    if (threaded_run_ && Fiber::current() == nullptr) {
       // Mailbox drain on a worker thread: raising here would tear down
       // fibers owned by other workers. Record the violation; every worker
       // sees has_error_ and ends its round, and the scheduler aborts at
@@ -452,14 +518,13 @@ void Engine::deliver_now(Message&& msg) {
     }
     if (can_match) {
       if (!config_.optimistic && spec.is_wildcard() &&
-          (threaded_run_ || !wildcard_commit_safe(dst, m.arrival))) {
+          !wildcard_commit_safe(dst, m.arrival)) {
         // Conservative: a slower-clocked rank could still send an
-        // earlier-arriving match (or, in a threaded round, we cannot
-        // tell): defer the wakeup until the safety bound passes. If an
-        // already-queued candidate has an even earlier arrival, it is
-        // safe whenever this one is, and try_match picks it on resume.
-        // (Optimistic mode never parks: it commits on sight and corrects
-        // with rollback.)
+        // earlier-arriving match: defer the wakeup until the safety bound
+        // passes. If an already-queued candidate has an even earlier
+        // arrival, it is safe whenever this one is, and try_match picks it
+        // on resume. (Optimistic mode never parks: it commits on sight and
+        // corrects with rollback.)
         park_wildcard(dst);
         return;
       }
@@ -477,9 +542,8 @@ void Engine::wake_process(Process& p, VTime arrival) {
 }
 
 void Engine::make_ready(Process& p) {
-  // Local deliveries and lane drains happen on the destination's own
-  // worker; barrier drains and promotions happen between rounds — both
-  // may touch this list, never at the same time.
+  // Deliveries and promotions happen on the rank's own worker, the stuck
+  // promotion between rounds: never at the same time.
   worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
 }
 
@@ -487,12 +551,7 @@ void Engine::park_wildcard(Process& p) {
   STGSIM_DCHECK(p.blocked_ && p.waiting_on_ != nullptr);
   if (p.wildcard_parked_) return;
   p.wildcard_parked_ = true;
-  if (threaded_phase_) {
-    worker_wildcard_pending_[static_cast<std::size_t>(g_current_worker)]
-        .push_back(p.rank_);
-  } else {
-    wildcard_pending_.push_back(p.rank_);
-  }
+  worker_parked_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
 }
 
 // ---------------------------------------------------------------------------
@@ -576,33 +635,27 @@ std::size_t Engine::opt_entry_bytes(const Message& m) {
 }
 
 void Engine::opt_log_charge(Process& p, const Message& m) {
-  // Plain per-rank counter: a rank's log is only ever touched by its
-  // owning worker. The global figure is folded from the per-rank counters at GVT passes and at run end — see
-  // opt_fold_log_bytes — so the per-message cost is one add instead of
-  // two contended atomic RMWs. The reported peak is therefore sampled at
-  // fold points, which is where the log is largest anyway (a fold runs
-  // immediately before fossil collection prunes it).
-  p.opt_.log_bytes += opt_entry_bytes(m);
+  // Plain counters: a rank's log is only ever touched by its owning worker
+  // (or the barrier, with the workers quiesced), so the per-message cost
+  // is two adds instead of contended atomic RMWs. The peak is sampled at
+  // publishes and GVT passes, which run right before fossil collection
+  // prunes the log.
+  const std::size_t n = opt_entry_bytes(m);
+  p.opt_.log_bytes += n;
+  worker_stats_[static_cast<std::size_t>(p.home_worker_)].log_bytes += n;
 }
 
 void Engine::opt_log_release(Process& p, const Message& m) {
   const std::size_t n = opt_entry_bytes(m);
   STGSIM_DCHECK(p.opt_.log_bytes >= n);
   p.opt_.log_bytes -= n;
+  worker_stats_[static_cast<std::size_t>(p.home_worker_)].log_bytes -= n;
 }
 
-std::uint64_t Engine::opt_fold_log_bytes() {
-  // Scheduler thread only (one-worker rounds, or a threaded run at a
-  // barrier / before its own fossil sweep): workers are quiesced, so plain
-  // reads of the per-rank counters and plain stores of the global are
-  // race-free.
-  std::uint64_t sum = 0;
-  for (const auto& p : procs_) sum += p->opt_.log_bytes;
-  opt_log_bytes_.store(sum, std::memory_order_relaxed);
-  if (sum > opt_log_bytes_peak_.load(std::memory_order_relaxed)) {
-    opt_log_bytes_peak_.store(sum, std::memory_order_relaxed);
-  }
-  return sum;
+std::uint64_t Engine::opt_sample_log_peak(int w) {
+  WorkerStat& ws = worker_stats_[static_cast<std::size_t>(w)];
+  ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
+  return ws.log_bytes;
 }
 
 void Process::take_checkpoint(std::vector<std::uint8_t> app_blob) {
@@ -864,6 +917,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
   p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
   if (!was_queued) make_ready(p);
+  refloor(p);
 }
 
 void Engine::opt_finish_unwind(Process& p) {
@@ -918,8 +972,7 @@ bool Engine::opt_throttled(const Process& p) const {
   return p.clock_ > g + w;
 }
 
-void Engine::opt_retune_gvt() {
-  const std::uint64_t cur = opt_log_bytes_.load(std::memory_order_relaxed);
+void Engine::opt_retune_gvt(std::uint64_t cur) {
   // Log pressure rising past the threshold: fossil-collect more
   // aggressively. Pressure flat or falling: back off toward (and past) the
   // baseline cadence, up to 4x — GVT passes are O(P) and pure overhead
@@ -935,24 +988,26 @@ void Engine::opt_retune_gvt() {
   opt_gvt_countdown_ = opt_gvt_interval_;
 }
 
-void Engine::opt_gvt_pass() {
+std::uint64_t Engine::opt_gvt_pass() {
   // Capture the retained-log high-water mark before fossil collection
-  // below shrinks it; the retune that follows the pass reads the fold.
-  opt_fold_log_bytes();
-  VTime g = kVTimeNever;
-  for (const auto& p : procs_) {
-    if (!p->finished_) g = std::min(g, p->clock_);
+  // below shrinks it; the retune that follows the pass reads these bytes.
+  std::uint64_t log_bytes = 0;
+  for (int w = 0; w < config_.host_workers; ++w) {
+    log_bytes += opt_sample_log_peak(w);
   }
+  VTime g = clock_floor(-1).min;
   // MC mode: messages parked in in-flight lanes (including antis) are
   // in transit and bound future deliveries.
   for (const auto& lane : inflight_) {
     for (const Message& m : lane.q) g = std::min(g, m.arrival);
   }
-  if (g == kVTimeNever) return;
-  if (g <= gvt_.load(std::memory_order_relaxed)) return;
+  if (g == kVTimeNever || g <= gvt_.load(std::memory_order_relaxed)) {
+    return log_bytes;
+  }
   gvt_.store(g, std::memory_order_relaxed);
   gvt_passes_.fetch_add(1, std::memory_order_relaxed);
   for (const auto& p : procs_) opt_fossil_rank(*p, g);
+  return log_bytes;
 }
 
 void Engine::opt_fossil_rank(Process& p, VTime g) {
@@ -1018,84 +1073,76 @@ void Engine::opt_fossil_rank(Process& p, VTime g) {
   }
 }
 
-void Engine::promote_safe_wildcards(bool stuck) {
-  // One O(P) scan gives the two smallest unfinished clocks; excluding the
-  // parked receiver itself then costs O(1) per candidate.
-  VTime min1 = kVTimeNever, min2 = kVTimeNever;
-  int argmin = -1;
-  for (const auto& q : procs_) {
-    if (q->finished_) continue;
-    if (q->clock_ < min1) {
-      min2 = min1;
-      min1 = q->clock_;
-      argmin = q->rank_;
-    } else if (q->clock_ < min2) {
-      // Covers duplicates of min1 too: excluding argmin still leaves a
-      // process at that clock, so min2 must equal min1 then.
-      min2 = q->clock_;
-    }
-  }
-  const VTime lat = wildcard_min_latency_.load(std::memory_order_relaxed);
+VTime Engine::parked_candidate(const Process& p) {
+  VTime arrival = kVTimeNever;
+  STGSIM_CHECK(p.peek_match(*p.waiting_on_, &arrival))
+      << "parked wildcard receive on rank " << p.rank_
+      << " lost its queued candidate";
+  return arrival;
+}
 
+bool Engine::promote_safe_wildcards(int w) {
+  // One floor read and one read of the peers' words serve every parked
+  // receiver; excluding the receiver itself then costs O(1).
+  const ClockFloor floor = clock_floor(w);
+  const VTime peers = peer_floor(w);
+  std::vector<int>& parked = worker_parked_[static_cast<std::size_t>(w)];
   bool promoted = false;
-  VTime best_arrival = kVTimeNever;
-  int best_rank = -1;
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < wildcard_pending_.size(); ++i) {
-    const int rank = wildcard_pending_[i];
+  for (std::size_t i = 0; i < parked.size(); ++i) {
+    const int rank = parked[i];
     Process& p = *procs_[static_cast<std::size_t>(rank)];
     if (!p.blocked_ || !p.wildcard_parked_) continue;  // woken since; drop
-    VTime arrival = kVTimeNever;
-    STGSIM_CHECK(p.peek_match(*p.waiting_on_, &arrival))
-        << "parked wildcard receive on rank " << rank
-        << " lost its queued candidate";
-    const VTime lo = (p.rank_ == argmin) ? min2 : min1;
-    if (lo == kVTimeNever || arrival < lo + lat) {
+    const VTime arrival = parked_candidate(p);
+    const VTime bound =
+        std::min(after_floor_latency(floor.without(rank)), peers);
+    if (bound == kVTimeNever || arrival < bound) {
       wake_process(p, arrival);
       promoted = true;
       continue;
     }
-    if (arrival < best_arrival ||
-        (arrival == best_arrival && rank < best_rank)) {
-      best_arrival = arrival;
-      best_rank = rank;
-    }
-    wildcard_pending_[keep++] = rank;
+    parked[keep++] = rank;
   }
-  wildcard_pending_.resize(keep);
+  parked.resize(keep);
+  return promoted;
+}
 
-  if (!promoted && stuck && best_rank >= 0) {
-    // Nothing can run, so no further message will ever be queued: the
-    // earliest-arrival candidate is exactly what the safety bound would
-    // eventually admit. Wake only that one; its commit may unblock others
-    // for real (bound-safe) promotion later.
-    if (mc_active_) {
-      // Several parked ranks tied at the same candidate arrival is the one
-      // point where the (arrival, rank) rule is a genuine tie-break rather
-      // than a timestamp-forced choice. Expose the tie to the oracle so
-      // the checker can prove the committed results do not depend on it.
-      std::vector<ChoiceOption> tied;
-      for (int rank : wildcard_pending_) {
-        Process& q = *procs_[static_cast<std::size_t>(rank)];
-        VTime arrival = kVTimeNever;
-        STGSIM_CHECK(q.peek_match(*q.waiting_on_, &arrival));
-        if (arrival == best_arrival) {
-          ChoiceOption c;
-          c.kind = ChoiceOption::Kind::kWildcard;
-          c.rank = rank;
-          tied.push_back(c);
-        }
-      }
-      if (tied.size() > 1) {
-        best_rank = tied[oracle_choose(tied)].rank;
-      }
+void Engine::promote_stuck_wildcard() {
+  // Nothing can run, so no further message will ever be queued: the
+  // earliest-arrival candidate is exactly what the safety bound would
+  // eventually admit. Wake only that one; its commit may unblock others
+  // for real (bound-safe) promotion later.
+  VTime best = kVTimeNever;
+  std::vector<int> tied;  // live parked ranks at `best`, in list order
+  for (const std::vector<int>& parked : worker_parked_) {
+    for (int rank : parked) {
+      const Process& p = *procs_[static_cast<std::size_t>(rank)];
+      if (!p.blocked_ || !p.wildcard_parked_) continue;
+      const VTime arrival = parked_candidate(p);
+      if (arrival > best) continue;
+      if (arrival < best) tied.clear();
+      best = arrival;
+      tied.push_back(rank);
     }
-    Process& p = *procs_[static_cast<std::size_t>(best_rank)];
-    wake_process(p, best_arrival);
-    wildcard_pending_.erase(
-        std::find(wildcard_pending_.begin(), wildcard_pending_.end(),
-                  best_rank));
   }
+  if (tied.empty()) return;
+  int rank = *std::min_element(tied.begin(), tied.end());
+  if (mc_active_ && tied.size() > 1) {
+    // Several parked ranks tied at the same candidate arrival is the one
+    // point where the (arrival, rank) rule is a genuine tie-break rather
+    // than a timestamp-forced choice. Expose the tie to the oracle so
+    // the checker can prove the committed results do not depend on it.
+    std::vector<ChoiceOption> options(tied.size());
+    for (std::size_t i = 0; i < tied.size(); ++i) {
+      options[i].kind = ChoiceOption::Kind::kWildcard;
+      options[i].rank = tied[i];
+    }
+    rank = tied[oracle_choose(options)];
+  }
+  Process& p = *procs_[static_cast<std::size_t>(rank)];
+  wake_process(p, best);
+  std::vector<int>& home = worker_parked_[static_cast<std::size_t>(p.home_worker_)];
+  home.erase(std::find(home.begin(), home.end(), rank));
 }
 
 void Engine::resume_process(Process& p) {
@@ -1269,12 +1316,6 @@ RunResult Engine::run() {
     opt_anti_queues_.clear();
     opt_anti_queues_.resize(nctx);
     opt_flushing_.assign(nctx, 0);
-    opt_floor_ = std::make_unique<std::atomic<VTime>[]>(nctx);
-    opt_out_min_ = std::make_unique<std::atomic<VTime>[]>(nctx);
-    for (std::size_t i = 0; i < nctx; ++i) {
-      opt_floor_[i].store(0, std::memory_order_relaxed);
-      opt_out_min_[i].store(kVTimeNever, std::memory_order_relaxed);
-    }
     for (auto& p : procs_) {
       p->opt_.effective_interval = config_.checkpoint_interval;
     }
@@ -1292,8 +1333,6 @@ RunResult Engine::run() {
     opt_gvt_interval_ = opt_gvt_base_;
     opt_gvt_countdown_ = opt_gvt_interval_;
     opt_log_bytes_last_pass_ = 0;
-    opt_log_bytes_.store(0, std::memory_order_relaxed);
-    opt_log_bytes_peak_.store(0, std::memory_order_relaxed);
     opt_throttle_override_.store(false, std::memory_order_relaxed);
   }
 
@@ -1303,7 +1342,13 @@ RunResult Engine::run() {
 
   if (config_.optimistic) {
     pstats_.rollback_depth_hist.assign(WorkerStat::kDepthBuckets, 0);
-    for (const auto& ws : worker_stats_) {
+    // A run whose last stretch never hit a GVT pass (or that disabled
+    // checkpointing and grew the log to the end) still reports its true
+    // high-water mark. Several workers prune mid-round, each at its own
+    // time, so the run's peak is the sum of the workers' peaks.
+    for (auto& ws : worker_stats_) {
+      ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
+      pstats_.log_bytes_peak += ws.log_peak;
       pstats_.rollbacks += ws.rollbacks;
       pstats_.anti_messages += ws.antis;
       pstats_.fossil_finalized += ws.fossil;
@@ -1321,12 +1366,6 @@ RunResult Engine::run() {
       pstats_.checkpoints_taken += p->opt_.checkpoints_taken;
     }
     pstats_.gvt_passes = gvt_passes_.load(std::memory_order_relaxed);
-    // Final fold: a run whose last stretch never hit a GVT pass (or that
-    // disabled checkpointing and grew the log to the end) still reports
-    // its true high-water mark.
-    opt_fold_log_bytes();
-    pstats_.log_bytes_peak =
-        opt_log_bytes_peak_.load(std::memory_order_relaxed);
   }
 
   RunResult res;
@@ -1397,12 +1436,10 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
   std::uint64_t drained = 0;
   Message m;
   auto drain_from = [&](int u) {
-    SpscLane<Message>& lane =
-        *mailboxes_[static_cast<std::size_t>(u) *
-                        static_cast<std::size_t>(workers) +
-                    static_cast<std::size_t>(worker)];
-    while (lane.try_pop(&m)) {
+    Lane& in = lane(u, worker);
+    while (in.q.try_pop(&m)) {
       deliver_now(std::move(m));
+      ++in.popped;
       ++drained;
     }
   };
@@ -1427,12 +1464,12 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
       seen[static_cast<std::size_t>(u)] = 1;
       drain_from(u);
     }
-    return drained;
+  } else {
+    for (int u = 0; u < workers; ++u) {
+      if (u != worker) drain_from(u);
+    }
   }
-  for (int u = 0; u < workers; ++u) {
-    if (u == worker) continue;
-    drain_from(u);
-  }
+  publish_floor(worker);
   return drained;
 }
 
@@ -1442,62 +1479,40 @@ void Engine::run_partition_round(int worker) {
   std::vector<int>& local_ready = worker_ready_[static_cast<std::size_t>(worker)];
   WorkerStat& ws = worker_stats_[static_cast<std::size_t>(worker)];
 
-  // round_running_ counts workers that currently have (or may produce)
-  // local work. A worker leaves the count when its heap and mailboxes are
-  // both empty, rejoins if a mailbox delivery wakes one of its ranks, and
-  // exits the round when the count hits zero and a last drain finds
-  // nothing. A peer that rejoins after that can still push to this worker;
-  // the barrier drains what it leaves.
+  // Whether this worker counts in round_busy_: it leaves when it has no
+  // work and rejoins when a drain or a promotion gives it some.
   bool active = true;
   std::uint64_t iter = 0;
-  const int workers = config_.host_workers;
-  VTime opt_fossil_seen =
-      config_.optimistic ? gvt_.load(std::memory_order_relaxed) : 0;
+  std::vector<int>& parked = worker_parked_[static_cast<std::size_t>(worker)];
   // Ranks held out of this round because they ran past the speculation
   // window; re-queued for the next round at exit (GVT will have advanced
   // at the barrier). The scheduler thread sets opt_throttle_override_ when
   // a whole round is throttled into making no progress.
   std::vector<int> throttled;
-  // Mid-round GVT publish (optimistic mode). Each worker periodically
-  // publishes a single word: min(its unfinished ranks' clocks, the
-  // smallest arrival it has put in transit since the barrier). One
-  // combined value — not two separately-read atomics — so a reader can
-  // never pair a fresh (high) clock floor with a stale (missing) in-
-  // transit entry from the same worker. By induction over send chains,
-  // every published value lower-bounds every in-flight and future message
-  // arrival, so min over all workers is a sound (lagging) GVT estimate;
-  // the barrier recomputes it exactly.
-  auto opt_publish_and_fossil = [&] {
-    VTime f = opt_out_min_[static_cast<std::size_t>(worker)].load(
-        std::memory_order_relaxed);
-    for (const auto& pp : procs_) {
-      if (pp->home_worker_ == worker && !pp->finished_) {
-        f = std::min(f, pp->clock_);
+  // Time Warp with several workers: fold the published words into GVT
+  // (CAS-max) and fossil-collect this worker's ranks whenever that
+  // advanced it.
+  VTime fossil_gvt = gvt_.load(std::memory_order_relaxed);
+  auto opt_fold_and_fossil = [&] {
+    const std::uint64_t stores = floor_stores_.load(std::memory_order_acquire);
+    VTime g = peer_floor(-1);
+    // A store between the two count reads may have moved a message's share
+    // from its sender's word to its receiver's after this read passed the
+    // receiver: skip this fold, a later one retries.
+    if (floor_stores_.load(std::memory_order_acquire) != stores) return;
+    VTime cur = gvt_.load(std::memory_order_relaxed);
+    while (g != kVTimeNever && g > cur) {
+      if (gvt_.compare_exchange_weak(cur, g, std::memory_order_relaxed)) {
+        gvt_passes_.fetch_add(1, std::memory_order_relaxed);
+        break;
       }
     }
-    opt_floor_[static_cast<std::size_t>(worker)].store(
-        f, std::memory_order_release);
-    VTime g = kVTimeNever;
-    for (int v = 0; v < workers; ++v) {
-      g = std::min(g, opt_floor_[static_cast<std::size_t>(v)].load(
-                          std::memory_order_acquire));
-    }
-    if (g != kVTimeNever) {
-      VTime cur = gvt_.load(std::memory_order_relaxed);
-      while (g > cur) {
-        if (gvt_.compare_exchange_weak(cur, g,
-                                       std::memory_order_relaxed)) {
-          gvt_passes_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }
-    const VTime seen = gvt_.load(std::memory_order_relaxed);
-    if (seen > opt_fossil_seen) {
-      opt_fossil_seen = seen;
-      for (const auto& pp : procs_) {
-        if (pp->home_worker_ == worker) opt_fossil_rank(*pp, seen);
-      }
+    g = gvt_.load(std::memory_order_relaxed);
+    if (g <= fossil_gvt) return;
+    fossil_gvt = g;
+    opt_sample_log_peak(worker);
+    for (int r : worker_ranks_[static_cast<std::size_t>(worker)]) {
+      opt_fossil_rank(*procs_[static_cast<std::size_t>(r)], g);
     }
   };
   auto take_ready = [&] {
@@ -1513,62 +1528,52 @@ void Engine::run_partition_round(int worker) {
   auto has_work = [&] {
     if (!heap.empty()) return true;
     if (inflight_total_ == 0) return false;
-    if (config_.optimistic) return true;
-    return std::any_of(procs_.begin(), procs_.end(),
-                       [](const auto& pp) { return !pp->finished_; });
+    return config_.optimistic || clock_floor(-1).argmin >= 0;
   };
   for (;;) {
-    // Cross-partition messages pushed by peers since the last check;
-    // wakeups land on local_ready.
-    if (threaded_run_) ws.mailbox += drain_mailboxes(worker);
+    // Cross-partition messages pushed by peers since the last check
+    // (wakeups land on local_ready); the drain also republishes this
+    // worker's floor word, between slices and while idle.
+    const std::uint64_t drained = drain_mailboxes(worker);
+    ws.mailbox += drained;
     take_ready();
-    if (!threaded_run_ && inflight_total_ == 0 &&
-        !wildcard_pending_.empty()) {
-      // One worker: no clock races, so parked wildcards are promoted
-      // between slices instead of waiting for the barrier. With every
-      // in-flight lane drained, no message can appear before some rank
-      // runs, so each parked candidate set is final.
-      promote_safe_wildcards(/*stuck=*/heap.empty());
+    if (inflight_total_ == 0 && !parked.empty()) {
+      // Parked wildcards whose candidate passed the bound wake now (MC:
+      // once every in-flight lane is drained, so each candidate set is
+      // final). With one worker an empty heap also means nothing can run:
+      // the smallest candidate is then exact.
+      if (!promote_safe_wildcards(worker) && !threaded_run_ && heap.empty()) {
+        promote_stuck_wildcard();
+      }
       take_ready();
     }
 
-    if (!has_work()) {
-      if (active) {
-        active = false;
-        round_running_.fetch_sub(1, std::memory_order_acq_rel);
+    const bool work = has_work();
+    std::int64_t settle = -static_cast<std::int64_t>(drained);
+    if (work != active) settle += work ? kBusyWorker : -kBusyWorker;
+    if (settle != 0) {
+      // Zero is final: peers that read it have left the round. Only a
+      // promotion can give an idle worker work without a counted message,
+      // and that worker then leaves too; its ranks wait for the next round.
+      std::int64_t busy = round_busy_.load(std::memory_order_relaxed);
+      while (busy != 0 && !round_busy_.compare_exchange_weak(
+                              busy, busy + settle, std::memory_order_acq_rel)) {
       }
-      if (has_error_.load(std::memory_order_acquire)) break;
-      if (round_running_.load(std::memory_order_acquire) == 0) {
-        // Everyone is idle. One last drain: a peer may have pushed right
-        // before it went idle; the acquire above makes that push visible.
-        const std::uint64_t drained = drain_mailboxes(worker);
-        if (drained == 0) break;
-        ws.mailbox += drained;
-        continue;
-      }
-      // A peer is still running and may yet feed us through a mailbox.
-      // An idle spin that never probes the watchdog could outlive the
-      // budget if that peer is stuck in a long slice.
-      if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
-        note_error(std::make_exception_ptr(BudgetExceededError(
-            BudgetExceededError::Kind::kHostWallClock,
-            "host wall-clock watchdog fired in worker " +
-                std::to_string(worker))));
-        break;
-      }
-      std::this_thread::yield();
-      continue;
+      if (busy == 0) break;
+      active = work;
     }
-
-    if (!active) {
-      active = true;
-      round_running_.fetch_add(1, std::memory_order_acq_rel);
+    // Quiescent: no worker can run and nothing is in flight. A parked
+    // wildcard left now waits for the barrier's stuck promotion.
+    if (!work && (has_error_.load(std::memory_order_acquire) ||
+                  round_busy_.load(std::memory_order_acquire) == 0)) {
+      break;
     }
     // The round barrier only probes the wall-clock watchdog between
-    // rounds; a round that never drains (e.g. two processes in the same
-    // partition ping-ponging without advancing their clocks, or a rank
-    // that blocks before it ever calls advance()) would otherwise spin
-    // forever. Probe in-loop; the barrier tears the run down.
+    // rounds; a round that never ends (e.g. two processes in the same
+    // partition ping-ponging without advancing their clocks, a rank that
+    // blocks before it ever calls advance(), or an idle worker whose peer
+    // is stuck in a long slice) would otherwise spin forever. Probe
+    // in-loop; the barrier tears the run down.
     if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
       note_error(std::make_exception_ptr(BudgetExceededError(
           BudgetExceededError::Kind::kHostWallClock,
@@ -1576,14 +1581,20 @@ void Engine::run_partition_round(int worker) {
               std::to_string(worker))));
       break;
     }
+    if (!work) {
+      // A peer is still running and may yet feed us through a lane. Idle
+      // time is free for Time Warp's fold and fossil collection.
+      if (config_.optimistic) opt_fold_and_fossil();
+      std::this_thread::yield();
+      continue;
+    }
     if (config_.optimistic) {
       if (threaded_run_) {
-        if ((iter & 255U) == 0) opt_publish_and_fossil();
+        if ((iter & 255U) == 0) opt_fold_and_fossil();
       } else if (--opt_gvt_countdown_ == 0) {
         // One worker: no clock races, so the exact pass replaces the
-        // publish, on an adaptive cadence that amortizes its O(P) scan.
-        opt_gvt_pass();
-        opt_retune_gvt();
+        // fold, on an adaptive cadence that amortizes its O(P) scan.
+        opt_retune_gvt(opt_gvt_pass());
       }
     }
     int rank;
@@ -1602,11 +1613,12 @@ void Engine::run_partition_round(int worker) {
     resume_process(p);
     ws.busy_vtime += p.clock_ - clock_before;
     ++ws.slices;
+    refloor(p);
     // Stop at the first error: a failed slice ends the round before any
     // other rank runs.
     if (has_error_.load(std::memory_order_acquire)) break;
   }
-  if (active) round_running_.fetch_sub(1, std::memory_order_acq_rel);
+  while (!heap.empty()) local_ready.push_back(heap.pop());
   local_ready.insert(local_ready.end(), throttled.begin(), throttled.end());
 }
 
@@ -1634,15 +1646,28 @@ void Engine::run_rounds() {
   // a single worker runs inline on this thread, where the safety bound can
   // be evaluated mid-slice and the round/mailbox counters stay zero.
   threaded_run_ = workers > 1;
-  worker_wildcard_pending_.assign(static_cast<std::size_t>(workers), {});
-  worker_heaps_.resize(static_cast<std::size_t>(workers));
+  const auto nw = static_cast<std::size_t>(workers);
+  worker_parked_.assign(nw, {});
+  worker_heaps_.resize(nw);
   for (auto& h : worker_heaps_) h.reset(config_.num_processes);
-  const auto lanes = static_cast<std::size_t>(workers) *
-                     static_cast<std::size_t>(workers);
-  mailboxes_.clear();
-  mailboxes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    mailboxes_.push_back(std::make_unique<SpscLane<Message>>());
+  if (threaded_run_) {
+    // The lower-bound service: own-rank lists, floor heaps, lanes with
+    // their in-transit queues, and the published words (seeded per round).
+    worker_ranks_.assign(nw, {});
+    worker_floors_.resize(nw);
+    for (auto& h : worker_floors_) h.reset(config_.num_processes);
+    for (const auto& p : procs_) {
+      worker_ranks_[static_cast<std::size_t>(p->home_worker_)].push_back(p->rank_);
+      refloor(*p);
+    }
+    mailboxes_.clear();
+    for (std::size_t i = 0; i < nw * nw; ++i) {
+      mailboxes_.push_back(std::make_unique<Lane>());
+    }
+    // Words stay valid across barriers (nothing runs or arrives there), so
+    // one seeding covers every round.
+    floor_words_ = std::make_unique<FloorWord[]>(nw);
+    for (int v = 0; v < workers; ++v) publish_floor(v);
   }
   pstats_ = ParallelStats{};
   if (threaded_run_) pstats_.window_advance_hist.assign(kAdvanceBuckets, 0);
@@ -1672,9 +1697,7 @@ void Engine::run_rounds() {
   VTime prev_min = kVTimeNever;
   while (true) {
     if (!any_ready()) {
-      bool all_done = true;
-      for (const auto& p : procs_) all_done = all_done && p->finished_;
-      if (all_done) break;
+      if (clock_floor(-1).min == kVTimeNever) break;  // every rank finished
       raise_deadlock();
     }
     if (host_budget_exhausted()) {
@@ -1683,23 +1706,7 @@ void Engine::run_rounds() {
     }
 
     if (threaded_run_) {
-      VTime min_clock = kVTimeNever;
-      for (const auto& p : procs_) {
-        if (!p->finished_) min_clock = std::min(min_clock, p->clock_);
-      }
-      if (config_.optimistic) {
-        // Seed the asynchronous-GVT inputs for this round: each worker's
-        // clock floor starts at the global min (clocks only matter once a
-        // rollback lowers them, and the triggering message's arrival is
-        // covered by the sender's out_min or the sender's floor), and the
-        // in-transit minimum restarts empty.
-        for (int v = 0; v < workers; ++v) {
-          opt_floor_[static_cast<std::size_t>(v)].store(
-              min_clock, std::memory_order_relaxed);
-          opt_out_min_[static_cast<std::size_t>(v)].store(
-              kVTimeNever, std::memory_order_relaxed);
-        }
-      }
+      const VTime min_clock = clock_floor(-1).min;
       ++pstats_.rounds;
       pstats_.window_advance_hist[advance_bucket(
           prev_min == kVTimeNever ? 0 : min_clock - prev_min)] += 1;
@@ -1708,42 +1715,22 @@ void Engine::run_rounds() {
 
     std::uint64_t slices_before = 0;
     for (const auto& w : worker_stats_) slices_before += w.slices;
-    round_running_.store(workers, std::memory_order_relaxed);
+    round_busy_.store(workers * kBusyWorker, std::memory_order_relaxed);
     if (pool) {
-      threaded_phase_ = true;
       pool->run_round();
-      threaded_phase_ = false;
     } else {
       run_worker(0);
     }
     if (error_) abort_run(error_);
 
-    // Barrier reached: deliver what peers pushed after a worker's last
-    // drain, receiver by receiver. Every lane is FIFO, so per-channel
-    // order survives whichever side of the barrier a message lands on.
-    for (int v = 0; v < workers; ++v) {
-      worker_stats_[static_cast<std::size_t>(v)].barrier +=
-          drain_mailboxes(v);
-    }
-
-    // Wildcard receives always park during a threaded round (clocks
-    // race); now the barrier has frozen every clock and drained every
-    // lane, evaluate the safety bound. Worker lists merge in fixed
-    // order, and promotion itself is (arrival, rank)-deterministic, so
-    // this preserves the one-worker commit choices.
-    for (auto& pending : worker_wildcard_pending_) {
-      wildcard_pending_.insert(wildcard_pending_.end(), pending.begin(),
-                               pending.end());
-      pending.clear();
-    }
-    if (!wildcard_pending_.empty()) {
-      promote_safe_wildcards(/*stuck=*/!any_ready());
-    }
+    // Barrier reached. A round ends only once every lane is drained, and
+    // bound-safe wildcards were promoted in it; what is left is a parked
+    // rank that no bound admits while nothing can run.
+    if (!any_ready()) promote_stuck_wildcard();
 
     if (config_.optimistic) {
       // Exact GVT at the barrier: every worker is idle and every lane
-      // drained. (The drain above may itself have triggered rollbacks —
-      // on this thread — so clocks are read after it.)
+      // drained.
       opt_gvt_pass();
       if (threaded_run_ && config_.speculation_window > 0) {
         // A round in which every worker only stashed throttled ranks made
@@ -1763,7 +1750,6 @@ void Engine::run_rounds() {
     for (const auto& ws : worker_stats_) {
       pstats_.intra_messages += ws.intra;
       pstats_.mailbox_messages += ws.mailbox;
-      pstats_.barrier_messages += ws.barrier;
       pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
       pstats_.worker_slices.push_back(ws.slices);
     }

@@ -14,8 +14,7 @@
 // barriers. Processes are partitioned over the workers; each round's pick
 // step is one of three pickers:
 //  * Heap (one worker, no oracle): the worker's ready heap, lowest clock
-//    first, inline on the caller's thread. Clocks cannot race, so wildcard
-//    receives are checked against the safety bound mid-slice.
+//    first, inline on the caller's thread.
 //  * Oracle (EngineConfig::oracle with one worker, MC mode): a
 //    ScheduleOracle picks every resume, in-flight lane delivery and
 //    wildcard tie.
@@ -24,10 +23,11 @@
 //    message rides an unbounded SPSC lane that its destination worker
 //    drains between slices, so it is consumed mid-round. Deterministic
 //    receives complete at max(clock, arrival) on per-source FIFO
-//    channels, so host delivery order cannot change them; wildcard
-//    receives park until the round barrier, where they are promoted
-//    against the safety bound. Results stay bit-identical to one worker.
-//    See DESIGN.md §10 for the protocol and its safety argument.
+//    channels, so host delivery order cannot change them.
+// One lower bound serves both protocols: each worker publishes its clock
+// floor plus a latency, capped by its undelivered lane arrivals. Wildcard
+// receives commit against it mid-slice (DESIGN.md §10); Time Warp folds it
+// into GVT (§15.5). Results stay bit-identical to one worker.
 // Every picker runs either protocol: conservative (wildcard receives wait
 // for the safety bound) or optimistic (Time Warp, EngineConfig::optimistic:
 // processes execute speculatively past the safe bound; causality
@@ -409,17 +409,17 @@ struct EngineConfig {
 
 /// Counters describing one run; the round, message and per-worker fields
 /// stay empty with one worker. Message counts are deterministic for a
-/// fixed partition and fault plan; `rounds` and the mailbox/barrier split
-/// depend on host timing (a message races the end of the round it was
-/// sent in) — they are excluded from run digests.
+/// fixed partition and fault plan; `rounds` depends on host timing (a
+/// parked wildcard may find its bound only once nothing can run) — it is
+/// excluded from run digests.
 struct ParallelStats {
   std::uint64_t rounds = 0;
   std::uint64_t intra_messages = 0;  ///< both endpoints on one worker
   /// Cross-partition messages drained by their destination worker during
   /// a round.
   std::uint64_t mailbox_messages = 0;
-  /// Cross-partition messages left in a lane for the scheduler's barrier
-  /// drain (pushed after their destination worker left the round).
+  /// Always 0: a round ends only once every lane is drained. Kept for the
+  /// `parallel.barrier_messages` metric.
   std::uint64_t barrier_messages = 0;
 
   std::uint64_t cross_messages() const {
@@ -546,12 +546,6 @@ class Engine {
   const EngineConfig& config() const { return config_; }
   MemoryTracker& memory() { return memory_; }
 
-  /// Lower bound on the arrival time of any message that could still be
-  /// sent: min over unfinished processes of their clock, plus
-  /// `min_latency`. `exclude_rank` (when >= 0) is left out of the scan —
-  /// pass the blocked receiver itself, which cannot send while it waits.
-  VTime wildcard_safe_bound(VTime min_latency, int exclude_rank = -1) const;
-
   /// Minimum over-the-wire latency used in the wildcard safety bound.
   /// Zero (the default) is always conservative-correct but forces every
   /// contested wildcard receive through the stuck-promotion slow path;
@@ -561,10 +555,12 @@ class Engine {
   }
 
   /// True when a wildcard receive by `p` may commit to a queued message
-  /// arriving at `arrival`: no other unfinished process can still produce
-  /// an earlier-arriving match. Always false during a threaded round
-  /// (other ranks' clocks are racing); such receives park and are
-  /// promoted at the barrier.
+  /// arriving at `arrival`: `arrival` is below min(the clock floor of
+  /// p's worker without p + the latency floor, every other worker's
+  /// published word), so no message still to come can arrive earlier.
+  /// Holds mid-slice at every worker count. Always false under Time Warp
+  /// (commits are recorded and corrected by rollback) and in MC mode
+  /// (parked receives are promoted once the in-flight lanes drain).
   bool wildcard_commit_safe(const Process& p, VTime arrival) const;
 
   /// Pool/arena accounting — simulator overhead, distinct from the
@@ -601,7 +597,7 @@ class Engine {
 
   struct WorkerStat;  // defined below (used by opt_stat)
 
-  /// Routes a message to its destination. During a threaded round a
+  /// Routes a message to its destination. With several workers a
   /// cross-partition message goes to the lane toward its destination
   /// worker; otherwise it is inserted into the destination inbox directly
   /// (in MC mode, into its in-flight lane).
@@ -625,15 +621,43 @@ class Engine {
   int oracle_pick(IndexedMinHeap<VTime>& heap);
   /// Partition-round driver: runs rounds of run_partition_round (inline
   /// with one worker, on a WorkerPool otherwise) separated by barriers
-  /// that drain the lanes, promote wildcards and pass GVT.
+  /// that drain the lanes, promote a stuck wildcard and pass GVT.
   void run_rounds();
   /// One round of worker `w`: execute the partition, draining incoming
   /// mailboxes between slices, until no local work remains and the round
   /// is quiescing.
   void run_partition_round(int worker);
-  /// Pops every queued message from `worker`'s incoming lanes and hands it
-  /// to deliver_now. Returns how many it delivered.
+  /// Pops every queued message from `worker`'s incoming lanes, hands it to
+  /// deliver_now and republishes the worker's floor word. Returns how many
+  /// it delivered.
   std::uint64_t drain_mailboxes(int worker);
+
+  // --- The lower bound both protocols read (DESIGN.md §10, §15.5) ---
+
+  /// Minimum unfinished clock, the rank holding it (lowest id on ties)
+  /// and the second minimum, so a blocked receiver can leave itself out.
+  struct ClockFloor {
+    VTime min = kVTimeNever;
+    int argmin = -1;
+    VTime second = kVTimeNever;
+
+    VTime without(int rank) const { return rank == argmin ? second : min; }
+  };
+  /// Clock floor of worker `w`'s ranks: live clocks over every rank with
+  /// one worker or when `w` < 0 (the barrier); else `w`'s floor heap, whose
+  /// key for a running rank is its clock at slice start.
+  ClockFloor clock_floor(int w) const;
+  /// Several workers: re-keys `p` in its worker's floor heap (after a
+  /// slice or a rollback).
+  void refloor(const Process& p);
+  /// `t` plus the latency floor (0 under Time Warp), saturating.
+  VTime after_floor_latency(VTime t) const;
+  /// Min of the words of every worker but `w` (all when `w` < 0).
+  VTime peer_floor(int w) const;
+  /// Stores worker `w`'s word, min(clock_floor(w) + latency, arrivals it
+  /// pushed that are not yet delivered), then releases what `w` drained to
+  /// its senders' words. Also samples `w`'s consumption-log peak.
+  void publish_floor(int w);
   void resume_process(Process& p);
   [[noreturn]] void raise_deadlock();
 
@@ -678,8 +702,9 @@ class Engine {
   void opt_flush_antis();
   /// Exact GVT pass for one-worker rounds and the round barrier: min over
   /// unfinished clocks (and MC in-flight lanes), then fossil-collects
-  /// every rank.
-  void opt_gvt_pass();
+  /// every rank. Returns the consumption-log bytes it sampled before
+  /// collecting.
+  std::uint64_t opt_gvt_pass();
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
   /// wildcard records with arrival < g, prunes the committed send-log
   /// prefix that no future rollback can cancel, and frees consumption-log
@@ -694,31 +719,38 @@ class Engine {
   /// Process::take_checkpoint body: captures cursors + blob into
   /// OptState::checkpoints.
   void opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob);
-  /// Consumption-log byte accounting (per-rank current + engine peak).
+  /// Consumption-log byte accounting: per rank, and per worker over its
+  /// own ranks (current + sampled peak).
   void opt_log_charge(Process& p, const Message& m);
   void opt_log_release(Process& p, const Message& m);
-  std::uint64_t opt_fold_log_bytes();
+  /// Raises worker `w`'s log peak to its current bytes; returns them.
+  std::uint64_t opt_sample_log_peak(int w);
   static std::size_t opt_entry_bytes(const Message& m);
   /// True when the optimistic speculation window throttles `p`: a
   /// multi-worker run, `p`'s clock more than config.speculation_window
   /// past GVT, and the previous round made progress
   /// (opt_throttle_override_).
   bool opt_throttled(const Process& p) const;
-  /// Re-arms the exact-GVT countdown (one-worker runs): the cadence
-  /// shrinks while consumption-log bytes grow and stretches back out
-  /// while they shrink (bounds [16, 4x baseline]).
-  void opt_retune_gvt();
+  /// Re-arms the exact-GVT countdown (one-worker runs) from `log_bytes`,
+  /// the bytes the pass sampled: the cadence shrinks while they grow and
+  /// stretches back out while they shrink (bounds [16, 4x baseline]).
+  void opt_retune_gvt(std::uint64_t log_bytes);
   /// This thread's worker stat cell (slot 0 outside pool workers).
   WorkerStat& opt_stat();
   /// Records `p` (blocked on a wildcard spec with at least one queued
-  /// match) for later safety-bound promotion.
+  /// match) on its worker's parked list for later promotion.
   void park_wildcard(Process& p);
-  /// Wakes every parked process whose best queued match has passed the
-  /// safety bound. When `stuck` (no process can run, so the queued message
-  /// set is final), and no parked process is bound-safe, wakes exactly the
-  /// one with the smallest (arrival, rank) — the choice is then exact.
-  /// Single-threaded contexts only (one-worker round / round barrier).
-  void promote_safe_wildcards(bool stuck);
+  /// Wakes every rank parked on worker `w` whose best queued match passed
+  /// the wildcard bound; returns whether any woke. Runs on `w`'s thread
+  /// (or the caller's with one worker).
+  bool promote_safe_wildcards(int w);
+  /// Nothing can run and no message is in flight, so the queued message
+  /// set is final: wakes the parked rank with the smallest (arrival,
+  /// rank), the choice the bound would admit (MC: a tie goes to the
+  /// oracle). Single-threaded contexts only.
+  void promote_stuck_wildcard();
+  /// Arrival of the best queued candidate of parked wildcard receiver `p`.
+  static VTime parked_candidate(const Process& p);
 
   /// Raises BudgetExceededError: thrown in place when called from inside a
   /// target fiber (unwinding it through the body wrapper), or routed
@@ -743,36 +775,69 @@ class Engine {
 
   // Pools are declared before procs_ so they outlive the processes whose
   // destructors recycle queued nodes — and payload_pool_ before
-  // msg_arena_, whose chunk teardown releases payload buffers.
-  PayloadPool payload_pool_;
-  ObjectArena<Message> msg_arena_;
+  // msg_arena_, whose chunk teardown releases payload buffers. Every
+  // worker writes the pools' spinlocks and the two counters below on each
+  // message, so each group starts its own cache line, away from the
+  // read-mostly fields every slice reads.
+  alignas(64) PayloadPool payload_pool_;
+  alignas(64) ObjectArena<Message> msg_arena_;
 
-  std::vector<std::unique_ptr<Process>> procs_;
+  alignas(64) std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;
 
-  std::atomic<std::uint64_t> messages_delivered_{0};
+  alignas(64) std::atomic<std::uint64_t> messages_delivered_{0};
   // Per-engine resume count. Not the global Fiber::switch_count(): several
   // engines run concurrently under the campaign job pool, and a shared
   // counter would bleed one run's slices into another's RunResult.
   std::atomic<std::uint64_t> slices_{0};
-  bool ran_ = false;
+  alignas(64) bool ran_ = false;
 
   // Per-worker ready lists (every wake lands on its rank's worker list;
-  // the round moves it into the worker's heap) and ready heaps
-  // (persistent across rounds; drained within each). threaded_run_ marks
-  // a multi-worker run (clocks race); threaded_phase_ marks the part of it
-  // where pool workers are executing a round.
+  // the round moves it into the worker's heap and back at its end), ready
+  // heaps and parked wildcard receivers. threaded_run_ marks a multi-worker
+  // run (clocks race).
   std::vector<std::vector<int>> worker_ready_;
   std::vector<IndexedMinHeap<VTime>> worker_heaps_;
+  std::vector<std::vector<int>> worker_parked_;
   bool threaded_run_ = false;
-  bool threaded_phase_ = false;
 
+  // Several workers only: each worker's own ranks and its floor heap (its
+  // unfinished ranks keyed by clock).
+  std::vector<std::vector<int>> worker_ranks_;
+  std::vector<IndexedMinHeap<VTime>> worker_floors_;
+
+  // A cross-partition lane. `transit` is the sender's in-transit term:
+  // (push index, arrival) with arrivals increasing, so once entries below
+  // `delivered` are trimmed its front is the minimum undelivered arrival.
+  struct Lane {
+    SpscLane<Message> q;
+    std::deque<std::pair<std::uint64_t, VTime>> transit;  ///< sender only
+    std::uint64_t pushed = 0;                             ///< sender only
+    std::uint64_t popped = 0;  ///< destination only
+    /// Messages the destination has delivered and published past.
+    alignas(64) std::atomic<std::uint64_t> delivered{0};
+  };
   // mailboxes_[w * workers + v] carries messages from worker w to worker
-  // v; round_running_ lets an idle worker leave the round as soon as it is
-  // the last one that could still produce work.
-  std::vector<std::unique_ptr<SpscLane<Message>>> mailboxes_;
-  std::atomic<int> round_running_{0};
+  // v. round_busy_ is kBusyWorker times the workers that may still produce
+  // work plus the lane messages not yet drained and settled: once it reads
+  // zero, the round is over.
+  std::vector<std::unique_ptr<Lane>> mailboxes_;
+  Lane& lane(int from, int to) {
+    return *mailboxes_[static_cast<std::size_t>(from) *
+                           static_cast<std::size_t>(config_.host_workers) +
+                       static_cast<std::size_t>(to)];
+  }
+  static constexpr std::int64_t kBusyWorker = std::int64_t{1} << 32;
+  std::atomic<std::int64_t> round_busy_{0};
   std::atomic<bool> has_error_{false};
+
+  // The published floor words, one per cache line, and a count of stores
+  // to them: a fold that sees the count unchanged read a consistent cut.
+  struct alignas(64) FloorWord {
+    std::atomic<VTime> v{kVTimeNever};
+  };
+  std::unique_ptr<FloorWord[]> floor_words_;
+  alignas(64) std::atomic<std::uint64_t> floor_stores_{0};
 
   // Per-worker protocol counters, padded so workers never share a line.
   struct alignas(64) WorkerStat {
@@ -780,7 +845,6 @@ class Engine {
 
     std::uint64_t intra = 0;
     std::uint64_t mailbox = 0;
-    std::uint64_t barrier = 0;
     std::uint64_t slices = 0;
     VTime busy_vtime = 0;
     // Optimistic-mode counters (slot 0 with one worker).
@@ -789,6 +853,9 @@ class Engine {
     std::uint64_t fossil = 0;
     std::uint64_t replayed = 0;
     std::uint64_t depth_hist[kDepthBuckets] = {};  ///< log2(discarded entries)
+    // Consumption-log bytes of this worker's ranks: current, sampled peak.
+    std::uint64_t log_bytes = 0;
+    std::uint64_t log_peak = 0;
   };
   std::vector<WorkerStat> worker_stats_;
   ParallelStats pstats_;
@@ -797,20 +864,12 @@ class Engine {
   // context and drained iteratively from deliver_now's tail (flag guards
   // re-entry), so a chain of N cascading rollbacks costs O(1) stack.
   // gvt_ / gvt_passes_ are atomic for the threaded driver's mid-round
-  // estimates; the floors/out-mins arrays implement the asynchronous GVT
-  // (min of worker clock floors and in-transit mailbox arrivals).
+  // folds of the published floor words.
   std::function<void(int)> rollback_reset_;
   std::vector<std::vector<Message>> opt_anti_queues_;
   std::vector<char> opt_flushing_;
   std::atomic<VTime> gvt_{0};
   std::atomic<std::uint64_t> gvt_passes_{0};
-  std::unique_ptr<std::atomic<VTime>[]> opt_floor_;
-  std::unique_ptr<std::atomic<VTime>[]> opt_out_min_;
-
-  // Consumption-log byte accounting: global current/peak across ranks
-  // (atomic: the threaded driver logs on worker threads).
-  std::atomic<std::uint64_t> opt_log_bytes_{0};
-  std::atomic<std::uint64_t> opt_log_bytes_peak_{0};
 
   // Adaptive GVT cadence for one-worker optimistic runs (oracle or not):
   // countdown to the next pass, re-armed to opt_gvt_interval_ which the
@@ -833,15 +892,10 @@ class Engine {
   // throttled peer).
   std::atomic<bool> opt_throttle_override_{false};
 
-  // Wildcard safety: ranks blocked on a wildcard receive whose queued
-  // candidate has not passed the safety bound yet. One-worker deliveries
-  // park into the global list; deliveries during a threaded round park
-  // into the current worker's list, merged at the barrier. The latency
-  // floor is atomic only because smpi::Comm instances set it (to the same
-  // value) from every rank's fiber, including worker threads.
+  // The wildcard latency floor is atomic only because smpi::Comm instances
+  // set it (to the same value) from every rank's fiber, including worker
+  // threads.
   std::atomic<VTime> wildcard_min_latency_{0};
-  std::vector<int> wildcard_pending_;
-  std::vector<std::vector<int>> worker_wildcard_pending_;
 
   // MC mode (oracle + one worker): sends buffer into per-
   // (src,dst) FIFO lanes and delivery of a lane head is itself a

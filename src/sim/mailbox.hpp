@@ -1,12 +1,10 @@
 // Unbounded single-producer single-consumer lane used as a cross-partition
 // mailbox by the threaded scheduler.
 //
-// One lane connects one (sending worker, receiving worker) pair. During a
-// round the sending worker is the only producer and the receiving worker
-// the only consumer, so the lane needs no locks — just acquire/release
-// pairs on each chunk's fill count and link. At the round barrier the
-// scheduler thread takes over the consumer role; the worker pool's barrier
-// provides the happens-before edge that makes that hand-off safe.
+// One lane connects one (sending worker, receiving worker) pair. The
+// sending worker is the only producer and the receiving worker the only
+// consumer, so the lane needs no locks — just acquire/release pairs on
+// each chunk's fill count and link.
 //
 // The lane is a linked list of fixed-size chunks, so push never fails and
 // never blocks: a burst of cross-partition traffic only links another

@@ -79,6 +79,14 @@ class IndexedMinHeap {
     return {heap_.front().key, heap_.front().id};
   }
 
+  /// Key of the second-smallest (key, id) pair (a child of the root), or
+  /// `none` with fewer than two ids queued.
+  Key second_key(Key none) const {
+    if (heap_.size() < 2) return none;
+    if (heap_.size() == 2) return heap_[1].key;
+    return heap_[2].key < heap_[1].key ? heap_[2].key : heap_[1].key;
+  }
+
   /// Removes and returns the id with the minimum (key, id) pair.
   int pop() {
     STGSIM_DCHECK(!heap_.empty());

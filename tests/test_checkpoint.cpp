@@ -20,6 +20,7 @@
 #include "harness/config_json.hpp"
 #include "harness/digest.hpp"
 #include "harness/runner.hpp"
+#include "ir/interp.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "support/blob.hpp"
@@ -340,6 +341,98 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
     for (const std::uint64_t cur : d.checkpoint_cursors) {
       EXPECT_GE(cur, d.consumed_base) << "rank " << r;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mid-round GVT on several workers
+// ---------------------------------------------------------------------------
+
+/// What a threaded Time Warp run leaves behind for the fossil checks.
+struct TimeWarpRun {
+  simk::ParallelStats stats;
+  std::vector<VTime> per_rank;
+  bool pruned = false;               ///< some rank's log lost its oldest entries
+  std::uint64_t retained_bytes = 0;  ///< consumption-log bytes left at run end
+};
+
+/// Runs `prog` in direct execution under Time Warp on `workers` workers,
+/// wired like harness::run_program but keeping the engine in reach for
+/// opt_debug.
+TimeWarpRun run_time_warp(const ir::Program& prog, int nprocs, int workers) {
+  const harness::RunConfig cfg = base_config(nprocs);
+  smpi::World::Options wopts;
+  wopts.net = cfg.machine.net;
+  wopts.compute = cfg.machine.compute;
+  wopts.coll = cfg.machine.coll;
+  simk::EngineConfig ec;
+  ec.num_processes = nprocs;
+  ec.host_workers = workers;
+  ec.optimistic = true;
+  ec.seed = cfg.seed;
+  simk::Engine engine(ec);
+  smpi::World world(wopts, nprocs);
+  engine.set_wildcard_min_latency(world.wildcard_latency_floor());
+  engine.set_rollback_reset(
+      [&world](int rank) { world.stats(rank) = smpi::RankStats{}; });
+  engine.set_body([&](simk::Process& p) {
+    smpi::Comm comm(world, p);
+    ir::execute(prog, comm);
+  });
+  TimeWarpRun run;
+  run.per_rank = engine.run().per_rank_completion;
+  run.stats = engine.parallel_stats();
+  for (int r = 0; r < nprocs; ++r) {
+    const simk::Engine::OptDebug d = engine.opt_debug(r);
+    run.pruned = run.pruned || d.consumed_base > 0;
+    run.retained_bytes += d.log_bytes;
+  }
+  return run;
+}
+
+/// The registry's default sweep3d and nas_sp shapes at 16 ranks.
+std::vector<AppCase> gvt_apps() {
+  std::vector<AppCase> cases;
+  for (const char* name : {"sweep3d", "nas_sp"}) {
+    apps::AppSpec spec;
+    spec.name = name;
+    if (spec.name == "nas_sp") spec.options = {{"steps", "8"}};
+    cases.push_back({name, apps::build_app(spec, 16), 16});
+  }
+  return cases;
+}
+
+TEST(Checkpoint, ThreadedGvtAdvancesWithinOneRound) {
+  // A threaded run is one round (two when a stuck wildcard ends it), so a
+  // GVT that advanced only at barriers would never let fossil collection
+  // prune a log before the run ends. The published floor words drop each
+  // lane message from their in-transit term once it is delivered, so the
+  // mid-round fold keeps advancing.
+  for (const AppCase& app : gvt_apps()) {
+    const std::vector<VTime> want =
+        run_time_warp(app.prog, app.nprocs, 1).per_rank;
+    for (int workers : {2, 4}) {
+      const TimeWarpRun run = run_time_warp(app.prog, app.nprocs, workers);
+      EXPECT_EQ(run.per_rank, want) << app.name << " @" << workers;
+      EXPECT_LE(run.stats.rounds, 2u) << app.name << " @" << workers;
+      EXPECT_GT(run.stats.gvt_passes, 1u) << app.name << " @" << workers;
+      EXPECT_TRUE(run.pruned)
+          << app.name << " @" << workers << ": no rank's log was pruned";
+    }
+  }
+}
+
+TEST(Checkpoint, ThreadedLogPeakCoversRetainedLog) {
+  // Workers prune their own ranks' logs mid-round, each at its own time;
+  // the reported peak sums each worker's own peak, so it can never fall
+  // below what the run still holds at its end.
+  const std::vector<AppCase> apps = gvt_apps();
+  const AppCase& app = apps.front();
+  for (int workers : {2, 4}) {
+    const TimeWarpRun run = run_time_warp(app.prog, app.nprocs, workers);
+    ASSERT_TRUE(run.pruned) << "@" << workers;
+    EXPECT_GT(run.retained_bytes, 0u) << "@" << workers;
+    EXPECT_GE(run.stats.log_bytes_peak, run.retained_bytes) << "@" << workers;
   }
 }
 

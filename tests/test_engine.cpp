@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
@@ -746,6 +748,68 @@ TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
   EXPECT_GT(ps.mailbox_messages, 0u);
   EXPECT_EQ(ps.cross_messages(), 3u);
   EXPECT_EQ(ps.intra_messages, 0u);
+}
+
+TEST(Engine, ThreadedWildcardLosesToSlowerPeersEarlierArrival) {
+  // Ranks 0 and 1 run on worker 0, ranks 2 and 3 on worker 1. Rank 0's
+  // wildcard receive has rank 1's message (arrival 100us) queued while
+  // rank 2, whose clock is still 0, sends one that arrives at 50us. Rank 0
+  // must take rank 2's message first whichever way host time falls:
+  //  * in a lane: rank 2 sends while rank 0 is inside a slice, so worker
+  //    0 cannot drain it before rank 0 checks its candidate, after rank 2
+  //    finished: only worker 1's in-transit term stops the commit;
+  //  * not yet sent: rank 2 sends only after rank 0's candidate is queued
+  //    and rank 1 has finished, so only worker 1's clock floor stops it.
+  const VTime us = vtime_from_us(1);
+  for (const bool in_lane : {true, false}) {
+    std::atomic<bool> candidate_queued{false};
+    std::atomic<bool> receiver_in_slice{false};
+    std::atomic<bool> rival_sent{false};
+    std::vector<int> order;
+    auto settle = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    EngineConfig cfg;
+    cfg.num_processes = 4;
+    cfg.host_workers = 2;
+    Engine e(cfg);
+    e.set_body([&](Process& p) {
+      switch (p.rank()) {
+        case 0:
+          if (in_lane) {
+            p.blocking_match(match_tag(1, 9));
+            receiver_in_slice.store(true);
+            while (!rival_sent.load()) std::this_thread::yield();
+            settle();
+          }
+          for (int i = 0; i < 2; ++i) {
+            const Message m = p.blocking_match(match_tag(MatchSpec::kAnySource, 1));
+            p.lift_clock(m.arrival);
+            order.push_back(m.src);
+          }
+          break;
+        case 1:
+          p.send(make_msg(1, 0, 1, 0, 100 * us));
+          if (in_lane) p.send(make_msg(1, 0, 9, 0, us));
+          candidate_queued.store(true);
+          break;
+        case 2:
+          if (in_lane) {
+            while (!receiver_in_slice.load()) std::this_thread::yield();
+          } else {
+            while (!candidate_queued.load()) std::this_thread::yield();
+            settle();
+          }
+          p.send(make_msg(2, 0, 1, 0, 50 * us));
+          rival_sent.store(true);
+          break;
+        default:
+          break;
+      }
+    });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1})) << "in_lane=" << in_lane;
+  }
 }
 
 TEST(Engine, ThreadedDrainPermutationPastSixtyFourWorkers) {
