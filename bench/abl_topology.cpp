@@ -37,10 +37,11 @@ double run_with(smpi::CollAlgo algo, int procs,
 
   simk::EngineConfig ec;
   ec.num_processes = procs;
+  const ir::Plan plan(prog);
   simk::Engine engine(ec);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm);
+    ir::execute(plan, comm);
   });
   return vtime_to_sec(engine.run().completion);
 }

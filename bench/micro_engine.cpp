@@ -99,10 +99,11 @@ void BM_InterpScalarLoop(benchmark::State& state) {
     smpi::World world(wopts, 1);
     simk::EngineConfig ec;
     ec.num_processes = 1;
+    const ir::Plan plan(prog);
     simk::Engine engine(ec);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm);
+      ir::execute(plan, comm);
     });
     auto res = engine.run();
     benchmark::DoNotOptimize(res.completion);

@@ -61,12 +61,13 @@ int main() {
     smpi::World world(wopts, nprocs);
     simk::EngineConfig ec;
     ec.num_processes = nprocs;
+    const ir::Plan plan(prog);
     simk::Engine engine(ec);
     ir::ExecOptions xopts;
     xopts.observer = &observer;
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     engine.run();
     core::Dtg dtg = recorder.build();

@@ -339,12 +339,13 @@ int cmd_compile(Args& args) {
     smpi::World world(wopts, procs);
     simk::EngineConfig ec;
     ec.num_processes = procs;
+    const ir::Plan plan(prog);
     simk::Engine engine(ec);
     ir::ExecOptions xopts;
     xopts.observer = &observer;
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     engine.run();
     core::Dtg dtg = recorder.build();

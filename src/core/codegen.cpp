@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "symexpr/compiled.hpp"
 
 namespace stgsim::core {
 
@@ -88,8 +87,6 @@ class Simplifier {
       }
       StmtP d = out_.make_stmt(StmtKind::kDelay);
       d->e1 = pending.seconds.simplified();
-      d->e1_compiled = std::make_shared<const sym::CompiledExpr>(
-          sym::CompiledExpr::compile(d->e1));
       CondensedTask ct;
       ct.delay_stmt_id = d->id;
       ct.seconds = d->e1;

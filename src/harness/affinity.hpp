@@ -10,23 +10,23 @@
 // evaluate is skipped. Collectives are ignored — their traffic touches all
 // partitions regardless of the mapping, so they carry no placement signal.
 //
-// What depends only on the program text is built once and shared by every
-// rank's walk: each walked expression is compiled to a sym::CompiledExpr
-// tape (bit-identical to Expr::eval, including which unbound reads throw)
-// over interned variable ids, and which statements contain communication
-// is memoized. A rank's walk then keeps only a dense value array.
+// What depends only on the program text comes from the run's ir::Plan,
+// shared by every rank's walk: each walked expression is a plan operand
+// (bit-identical to Expr::eval, including which unbound reads throw) over
+// the plan's scalar slots, and which statements contain communication is
+// memoized. A rank's walk then keeps only a dense value array.
 //
 // The result feeds simk::comm_partition (--partition=comm). Inaccuracy is
 // harmless: the partition never affects simulated results, only which
 // worker executes each rank.
 #pragma once
 
-#include "ir/program.hpp"
+#include "ir/plan.hpp"
 #include "sim/partition.hpp"
 
 namespace stgsim::harness {
 
-/// Builds the rank-affinity graph of `prog` on `nprocs` ranks.
-simk::Affinity comm_affinity(const ir::Program& prog, int nprocs);
+/// Builds the rank-affinity graph of the plan's program on `nprocs` ranks.
+simk::Affinity comm_affinity(const ir::Plan& plan, int nprocs);
 
 }  // namespace stgsim::harness

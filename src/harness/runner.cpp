@@ -116,6 +116,10 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
         << "optimistic schedule: calibration/profiling recorders cannot be "
            "rolled back";
   }
+  // Compiled once per run and shared read-only by every rank (and by the
+  // affinity walk); declared before the engine so it outlives any fiber
+  // the engine tears down.
+  const ir::Plan plan(prog);
   if (config.threads > 1) {
     ec.host_workers = config.threads;
     STGSIM_CHECK(timers == nullptr && branches == nullptr)
@@ -124,7 +128,7 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
         << "emulation (NIC contention state) requires one host worker";
     if (config.partition != simk::PartitionMode::kBlock) {
       if (config.partition == simk::PartitionMode::kComm) {
-        const simk::Affinity aff = comm_affinity(prog, config.nprocs);
+        const simk::Affinity aff = comm_affinity(plan, config.nprocs);
         ec.partition = simk::make_partition(config.partition, config.nprocs,
                                             config.threads, &aff);
       } else {
@@ -174,7 +178,7 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     }
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(*world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     simk::RunResult rr = engine.run();
     out.predicted_time = rr.completion;

@@ -1,7 +1,6 @@
 #include "ir/interp.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "machine/compute.hpp"
 #include "support/blob.hpp"
@@ -33,33 +32,46 @@ struct ArrayVal {
   std::vector<std::int64_t> extents;
   std::size_t elems = 0;
   std::size_t elem_bytes = sizeof(double);
+  bool declared = false;
 };
+
+/// Tape evaluation state, one per host thread: evaluation never yields, so
+/// every rank a thread runs can share it.
+thread_local sym::CompiledExpr::Scratch t_scratch;
 
 }  // namespace
 
 /// Per-rank interpreter state: one flat frame of scalars, arrays and
-/// request lists (the paper's single-procedure model).
+/// request lists (the paper's single-procedure model), laid out by the
+/// run's shared Plan.
 ///
-/// Scalars live in a dense slot frame: each name resolves to an index once
-/// (on declaration or first compiled-expression binding) and every read or
-/// write thereafter is vector indexing. The hot expressions — kDelay
-/// seconds, kFor bounds, kernel iteration counts — are compiled to
-/// sym::CompiledExpr tapes on first execution (or taken pre-compiled from
-/// the code generator) with their free variables bound to frame slots, so
-/// the steady state performs no name lookups at all. Cold expressions
-/// (declarations, extents, communication operands) keep the tree walker.
-class ExecState : public sym::Env {
+/// Everything here is indexed by a plan id: scalars by frame slot, arrays,
+/// request lists and timers by their dense ids, memo cells by the operand's
+/// cell. An operand's last value is memoized behind its inputs' write
+/// generations, so steady-state evaluation of loop-invariant operands
+/// (peer ranks, message counts, condensed delay costs) is an integer
+/// compare per input instead of a tape run.
+class ExecState {
  public:
-  ExecState(const Program& prog, smpi::Comm& comm, const ExecOptions& options)
-      : prog_(prog), comm_(comm), options_(options) {
-    stmt_cache_.resize(static_cast<std::size_t>(prog.next_id()));
-  }
+  ExecState(const Plan& plan, smpi::Comm& comm, const ExecOptions& options)
+      : plan_(plan),
+        comm_(comm),
+        options_(options),
+        frame_(static_cast<std::size_t>(plan.num_slots())),
+        frame_defined_(static_cast<std::size_t>(plan.num_slots()), 0),
+        frame_gen_(static_cast<std::size_t>(plan.num_slots()), 0),
+        memo_(static_cast<std::size_t>(plan.num_memos())),
+        stamps_(static_cast<std::size_t>(plan.num_stamps())),
+        arrays_(static_cast<std::size_t>(plan.num_arrays())),
+        requests_(static_cast<std::size_t>(plan.num_request_lists())),
+        timer_start_(static_cast<std::size_t>(plan.num_timers()), 0),
+        timer_open_(static_cast<std::size_t>(plan.num_timers()), 0) {}
 
   void run() {
     simk::Process& proc = comm_.process();
     const std::vector<std::uint8_t>* blob = proc.pending_restore();
     if (blob == nullptr) {
-      exec_block(prog_.main());
+      exec_block(plan_.program().main());
       return;
     }
     // Optimistic-mode rollback into a checkpoint: rebuild the captured
@@ -76,196 +88,78 @@ class ExecState : public sym::Env {
     }
     proc.clear_pending_restore();
     STGSIM_CHECK(!pos.empty()) << "checkpoint blob carries no position";
-    exec_block_resume(prog_.main(), pos, 0);
-  }
-
-  // sym::Env
-  std::optional<sym::Value> lookup(const std::string& name) const override {
-    auto it = frame_index_.find(name);
-    if (it == frame_index_.end() ||
-        frame_defined_[static_cast<std::size_t>(it->second)] == 0) {
-      return std::nullopt;
-    }
-    return frame_[static_cast<std::size_t>(it->second)];
+    exec_block_resume(plan_.program().main(), pos, 0);
   }
 
   smpi::Comm& comm() { return comm_; }
+  const Plan& plan() const { return plan_; }
 
-  ArrayVal& array(const std::string& name) {
-    auto it = arrays_.find(name);
-    STGSIM_CHECK(it != arrays_.end()) << "unknown array '" << name << "'";
-    return it->second;
-  }
-  const ArrayVal& array(const std::string& name) const {
-    auto it = arrays_.find(name);
-    STGSIM_CHECK(it != arrays_.end()) << "unknown array '" << name << "'";
-    return it->second;
+  /// Array `id` as declared on this rank; `name` only labels the error.
+  ArrayVal& array(int id, const std::string& name) {
+    STGSIM_CHECK(id >= 0 && arrays_[static_cast<std::size_t>(id)].declared)
+        << "unknown array '" << name << "'";
+    return arrays_[static_cast<std::size_t>(id)];
   }
 
-  sym::Value scalar(const std::string& name) const {
-    auto it = frame_index_.find(name);
-    STGSIM_CHECK(it != frame_index_.end() &&
-                 frame_defined_[static_cast<std::size_t>(it->second)] != 0)
+  /// Value of a declared scalar; `name` only labels the error.
+  sym::Value scalar(int slot, const std::string& name) const {
+    STGSIM_CHECK(slot >= 0 &&
+                 frame_defined_[static_cast<std::size_t>(slot)] != 0)
         << "unknown scalar '" << name << "'";
-    return frame_[static_cast<std::size_t>(it->second)];
+    return frame_[static_cast<std::size_t>(slot)];
   }
 
-  void set_scalar(const std::string& name, sym::Value v, bool must_exist) {
-    if (must_exist) {
-      auto it = frame_index_.find(name);
-      STGSIM_CHECK(it != frame_index_.end() &&
-                   frame_defined_[static_cast<std::size_t>(it->second)] != 0)
-          << "assignment to undeclared scalar '" << name << "'";
-      write_slot(static_cast<std::size_t>(it->second), v);
-    } else {
-      const auto slot = static_cast<std::size_t>(slot_of(name));
-      frame_[slot] = v;
-      frame_defined_[slot] = 1;
-      ++frame_gen_[slot];
-    }
-  }
-
-  /// Writes a defined slot, keeping declared integer scalars integral
-  /// (Fortran INTEGER — same coercion as set_scalar with must_exist).
-  void write_slot(std::size_t slot, const sym::Value& v) {
-    sym::Value& cur = frame_[slot];
+  /// Assigns a declared scalar, keeping declared integer scalars integral
+  /// (Fortran INTEGER).
+  void assign(int slot, const std::string& name, const sym::Value& v) {
+    STGSIM_CHECK(slot >= 0 &&
+                 frame_defined_[static_cast<std::size_t>(slot)] != 0)
+        << "assignment to undeclared scalar '" << name << "'";
+    sym::Value& cur = frame_[static_cast<std::size_t>(slot)];
     if (cur.is_int() && !v.is_int()) {
       cur = sym::Value(v.as_int());
     } else {
       cur = v;
     }
-    ++frame_gen_[slot];
+    ++frame_gen_[static_cast<std::size_t>(slot)];
   }
 
  private:
-  friend class KernelCtx;
-
-  /// Find-or-create the frame slot for a scalar name. A slot created here
-  /// before its declaration executes stays undefined until then; compiled
-  /// expressions leave undefined slots unbound, so reading one raises the
-  /// same EvalError the tree walker would.
-  int slot_of(const std::string& name) {
-    auto [it, inserted] =
-        frame_index_.try_emplace(name, static_cast<int>(frame_.size()));
-    if (inserted) {
-      frame_.emplace_back();
-      frame_defined_.push_back(0);
-      frame_gen_.push_back(0);
-    }
-    return it->second;
+  /// Defines (or redefines) a scalar, as a declaration does.
+  void define(int slot, const sym::Value& v) {
+    const auto i = static_cast<std::size_t>(slot);
+    frame_[i] = v;
+    frame_defined_[i] = 1;
+    ++frame_gen_[i];
   }
 
-  /// A compiled expression whose free variables have been resolved to
-  /// frame slots (indices stay valid as the frame vector grows).
-  /// Expressions with no slots are pure; they fold to a value at bind
-  /// time and evaluation is a load.
-  struct BoundExpr {
-    std::shared_ptr<const sym::CompiledExpr> code;
-    std::vector<int> frame_slots;  ///< frame index per code->free_slots()[i]
-    bool is_const = false;
-    bool is_var = false;  ///< single-load tape: read the frame directly
-    sym::Value const_value;
-    /// Memoized last result, valid while every input slot's write
-    /// generation still matches gen_stamp. Most steady-state expressions
-    /// (peer ranks, message counts, neighbor conditions, condensed delay
-    /// costs) read only rank/size/configuration scalars that are written
-    /// once, so revalidation is an integer compare per input instead of a
-    /// tape run. Expressions are pure, so evaluation itself never moves a
-    /// generation.
-    bool has_cache = false;
-    sym::Value cached_value;
-    std::vector<std::uint64_t> gen_stamp;  ///< per frame_slots[i]
-  };
-
-  /// Lazily-built per-statement cache of bound hot expressions (kDelay e1,
-  /// kFor lo/hi, kCompute iters, comm peer/count/offset, kIf condition,
-  /// kAssign rhs) plus resolved name lookups (frame slot, array, request
-  /// list — map/frame entries are never erased, so the pointers and
-  /// indices stay valid). Indexed densely by statement id.
-  struct StmtCache {
-    BoundExpr a, b, c;
-    ArrayVal* array = nullptr;
-    std::vector<smpi::Request>* requests = nullptr;
-    int var_slot = -1;
-    bool ready = false;
-  };
-
-  StmtCache& cache_of(const Stmt& s) {
-    STGSIM_DCHECK(s.id >= 0);
-    const auto i = static_cast<std::size_t>(s.id);
-    if (i >= stmt_cache_.size()) stmt_cache_.resize(i + 1);
-    return stmt_cache_[i];
-  }
-
-  void bind(BoundExpr& be, const sym::Expr& tree,
-            const std::shared_ptr<const sym::CompiledExpr>& precompiled) {
-    be.code = precompiled != nullptr
-                  ? precompiled
-                  : std::make_shared<const sym::CompiledExpr>(
-                        sym::CompiledExpr::compile(tree));
-    be.frame_slots.reserve(be.code->free_slots().size());
-    for (const int s : be.code->free_slots()) {
-      be.frame_slots.push_back(
-          slot_of(be.code->slot_names()[static_cast<std::size_t>(s)]));
+  /// Evaluates plan operand `id` against the current frame, reusing a
+  /// tape's memoized value while its inputs' write generations match.
+  /// Evaluation is pure, so it never moves a generation itself.
+  sym::Value eval(int id) {
+    const Plan::Operand& op = plan_.operand(id);
+    if (op.kind != Plan::Operand::Kind::kTape) {
+      return plan_.eval(id, frame_, frame_defined_, t_scratch);
     }
-    if (be.code->num_slots() == 0) {
-      be.code->prepare(scratch_);
-      be.const_value = be.code->eval(scratch_);
-      be.is_const = true;
-    } else {
-      be.is_var = be.code->single_load();
-      be.gen_stamp.assign(be.frame_slots.size(), 0);
-    }
-  }
-
-  /// Evaluates a bound expression against the current frame. The shared
-  /// scratch is sized grow-only and NOT cleared between expressions: every
-  /// loadable slot is explicitly written below (free slots) or managed by
-  /// the tape itself (Sum binders), so stale entries from other
-  /// expressions are unreachable.
-  sym::Value eval_bound(BoundExpr& be) {
-    if (be.is_const) return be.const_value;
-    if (be.is_var) {
-      const auto fi = static_cast<std::size_t>(be.frame_slots[0]);
-      if (frame_defined_[fi] == 0) {
-        throw sym::EvalError("unbound variable '" +
-                             be.code->slot_names()[0] + "'");
-      }
-      return frame_[fi];
-    }
-    if (be.has_cache) {
+    MemoCell& memo = memo_[static_cast<std::size_t>(op.memo)];
+    std::uint64_t* stamp = stamps_.data() + op.stamp;
+    const std::size_t inputs = op.slots.size();
+    if (memo.valid) {
       bool fresh = true;
-      for (std::size_t i = 0; i < be.frame_slots.size(); ++i) {
-        if (be.gen_stamp[i] !=
-            frame_gen_[static_cast<std::size_t>(be.frame_slots[i])]) {
+      for (std::size_t i = 0; i < inputs; ++i) {
+        if (stamp[i] != frame_gen_[static_cast<std::size_t>(op.slots[i])]) {
           fresh = false;
           break;
         }
       }
-      if (fresh) return be.cached_value;
+      if (fresh) return memo.value;
     }
-    const auto n = static_cast<std::size_t>(be.code->num_slots());
-    if (scratch_.slots.size() < n) {
-      scratch_.slots.resize(n);
-      scratch_.bound.resize(n);
+    const sym::Value v = plan_.eval(id, frame_, frame_defined_, t_scratch);
+    for (std::size_t i = 0; i < inputs; ++i) {
+      stamp[i] = frame_gen_[static_cast<std::size_t>(op.slots[i])];
     }
-    const std::vector<int>& free = be.code->free_slots();
-    for (std::size_t i = 0; i < free.size(); ++i) {
-      const auto slot = static_cast<std::size_t>(free[i]);
-      const auto fi = static_cast<std::size_t>(be.frame_slots[i]);
-      if (frame_defined_[fi] != 0) {
-        scratch_.slots[slot] = frame_[fi];
-        scratch_.bound[slot] = 1;
-      } else {
-        scratch_.bound[slot] = 0;
-      }
-    }
-    sym::Value v = be.code->eval(scratch_);
-    for (std::size_t i = 0; i < be.frame_slots.size(); ++i) {
-      be.gen_stamp[i] = frame_gen_[static_cast<std::size_t>(be.frame_slots[i])];
-    }
-    be.cached_value = v;
-    be.has_cache = true;
+    memo.value = v;
+    memo.valid = true;
     return v;
   }
 
@@ -330,7 +224,7 @@ class ExecState : public sym::Env {
         // f.loop_i with its original write generation; finish the current
         // iteration, then run the remaining ones normally. The bound is
         // the one recorded at loop entry, never re-evaluated.
-        const auto var = static_cast<std::size_t>(slot_of(s.name));
+        const int var = plan_.at(s).slot;
         {
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = f.loop_i;
@@ -338,9 +232,7 @@ class ExecState : public sym::Env {
           exec_block_resume(s.body, pos, depth + 1);
         }
         for (std::int64_t i = f.loop_i + 1; i <= f.loop_hi; ++i) {
-          frame_[var] = sym::Value(i);
-          frame_defined_[var] = 1;
-          ++frame_gen_[var];
+          define(var, sym::Value(i));
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = i;
           pos_stack_[pd].loop_hi = f.loop_hi;
@@ -352,16 +244,19 @@ class ExecState : public sym::Env {
         exec_block_resume(f.branch != 0 ? s.body : s.else_body, pos,
                           depth + 1);
         break;
-      case StmtKind::kCall: {
-        const Procedure* p = prog_.find_procedure(s.name);
-        STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
-        exec_block_resume(p->body, pos, depth + 1);
+      case StmtKind::kCall:
+        exec_block_resume(callee(s).body, pos, depth + 1);
         break;
-      }
       default:
         STGSIM_CHECK(false)
             << "checkpoint position descends through a non-block statement";
     }
+  }
+
+  const Procedure& callee(const Stmt& s) const {
+    const Procedure* p = plan_.at(s).callee;
+    STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
+    return *p;
   }
 
   /// Statement-boundary checkpoint poll (optimistic mode; a no-op flag
@@ -384,34 +279,27 @@ class ExecState : public sym::Env {
     proc.take_checkpoint(std::move(blob));
   }
 
-  /// Serializes everything a fresh ExecState needs to resume at the
-  /// current position: the scalar frame (values, definedness, write
-  /// generations, name->slot map), arrays with their payload bytes, open
-  /// timers, and the position stack. Request lists are all empty at a
-  /// quiescent boundary and stmt_cache_/scratch_ rebuild lazily.
+  /// Serializes everything a fresh ExecState on the same plan needs to
+  /// resume at the current position: the scalar frame (values,
+  /// definedness, write generations), each declared array with its payload
+  /// bytes, open timers, and the position stack. Names and the layout
+  /// belong to the plan; request lists are all empty at a quiescent
+  /// boundary, and memo cells refill on the next evaluation.
   void serialize_state(BlobWriter& w) const {
     w.vec_pod(frame_);
     w.vec_pod(frame_defined_);
     w.vec_pod(frame_gen_);
-    w.u64(frame_index_.size());
-    for (const auto& [name, slot] : frame_index_) {
-      w.str(name);
-      w.u32(static_cast<std::uint32_t>(slot));
-    }
-    w.u64(arrays_.size());
-    for (const auto& [name, a] : arrays_) {
-      w.str(name);
+    for (const ArrayVal& a : arrays_) {
+      w.u8(a.declared ? 1 : 0);
+      if (!a.declared) continue;
       w.vec_pod(a.extents);
       w.u64(a.elems);
       w.u64(a.elem_bytes);
       w.u64(a.buf.size_bytes());
       w.raw(a.buf.data(), a.buf.size_bytes());
     }
-    w.u64(open_timers_.size());
-    for (const auto& [name, t] : open_timers_) {
-      w.str(name);
-      w.i64(t);
-    }
+    w.vec_pod(timer_start_);
+    w.vec_pod(timer_open_);
     w.vec_pod(pos_stack_);
   }
 
@@ -419,56 +307,31 @@ class ExecState : public sym::Env {
     r.vec_pod(&frame_);
     r.vec_pod(&frame_defined_);
     r.vec_pod(&frame_gen_);
-    frame_index_.clear();
-    const std::uint64_t nslots = r.u64();
-    for (std::uint64_t i = 0; i < nslots; ++i) {
-      const std::string name = r.str();
-      frame_index_[name] = static_cast<int>(r.u32());
-    }
-    arrays_.clear();
-    const std::uint64_t narrays = r.u64();
-    for (std::uint64_t i = 0; i < narrays; ++i) {
-      const std::string name = r.str();
-      ArrayVal a;
+    for (ArrayVal& a : arrays_) {
+      a = ArrayVal{};
+      if (r.u8() == 0) continue;
       r.vec_pod(&a.extents);
       a.elems = static_cast<std::size_t>(r.u64());
       a.elem_bytes = static_cast<std::size_t>(r.u64());
       const auto bytes = static_cast<std::size_t>(r.u64());
       a.buf = TrackedBuffer(&comm_.process().memory(), bytes);
       r.raw(a.buf.data(), bytes);
-      arrays_[name] = std::move(a);
+      a.declared = true;
     }
-    open_timers_.clear();
-    const std::uint64_t ntimers = r.u64();
-    for (std::uint64_t i = 0; i < ntimers; ++i) {
-      const std::string name = r.str();
-      open_timers_[name] = r.i64();
-    }
+    r.vec_pod(&timer_start_);
+    r.vec_pod(&timer_open_);
     r.vec_pod(pos);
-  }
-
-  /// Binds the hot operands of a communication statement: e1 (peer/root),
-  /// e2 (count), e3 (offset), the target array, and its request list.
-  void prepare_comm(const Stmt& s, StmtCache& c) {
-    bind(c.a, s.e1, nullptr);
-    bind(c.b, s.e2, nullptr);
-    bind(c.c, s.e3, nullptr);
-    c.array = &array(s.name);
-    if (s.kind == StmtKind::kIsend || s.kind == StmtKind::kIrecv) {
-      c.requests = &requests_[s.aux_name];
-    }
-    c.ready = true;
   }
 
   /// Resolves (array, offset_elems, count_elems) to a raw span for a
   /// communication statement, bounds-checked. Payload-free statements
   /// (dummy-buffer transfers emitted by the code generator) return null:
   /// the wire size is still exact but no bytes are staged or copied.
-  std::uint8_t* comm_span(const Stmt& s, StmtCache& c,
+  std::uint8_t* comm_span(const Stmt& s, const Plan::StmtPlan& p,
                           std::size_t* bytes_out) {
-    ArrayVal& a = *c.array;
-    const std::int64_t count = eval_bound(c.b).as_int();
-    const std::int64_t offset = eval_bound(c.c).as_int();
+    ArrayVal& a = array(p.array, s.name);
+    const std::int64_t count = eval(p.e2).as_int();
+    const std::int64_t offset = eval(p.e3).as_int();
     STGSIM_CHECK_GE(count, 0);
     STGSIM_CHECK_GE(offset, 0);
     STGSIM_CHECK_LE(static_cast<std::size_t>(offset + count), a.elems)
@@ -479,23 +342,20 @@ class ExecState : public sym::Env {
     return a.buf.data() + static_cast<std::size_t>(offset) * a.elem_bytes;
   }
 
-  std::vector<smpi::Request>& reqs(const std::string& name) {
-    return requests_[name];
-  }
-
   void exec_stmt(const Stmt& s) {
+    const Plan::StmtPlan& p = plan_.at(s);
     switch (s.kind) {
       case StmtKind::kDeclScalar: {
-        sym::Value v = s.has_init ? s.e1.eval(*this) : sym::Value(0);
+        sym::Value v = s.has_init ? eval(p.e1) : sym::Value(0);
         if (s.scalar_is_real) v = sym::Value(v.as_real());
-        set_scalar(s.name, v, /*must_exist=*/false);
+        define(p.slot, v);
         break;
       }
       case StmtKind::kDeclArray: {
         ArrayVal a;
         std::size_t elems = 1;
-        for (const auto& e : s.extents) {
-          const std::int64_t n = e.eval_int(*this);
+        for (const int e : p.extents) {
+          const std::int64_t n = eval(e).as_int();
           STGSIM_CHECK_GE(n, 0) << "negative array extent on " << s.name;
           a.extents.push_back(n);
           elems *= static_cast<std::size_t>(n);
@@ -503,39 +363,18 @@ class ExecState : public sym::Env {
         a.elems = elems;
         a.elem_bytes = s.elem_bytes;
         a.buf = TrackedBuffer(&comm_.process().memory(), elems * s.elem_bytes);
-        arrays_[s.name] = std::move(a);
+        a.declared = true;
+        arrays_[static_cast<std::size_t>(p.array)] = std::move(a);
         break;
       }
-      case StmtKind::kAssign: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          c.ready = true;
-        }
-        sym::Value v = eval_bound(c.a);
-        if (c.var_slot < 0) {
-          set_scalar(s.name, v, /*must_exist=*/true);  // checks declaration
-          c.var_slot = frame_index_.find(s.name)->second;
-        } else {
-          write_slot(static_cast<std::size_t>(c.var_slot), v);
-        }
+      case StmtKind::kAssign:
+        assign(p.slot, s.name, eval(p.e1));
         break;
-      }
       case StmtKind::kFor: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          bind(c.b, s.e2, nullptr);
-          c.var_slot = slot_of(s.name);
-          c.ready = true;
-        }
-        const std::int64_t lo = eval_bound(c.a).as_int();
-        const std::int64_t hi = eval_bound(c.b).as_int();
-        const auto var = static_cast<std::size_t>(c.var_slot);
+        const std::int64_t lo = eval(p.e1).as_int();
+        const std::int64_t hi = eval(p.e2).as_int();
         for (std::int64_t i = lo; i <= hi; ++i) {
-          frame_[var] = sym::Value(i);
-          frame_defined_[var] = 1;
-          ++frame_gen_[var];
+          define(p.slot, sym::Value(i));
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = i;
           pos_stack_[pd].loop_hi = hi;
@@ -544,12 +383,7 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kIf: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          c.ready = true;
-        }
-        const bool taken = eval_bound(c.a).as_bool();
+        const bool taken = eval(p.e1).as_bool();
         if (options_.branches != nullptr) {
           options_.branches->record(s.id, taken);
         }
@@ -562,56 +396,50 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kCompute:
-        exec_kernel(s, s.kernel);
+        exec_kernel(s, p);
         break;
       case StmtKind::kSend: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        const std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto dst = static_cast<int>(eval_bound(c.a).as_int());
+        const std::uint8_t* buf = comm_span(s, p, &bytes);
+        const auto dst = static_cast<int>(eval(p.e1).as_int());
         const VTime t0 = comm_.now();
-        comm_.send(dst, s.tag, p, bytes);
+        comm_.send(dst, s.tag, buf, bytes);
         observe_comm(s, dst, bytes, t0);
         break;
       }
       case StmtKind::kRecv: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto src = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* buf = comm_span(s, p, &bytes);
+        const auto src = static_cast<int>(eval(p.e1).as_int());
         const VTime t0 = comm_.now();
-        comm_.recv(src, s.tag, p, bytes);
+        comm_.recv(src, s.tag, buf, bytes);
         observe_comm(s, src, bytes, t0);
         break;
       }
       case StmtKind::kIsend: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        const std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto dst = static_cast<int>(eval_bound(c.a).as_int());
+        const std::uint8_t* buf = comm_span(s, p, &bytes);
+        const auto dst = static_cast<int>(eval(p.e1).as_int());
         const VTime t0 = comm_.now();
-        c.requests->push_back(comm_.isend(dst, s.tag, p, bytes));
+        requests_[static_cast<std::size_t>(p.requests)].push_back(
+            comm_.isend(dst, s.tag, buf, bytes));
         ++pending_requests_;
         observe_comm(s, dst, bytes, t0);
         break;
       }
       case StmtKind::kIrecv: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto src = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* buf = comm_span(s, p, &bytes);
+        const auto src = static_cast<int>(eval(p.e1).as_int());
         const VTime t0 = comm_.now();
-        c.requests->push_back(comm_.irecv(src, s.tag, p, bytes));
+        requests_[static_cast<std::size_t>(p.requests)].push_back(
+            comm_.irecv(src, s.tag, buf, bytes));
         ++pending_requests_;
         observe_comm(s, src, bytes, t0);
         break;
       }
       case StmtKind::kWaitall: {
-        auto& rs = reqs(s.name);
+        auto& rs = requests_[static_cast<std::size_t>(p.requests)];
         comm_.waitall(rs);
         pending_requests_ -= rs.size();
         rs.clear();
@@ -624,78 +452,67 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kBcast: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto root = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* buf = comm_span(s, p, &bytes);
+        const auto root = static_cast<int>(eval(p.e1).as_int());
         const VTime t0 = comm_.now();
-        comm_.bcast(p, bytes, root);
+        comm_.bcast(buf, bytes, root);
         observe_comm(s, root, bytes, t0);
         break;
       }
       case StmtKind::kAllreduceSum: {
-        double v = scalar(s.name).as_real();
+        double v = scalar(p.slot, s.name).as_real();
         const VTime t0 = comm_.now();
         comm_.allreduce_sum(&v, 1);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/true);
+        assign(p.slot, s.name, sym::Value(v));
         observe_comm(s, -1, sizeof(double), t0);
         break;
       }
       case StmtKind::kAllreduceMax: {
-        double v = scalar(s.name).as_real();
+        double v = scalar(p.slot, s.name).as_real();
         const VTime t0 = comm_.now();
         comm_.allreduce_max(&v, 1);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/true);
+        assign(p.slot, s.name, sym::Value(v));
         observe_comm(s, -1, sizeof(double), t0);
         break;
       }
       case StmtKind::kGetRank:
-        set_scalar(s.name, sym::Value(std::int64_t{comm_.rank()}),
-                   /*must_exist=*/false);
+        define(p.slot, sym::Value(std::int64_t{comm_.rank()}));
         break;
       case StmtKind::kGetSize:
-        set_scalar(s.name, sym::Value(std::int64_t{comm_.size()}),
-                   /*must_exist=*/false);
+        define(p.slot, sym::Value(std::int64_t{comm_.size()}));
         break;
       case StmtKind::kDelay: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, s.e1_compiled);
-          c.ready = true;
-        }
-        const double sec = eval_bound(c.a).as_real();
+        const double sec = eval(p.e1).as_real();
         STGSIM_CHECK_GE(sec, -1e-12)
             << "negative delay from scaling function: " << s.e1.to_string();
         comm_.delay_seconds(std::max(sec, 0.0));
         break;
       }
-      case StmtKind::kReadParam: {
-        const double v = comm_.read_param(s.aux_name);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/false);
+      case StmtKind::kReadParam:
+        define(p.slot, sym::Value(comm_.read_param(s.aux_name)));
+        break;
+      case StmtKind::kTimerStart: {
+        const auto t = static_cast<std::size_t>(p.timer);
+        timer_start_[t] = comm_.now();
+        timer_open_[t] = 1;
         break;
       }
-      case StmtKind::kTimerStart:
-        open_timers_[s.name] = comm_.now();
-        break;
       case StmtKind::kTimerStop: {
-        auto it = open_timers_.find(s.name);
-        STGSIM_CHECK(it != open_timers_.end())
+        const auto t = static_cast<std::size_t>(p.timer);
+        STGSIM_CHECK(timer_open_[t] != 0)
             << "timer_stop without timer_start for task " << s.name;
-        const VTime dt = comm_.now() - it->second;
-        open_timers_.erase(it);
+        const VTime dt = comm_.now() - timer_start_[t];
+        timer_open_[t] = 0;
         if (options_.timers != nullptr) {
           options_.timers->add(s.name, vtime_to_sec(dt),
-                               s.e1.eval_real(*this));
+                               eval(p.e1).as_real());
         }
         break;
       }
-      case StmtKind::kCall: {
-        const Procedure* p = prog_.find_procedure(s.name);
-        STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
-        exec_block(p->body);
+      case StmtKind::kCall:
+        exec_block(callee(s).body);
         break;
-      }
     }
   }
 
@@ -706,32 +523,26 @@ class ExecState : public sym::Env {
     }
   }
 
-  void exec_kernel(const Stmt& stmt, const KernelSpec& k) {
+  void exec_kernel(const Stmt& stmt, const Plan::StmtPlan& p) {
+    const KernelSpec& k = stmt.kernel;
     const VTime t_begin = comm_.now();
-    StmtCache& c = cache_of(stmt);
-    if (!c.ready) {
-      bind(c.a, k.iters, nullptr);
-      c.ready = true;
-    }
-    const std::int64_t iters = eval_bound(c.a).as_int();
+    const std::int64_t iters = eval(p.e1).as_int();
     STGSIM_CHECK_GE(iters, 0) << "negative iteration count for " << k.task;
 
-    KernelCtx ctx(*this, k, iters);
+    KernelCtx ctx(*this, k, p, iters);
     if (k.body) k.body(ctx);
 
     double fraction = 0.0;
     if (k.branch_fraction) fraction = k.branch_fraction(ctx);
     STGSIM_DCHECK(fraction >= 0.0 && fraction <= 1.0);
 
-    // Working set: every array the task touches, per the declared sets.
+    // Working set: every declared array the task touches, per the
+    // declared sets (reads, then writes).
     double ws_bytes = 0.0;
-    for (const auto* names : {&k.reads, &k.writes}) {
-      for (const auto& n : *names) {
-        auto it = arrays_.find(n);
-        if (it != arrays_.end()) {
-          ws_bytes += static_cast<double>(it->second.elems *
-                                          it->second.elem_bytes);
-        }
+    for (const int id : p.working_set) {
+      const ArrayVal& a = arrays_[static_cast<std::size_t>(id)];
+      if (a.declared) {
+        ws_bytes += static_cast<double>(a.elems * a.elem_bytes);
       }
     }
 
@@ -752,22 +563,28 @@ class ExecState : public sym::Env {
     }
   }
 
-  const Program& prog_;
+  /// Cached value of one tape operand (see eval).
+  struct MemoCell {
+    sym::Value value;
+    bool valid = false;
+  };
+
+  const Plan& plan_;
   smpi::Comm& comm_;
   ExecOptions options_;
 
-  // Scalar slot frame (see class comment).
+  // Scalar frame, indexed by plan slot.
   std::vector<sym::Value> frame_;
   std::vector<std::uint8_t> frame_defined_;
   std::vector<std::uint64_t> frame_gen_;  ///< write generation per slot
-  std::unordered_map<std::string, int> frame_index_;
 
-  std::vector<StmtCache> stmt_cache_;  ///< indexed by Stmt::id
-  sym::CompiledExpr::Scratch scratch_;
+  std::vector<MemoCell> memo_;          ///< per Plan::Operand::memo
+  std::vector<std::uint64_t> stamps_;   ///< per Plan::Operand::stamp + i
 
-  std::map<std::string, ArrayVal> arrays_;
-  std::map<std::string, std::vector<smpi::Request>> requests_;
-  std::map<std::string, VTime> open_timers_;
+  std::vector<ArrayVal> arrays_;                       ///< per array id
+  std::vector<std::vector<smpi::Request>> requests_;   ///< per list id
+  std::vector<VTime> timer_start_;                     ///< per timer id
+  std::vector<std::uint8_t> timer_open_;               ///< per timer id
 
   /// Live position in the statement tree (see PosFrame); one frame per
   /// open block. Serialized into checkpoints.
@@ -784,63 +601,67 @@ class ExecState : public sym::Env {
 // ---------------------------------------------------------------------------
 
 KernelCtx::KernelCtx(ExecState& state, const KernelSpec& spec,
-                     std::int64_t iters)
-    : state_(state), spec_(spec), iters_(iters) {}
+                     const Plan::StmtPlan& plan, std::int64_t iters)
+    : state_(state), spec_(spec), plan_(plan), iters_(iters) {}
 
 int KernelCtx::rank() const { return state_.comm().rank(); }
 int KernelCtx::world_size() const { return state_.comm().size(); }
 
-void KernelCtx::check_access(const std::string& name, bool write) const {
-  const auto& allowed = write ? spec_.writes : spec_.reads;
-  const bool in_primary =
-      std::find(allowed.begin(), allowed.end(), name) != allowed.end();
+const Plan::KernelName& KernelCtx::declared(const std::string& name,
+                                            bool write) const {
   // Reading a variable you may write is fine (read-modify-write tasks).
-  const bool in_writes =
-      std::find(spec_.writes.begin(), spec_.writes.end(), name) !=
-      spec_.writes.end();
-  STGSIM_CHECK(in_primary || (!write && in_writes))
+  const auto it = std::find_if(
+      plan_.names.begin(), plan_.names.end(),
+      [&](const Plan::KernelName& n) {
+        return n.name == name && (n.writable || !write);
+      });
+  STGSIM_CHECK(it != plan_.names.end())
       << "kernel " << spec_.task << " accesses '" << name
       << "' outside its declared " << (write ? "write" : "read") << " set";
+  return *it;
+}
+
+int KernelCtx::array_id(const std::string& name) const {
+  for (const Plan::KernelName& n : plan_.names) {
+    if (n.name == name) return n.array;
+  }
+  return state_.plan().array_id(name);
 }
 
 double* KernelCtx::array(const std::string& name) {
   // Conservative: grant pointer if the name is in either set; writes
   // through a read-only pointer are the kernel author's bug.
-  check_access(name, /*write=*/false);
-  ArrayVal& a = state_.array(name);
+  ArrayVal& a = state_.array(declared(name, /*write=*/false).array, name);
   STGSIM_CHECK_EQ(a.elem_bytes, sizeof(double))
       << "kernel array access requires double elements";
   return a.buf.as_doubles();
 }
 
 std::size_t KernelCtx::array_elems(const std::string& name) const {
-  return state_.array(name).elems;
+  return state_.array(array_id(name), name).elems;
 }
 
 std::int64_t KernelCtx::array_extent(const std::string& name,
                                      std::size_t dim) const {
-  const ArrayVal& a = state_.array(name);
+  const ArrayVal& a = state_.array(array_id(name), name);
   STGSIM_CHECK_LT(dim, a.extents.size());
   return a.extents[dim];
 }
 
 sym::Value KernelCtx::scalar(const std::string& name) const {
-  check_access(name, /*write=*/false);
-  return state_.scalar(name);
+  return state_.scalar(declared(name, /*write=*/false).slot, name);
 }
 
 void KernelCtx::set_scalar(const std::string& name, sym::Value v) {
-  check_access(name, /*write=*/true);
-  state_.set_scalar(name, v, /*must_exist=*/true);
+  state_.assign(declared(name, /*write=*/true).slot, name, v);
 }
 
 Rng& KernelCtx::rng() { return state_.comm().process().rng(); }
 
 // ---------------------------------------------------------------------------
 
-void execute(const Program& prog, smpi::Comm& comm,
-             const ExecOptions& options) {
-  ExecState state(prog, comm, options);
+void execute(const Plan& plan, smpi::Comm& comm, const ExecOptions& options) {
+  ExecState state(plan, comm, options);
   state.run();
 }
 

@@ -8,6 +8,10 @@
 // compiler-simplified programs, whose kernels have been replaced by
 // delay() statements, and timer-instrumented programs, which feed a
 // TimerRecorder with the w_i measurements (Figure 2).
+//
+// What depends only on the program text (slot layout, compiled operand
+// tapes, dense name ids) is resolved once per run in an ir::Plan that every
+// rank shares read-only; a rank's interpreter state holds only values.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/plan.hpp"
 #include "ir/program.hpp"
 #include "smpi/smpi.hpp"
 #include "support/memtrack.hpp"
@@ -133,7 +138,8 @@ class ExecState;
 /// read/write sets is a programming error the tests assert on.
 class KernelCtx {
  public:
-  KernelCtx(ExecState& state, const KernelSpec& spec, std::int64_t iters);
+  KernelCtx(ExecState& state, const KernelSpec& spec,
+            const Plan::StmtPlan& plan, std::int64_t iters);
 
   int rank() const;
   int world_size() const;
@@ -150,15 +156,21 @@ class KernelCtx {
   Rng& rng();
 
  private:
-  void check_access(const std::string& name, bool write) const;
+  /// The declared name `name` (write access needs the write set); any
+  /// other name is an access violation.
+  const Plan::KernelName& declared(const std::string& name, bool write) const;
+  /// Array id of `name`, declared or not (-1 if the program has none).
+  int array_id(const std::string& name) const;
 
   ExecState& state_;
   const KernelSpec& spec_;
+  const Plan::StmtPlan& plan_;
   std::int64_t iters_;
 };
 
-/// Runs `prog` for the rank bound to `comm`; returns when main completes.
-void execute(const Program& prog, smpi::Comm& comm,
+/// Runs the plan's program for the rank bound to `comm`; returns when main
+/// completes. Build one Plan per run and share it across every rank.
+void execute(const Plan& plan, smpi::Comm& comm,
              const ExecOptions& options = {});
 
 }  // namespace stgsim::ir

@@ -182,7 +182,6 @@ StmtP clone_stmt(const Stmt& s) {
   c->e1 = s.e1;
   c->e2 = s.e2;
   c->e3 = s.e3;
-  c->e1_compiled = s.e1_compiled;
   c->extents = s.extents;
   c->kernel = s.kernel;
   c->body = clone_block(s.body);

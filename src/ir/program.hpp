@@ -43,10 +43,6 @@
 
 #include "symexpr/expr.hpp"
 
-namespace stgsim::sym {
-class CompiledExpr;
-}
-
 namespace stgsim::ir {
 
 class KernelCtx;
@@ -118,13 +114,6 @@ struct Stmt {
   sym::Expr e1, e2, e3;
   std::vector<sym::Expr> extents;
   KernelSpec kernel;
-
-  /// Optional precompiled form of e1, set by the code generator for kDelay
-  /// statements: the condensed scaling expression is compiled to a slot
-  /// tape once and shared (immutably) by every rank's interpreter instead
-  /// of being re-walked as an Expr DAG per evaluation. clone() preserves
-  /// the pointer.
-  std::shared_ptr<const sym::CompiledExpr> e1_compiled;
 
   std::vector<StmtP> body;
   std::vector<StmtP> else_body;

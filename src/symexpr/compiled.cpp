@@ -1,8 +1,13 @@
 #include "symexpr/compiled.hpp"
 
+#include <atomic>
 #include <utility>
 
 namespace stgsim::sym {
+
+namespace {
+std::atomic<unsigned long long> g_compiles{0};
+}  // namespace
 
 // Emits postfix code for a DAG, resolving variables lexically: Sum binders
 // shadow outer bindings and free variables of the same name. Every binder
@@ -88,10 +93,15 @@ class CompiledExpr::Builder {
 };
 
 CompiledExpr CompiledExpr::compile(const Expr& e) {
+  g_compiles.fetch_add(1, std::memory_order_relaxed);
   CompiledExpr out;
   Builder b(out);
   b.emit(e.node());
   return out;
+}
+
+unsigned long long CompiledExpr::compile_count() {
+  return g_compiles.load(std::memory_order_relaxed);
 }
 
 Value CompiledExpr::run(Scratch& s, std::size_t pc, std::size_t end) const {

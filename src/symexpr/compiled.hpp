@@ -34,18 +34,15 @@ class CompiledExpr {
 
   static CompiledExpr compile(const Expr& e);
 
+  /// Total compile() calls process-wide (stats and tests; relaxed).
+  static unsigned long long compile_count();
+
   /// Total slots (free variables + Sum binders).
   int num_slots() const { return static_cast<int>(slot_names_.size()); }
   /// Variable name of each slot.
   const std::vector<std::string>& slot_names() const { return slot_names_; }
   /// Slots the caller must bind before eval (Sum binders excluded).
   const std::vector<int>& free_slots() const { return free_slots_; }
-
-  /// True when the tape is a single variable load — callers holding the
-  /// binding can then read the value directly instead of running the tape.
-  bool single_load() const {
-    return tape_.size() == 1 && tape_[0].code == Code::kLoad;
-  }
 
   /// Reusable evaluation state: keep one per thread of evaluation and pass
   /// it to every eval call to avoid per-call allocation.

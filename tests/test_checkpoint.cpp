@@ -370,6 +370,7 @@ TimeWarpRun run_time_warp(const ir::Program& prog, int nprocs, int workers) {
   ec.host_workers = workers;
   ec.optimistic = true;
   ec.seed = cfg.seed;
+  const ir::Plan plan(prog);
   simk::Engine engine(ec);
   smpi::World world(wopts, nprocs);
   engine.set_wildcard_min_latency(world.wildcard_latency_floor());
@@ -377,7 +378,7 @@ TimeWarpRun run_time_warp(const ir::Program& prog, int nprocs, int workers) {
       [&world](int rank) { world.stats(rank) = smpi::RankStats{}; });
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm);
+    ir::execute(plan, comm);
   });
   TimeWarpRun run;
   run.per_rank = engine.run().per_rank_completion;

@@ -23,12 +23,13 @@ Dtg record_run(const ir::Program& prog, int nprocs) {
   smpi::World world(wopts, nprocs);
   simk::EngineConfig ec;
   ec.num_processes = nprocs;
+  const ir::Plan plan(prog);
   simk::Engine engine(ec);
   ir::ExecOptions xopts;
   xopts.observer = &observer;
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm, xopts);
+    ir::execute(plan, comm, xopts);
   });
   engine.run();
   return recorder.build();
@@ -159,12 +160,13 @@ TEST(Dtg, SimplifiedProgramProducesSameCommSkeleton) {
   for (const auto& [k, v] : params) world.set_param(k, v);
   simk::EngineConfig ec;
   ec.num_processes = nprocs;
+  const ir::Plan plan(compiled.simplified.program);
   simk::Engine engine(ec);
   ir::ExecOptions xopts;
   xopts.observer = &observer;
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(compiled.simplified.program, comm, xopts);
+    ir::execute(plan, comm, xopts);
   });
   engine.run();
   Dtg simplified = recorder.build();

@@ -25,10 +25,11 @@ RunResult run(const Program& prog, int nprocs = 1,
   smpi::World world(wopts, nprocs);
   simk::EngineConfig ec;
   ec.num_processes = nprocs;
+  const Plan plan(prog);
   simk::Engine engine(ec);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    execute(prog, comm, opts);
+    execute(plan, comm, opts);
   });
   auto r = engine.run();
   return {r, world.stats(0)};

@@ -198,7 +198,7 @@ TEST(Partition, CommOutputPinnedAtScale) {
     std::optional<core::CompileResult> compiled;
     if (c.am) compiled.emplace(core::compile(built));
     const ir::Program& prog = c.am ? compiled->simplified.program : built;
-    const Affinity aff = harness::comm_affinity(prog, c.nprocs);
+    const Affinity aff = harness::comm_affinity(ir::Plan(prog), c.nprocs);
     EXPECT_EQ(affinity_hash(aff), c.affinity);
     for (int i = 0; i < 4; ++i) {
       const auto part = simk::comm_partition(aff, ks[i]);
@@ -217,7 +217,8 @@ TEST(Affinity, Sweep3dAffinityIsTheProcessGrid) {
   apps::Sweep3DConfig sc;
   sc.npe_i = 4;
   sc.npe_j = 4;
-  const Affinity aff = harness::comm_affinity(apps::make_sweep3d(sc), 16);
+  const ir::Program prog = apps::make_sweep3d(sc);
+  const Affinity aff = harness::comm_affinity(ir::Plan(prog), 16);
   ASSERT_EQ(aff.nranks(), 16);
   // Every rank talks only to its grid neighbors (|di|+|dj| == 1).
   for (int r = 0; r < 16; ++r) {
@@ -268,7 +269,7 @@ TEST(Affinity, WalkerEdgeCasesSurviveTapes) {
   b.call("dive");
   const ir::Program prog = b.take();
 
-  const Affinity aff = harness::comm_affinity(prog, kRanks);
+  const Affinity aff = harness::comm_affinity(ir::Plan(prog), kRanks);
   std::vector<std::tuple<int, int, double>> edges;
   for (int r = 0; r < kRanks; ++r) {
     for (const auto& [peer, w] : aff.neighbors(r)) {

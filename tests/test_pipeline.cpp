@@ -160,10 +160,11 @@ TEST_F(PipelineTest, CommunicationTraceEquivalence) {
 
     simk::EngineConfig ec;
     ec.num_processes = nprocs;
+    const ir::Plan plan(*program);
     simk::Engine engine(ec);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(*program, comm);
+      ir::execute(plan, comm);
     });
     engine.run();
   }

@@ -33,10 +33,11 @@ inline TracedRun run_traced(const ir::Program& prog, int nprocs,
 
   simk::EngineConfig ec;
   ec.num_processes = nprocs;
+  const ir::Plan plan(prog);
   simk::Engine engine(ec);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm);
+    ir::execute(plan, comm);
   });
   simk::RunResult rr = engine.run();
   return TracedRun{std::move(rr), world.all_stats(), std::move(trace)};
