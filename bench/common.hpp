@@ -18,10 +18,28 @@
 
 #include "core/compiler.hpp"
 #include "harness/runner.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace stgsim::benchx {
+
+/// The host a BENCH_*.json number was measured on: core count, compiler,
+/// build type and git rev (PERF_* come from bench/CMakeLists.txt).
+inline json::Value host_json() {
+  json::Value h = json::Value::object();
+  h.set("nproc",
+        static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  h.set("compiler", PERF_COMPILER);
+  h.set("build_type", PERF_BUILD_TYPE);
+  h.set("git_rev", PERF_GIT_REV);
+  return h;
+}
+
+/// host_json() as the `"host": {...},` line of a hand-written document.
+inline void write_host(std::ostream& os) {
+  os << "  \"host\": " << host_json().dump() << ",\n";
+}
 
 /// Builds a target program for a given process count (apps whose shape
 /// depends on the grid rebuild per point).

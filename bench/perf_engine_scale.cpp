@@ -175,21 +175,13 @@ ThreadedPoint run_threaded_point(const std::string& app,
   return p;
 }
 
-/// The recorded host every BENCH_*.json carries: core count, compiler,
-/// build type and git revision of the binary that produced the numbers.
-void write_host(std::ostream& os) {
-  os << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-     << ", \"compiler\": \"" << PERF_COMPILER << "\", \"build_type\": \""
-     << PERF_BUILD_TYPE << "\", \"git_rev\": \"" << PERF_GIT_REV << "\"},\n";
-}
-
 void write_threaded_json(const std::string& path,
                          const std::vector<ThreadedPoint>& points) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"threaded_scale\",\n  \"mode\": \"am\",\n"
      << "  \"partition\": \"comm\",\n"
      << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
-  write_host(os);
+  benchx::write_host(os);
   os << "  \"note\": \"workers=1 conservative rows run one worker inline"
         " (no pool); digests are identical across all rows of one (app, procs)"
         " regardless of schedule; optimistic rows report checkpoint counts"
@@ -321,7 +313,7 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
 void write_json(const std::string& path, const std::vector<Point>& points) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"engine_scale\",\n  \"mode\": \"am\",\n";
-  write_host(os);
+  benchx::write_host(os);
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "campaign/executor.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
@@ -210,6 +211,7 @@ int main(int argc, char** argv) {
   cfg.set("host_cores",
           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   doc.set("config", cfg);
+  doc.set("host", benchx::host_json());
   json::Value cold_doc = pass_json(cold, total);
   cold_doc.set("executor", executor_json(cold_stats));
   doc.set("cold", cold_doc);

@@ -274,6 +274,7 @@ class Simplifier {
       d->name = opt_.dummy_buffer_name;
       d->extents = {size};
       d->elem_bytes = 1;
+      d->payload_free = true;
       body->insert(body->begin() + static_cast<std::ptrdiff_t>(insert_at),
                    std::move(d));
     } else {
@@ -297,6 +298,7 @@ class Simplifier {
         d->name = opt_.dummy_buffer_name;
         d->extents = {s->e2};  // already a byte count on the dummy
         d->elem_bytes = 1;
+        d->payload_free = true;
         out.push_back(std::move(d));
       }
       out.push_back(std::move(s));

@@ -13,7 +13,9 @@
 //   * eliminated conditionals are folded statistically with a (possibly
 //     profiled) branch probability;
 //   * communication references to eliminated arrays are redirected to a
-//     single shared dummy buffer sized to the maximum message (§3.1);
+//     single shared dummy buffer sized to the maximum message (§3.1); its
+//     declarations and transfers are payload_free, so the run charges its
+//     bytes to the memory ledger but never allocates or copies them;
 //   * a prologue of read_and_broadcast calls loads each w_<task>.
 //
 // generate_timer_program() instruments every computational task of the

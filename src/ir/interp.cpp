@@ -282,7 +282,8 @@ class ExecState {
   /// Serializes everything a fresh ExecState on the same plan needs to
   /// resume at the current position: the scalar frame (values,
   /// definedness, write generations), each declared array with its payload
-  /// bytes, open timers, and the position stack. Names and the layout
+  /// bytes (a payload-free array has none: its sizes rebuild the ledger
+  /// charge), open timers, and the position stack. Names and the layout
   /// belong to the plan; request lists are all empty at a quiescent
   /// boundary, and memo cells refill on the next evaluation.
   void serialize_state(BlobWriter& w) const {
@@ -296,7 +297,7 @@ class ExecState {
       w.u64(a.elems);
       w.u64(a.elem_bytes);
       w.u64(a.buf.size_bytes());
-      w.raw(a.buf.data(), a.buf.size_bytes());
+      if (a.buf.data() != nullptr) w.raw(a.buf.data(), a.buf.size_bytes());
     }
     w.vec_pod(timer_start_);
     w.vec_pod(timer_open_);
@@ -307,20 +308,29 @@ class ExecState {
     r.vec_pod(&frame_);
     r.vec_pod(&frame_defined_);
     r.vec_pod(&frame_gen_);
-    for (ArrayVal& a : arrays_) {
+    for (std::size_t id = 0; id < arrays_.size(); ++id) {
+      ArrayVal& a = arrays_[id];
       a = ArrayVal{};
       if (r.u8() == 0) continue;
       r.vec_pod(&a.extents);
       a.elems = static_cast<std::size_t>(r.u64());
       a.elem_bytes = static_cast<std::size_t>(r.u64());
       const auto bytes = static_cast<std::size_t>(r.u64());
-      a.buf = TrackedBuffer(&comm_.process().memory(), bytes);
-      r.raw(a.buf.data(), bytes);
+      a.buf = TrackedBuffer(&comm_.process().memory(), bytes,
+                            storage(static_cast<int>(id)));
+      if (a.buf.data() != nullptr) r.raw(a.buf.data(), bytes);
       a.declared = true;
     }
     r.vec_pod(&timer_start_);
     r.vec_pod(&timer_open_);
     r.vec_pod(pos);
+  }
+
+  /// Payload-free arrays are a ledger charge only; the plan guarantees no
+  /// statement that reads or writes bytes names one.
+  TrackedBuffer::Storage storage(int id) const {
+    return plan_.payload_free(id) ? TrackedBuffer::Storage::kLedgerOnly
+                                  : TrackedBuffer::Storage::kAllocated;
   }
 
   /// Resolves (array, offset_elems, count_elems) to a raw span for a
@@ -362,7 +372,8 @@ class ExecState {
         }
         a.elems = elems;
         a.elem_bytes = s.elem_bytes;
-        a.buf = TrackedBuffer(&comm_.process().memory(), elems * s.elem_bytes);
+        a.buf = TrackedBuffer(&comm_.process().memory(), elems * s.elem_bytes,
+                              storage(p.array));
         a.declared = true;
         arrays_[static_cast<std::size_t>(p.array)] = std::move(a);
         break;

@@ -1,5 +1,7 @@
 #include "ir/plan.hpp"
 
+#include "support/check.hpp"
+
 namespace stgsim::ir {
 
 /// Interns names into the plan's id spaces and compiles operands. Slot,
@@ -59,10 +61,15 @@ struct Plan::Builder {
         if (s.has_init) p.e1 = operand(s.e1);
         p.slot = slot(s.name);
         break;
-      case StmtKind::kDeclArray:
+      case StmtKind::kDeclArray: {
         for (const auto& e : s.extents) p.extents.push_back(operand(e));
         p.array = array(s.name);
+        const auto [it, added] = storage.try_emplace(p.array, s.payload_free);
+        STGSIM_CHECK(added || it->second == s.payload_free)
+            << "array '" << s.name
+            << "' is declared both payload-free and with storage";
         break;
+      }
       case StmtKind::kAssign:
         p.e1 = operand(s.e1);
         p.slot = slot(s.name);
@@ -141,12 +148,28 @@ struct Plan::Builder {
       for (const auto& name : *names) {
         add_name(name, names == &k.writes);
         const int id = plan.array_id(name);
-        if (id >= 0) p.working_set.push_back(id);
+        if (id < 0) continue;
+        STGSIM_CHECK(!plan.payload_free(id))
+            << "kernel " << k.task << " names payload-free array '" << name
+            << "', which has no storage";
+        p.working_set.push_back(id);
       }
     }
   }
 
+  /// A communication statement on a payload-free array must itself be
+  /// payload-free: it passes a null span, so no byte is copied.
+  void check_comm(const Stmt& s) {
+    const StmtPlan& p = plan.stmts_[static_cast<std::size_t>(s.id)];
+    if (p.array < 0 || s.kind == StmtKind::kDeclArray) return;
+    STGSIM_CHECK(s.payload_free || !plan.payload_free(p.array))
+        << stmt_kind_name(s.kind) << " statement " << s.id
+        << " moves the bytes of payload-free array '" << s.name
+        << "', which has no storage";
+  }
+
   Plan& plan;
+  std::unordered_map<int, bool> storage;  ///< array id -> payload-free
   std::unordered_map<std::string, int> slots;
   std::unordered_map<std::string, int> requests;
   std::unordered_map<std::string, int> timers;
@@ -156,8 +179,13 @@ Plan::Plan(const Program& prog) : prog_(prog) {
   stmts_.resize(static_cast<std::size_t>(prog.next_id()));
   Builder b(*this);
   for_each_stmt(prog, [&](const Stmt& s) { b.add(s); });
+  payload_free_.assign(array_ids_.size(), 0);
+  for (const auto& [id, free] : b.storage) {
+    payload_free_[static_cast<std::size_t>(id)] = free ? 1 : 0;
+  }
   for_each_stmt(prog, [&](const Stmt& s) {
     if (s.kind == StmtKind::kCompute) b.resolve_kernel(s);
+    b.check_comm(s);
   });
 }
 

@@ -13,7 +13,10 @@
 //     initializers, array extents, timer counts) with its free variables
 //     already mapped to those slots,
 //   * dense ids for arrays, request lists and timers, the callee of every
-//     kCall, and each kernel's declared names.
+//     kCall, and each kernel's declared names,
+//   * which arrays are payload-free (the dummy buffer: charged to the
+//     memory ledger, never allocated), checked here so no statement that
+//     touches bytes can reach one.
 // A rank's ExecState keeps only values indexed by these ids (the scalar
 // frame, one memo cell per tape operand, arrays, request lists, timers),
 // so no per-rank path compiles an expression or hashes a name.
@@ -70,6 +73,10 @@ class Plan {
   };
 
   /// Compiles every operand of `prog`, which must outlive the plan.
+  /// Throws CheckError, naming the array, if a payload-free array (one the
+  /// code generator declared as a ledger charge without storage) is named
+  /// by a kernel, moved by a communication statement that is not itself
+  /// payload-free, or also declared with storage.
   explicit Plan(const Program& prog);
 
   Plan(const Plan&) = delete;
@@ -95,6 +102,10 @@ class Plan {
   }
   /// Array id of `name`, -1 if the program never declares or moves it.
   int array_id(const std::string& name) const;
+  /// True if array `id` is declared payload-free: charged, never stored.
+  bool payload_free(int id) const {
+    return payload_free_[static_cast<std::size_t>(id)] != 0;
+  }
 
   /// Evaluates operand `id` against a frame of `values` indexed by slot,
   /// where `defined[slot] == 0` marks a variable as unbound; reading one
@@ -134,6 +145,7 @@ class Plan {
   std::vector<Operand> operands_;
   std::vector<std::string> slot_names_;
   std::unordered_map<std::string, int> array_ids_;
+  std::vector<std::uint8_t> payload_free_;  ///< per array id
   int num_request_lists_ = 0;
   int num_timers_ = 0;
   int num_memos_ = 0;

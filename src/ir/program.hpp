@@ -106,7 +106,10 @@ struct Stmt {
   /// Set by the code generator on communication statements it redirected
   /// to the shared dummy buffer: the transfer must be modeled with the
   /// correct wire size and timing, but the bytes moved carry no meaning,
-  /// so the interpreter passes a null span and no payload is copied.
+  /// so the interpreter passes a null span and no payload is copied. Also
+  /// set on the dummy's kDeclArray: the array is charged to the memory
+  /// ledger at its full size but never allocated (ir::Plan rejects any
+  /// other statement that names it).
   bool payload_free = false;
   std::size_t elem_bytes = sizeof(double);
   int tag = 0;

@@ -253,7 +253,10 @@ Message Process::blocking_match(const MatchSpec& spec) {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(EngineConfig config) : config_(config) {
+Engine::Engine(EngineConfig config)
+    : config_(config),
+      stacks_(config.fiber_stack_bytes,
+              static_cast<std::size_t>(config.num_processes)) {
   STGSIM_CHECK_GT(config_.num_processes, 0);
   STGSIM_CHECK_GT(config_.host_workers, 0);
   memory_.set_cap(config_.memory_cap_bytes);
@@ -560,6 +563,7 @@ void Engine::park_wildcard(Process& p) {
 
 void Engine::attach_fresh_fiber(Process& p) {
   Process* raw = &p;
+  p.fiber_.reset();  // finished: its stack is the one the new fiber takes
   p.fiber_ = std::make_unique<Fiber>(
       [this, raw] {
         try {
@@ -570,7 +574,7 @@ void Engine::attach_fresh_fiber(Process& p) {
           note_error(std::current_exception());
         }
       },
-      config_.fiber_stack_bytes);
+      stacks_);
   p.opt_.fresh = true;
 }
 
@@ -898,7 +902,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
   if (p.fiber_ != nullptr && p.fiber_->finished()) {
     attach_fresh_fiber(p);  // ran to completion; nothing to unwind
   } else if (!o.fresh) {
-    // The speculative incarnation is suspended on its own stack; ucontext
+    // The speculative incarnation is suspended on its own stack; fiber
     // switches only happen from scheduler context, so defer the unwind to
     // the next resume. (A second rollback before that just lands here
     // again.) A fresh fiber has never run and needs nothing.
@@ -958,6 +962,7 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
   d.checkpoint_cursors.reserve(o.checkpoints.size());
   for (const Checkpoint& cp : o.checkpoints) {
     d.checkpoint_cursors.push_back(cp.cursor);
+    d.checkpoint_blob_bytes.push_back(cp.app_blob.size());
   }
   return d;
 }

@@ -582,6 +582,7 @@ class Engine {
     std::uint64_t fossil_cursor = 0;
     std::uint64_t log_bytes = 0;
     std::vector<std::uint64_t> checkpoint_cursors;
+    std::vector<std::size_t> checkpoint_blob_bytes;  ///< app blob per cursor
   };
   OptDebug opt_debug(int rank) const;
 
@@ -781,6 +782,8 @@ class Engine {
   // read-mostly fields every slice reads.
   alignas(64) PayloadPool payload_pool_;
   alignas(64) ObjectArena<Message> msg_arena_;
+  // Every rank's fiber stack; unmapped after procs_ destroys the fibers.
+  StackPool stacks_;
 
   alignas(64) std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;

@@ -3,17 +3,63 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
 #include "support/check.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "simk::Fiber switches stacks in x86-64 assembly; port stgsim_switch_stack"
+#endif
+
+// Saves the callee-saved registers, MXCSR and the x87 control word on the
+// current stack, stores the stack pointer to *save_sp, then loads load_sp
+// and restores the same set from it: a System V call that returns on
+// another stack. The signal mask is process state the fibers share, so
+// nothing here enters the kernel. A fresh stack holds the frame Fiber's
+// constructor writes: zeroed registers, the creator's control words, and
+// Fiber::entry as the return address.
+extern "C" void stgsim_switch_stack(void** save_sp, void* load_sp);
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl stgsim_switch_stack
+    .hidden stgsim_switch_stack
+    .type stgsim_switch_stack, @function
+stgsim_switch_stack:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size stgsim_switch_stack, .-stgsim_switch_stack
+    .popsection
+)");
 
 namespace stgsim::simk {
 
@@ -22,12 +68,11 @@ namespace {
 thread_local Fiber* g_current_fiber = nullptr;
 // Global (not thread_local): the threaded scheduler resumes fibers from
 // persistent worker threads, and per-thread counters would silently drop
-// every resume performed off the scheduler thread. A relaxed increment is
-// noise next to the swapcontext it accompanies.
+// every resume performed off the scheduler thread.
 std::atomic<unsigned long long> g_switches{0};
 
-// AddressSanitizer tracks one stack per thread. Every swapcontext below is
-// announced to it, so a throw on a fiber stack (which unpoisons "the"
+// AddressSanitizer tracks one stack per thread. Every stack switch below
+// is announced to it, so a throw on a fiber stack (which unpoisons "the"
 // stack in __asan_handle_no_return) sees the right bounds instead of
 // reporting the scheduler's frames as stack-use-after-scope, and
 // detect_stack_use_after_return's fake frames follow the fiber.
@@ -60,34 +105,80 @@ std::size_t page_size() {
   return ps;
 }
 
-std::size_t round_up_pages(std::size_t bytes) {
-  const std::size_t ps = page_size();
-  return (bytes + ps - 1) / ps * ps;
-}
-
 }  // namespace
 
-Fiber::Fiber(BodyFn body, std::size_t stack_bytes) : body_(std::move(body)) {
+// ---------------------------------------------------------------------------
+// StackPool
+// ---------------------------------------------------------------------------
+
+StackPool::StackPool(std::size_t stack_bytes, std::size_t expected_stacks)
+    : stack_bytes_((stack_bytes + page_size() - 1) / page_size() * page_size()),
+      slab_stacks_(std::clamp<std::size_t>(expected_stacks, 1, kSlabStacks)) {
+  STGSIM_CHECK_GT(stack_bytes_, 0u);
+}
+
+StackPool::~StackPool() {
+  for (const Slab& s : slabs_) munmap(s.base, s.bytes);
+}
+
+void* StackPool::acquire() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_.empty()) {
+    // Stacks grow down on x86-64: each stack's guard page sits at the low
+    // end of its stride, between it and the stack below.
+    const std::size_t stride = page_size() + stack_bytes_;
+    const std::size_t bytes = stride * slab_stacks_;
+    void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    STGSIM_CHECK(base != MAP_FAILED) << "fiber stack slab mmap failed";
+    slabs_.push_back({base, bytes});
+    for (std::size_t i = slab_stacks_; i-- > 0;) {
+      auto* guard = static_cast<std::uint8_t*>(base) + i * stride;
+      STGSIM_CHECK_EQ(mprotect(guard, page_size(), PROT_NONE), 0);
+      free_.push_back(guard + page_size());
+    }
+  }
+  void* lo = free_.back();
+  free_.pop_back();
+  return lo;
+}
+
+void StackPool::release(void* stack_lo) {
+#if defined(__SANITIZE_ADDRESS__)
+  // A fiber destroyed while suspended leaves its frames' redzones
+  // poisoned; the next fiber on this stack starts clean.
+  __asan_unpoison_memory_region(stack_lo, stack_bytes_);
+#endif
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.push_back(stack_lo);
+}
+
+// ---------------------------------------------------------------------------
+// Fiber
+// ---------------------------------------------------------------------------
+
+Fiber::Fiber(BodyFn body, StackPool& stacks)
+    : body_(std::move(body)), stacks_(stacks) {
   STGSIM_CHECK(body_ != nullptr);
-  const std::size_t usable = round_up_pages(stack_bytes);
-  map_bytes_ = usable + page_size();  // + guard page
-  stack_base_ = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  STGSIM_CHECK(stack_base_ != MAP_FAILED) << "fiber stack mmap failed";
-  // Guard page at the low end (stacks grow down on x86-64).
-  STGSIM_CHECK_EQ(mprotect(stack_base_, page_size(), PROT_NONE), 0);
-
-  STGSIM_CHECK_EQ(getcontext(&context_), 0);
-  context_.uc_stack.ss_sp =
-      static_cast<std::uint8_t*>(stack_base_) + page_size();
-  context_.uc_stack.ss_size = usable;
-  context_.uc_link = nullptr;  // run_body never falls off the trampoline
-
-  // makecontext only passes ints; split the pointer into two 32-bit halves.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              static_cast<unsigned>(self >> 32),
-              static_cast<unsigned>(self & 0xffffffffu));
+  stack_lo_ = stacks.acquire();
+  // The frame stgsim_switch_stack pops on first resume, from the lowest
+  // address: the control words, r15 r14 r13 r12 rbx rbp (zero; a zero rbp
+  // ends frame-pointer walks), the return address entry(), and entry()'s
+  // own return address, null, so unwinders stop at the fiber base. The
+  // stack top is page-aligned, so entry() starts with rsp ≡ 8 (mod 16) as
+  // the ABI expects of a called function.
+  auto* top = reinterpret_cast<std::uint64_t*>(
+      static_cast<std::uint8_t*>(stack_lo_) + stacks.stack_bytes());
+  std::uint64_t* frame = top - 9;
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  frame[0] = mxcsr | static_cast<std::uint64_t>(fpu_cw) << 32;
+  for (int i = 1; i <= 6; ++i) frame[i] = 0;
+  frame[7] = reinterpret_cast<std::uint64_t>(&Fiber::entry);
+  frame[8] = 0;
+  sp_ = frame;
 #if defined(__SANITIZE_THREAD__)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -98,19 +189,13 @@ Fiber::~Fiber() {
   // state; the engine only destroys fibers after completion or when the
   // whole run is being torn down (where leaking fiber-local destructors
   // is acceptable for abnormal termination).
-  if (stack_base_ != nullptr) {
-    munmap(stack_base_, map_bytes_);
-  }
+  stacks_.release(stack_lo_);
 #if defined(__SANITIZE_THREAD__)
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  const std::uintptr_t bits =
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(bits)->run_body();
-}
+void Fiber::entry() noexcept { current()->run_body(); }
 
 void Fiber::run_body() {
   finish_switch(nullptr, &caller_stack_bottom_, &caller_stack_size_);
@@ -118,11 +203,10 @@ void Fiber::run_body() {
   finished_ = true;
   // Return to whoever resumed us last; the fiber is never resumed again
   // (a null save slot lets ASan free this fiber's fake stack).
-  Fiber* self = g_current_fiber;
   g_current_fiber = nullptr;
-  start_switch(nullptr, self->caller_stack_bottom_, self->caller_stack_size_,
-               self->tsan_caller_);
-  swapcontext(&self->context_, &self->return_context_);
+  start_switch(nullptr, caller_stack_bottom_, caller_stack_size_,
+               tsan_caller_);
+  stgsim_switch_stack(&sp_, caller_sp_);
   STGSIM_UNREACHABLE("finished fiber resumed");
 }
 
@@ -130,16 +214,14 @@ void Fiber::resume() {
   STGSIM_CHECK(g_current_fiber == nullptr)
       << "resume() called from inside a fiber";
   STGSIM_CHECK(!finished_) << "resume() on finished fiber";
-  started_ = true;
   g_current_fiber = this;
   g_switches.fetch_add(1, std::memory_order_relaxed);
   void* fake_stack = nullptr;
 #if defined(__SANITIZE_THREAD__)
   tsan_caller_ = __tsan_get_current_fiber();
 #endif
-  start_switch(&fake_stack, context_.uc_stack.ss_sp, context_.uc_stack.ss_size,
-               tsan_fiber_);
-  STGSIM_CHECK_EQ(swapcontext(&return_context_, &context_), 0);
+  start_switch(&fake_stack, stack_lo_, stacks_.stack_bytes(), tsan_fiber_);
+  stgsim_switch_stack(&caller_sp_, sp_);
   finish_switch(fake_stack, nullptr, nullptr);
   STGSIM_CHECK(g_current_fiber == nullptr);
 }
@@ -150,9 +232,9 @@ void Fiber::yield_to_scheduler() {
   g_current_fiber = nullptr;
   start_switch(&self->fake_stack_, self->caller_stack_bottom_,
                self->caller_stack_size_, self->tsan_caller_);
-  STGSIM_CHECK_EQ(swapcontext(&self->context_, &self->return_context_), 0);
+  stgsim_switch_stack(&self->sp_, self->caller_sp_);
   // Resumed again, possibly from another thread's stack: record it, and
-  // restore current pointer (resume() set it before the swap back into us).
+  // restore current pointer (resume() set it before the switch back).
   finish_switch(self->fake_stack_, &self->caller_stack_bottom_,
                 &self->caller_stack_size_);
   g_current_fiber = self;

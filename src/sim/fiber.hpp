@@ -1,18 +1,59 @@
 // Stackful fibers for process-oriented simulation.
 //
 // MPI-Sim simulates each target MPI process with a thread on the host; we
-// use ucontext fibers instead of OS threads so a single host process can
-// hold tens of thousands of target processes (the paper simulates Sweep3D
-// on 10,000 target processors). Stacks are mmap'ed with a guard page so a
-// runaway target program faults instead of corrupting a neighbouring fiber.
+// use fibers instead of OS threads so a single host process can hold tens
+// of thousands of target processes (the paper simulates Sweep3D on 10,000
+// target processors). A switch is a few instructions of x86-64 assembly
+// that save the callee-saved registers and the floating-point control words
+// and make no system call. Stacks are carved from slabs a StackPool maps a
+// few dozen at a time, each with a guard page below it, so a runaway target
+// program faults instead of corrupting a neighbouring fiber.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
+#include <mutex>
+#include <vector>
 
 namespace stgsim::simk {
+
+/// Fiber stacks of one size, carved from slabs of up to kSlabStacks stacks
+/// (one mmap each) with a PROT_NONE guard page below every stack. A
+/// destroyed fiber's stack goes back on a free list for the next fiber;
+/// the slabs are unmapped with the pool, which must outlive its fibers.
+/// Thread-safe: fibers may be created and destroyed on any thread.
+class StackPool {
+ public:
+  /// `stack_bytes` is rounded up to whole pages. `expected_stacks` sizes
+  /// every slab (at most kSlabStacks), so a small run maps only what it
+  /// uses.
+  StackPool(std::size_t stack_bytes, std::size_t expected_stacks);
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool();
+
+  std::size_t stack_bytes() const { return stack_bytes_; }
+
+ private:
+  friend class Fiber;
+
+  static constexpr std::size_t kSlabStacks = 64;
+
+  /// Low end of an unused stack of stack_bytes().
+  void* acquire();
+  void release(void* stack_lo);
+
+  struct Slab {
+    void* base;
+    std::size_t bytes;
+  };
+
+  std::size_t stack_bytes_;
+  std::size_t slab_stacks_;
+  std::mutex mu_;            ///< guards free_ and slabs_
+  std::vector<void*> free_;  ///< lowest address at the back
+  std::vector<Slab> slabs_;
+};
 
 /// A suspendable call stack. Fibers are cooperatively scheduled: the
 /// scheduler calls resume(), the fiber calls Fiber::yield_to_scheduler().
@@ -20,9 +61,9 @@ class Fiber {
  public:
   using BodyFn = std::function<void()>;
 
-  /// Creates a fiber that will run `body` on first resume. `stack_bytes`
-  /// is rounded up to whole pages; one extra guard page is added below.
-  Fiber(BodyFn body, std::size_t stack_bytes);
+  /// Creates a fiber that will run `body` on first resume, on a stack
+  /// taken from `stacks` (returned to it by the destructor).
+  Fiber(BodyFn body, StackPool& stacks);
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -47,15 +88,15 @@ class Fiber {
   static unsigned long long switch_count();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+  /// The first frame on a fresh stack: runs current()'s body.
+  [[noreturn]] static void entry() noexcept;
+  [[noreturn]] void run_body();
 
   BodyFn body_;
-  ucontext_t context_{};
-  ucontext_t return_context_{};
-  void* stack_base_ = nullptr;   // mmap base (includes guard page)
-  std::size_t map_bytes_ = 0;
-  bool started_ = false;
+  StackPool& stacks_;
+  void* stack_lo_ = nullptr;
+  void* sp_ = nullptr;         ///< this fiber's stack pointer while switched out
+  void* caller_sp_ = nullptr;  ///< the resumer's stack pointer while running
   bool finished_ = false;
   // AddressSanitizer fiber bookkeeping (unused in other builds): this
   // fiber's fake stack while it is switched out, and the stack of the

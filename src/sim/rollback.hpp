@@ -168,7 +168,7 @@ struct OptState {
   std::uint64_t replay_limit = 0;
 
   // Fiber lifecycle. A rollback discovered from scheduler or another
-  // fiber's context cannot unwind the victim's fiber in place (ucontext
+  // fiber's context cannot unwind the victim's fiber in place (fiber
   // switches only happen from scheduler context): pending_unwind defers
   // the unwind + recreation to the next resume. rollback_abort makes the
   // old fiber throw FiberAborted at its suspended yield point. fresh is

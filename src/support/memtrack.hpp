@@ -77,15 +77,21 @@ class MemoryTracker {
 };
 
 /// A heap buffer whose size is charged against a MemoryTracker for its
-/// whole lifetime. Simulated program arrays are TrackedBuffers.
+/// whole lifetime. Simulated program arrays are TrackedBuffers. A
+/// ledger-only buffer is charged the same bytes but owns no storage
+/// (data() is null): the simplified program's dummy buffer, whose bytes
+/// nothing reads or writes.
 class TrackedBuffer {
  public:
+  enum class Storage : std::uint8_t { kAllocated, kLedgerOnly };
+
   TrackedBuffer() = default;
 
-  TrackedBuffer(MemoryTracker* tracker, std::size_t bytes)
+  TrackedBuffer(MemoryTracker* tracker, std::size_t bytes,
+                Storage storage = Storage::kAllocated)
       : tracker_(tracker), bytes_(bytes) {
     if (tracker_ != nullptr) tracker_->add(bytes_);
-    data_ = new std::uint8_t[bytes_]();
+    if (storage == Storage::kAllocated) data_ = new std::uint8_t[bytes_]();
   }
 
   TrackedBuffer(const TrackedBuffer&) = delete;
@@ -114,10 +120,8 @@ class TrackedBuffer {
 
  private:
   void release() {
-    if (data_ != nullptr) {
-      delete[] data_;
-      if (tracker_ != nullptr) tracker_->remove(bytes_);
-    }
+    delete[] data_;
+    if (tracker_ != nullptr) tracker_->remove(bytes_);
     data_ = nullptr;
     tracker_ = nullptr;
     bytes_ = 0;

@@ -16,13 +16,16 @@
 #include "apps/sample.hpp"
 #include "apps/sweep3d.hpp"
 #include "apps/tomcatv.hpp"
+#include "core/compiler.hpp"
 #include "fault/fault.hpp"
 #include "harness/config_json.hpp"
 #include "harness/digest.hpp"
 #include "harness/runner.hpp"
 #include "ir/interp.hpp"
+#include "ir/plan.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
+#include "smpi/smpi.hpp"
 #include "support/blob.hpp"
 
 namespace stgsim {
@@ -241,6 +244,88 @@ TEST(Checkpoint, RollbackDepthHistogramAccountsForEveryRollback) {
   }
   EXPECT_EQ(histogram_total, out.parallel.rollbacks)
       << "every rollback lands in exactly one depth bucket";
+}
+
+// ---------------------------------------------------------------------------
+// Payload-free arrays in checkpoint blobs
+// ---------------------------------------------------------------------------
+
+TEST(Checkpoint, PayloadFreeArrayCarriesNoBytes) {
+  // The AM form of the anysource gather: both of its arrays are dead, so
+  // every transfer goes through the dummy buffer, a payload-free array of
+  // kDummyBytes per rank that blobs describe but do not copy.
+  constexpr std::size_t kDummyBytes = 4096 * sizeof(double);
+  apps::AppSpec spec;
+  spec.name = "sample";
+  spec.options = {{"pattern", "anysource"},
+                  {"iters", "4"},
+                  {"work", "2000"},
+                  {"msg-doubles", "4096"}};
+  const core::CompileResult compiled =
+      core::compile(apps::build_app(spec, 3));
+  const ir::Program& prog = compiled.simplified.program;
+  harness::RunConfig am = base_config(3);
+  am.mode = harness::Mode::kAnalytical;
+  for (const auto& name : compiled.simplified.params) am.params[name] = 1e-9;
+  const harness::RunOutcome ref = harness::run_program(prog, am);
+  ASSERT_TRUE(ref.ok()) << ref.diagnostic;
+  const std::uint64_t want = harness::run_digest(ref);
+
+  harness::RunConfig tw = am;
+  tw.schedule = harness::Schedule::kOptimistic;
+  tw.checkpoint_interval = 1;
+  tw.checkpoint_adaptive = false;
+  {
+    tw.threads = 2;
+    const harness::RunOutcome out = harness::run_program(prog, tw);
+    ASSERT_TRUE(out.ok()) << out.diagnostic;
+    EXPECT_EQ(harness::run_digest(out), want)
+        << harness::describe_run_divergence(ref, out);
+    EXPECT_GE(out.parallel.checkpoints_taken, 1u);
+    EXPECT_EQ(out.peak_target_bytes, ref.peak_target_bytes);
+  }
+  {
+    // A forced straggler: the rollback restores a blob holding the dummy's
+    // sizes only and rebuilds its ledger charge.
+    StragglerFirstOracle oracle;
+    harness::RunConfig opt = tw;
+    opt.threads = 0;
+    opt.faults = fault::parse_fault_plan(kStragglerPlan);
+    opt.oracle = &oracle;
+    harness::RunConfig opt_ref = am;
+    opt_ref.faults = opt.faults;
+    const harness::RunOutcome out = harness::run_program(prog, opt);
+    ASSERT_TRUE(out.ok()) << out.diagnostic;
+    EXPECT_GE(out.parallel.rollbacks, 1u);
+    EXPECT_EQ(harness::run_digest(out), digest_of(prog, opt_ref));
+  }
+
+  // The same 2-worker run on a bare engine, whose retained checkpoints
+  // show the blob sizes.
+  const ir::Plan plan(prog);
+  smpi::World world(smpi::World::Options{}, 3);
+  for (const auto& [name, value] : am.params) world.set_param(name, value);
+  simk::EngineConfig ec;
+  ec.num_processes = 3;
+  ec.host_workers = 2;
+  ec.optimistic = true;
+  ec.checkpoint_interval = 1;
+  ec.checkpoint_adaptive = false;
+  simk::Engine engine(ec);
+  engine.set_wildcard_min_latency(world.wildcard_latency_floor());
+  engine.set_body([&](simk::Process& p) {
+    smpi::Comm comm(world, p);
+    ir::execute(plan, comm);
+  });
+  engine.run();
+  std::size_t blobs = 0;
+  for (int r = 0; r < 3; ++r) {
+    for (const std::size_t bytes : engine.opt_debug(r).checkpoint_blob_bytes) {
+      ++blobs;
+      EXPECT_LT(bytes, kDummyBytes) << "rank " << r;
+    }
+  }
+  EXPECT_GE(blobs, 1u);
 }
 
 // ---------------------------------------------------------------------------

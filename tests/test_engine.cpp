@@ -2,9 +2,15 @@
 // determinism, the threaded conservative mode and abort unwinding.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+#include <xmmintrin.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -20,8 +26,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Fiber, RunsBodyToCompletion) {
+  StackPool stacks(64 * 1024, 1);
   int x = 0;
-  Fiber f([&] { x = 42; }, 64 * 1024);
+  Fiber f([&] { x = 42; }, stacks);
   EXPECT_FALSE(f.finished());
   f.resume();
   EXPECT_TRUE(f.finished());
@@ -29,6 +36,7 @@ TEST(Fiber, RunsBodyToCompletion) {
 }
 
 TEST(Fiber, YieldSuspendsAndResumes) {
+  StackPool stacks(64 * 1024, 1);
   std::vector<int> log;
   Fiber f(
       [&] {
@@ -38,7 +46,7 @@ TEST(Fiber, YieldSuspendsAndResumes) {
         Fiber::yield_to_scheduler();
         log.push_back(5);
       },
-      64 * 1024);
+      stacks);
   f.resume();
   log.push_back(2);
   f.resume();
@@ -50,9 +58,10 @@ TEST(Fiber, YieldSuspendsAndResumes) {
 }
 
 TEST(Fiber, CurrentIsSetInsideFiberOnly) {
+  StackPool stacks(64 * 1024, 1);
   EXPECT_EQ(Fiber::current(), nullptr);
   Fiber* observed = nullptr;
-  Fiber f([&] { observed = Fiber::current(); }, 64 * 1024);
+  Fiber f([&] { observed = Fiber::current(); }, stacks);
   f.resume();
   EXPECT_EQ(observed, &f);
   EXPECT_EQ(Fiber::current(), nullptr);
@@ -60,16 +69,111 @@ TEST(Fiber, CurrentIsSetInsideFiberOnly) {
 
 TEST(Fiber, DeepStackUsageSurvives) {
   // Recursion touching well under the stack size must work; the guard
-  // page exists for the case beyond it (not testable without SIGSEGV).
+  // page below the stack is for the case beyond it.
+  StackPool stacks(256 * 1024, 1);
   std::function<int(int)> rec = [&](int n) -> int {
     char pad[512];
     pad[0] = static_cast<char>(n);
     return n == 0 ? pad[0] : rec(n - 1) + 1;
   };
   int out = -1;
-  Fiber f([&] { out = rec(200); }, 256 * 1024);
+  Fiber f([&] { out = rec(200); }, stacks);
   f.resume();
   EXPECT_EQ(out, 200);
+}
+
+TEST(Fiber, FloatingPointControlIsPerFiber) {
+  // Rounding mode lives in both MXCSR and the x87 control word; a switch
+  // must carry both with the fiber, not leak them to the scheduler.
+  StackPool stacks(64 * 1024, 1);
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int before_yield = -1;
+  int after_resume = -1;
+  unsigned sse_after_resume = 0;
+  Fiber f(
+      [&] {
+        std::fesetround(FE_UPWARD);
+        before_yield = std::fegetround();
+        Fiber::yield_to_scheduler();
+        after_resume = std::fegetround();
+        sse_after_resume = _MM_GET_ROUNDING_MODE();
+      },
+      stacks);
+  f.resume();
+  EXPECT_EQ(before_yield, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(_MM_GET_ROUNDING_MODE(), static_cast<unsigned>(_MM_ROUND_NEAREST));
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(after_resume, FE_UPWARD);
+  EXPECT_EQ(sse_after_resume, static_cast<unsigned>(_MM_ROUND_UP));
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(_MM_GET_ROUNDING_MODE(), static_cast<unsigned>(_MM_ROUND_NEAREST));
+}
+
+// Stack overflow death test state: the neighbour fiber's sentinel, checked
+// by the SIGSEGV handler on its own signal stack.
+constexpr std::size_t kSentinelBytes = 1024;
+volatile unsigned char* g_sentinel = nullptr;
+volatile int g_overflow_depth_limit = 1 << 30;
+
+void exit_on_overflow(int) {
+  for (std::size_t i = 0; i < kSentinelBytes; ++i) {
+    if (g_sentinel[i] != 0x5a) _exit(43);  // the neighbour was overwritten
+  }
+  _exit(42);
+}
+
+int recurse_forever(int depth) {
+  volatile unsigned char pad[512];
+  pad[0] = static_cast<unsigned char>(depth);
+  if (depth >= g_overflow_depth_limit) return pad[0];
+  return recurse_forever(depth + 1) + pad[0];
+}
+
+void overflow_next_to_neighbour() {
+  static unsigned char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof alt_stack;
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_handler = exit_on_overflow;
+  sa.sa_flags = SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+
+  // One slab: the neighbour gets the lower stack, so the overflowing
+  // fiber's guard page is all that separates it from the neighbour's
+  // live frames.
+  StackPool stacks(64 * 1024, 2);
+  void* neighbour_frame = nullptr;
+  Fiber neighbour(
+      [&] {
+        neighbour_frame = __builtin_frame_address(0);
+        volatile unsigned char sentinel[kSentinelBytes];
+        for (std::size_t i = 0; i < kSentinelBytes; ++i) sentinel[i] = 0x5a;
+        g_sentinel = sentinel;
+        Fiber::yield_to_scheduler();
+      },
+      stacks);
+  neighbour.resume();
+  Fiber overflow(
+      [&] {
+        // Frame addresses are on the fiber stacks even where a sanitizer
+        // moves address-taken locals elsewhere.
+        if (__builtin_frame_address(0) < neighbour_frame) _exit(44);
+        recurse_forever(0);
+      },
+      stacks);
+  overflow.resume();
+  _exit(45);  // the recursion returned: no fault
+}
+
+TEST(Fiber, StackOverflowHitsGuardPage) {
+  // Exit 42: the overflow faulted with the neighbour's frames intact (43:
+  // they were overwritten, 44: the stacks are not adjacent as assumed,
+  // 45: no fault at all).
+  EXPECT_EXIT(overflow_next_to_neighbour(), testing::ExitedWithCode(42), "");
 }
 
 // ---------------------------------------------------------------------------

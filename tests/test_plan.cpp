@@ -1,7 +1,10 @@
 // Tests for the execution plan (ir::Plan): the program is compiled once per
 // run, whatever the rank count, and the one shared scalar layout keeps the
 // per-rank semantics of rank-dependent declarations, including across a
-// Time Warp restore from a checkpoint blob that carries no names.
+// Time Warp restore from a checkpoint blob that carries no names. A
+// payload-free array (the simplified program's dummy buffer) is charged in
+// full but has no storage, and the plan refuses any statement that would
+// read or write its bytes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +19,7 @@
 #include "harness/runner.hpp"
 #include "ir/builder.hpp"
 #include "ir/plan.hpp"
+#include "support/check.hpp"
 #include "symexpr/compiled.hpp"
 
 namespace stgsim {
@@ -179,6 +183,94 @@ TEST(Checkpoint, RankDependentDeclarationSurvivesThreadedRestore) {
     rolled_back = out.parallel.rollbacks > 0;
   }
   EXPECT_TRUE(rolled_back) << "the straggler never forced a rollback";
+}
+
+// ---------------------------------------------------------------------------
+// Payload-free arrays
+// ---------------------------------------------------------------------------
+
+/// A program declaring an 8-double array `dummy` payload-free, followed by
+/// `use`; `free_uses` marks its transfers payload-free too.
+ir::Program ledger_program(const std::function<void(ir::ProgramBuilder&)>& use,
+                           bool free_uses) {
+  ir::ProgramBuilder b("ledger_only");
+  b.decl_array("dummy", {I(8)});
+  use(b);
+  ir::Program prog = b.take();
+  for (auto& s : prog.main()) {
+    if (s->name == "dummy") {
+      s->payload_free = s->kind == ir::StmtKind::kDeclArray || free_uses;
+    }
+  }
+  return prog;
+}
+
+/// The CheckError message of building a plan for `prog`, "" if none.
+std::string plan_error(const ir::Program& prog) {
+  try {
+    const ir::Plan plan(prog);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Plan, RejectsNonPayloadFreeUseOfPayloadFreeArray) {
+  auto kernel = [](const char* task, bool write) {
+    return [task, write](ir::ProgramBuilder& b) {
+      ir::KernelSpec k;
+      k.task = task;
+      k.iters = I(1);
+      (write ? k.writes : k.reads).push_back("dummy");
+      b.compute(std::move(k));
+    };
+  };
+  auto send = [](ir::ProgramBuilder& b) {
+    b.send("dummy", I(0), I(8), I(0), 1);
+  };
+  auto redeclare = [](ir::ProgramBuilder& b) {
+    b.decl_array("dummy", {I(8)});
+  };
+
+  auto expect_rejected = [](const char* what, const ir::Program& prog) {
+    const std::string err = plan_error(prog);
+    EXPECT_NE(err.find("payload-free array 'dummy'"), std::string::npos)
+        << what << ": " << err;
+  };
+
+  EXPECT_EQ(plan_error(ledger_program(send, /*free_uses=*/true)), "");
+  expect_rejected("kernel read", ledger_program(kernel("peek", false), true));
+  expect_rejected("kernel write", ledger_program(kernel("poke", true), true));
+  expect_rejected("byte-moving send", ledger_program(send, false));
+  // A second declaration with storage would give the array two natures.
+  ir::Program mixed = ledger_program(redeclare, true);
+  mixed.main().back()->payload_free = false;
+  EXPECT_NE(plan_error(mixed).find("array 'dummy' is declared both"),
+            std::string::npos);
+}
+
+TEST(Plan, PayloadFreeDummyIsChargedInFull) {
+  // The values an interpreter that allocated the dummy reported: the
+  // ledger charge, and with it peak_target_bytes and memory caps, is the
+  // same whether or not the bytes exist.
+  apps::SampleConfig c;
+  c.pattern = apps::SamplePattern::kAnySource;
+  c.iterations = 3;
+  c.msg_doubles = 1024;
+  c.work_iters = 2000;
+  const core::CompileResult compiled = core::compile(apps::make_sample(c));
+  harness::RunConfig am = de_config(3);
+  am.mode = harness::Mode::kAnalytical;
+  for (const auto& name : compiled.simplified.params) am.params[name] = 1e-9;
+  const harness::RunOutcome out =
+      harness::run_program(compiled.simplified.program, am);
+  ASSERT_TRUE(out.ok()) << out.diagnostic;
+  EXPECT_EQ(out.peak_target_bytes, 16384u);
+
+  // One byte under the peak, the allocation that reaches it fails.
+  am.memory_cap_bytes = out.peak_target_bytes - 1;
+  EXPECT_EQ(harness::run_program(compiled.simplified.program, am).status,
+            harness::RunStatus::kOutOfMemory);
 }
 
 }  // namespace
