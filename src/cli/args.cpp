@@ -36,11 +36,13 @@ void Args::reject_legacy(const std::string& legacy,
   if (!values_.contains(legacy)) return;
   json::Value detail = json::Value::object();
   detail.set("removed", "--" + legacy);
-  detail.set("replacement", "--" + canonical);
-  throw errors::StructuredError(
-      "usage.removed_flag", errors::kCategoryUsage,
-      "--" + legacy + " was removed; use --" + canonical,
-      std::move(detail));
+  std::string message = "--" + legacy + " was removed";
+  if (!canonical.empty()) {
+    detail.set("replacement", "--" + canonical);
+    message += "; use --" + canonical;
+  }
+  throw errors::StructuredError("usage.removed_flag", errors::kCategoryUsage,
+                                message, std::move(detail));
 }
 
 std::string Args::str(const std::string& key, const std::string& dflt) {

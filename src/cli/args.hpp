@@ -26,7 +26,7 @@ class Args {
 
   /// Rejects removed flag `legacy`: if the user passed --<legacy>, throws
   /// errors::StructuredError("usage.removed_flag") whose detail names the
-  /// `canonical` replacement.
+  /// `canonical` replacement (none when `canonical` is empty).
   void reject_legacy(const std::string& legacy,
                      const std::string& canonical) const;
 

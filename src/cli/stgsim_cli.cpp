@@ -101,11 +101,11 @@
 // conservative schedulers; `check --schedule optimistic` explores the
 // rollback/commit protocol against the conservative sequential digest, and
 // --inject commit-before-gvt plants a commit-finalized-before-GVT race on
-// the optimistic path for the gate to rediscover. Four knobs tune the
+// the optimistic path for the gate to rediscover. Three knobs tune the
 // optimistic engine without changing any simulated result: --gvt-interval,
-// --checkpoint-interval (N or "none"), --checkpoint-adaptive and
-// --speculation-window, documented on their RunConfig fields
-// (harness/runner.hpp).
+// --checkpoint-interval (N or "none") and --checkpoint-adaptive, documented
+// on their RunConfig fields (harness/runner.hpp). --speculation-window was
+// removed in stgsim-9 and fails with "usage.removed_flag".
 //
 // `serve` runs the long-lived campaign daemon (DESIGN.md §16): a local
 // HTTP API (loopback by default, ephemeral port published via
@@ -252,6 +252,7 @@ json::Value flag_value(Args& args, const harness::RunConfigField& f) {
 json::Value spec_doc_from_args(Args& args) {
   args.reject_legacy("threads", "workers");
   args.reject_legacy("calib", "calibrate");
+  args.reject_legacy("speculation-window", "");
 
   json::Value doc = json::Value::object();
   const std::string config_path = args.str("config", "");

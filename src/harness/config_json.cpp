@@ -74,6 +74,15 @@ void read_member(const json::Value& v, RunConfig* c) {
 bool apply_config_key(RunConfig* config, const std::string& key,
                       const json::Value& value) {
   using Bound = RunConfigField::Bound;
+  if (key == "speculation_window_sec") {
+    // Removed in stgsim-9 with the engine's speculation window: an older
+    // document that carries it is refused by name, not run without it.
+    json::Value detail = json::Value::object();
+    detail.set("removed", json::Value(key));
+    throw errors::StructuredError(
+        "usage.removed_key", errors::kCategoryUsage,
+        "run-spec key '" + key + "' was removed in stgsim-9", detail);
+  }
   for (const RunConfigField& f : run_config_fields()) {
     if (key != f.key) continue;
     if (std::string(f.type) == "integer") (void)value.as_int();
@@ -103,12 +112,15 @@ void set_canonical_app(json::Value* out, const RunSpec& spec) {
 }  // namespace
 
 const std::vector<std::string>& published_schema_versions() {
-  // Every tag kSimulatorVersion has ever carried. The schema only grows
-  // additively (new optional keys with defaults), so a document written
-  // for any published version parses under the current reader; the list
-  // exists to *reject* documents from the future, not to branch readers.
+  // Every tag kSimulatorVersion has ever carried. Up to stgsim-8 the
+  // schema only grew additively (new optional keys with defaults);
+  // stgsim-9 removed the run-spec key speculation_window_sec and the
+  // run-outcome field metrics.window_advance_hist. A document written for
+  // any published version parses under the current reader unless it
+  // carries a removed key, which is refused by name; the list exists to
+  // *reject* documents from the future, not to branch readers.
   static const std::vector<std::string> kVersions = {
-      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8"};
+      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9"};
   return kVersions;
 }
 
@@ -231,14 +243,6 @@ const std::vector<RunConfigField>& run_config_fields() {
        .flag = "checkpoint-adaptive", .flag_kind = Flag::kBoolean,
        .write = write_member<&RunConfig::checkpoint_adaptive>,
        .read = read_member<&RunConfig::checkpoint_adaptive>},
-      {.key = "speculation_window_sec", .role = Role::kHostSide,
-       .type = "number",
-       .description = "bounded-speculation window (0 = unbounded)",
-       .bound = Bound::kNonNegative, .flag = "speculation-window",
-       .flag_kind = Flag::kNumber,
-       .flag_positive = "must be > 0 seconds of virtual time",
-       .write = write_member<&RunConfig::speculation_window_sec>,
-       .read = read_member<&RunConfig::speculation_window_sec>},
       {.key = "abstract_comm", .role = Role::kMethod, .type = "boolean",
        .description = "abstract communication model",
        .flag = "abstract-comm", .flag_kind = Flag::kBoolean,
@@ -503,8 +507,6 @@ json::Value outcome_to_json(const RunOutcome& outcome) {
   }
   metrics.set("scalars", scalars);
   metrics.set("msg_size_hist", hist_to_json(outcome.metrics.msg_size_hist));
-  metrics.set("window_advance_hist",
-              hist_to_json(outcome.metrics.window_advance_hist));
   metrics.set("rollback_depth_hist",
               hist_to_json(outcome.metrics.rollback_depth_hist));
   metrics.set("hop_hist", hist_to_json(outcome.metrics.hop_hist));
@@ -546,8 +548,6 @@ RunOutcome outcome_from_json(const json::Value& v) {
     out.metrics.add(name, value.as_number());
   }
   out.metrics.msg_size_hist = hist_from_json(metrics.at("msg_size_hist"));
-  out.metrics.window_advance_hist =
-      hist_from_json(metrics.at("window_advance_hist"));
   if (const json::Value* h = metrics.find("rollback_depth_hist")) {
     out.metrics.rollback_depth_hist = hist_from_json(*h);
   }
@@ -686,7 +686,6 @@ json::Value run_outcome_schema_json() {
     scalars.set("additionalProperties", schema_type("number"));
     mp.set("scalars", scalars);
     mp.set("msg_size_hist", number_array_schema("log2 message-size buckets"));
-    mp.set("window_advance_hist", number_array_schema(nullptr));
     mp.set("rollback_depth_hist", number_array_schema(nullptr));
     mp.set("hop_hist", number_array_schema(nullptr));
     {

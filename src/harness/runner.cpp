@@ -105,9 +105,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     if (config.gvt_interval > 0) ec.gvt_interval = config.gvt_interval;
     ec.checkpoint_interval = config.checkpoint_interval;
     ec.checkpoint_adaptive = config.checkpoint_adaptive;
-    if (config.speculation_window_sec > 0.0) {
-      ec.speculation_window = vtime_from_sec(config.speculation_window_sec);
-    }
     STGSIM_CHECK(config.mode != Mode::kMeasured)
         << "optimistic schedule: emulation (contention/jitter state) cannot "
            "be rolled back";
@@ -116,29 +113,14 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
         << "optimistic schedule: calibration/profiling recorders cannot be "
            "rolled back";
   }
-  // Compiled once per run and shared read-only by every rank (and by the
-  // affinity walk); declared before the engine so it outlives any fiber
-  // the engine tears down.
-  const ir::Plan plan(prog);
   if (config.threads > 1) {
     ec.host_workers = config.threads;
     STGSIM_CHECK(timers == nullptr && branches == nullptr)
         << "calibration/profiling require one host worker";
     STGSIM_CHECK(config.mode != Mode::kMeasured)
         << "emulation (NIC contention state) requires one host worker";
-    if (config.partition != simk::PartitionMode::kBlock) {
-      if (config.partition == simk::PartitionMode::kComm) {
-        const simk::Affinity aff = comm_affinity(plan, config.nprocs);
-        ec.partition = simk::make_partition(config.partition, config.nprocs,
-                                            config.threads, &aff);
-      } else {
-        ec.partition = simk::make_partition(config.partition, config.nprocs,
-                                            config.threads, nullptr);
-      }
-    }
   }
 
-  simk::Engine engine(ec);
   ir::ExecOptions xopts;
   xopts.timers = timers;
   xopts.branches = branches;
@@ -146,12 +128,29 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
 
   RunOutcome out;
   out.nprocs = config.nprocs;
-  // World construction builds the routed platform, which validates the
-  // topology parameters (torus extents vs rank count, fat-tree radix, ...)
-  // and can throw — inside the try so a bad platform config becomes an
-  // internal_error outcome, like any other model-check failure.
+  // The plan is compiled once per run and shared read-only by every rank
+  // (and by the affinity walk); declared before the engine so it outlives
+  // any fiber the engine tears down. Plan compilation rejects malformed
+  // programs, and world construction builds the routed platform, which
+  // validates the topology parameters (torus extents vs rank count,
+  // fat-tree radix, ...): both can throw, inside the try, so either
+  // becomes an internal_error outcome like any other model-check failure.
+  std::optional<ir::Plan> plan;
+  std::optional<simk::Engine> engine;
   std::optional<smpi::World> world;
   try {
+    plan.emplace(prog);
+    if (config.threads > 1 && config.partition != simk::PartitionMode::kBlock) {
+      if (config.partition == simk::PartitionMode::kComm) {
+        const simk::Affinity aff = comm_affinity(*plan, config.nprocs);
+        ec.partition = simk::make_partition(config.partition, config.nprocs,
+                                            config.threads, &aff);
+      } else {
+        ec.partition = simk::make_partition(config.partition, config.nprocs,
+                                            config.threads, nullptr);
+      }
+    }
+    engine.emplace(ec);
     world.emplace(wopts, config.nprocs);
     for (const auto& [k, v] : config.params) world->set_param(k, v);
     if (config.obs != nullptr) {
@@ -165,22 +164,22 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     // correctly. The floor includes the fault plan's always-on global
     // latency factors (a sound, possibly larger bound that never changes
     // which candidate commits).
-    engine.set_wildcard_min_latency(world->wildcard_latency_floor());
+    engine->set_wildcard_min_latency(world->wildcard_latency_floor());
     if (optimistic) {
       // Rollback must also rewind the layers above the engine that keep
       // per-rank state: smpi protocol counters and the obs shard. Both are
       // rebuilt exactly by the coast-forward replay. (Comm itself lives on
       // the fiber stack and is recreated with the fiber.)
-      engine.set_rollback_reset([&world, &config](int rank) {
+      engine->set_rollback_reset([&world, &config](int rank) {
         world->stats(rank) = smpi::RankStats{};
         if (config.obs != nullptr) config.obs->reset_rank(rank);
       });
     }
-    engine.set_body([&](simk::Process& p) {
+    engine->set_body([&](simk::Process& p) {
       smpi::Comm comm(*world, p);
-      ir::execute(plan, comm, xopts);
+      ir::execute(*plan, comm, xopts);
     });
-    simk::RunResult rr = engine.run();
+    simk::RunResult rr = engine->run();
     out.predicted_time = rr.completion;
     out.per_rank = std::move(rr.per_rank_completion);
     out.sim_host_seconds = rr.host_seconds;
@@ -189,11 +188,11 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     out.slices = rr.slices;
     out.stats = world->aggregate_stats();
     out.per_rank_stats = world->all_stats();
-    out.parallel = engine.parallel_stats();
+    out.parallel = engine->parallel_stats();
     if (config.obs != nullptr) {
       out.metrics = config.obs->snapshot();
-      const auto ps = engine.payload_stats();
-      const auto as = engine.arena_stats();
+      const auto ps = engine->payload_stats();
+      const auto as = engine->arena_stats();
       out.metrics.add("pool.payload_outstanding",
                       static_cast<double>(ps.outstanding));
       out.metrics.add("pool.payload_retained_bytes",
@@ -238,7 +237,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
           out.metrics.add(prefix + "slices",
                           static_cast<double>(ps2.worker_slices[w]));
         }
-        out.metrics.window_advance_hist = ps2.window_advance_hist;
       }
       if (optimistic) {
         // Time Warp protocol counters. Deterministic for sequential-hosted
@@ -266,7 +264,7 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   } catch (const MemoryCapExceeded& e) {
     out.status = RunStatus::kOutOfMemory;
     out.diagnostic = e.what();
-    out.peak_target_bytes = engine.memory().peak_bytes();
+    out.peak_target_bytes = engine ? engine->memory().peak_bytes() : 0;
   } catch (const simk::DeadlockError& e) {
     out.status = RunStatus::kDeadlock;
     out.diagnostic = e.what();
@@ -287,7 +285,7 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     out.status = RunStatus::kInternalError;
     out.diagnostic = e.what();
   }
-  out.used_wildcard_recv = engine.saw_wildcard_recv();
+  out.used_wildcard_recv = engine && engine->saw_wildcard_recv();
   return out;
 }
 

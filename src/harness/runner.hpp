@@ -118,11 +118,6 @@ struct RunConfig {
   /// frequency (halve on rollback, grow while rollback-free).
   bool checkpoint_adaptive = true;
 
-  /// Bounded-speculation window in seconds: a rank whose clock is more
-  /// than this ahead of GVT sits out the rest of its round
-  /// (0 = unbounded). Ignored with one worker, which never rolls back.
-  double speculation_window_sec = 0.0;
-
   std::size_t fiber_stack_bytes = 256 * 1024;
   std::uint64_t seed = 20260704;
 

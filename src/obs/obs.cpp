@@ -377,7 +377,6 @@ void merge_metrics(MetricsSnapshot* dst, const MetricsSnapshot& src) {
     if (!found) dst->add(name, value);
   }
   merge_hist(&dst->msg_size_hist, src.msg_size_hist);
-  merge_hist(&dst->window_advance_hist, src.window_advance_hist);
   merge_hist(&dst->rollback_depth_hist, src.rollback_depth_hist);
   merge_hist(&dst->hop_hist, src.hop_hist);
   // Links merge by name: cross-run rollups only make sense when the runs
@@ -448,14 +447,6 @@ void Recorder::write_metrics_json(std::ostream& os,
     os << s.msg_size_hist[i];
   }
   os << "]";
-  if (!s.window_advance_hist.empty()) {
-    os << ",\n  \"window_advance_hist\": [";
-    for (std::size_t i = 0; i < s.window_advance_hist.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << s.window_advance_hist[i];
-    }
-    os << "]";
-  }
   if (!s.rollback_depth_hist.empty()) {
     os << ",\n  \"rollback_depth_hist\": [";
     for (std::size_t i = 0; i < s.rollback_depth_hist.size(); ++i) {

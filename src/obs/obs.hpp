@@ -16,7 +16,8 @@
 //    values out; enabling it leaves run digests bit-identical.
 //  * Per-rank shards — all state is keyed by rank and written from the
 //    context that owns that rank (its partition's worker thread, or the
-//    scheduler between rounds), so the threaded scheduler needs no locks.
+//    quiescence step while every worker waits), so the threaded scheduler
+//    needs no locks.
 #pragma once
 
 #include <cstdint>
@@ -76,13 +77,6 @@ struct MetricsSnapshot {
   /// Message-size histogram: bucket k counts user messages with
   /// bytes in [2^k, 2^(k+1)); bucket 0 also holds zero-byte messages.
   std::vector<std::uint64_t> msg_size_hist;
-
-  /// Threaded-scheduler round-advance histogram (empty for sequential
-  /// runs; the key keeps its historical name): bucket k>0 counts rounds
-  /// whose minimum unfinished clock advanced by [2^(k-1), 2^k) ns over
-  /// the previous round; bucket 0 counts zero-advance rounds. Appended by
-  /// the harness from simk::ParallelStats.
-  std::vector<std::uint64_t> window_advance_hist;
 
   /// Optimistic-rollback depth histogram (empty for conservative runs):
   /// bucket k>0 counts rollbacks that discarded [2^(k-1), 2^k) consumed

@@ -4,21 +4,18 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
-
-#include "sim/worker_pool.hpp"
 
 namespace stgsim::simk {
 
 namespace {
 
-/// The partition-round worker this thread runs: set by run_partition_round,
-/// so it is 0 on every thread that is not a pool worker (the caller of a
-/// one-worker run, or a multi-worker run's barrier). Indexes the
-/// per-worker stat cells and anti-message queues.
+/// The partition-round worker this thread runs: set by run_partition_round
+/// (worker 0 is the caller of Engine::run, so it is 0 on every other
+/// thread). Indexes the per-worker stat cells and anti-message queues; the
+/// quiescence step uses the cells of the worker that arrived last.
 thread_local int g_current_worker = 0;
 
 /// The process whose fiber this thread is currently executing (null in
@@ -226,8 +223,8 @@ Message Process::blocking_match(const MatchSpec& spec) {
   } else {
     // A wildcard receive may only commit when no slower-clocked process
     // can still produce an earlier-arriving match. If the best queued
-    // candidate is not yet bound-safe (or we are inside a threaded round,
-    // where the bound cannot be evaluated), block and park for promotion.
+    // candidate is not yet bound-safe (never, mid-slice, in MC mode), block
+    // and park for promotion.
     VTime arrival = kVTimeNever;
     if (peek_match(spec, &arrival) &&
         engine_->wildcard_commit_safe(*this, arrival)) {
@@ -482,8 +479,7 @@ void Engine::deliver_now(Message&& msg) {
     if (threaded_run_ && Fiber::current() == nullptr) {
       // Mailbox drain on a worker thread: raising here would tear down
       // fibers owned by other workers. Record the violation; every worker
-      // sees has_error_ and ends its round, and the scheduler aborts at
-      // the barrier.
+      // sees has_error_ and stops, and run_rounds aborts after the join.
       note_error(std::make_exception_ptr(BudgetExceededError(
           BudgetExceededError::Kind::kMessages,
           "message budget exceeded: " + std::to_string(delivered) +
@@ -546,7 +542,7 @@ void Engine::wake_process(Process& p, VTime arrival) {
 
 void Engine::make_ready(Process& p) {
   // Deliveries and promotions happen on the rank's own worker, the stuck
-  // promotion between rounds: never at the same time.
+  // promotion in the quiescence step: never at the same time.
   worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
 }
 
@@ -640,7 +636,7 @@ std::size_t Engine::opt_entry_bytes(const Message& m) {
 
 void Engine::opt_log_charge(Process& p, const Message& m) {
   // Plain counters: a rank's log is only ever touched by its owning worker
-  // (or the barrier, with the workers quiesced), so the per-message cost
+  // (or the quiescence step, with the workers stopped), so the per-message cost
   // is two adds instead of contended atomic RMWs. The peak is sampled at
   // publishes and GVT passes, which run right before fossil collection
   // prunes the log.
@@ -965,16 +961,6 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
     d.checkpoint_blob_bytes.push_back(cp.app_blob.size());
   }
   return d;
-}
-
-bool Engine::opt_throttled(const Process& p) const {
-  const VTime w = config_.speculation_window;
-  // One worker (MC included) never rolls back, so there is nothing to damp.
-  if (w <= 0 || !threaded_run_) return false;
-  if (opt_throttle_override_.load(std::memory_order_relaxed)) return false;
-  const VTime g = gvt_.load(std::memory_order_relaxed);
-  if (g > kVTimeNever - w) return false;  // saturate instead of overflow
-  return p.clock_ > g + w;
 }
 
 void Engine::opt_retune_gvt(std::uint64_t cur) {
@@ -1338,7 +1324,6 @@ RunResult Engine::run() {
     opt_gvt_interval_ = opt_gvt_base_;
     opt_gvt_countdown_ = opt_gvt_interval_;
     opt_log_bytes_last_pass_ = 0;
-    opt_throttle_override_.store(false, std::memory_order_relaxed);
   }
 
   host_t0_sec_ = steady_now_sec();
@@ -1349,7 +1334,7 @@ RunResult Engine::run() {
     pstats_.rollback_depth_hist.assign(WorkerStat::kDepthBuckets, 0);
     // A run whose last stretch never hit a GVT pass (or that disabled
     // checkpointing and grew the log to the end) still reports its true
-    // high-water mark. Several workers prune mid-round, each at its own
+    // high-water mark. Several workers prune mid-pass, each at its own
     // time, so the run's peak is the sum of the workers' peaks.
     for (auto& ws : worker_stats_) {
       ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
@@ -1390,11 +1375,10 @@ RunResult Engine::run() {
 
 std::size_t Engine::oracle_choose(const std::vector<ChoiceOption>& options) {
   STGSIM_DCHECK(!options.empty());
-  // Under MC the oracle is only consulted inside run_partition_round (the
-  // barrier's promotion never finds a tie there: the round's own stuck
-  // promotion already woke a rank or found no candidate), so an oracle
-  // exception (the checker's prefix-abandon) reaches run_rounds, which
-  // unwinds the suspended fibers.
+  // Under MC the oracle is consulted by worker 0's pass and by the stuck
+  // promotion's tie in the quiescence step. Both record an oracle exception
+  // (the checker's prefix-abandon) with note_error, and run_rounds then
+  // unwinds the suspended fibers and rethrows it.
   const std::size_t idx = oracle_->choose(options);
   STGSIM_CHECK_LT(idx, options.size())
       << "schedule oracle chose out of range";
@@ -1478,26 +1462,16 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
   return drained;
 }
 
-void Engine::run_partition_round(int worker) {
+void Engine::run_partition_round(int worker, Quiescence& quiescence) {
   g_current_worker = worker;
   IndexedMinHeap<VTime>& heap = worker_heaps_[static_cast<std::size_t>(worker)];
   std::vector<int>& local_ready = worker_ready_[static_cast<std::size_t>(worker)];
   WorkerStat& ws = worker_stats_[static_cast<std::size_t>(worker)];
-
-  // Whether this worker counts in round_busy_: it leaves when it has no
-  // work and rejoins when a drain or a promotion gives it some.
-  bool active = true;
-  std::uint64_t iter = 0;
   std::vector<int>& parked = worker_parked_[static_cast<std::size_t>(worker)];
-  // Ranks held out of this round because they ran past the speculation
-  // window; re-queued for the next round at exit (GVT will have advanced
-  // at the barrier). The scheduler thread sets opt_throttle_override_ when
-  // a whole round is throttled into making no progress.
-  std::vector<int> throttled;
   // Time Warp with several workers: fold the published words into GVT
   // (CAS-max) and fossil-collect this worker's ranks whenever that
   // advanced it.
-  VTime fossil_gvt = gvt_.load(std::memory_order_relaxed);
+  VTime fossil_gvt = 0;
   auto opt_fold_and_fossil = [&] {
     const std::uint64_t stores = floor_stores_.load(std::memory_order_acquire);
     VTime g = peer_floor(-1);
@@ -1535,121 +1509,152 @@ void Engine::run_partition_round(int worker) {
     if (inflight_total_ == 0) return false;
     return config_.optimistic || clock_floor(-1).argmin >= 0;
   };
-  for (;;) {
-    // Cross-partition messages pushed by peers since the last check
-    // (wakeups land on local_ready); the drain also republishes this
-    // worker's floor word, between slices and while idle.
-    const std::uint64_t drained = drain_mailboxes(worker);
-    ws.mailbox += drained;
-    take_ready();
-    if (inflight_total_ == 0 && !parked.empty()) {
-      // Parked wildcards whose candidate passed the bound wake now (MC:
-      // once every in-flight lane is drained, so each candidate set is
-      // final). With one worker an empty heap also means nothing can run:
-      // the smallest candidate is then exact.
-      if (!promote_safe_wildcards(worker) && !threaded_run_ && heap.empty()) {
-        promote_stuck_wildcard();
-      }
+  // One pass: execute the partition, draining incoming mailboxes between
+  // slices, until every worker is quiescent or the run failed.
+  auto pass = [&] {
+    // Whether this worker counts in round_busy_: it leaves when it has no
+    // work and rejoins when a drain or a promotion gives it some.
+    bool active = true;
+    std::uint64_t iter = 0;
+    for (;;) {
+      // Cross-partition messages pushed by peers since the last check
+      // (wakeups land on local_ready); the drain also republishes this
+      // worker's floor word, between slices and while idle.
+      const std::uint64_t drained = drain_mailboxes(worker);
+      ws.mailbox += drained;
       take_ready();
-    }
-
-    const bool work = has_work();
-    std::int64_t settle = -static_cast<std::int64_t>(drained);
-    if (work != active) settle += work ? kBusyWorker : -kBusyWorker;
-    if (settle != 0) {
-      // Zero is final: peers that read it have left the round. Only a
-      // promotion can give an idle worker work without a counted message,
-      // and that worker then leaves too; its ranks wait for the next round.
-      std::int64_t busy = round_busy_.load(std::memory_order_relaxed);
-      while (busy != 0 && !round_busy_.compare_exchange_weak(
-                              busy, busy + settle, std::memory_order_acq_rel)) {
+      if (inflight_total_ == 0 && !parked.empty()) {
+        // Parked wildcards whose candidate passed the bound wake now (MC:
+        // once every in-flight lane is drained, so each candidate set is
+        // final).
+        promote_safe_wildcards(worker);
+        take_ready();
       }
-      if (busy == 0) break;
-      active = work;
+
+      const bool work = has_work();
+      std::int64_t settle = -static_cast<std::int64_t>(drained);
+      if (work != active) settle += work ? kBusyWorker : -kBusyWorker;
+      if (settle != 0) {
+        // Zero is final: peers that read it have stopped. Only a promotion
+        // can give an idle worker work without a counted message, and that
+        // worker then stops too; its ranks wait for the next pass.
+        std::int64_t busy = round_busy_.load(std::memory_order_relaxed);
+        while (busy != 0 && !round_busy_.compare_exchange_weak(
+                                busy, busy + settle, std::memory_order_acq_rel)) {
+        }
+        if (busy == 0) return;
+        active = work;
+      }
+      // Quiescent: no worker can run and nothing is in flight. A parked
+      // wildcard left now waits for the quiescence step's stuck promotion.
+      if (!work && (has_error_.load(std::memory_order_acquire) ||
+                    round_busy_.load(std::memory_order_acquire) == 0)) {
+        return;
+      }
+      // The quiescence step only probes the wall-clock watchdog once every
+      // worker stopped; a pass that never ends (e.g. two processes in the
+      // same partition ping-ponging without advancing their clocks, a rank
+      // that blocks before it ever calls advance(), or an idle worker whose
+      // peer is stuck in a long slice) would otherwise spin forever. Probe
+      // in-loop; the caller tears the run down.
+      if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
+        note_error(std::make_exception_ptr(BudgetExceededError(
+            BudgetExceededError::Kind::kHostWallClock,
+            "host wall-clock watchdog fired in worker " +
+                std::to_string(worker))));
+        return;
+      }
+      if (!work) {
+        // A peer is still running and may yet feed us through a lane. Idle
+        // time is free for Time Warp's fold and fossil collection.
+        if (config_.optimistic) opt_fold_and_fossil();
+        std::this_thread::yield();
+        continue;
+      }
+      if (config_.optimistic) {
+        if (threaded_run_) {
+          if ((iter & 255U) == 0) opt_fold_and_fossil();
+        } else if (--opt_gvt_countdown_ == 0) {
+          // One worker: no clock races, so the exact pass replaces the
+          // fold, on an adaptive cadence that amortizes its O(P) scan.
+          opt_retune_gvt(opt_gvt_pass());
+        }
+      }
+      int rank;
+      if (mc_active_) {
+        rank = oracle_pick(heap);
+        if (rank < 0) continue;  // delivered an in-flight lane head
+      } else {
+        rank = heap.pop();
+      }
+      Process& p = *procs_[static_cast<std::size_t>(rank)];
+      const VTime clock_before = p.clock_;
+      resume_process(p);
+      ws.busy_vtime += p.clock_ - clock_before;
+      ++ws.slices;
+      refloor(p);
+      // Stop at the first error: a failed slice ends the pass before any
+      // other rank runs.
+      if (has_error_.load(std::memory_order_acquire)) return;
     }
-    // Quiescent: no worker can run and nothing is in flight. A parked
-    // wildcard left now waits for the barrier's stuck promotion.
-    if (!work && (has_error_.load(std::memory_order_acquire) ||
-                  round_busy_.load(std::memory_order_acquire) == 0)) {
-      break;
+  };
+  do {
+    fossil_gvt = gvt_.load(std::memory_order_relaxed);
+    // A worker-side exception (simulator invariant failure, an oracle
+    // abandoning its prefix) is recorded, and the worker still arrives, so
+    // the quiescence step sees the error and ends the run.
+    try {
+      pass();
+      // The quiescence step looks for ready ranks on the ready lists only.
+      while (!heap.empty()) local_ready.push_back(heap.pop());
+    } catch (...) {
+      note_error(std::current_exception());
     }
-    // The round barrier only probes the wall-clock watchdog between
-    // rounds; a round that never ends (e.g. two processes in the same
-    // partition ping-ponging without advancing their clocks, a rank that
-    // blocks before it ever calls advance(), or an idle worker whose peer
-    // is stuck in a long slice) would otherwise spin forever. Probe
-    // in-loop; the barrier tears the run down.
-    if ((++iter & 1023U) == 0 && host_budget_exhausted()) {
+    quiescence.arrive_and_wait();
+  } while (!run_done_);
+}
+
+void Engine::quiescence_step() noexcept {
+  try {
+    run_done_ = true;
+    if (has_error_.load(std::memory_order_acquire)) return;
+    auto any_ready = [&] {
+      for (const auto& v : worker_ready_) {
+        if (!v.empty()) return true;
+      }
+      return false;
+    };
+    // Every lane is drained and bound-safe wildcards were promoted in the
+    // pass; what is left is a parked rank that no bound admits while
+    // nothing can run.
+    if (!any_ready()) promote_stuck_wildcard();
+    const bool more = any_ready();
+    // Exact GVT: every worker is stopped and every lane drained. One worker
+    // passes GVT on its own cadence mid-pass, so it adds only the run's
+    // final pass here.
+    if (config_.optimistic && (threaded_run_ || !more)) opt_gvt_pass();
+    // Nothing ready: every rank finished, or run_rounds reports a deadlock.
+    if (!more) return;
+    if (host_budget_exhausted()) {
       note_error(std::make_exception_ptr(BudgetExceededError(
           BudgetExceededError::Kind::kHostWallClock,
-          "host wall-clock watchdog fired in worker " +
-              std::to_string(worker))));
-      break;
+          "host wall-clock watchdog fired at the quiescence step")));
+      return;
     }
-    if (!work) {
-      // A peer is still running and may yet feed us through a lane. Idle
-      // time is free for Time Warp's fold and fossil collection.
-      if (config_.optimistic) opt_fold_and_fossil();
-      std::this_thread::yield();
-      continue;
-    }
-    if (config_.optimistic) {
-      if (threaded_run_) {
-        if ((iter & 255U) == 0) opt_fold_and_fossil();
-      } else if (--opt_gvt_countdown_ == 0) {
-        // One worker: no clock races, so the exact pass replaces the
-        // fold, on an adaptive cadence that amortizes its O(P) scan.
-        opt_retune_gvt(opt_gvt_pass());
-      }
-    }
-    int rank;
-    if (mc_active_) {
-      rank = oracle_pick(heap);
-      if (rank < 0) continue;  // delivered an in-flight lane head
-    } else {
-      rank = heap.pop();
-    }
-    Process& p = *procs_[static_cast<std::size_t>(rank)];
-    if (config_.optimistic && opt_throttled(p)) {
-      throttled.push_back(rank);
-      continue;
-    }
-    const VTime clock_before = p.clock_;
-    resume_process(p);
-    ws.busy_vtime += p.clock_ - clock_before;
-    ++ws.slices;
-    refloor(p);
-    // Stop at the first error: a failed slice ends the round before any
-    // other rank runs.
-    if (has_error_.load(std::memory_order_acquire)) break;
+    if (threaded_run_) ++pstats_.rounds;
+    round_busy_.store(config_.host_workers * kBusyWorker,
+                      std::memory_order_relaxed);
+    run_done_ = false;
+  } catch (...) {
+    note_error(std::current_exception());
   }
-  while (!heap.empty()) local_ready.push_back(heap.pop());
-  local_ready.insert(local_ready.end(), throttled.begin(), throttled.end());
 }
-
-namespace {
-
-/// Log2-ns buckets for ParallelStats::window_advance_hist.
-constexpr std::size_t kAdvanceBuckets = 48;
-
-std::size_t advance_bucket(VTime adv) {
-  if (adv <= 0) return 0;
-  auto v = static_cast<std::uint64_t>(adv);
-  std::size_t b = 1;
-  while (v > 1 && b + 1 < kAdvanceBuckets) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-}  // namespace
 
 void Engine::run_rounds() {
   const int workers = config_.host_workers;
-  // Several workers run on a thread pool and race each other's clocks;
-  // a single worker runs inline on this thread, where the safety bound can
-  // be evaluated mid-slice and the round/mailbox counters stay zero.
+  // Several workers run on their own threads and race each other's clocks;
+  // a single worker runs on this thread, where the safety bound can be
+  // evaluated mid-slice and the round/mailbox counters stay zero.
   threaded_run_ = workers > 1;
   const auto nw = static_cast<std::size_t>(workers);
   worker_parked_.assign(nw, {});
@@ -1657,7 +1662,7 @@ void Engine::run_rounds() {
   for (auto& h : worker_heaps_) h.reset(config_.num_processes);
   if (threaded_run_) {
     // The lower-bound service: own-rank lists, floor heaps, lanes with
-    // their in-transit queues, and the published words (seeded per round).
+    // their in-transit queues, and the published words.
     worker_ranks_.assign(nw, {});
     worker_floors_.resize(nw);
     for (auto& h : worker_floors_) h.reset(config_.num_processes);
@@ -1669,87 +1674,38 @@ void Engine::run_rounds() {
     for (std::size_t i = 0; i < nw * nw; ++i) {
       mailboxes_.push_back(std::make_unique<Lane>());
     }
-    // Words stay valid across barriers (nothing runs or arrives there), so
-    // one seeding covers every round.
+    // Words stay valid across quiescence steps (nothing runs or arrives
+    // there), so one seeding covers the run.
     floor_words_ = std::make_unique<FloorWord[]>(nw);
     for (int v = 0; v < workers; ++v) publish_floor(v);
   }
   pstats_ = ParallelStats{};
-  if (threaded_run_) pstats_.window_advance_hist.assign(kAdvanceBuckets, 0);
+  pstats_.rounds = threaded_run_ ? 1 : 0;
   for (const auto& p : procs_) make_ready(*p);
 
-  // A worker-side exception (simulator invariant failure) must not escape
-  // a pool thread — record it and let the barrier abort the run. Pool
-  // workers persist for the whole run; each pool round runs until every
-  // worker is idle.
-  auto run_worker = [this](int w) {
+  // Workers start once and join once; worker 0 is this thread.
+  Quiescence quiescence(workers, QuiescenceStep{this});
+  round_busy_.store(workers * kBusyWorker, std::memory_order_relaxed);
+  run_done_ = false;
+  std::vector<std::thread> threads;
+  threads.reserve(nw - 1);
+  for (int w = 1; w < workers; ++w) {
     try {
-      run_partition_round(w);
+      threads.emplace_back([this, w, &quiescence] {
+        run_partition_round(w, quiescence);
+      });
     } catch (...) {
+      // No thread for worker w: record why, and arrive for it so the
+      // started workers see the error at the first quiescence step.
       note_error(std::current_exception());
-    }
-  };
-  std::optional<WorkerPool> pool;
-  if (threaded_run_) pool.emplace(workers, run_worker);
-
-  auto any_ready = [&] {
-    for (const auto& v : worker_ready_) {
-      if (!v.empty()) return true;
-    }
-    return false;
-  };
-
-  VTime prev_min = kVTimeNever;
-  while (true) {
-    if (!any_ready()) {
-      if (clock_floor(-1).min == kVTimeNever) break;  // every rank finished
-      raise_deadlock();
-    }
-    if (host_budget_exhausted()) {
-      raise_budget(BudgetExceededError::Kind::kHostWallClock,
-                   "host wall-clock watchdog fired at round barrier");
-    }
-
-    if (threaded_run_) {
-      const VTime min_clock = clock_floor(-1).min;
-      ++pstats_.rounds;
-      pstats_.window_advance_hist[advance_bucket(
-          prev_min == kVTimeNever ? 0 : min_clock - prev_min)] += 1;
-      prev_min = min_clock;
-    }
-
-    std::uint64_t slices_before = 0;
-    for (const auto& w : worker_stats_) slices_before += w.slices;
-    round_busy_.store(workers * kBusyWorker, std::memory_order_relaxed);
-    if (pool) {
-      pool->run_round();
-    } else {
-      run_worker(0);
-    }
-    if (error_) abort_run(error_);
-
-    // Barrier reached. A round ends only once every lane is drained, and
-    // bound-safe wildcards were promoted in it; what is left is a parked
-    // rank that no bound admits while nothing can run.
-    if (!any_ready()) promote_stuck_wildcard();
-
-    if (config_.optimistic) {
-      // Exact GVT at the barrier: every worker is idle and every lane
-      // drained.
-      opt_gvt_pass();
-      if (threaded_run_ && config_.speculation_window > 0) {
-        // A round in which every worker only stashed throttled ranks made
-        // zero slices while work remains: GVT cannot advance (the minimum
-        // rank is blocked on a throttled peer), so let the next round run
-        // unthrottled rather than deadlock at the window edge.
-        std::uint64_t slices_after = 0;
-        for (const auto& w : worker_stats_) slices_after += w.slices;
-        opt_throttle_override_.store(
-            slices_after == slices_before && any_ready(),
-            std::memory_order_relaxed);
-      }
+      quiescence.arrive_and_drop();
     }
   }
+  run_partition_round(0, quiescence);
+  for (auto& t : threads) t.join();
+
+  if (error_) abort_run(error_);
+  if (clock_floor(-1).min != kVTimeNever) raise_deadlock();
 
   if (threaded_run_) {
     for (const auto& ws : worker_stats_) {
@@ -1757,11 +1713,6 @@ void Engine::run_rounds() {
       pstats_.mailbox_messages += ws.mailbox;
       pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
       pstats_.worker_slices.push_back(ws.slices);
-    }
-    // Trim the histogram to the last populated bucket.
-    while (!pstats_.window_advance_hist.empty() &&
-           pstats_.window_advance_hist.back() == 0) {
-      pstats_.window_advance_hist.pop_back();
     }
   }
   threaded_run_ = false;

@@ -9,19 +9,21 @@
 // the property direct-execution simulators rely on. Wildcard receives are
 // the exception and are guarded by a conservative safety bound.
 //
-// One driver decides which process runs next: rounds of
-// run_partition_round over EngineConfig::host_workers workers, separated by
-// barriers. Processes are partitioned over the workers; each round's pick
+// One driver decides which process runs next: EngineConfig::host_workers
+// workers, started once per run, each executing run_partition_round over
+// its partition of the processes. When no worker can run they meet at a
+// quiescence step that promotes a stuck wildcard receive, passes exact GVT
+// and either sets them running again or ends the run. Each worker's pick
 // step is one of three pickers:
 //  * Heap (one worker, no oracle): the worker's ready heap, lowest clock
 //    first, inline on the caller's thread.
 //  * Oracle (EngineConfig::oracle with one worker, MC mode): a
 //    ScheduleOracle picks every resume, in-flight lane delivery and
 //    wildcard tie.
-//  * Partition round (several workers): threads of a persistent pool, each
-//    popping its own heap lowest-clock-first. Every cross-partition
-//    message rides an unbounded SPSC lane that its destination worker
-//    drains between slices, so it is consumed mid-round. Deterministic
+//  * Partition round (several workers): one thread per worker (worker 0 is
+//    the caller's), each popping its own heap lowest-clock-first. Every
+//    cross-partition message rides an unbounded SPSC lane that its
+//    destination worker drains between slices. Deterministic
 //    receives complete at max(clock, arrival) on per-source FIFO
 //    channels, so host delivery order cannot change them.
 // One lower bound serves both protocols: each worker publishes its clock
@@ -47,6 +49,7 @@
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -74,9 +77,9 @@ namespace stgsim::simk {
 /// disabled path costs a single predictable branch per event.
 ///
 /// Threading contract: callbacks carrying a `rank` are invoked either on
-/// the worker thread that owns that rank's partition or on the scheduler
-/// thread between rounds — never from two threads at once for the same
-/// rank. An implementation that shards its state per rank therefore needs
+/// the worker thread that owns that rank's partition or in the quiescence
+/// step, while every worker waits — never from two threads at once for the
+/// same rank. An implementation that shards its state per rank therefore needs
 /// no locks. `on_send` runs on the *sender's* context and should shard by
 /// `m.src`.
 class EngineObserver {
@@ -333,8 +336,8 @@ enum class Inject {
 struct EngineConfig {
   int num_processes = 1;
 
-  /// Workers of the partition-round driver. 1 runs inline on the caller's
-  /// thread; more run on a thread pool, in rounds separated by barriers.
+  /// Workers of the partition-round driver. Worker 0 runs on the caller's
+  /// thread; each further worker gets its own thread for the run.
   int host_workers = 1;
 
   /// rank -> worker map for the partition-round driver (from
@@ -392,12 +395,6 @@ struct EngineConfig {
   /// committed results — only where restore points sit.
   bool checkpoint_adaptive = true;
 
-  /// Optimistic mode: bound on speculation depth. A ready rank whose clock
-  /// is more than this far past GVT sits out the rest of its round
-  /// (rollback-storm damper). 0 = unbounded speculation. Applied only with
-  /// host_workers > 1: one worker (MC included) never rolls back.
-  VTime speculation_window = 0;
-
   // Run budgets (0 = unlimited). When a budget is exceeded the run is torn
   // down cleanly and BudgetExceededError is thrown, so a pathological
   // target program (unbounded loop, livelocked protocol) terminates with a
@@ -407,30 +404,25 @@ struct EngineConfig {
   double max_host_seconds = 0.0;    ///< cap on real wall-clock for the run
 };
 
-/// Counters describing one run; the round, message and per-worker fields
+/// Counters describing one run; the pass, message and per-worker fields
 /// stay empty with one worker. Message counts are deterministic for a
 /// fixed partition and fault plan; `rounds` depends on host timing (a
 /// parked wildcard may find its bound only once nothing can run) — it is
 /// excluded from run digests.
 struct ParallelStats {
+  /// Passes of the workers between quiescence steps: 1, plus one per
+  /// re-arm after a stuck wildcard promotion. 0 with one worker.
   std::uint64_t rounds = 0;
   std::uint64_t intra_messages = 0;  ///< both endpoints on one worker
-  /// Cross-partition messages drained by their destination worker during
-  /// a round.
+  /// Cross-partition messages drained by their destination worker.
   std::uint64_t mailbox_messages = 0;
-  /// Always 0: a round ends only once every lane is drained. Kept for the
+  /// Always 0: a pass ends only once every lane is drained. Kept for the
   /// `parallel.barrier_messages` metric.
   std::uint64_t barrier_messages = 0;
 
   std::uint64_t cross_messages() const {
     return mailbox_messages + barrier_messages;
   }
-
-  /// Bucket k>0 counts rounds whose minimum unfinished clock advanced by
-  /// [2^(k-1), 2^k) ns since the previous round; bucket 0 counts
-  /// zero-advance rounds. Published as `window_advance_hist`, its
-  /// historical name, in the run-outcome JSON.
-  std::vector<std::uint64_t> window_advance_hist;
 
   /// Per-worker virtual time spent executing slices (sum over executed
   /// slices of the resumed rank's clock delta) and slice counts.
@@ -569,7 +561,7 @@ class Engine {
   PayloadPool::Stats payload_stats() { return payload_pool_.stats(); }
   ObjectArena<Message>::Stats arena_stats() { return msg_arena_.stats(); }
 
-  /// Round, message and Time Warp counters (see ParallelStats). Valid once
+  /// Pass, message and Time Warp counters (see ParallelStats). Valid once
   /// run() returned.
   const ParallelStats& parallel_stats() const { return pstats_; }
 
@@ -612,7 +604,7 @@ class Engine {
   /// conservative protocol, anything but an append is a FIFO violation).
   MsgNode* insert_sorted(Process& p, Message&& m);
   /// oracle->choose() with its range check. An oracle exception unwinds
-  /// the fibers through run_rounds like any other round error.
+  /// the fibers through run_rounds like any other worker error.
   std::size_t oracle_choose(const std::vector<ChoiceOption>& options);
   /// The MC-mode pick step of run_partition_round: offers every rank in
   /// `heap` and every in-flight lane head to the oracle. A resume removes
@@ -620,14 +612,28 @@ class Engine {
   /// to deliver_now and returns -1. See DESIGN.md §13 for the choice-point
   /// model.
   int oracle_pick(IndexedMinHeap<VTime>& heap);
-  /// Partition-round driver: runs rounds of run_partition_round (inline
-  /// with one worker, on a WorkerPool otherwise) separated by barriers
-  /// that drain the lanes, promote a stuck wildcard and pass GVT.
+  /// The barrier's completion: quiescence_step() on whichever worker
+  /// arrives last.
+  struct QuiescenceStep {
+    Engine* engine;
+    void operator()() noexcept { engine->quiescence_step(); }
+  };
+  using Quiescence = std::barrier<QuiescenceStep>;
+
+  /// Partition-round driver: starts workers 1.. on their own threads, runs
+  /// worker 0 on this one and joins them, then rethrows a worker error or
+  /// reports a deadlock.
   void run_rounds();
-  /// One round of worker `w`: execute the partition, draining incoming
-  /// mailboxes between slices, until no local work remains and the round
-  /// is quiescing.
-  void run_partition_round(int worker);
+  /// Worker `worker` for the whole run: execute the partition, draining
+  /// incoming mailboxes between slices, until every worker is quiescent;
+  /// then arrive at `quiescence` and go on while the step re-armed the
+  /// run.
+  void run_partition_round(int worker, Quiescence& quiescence);
+  /// Runs once per quiescence, while every worker waits: promotes a stuck
+  /// wildcard, passes exact GVT and probes the wall-clock watchdog, then
+  /// re-arms round_busy_ if some rank is ready or sets run_done_. An
+  /// exception goes to note_error and ends the run.
+  void quiescence_step() noexcept;
   /// Pops every queued message from `worker`'s incoming lanes, hands it to
   /// deliver_now and republishes the worker's floor word. Returns how many
   /// it delivered.
@@ -645,7 +651,7 @@ class Engine {
     VTime without(int rank) const { return rank == argmin ? second : min; }
   };
   /// Clock floor of worker `w`'s ranks: live clocks over every rank with
-  /// one worker or when `w` < 0 (the barrier); else `w`'s floor heap, whose
+  /// one worker or when `w` < 0 (all ranks); else `w`'s floor heap, whose
   /// key for a running rank is its clock at slice start.
   ClockFloor clock_floor(int w) const;
   /// Several workers: re-keys `p` in its worker's floor heap (after a
@@ -665,7 +671,7 @@ class Engine {
   /// Unblocks `p` and queues it on its worker's ready list. `arrival` is
   /// the waking message's arrival time (for the observer).
   void wake_process(Process& p, VTime arrival);
-  /// Queues `p` on its worker's ready list (the round moves it into its
+  /// Queues `p` on its worker's ready list (the worker moves it into its
   /// heap), without wake_process's unblock/observer step.
   void make_ready(Process& p);
 
@@ -701,7 +707,7 @@ class Engine {
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
-  /// Exact GVT pass for one-worker rounds and the round barrier: min over
+  /// Exact GVT pass for one-worker runs and the quiescence step: min over
   /// unfinished clocks (and MC in-flight lanes), then fossil-collects
   /// every rank. Returns the consumption-log bytes it sampled before
   /// collecting.
@@ -727,16 +733,11 @@ class Engine {
   /// Raises worker `w`'s log peak to its current bytes; returns them.
   std::uint64_t opt_sample_log_peak(int w);
   static std::size_t opt_entry_bytes(const Message& m);
-  /// True when the optimistic speculation window throttles `p`: a
-  /// multi-worker run, `p`'s clock more than config.speculation_window
-  /// past GVT, and the previous round made progress
-  /// (opt_throttle_override_).
-  bool opt_throttled(const Process& p) const;
   /// Re-arms the exact-GVT countdown (one-worker runs) from `log_bytes`,
   /// the bytes the pass sampled: the cadence shrinks while they grow and
   /// stretches back out while they shrink (bounds [16, 4x baseline]).
   void opt_retune_gvt(std::uint64_t log_bytes);
-  /// This thread's worker stat cell (slot 0 outside pool workers).
+  /// This thread's worker stat cell (see g_current_worker).
   WorkerStat& opt_stat();
   /// Records `p` (blocked on a wildcard spec with at least one queued
   /// match) on its worker's parked list for later promotion.
@@ -748,7 +749,7 @@ class Engine {
   /// Nothing can run and no message is in flight, so the queued message
   /// set is final: wakes the parked rank with the smallest (arrival,
   /// rank), the choice the bound would admit (MC: a tie goes to the
-  /// oracle). Single-threaded contexts only.
+  /// oracle). Runs in the quiescence step.
   void promote_stuck_wildcard();
   /// Arrival of the best queued candidate of parked wildcard receiver `p`.
   static VTime parked_candidate(const Process& p);
@@ -796,7 +797,7 @@ class Engine {
   alignas(64) bool ran_ = false;
 
   // Per-worker ready lists (every wake lands on its rank's worker list;
-  // the round moves it into the worker's heap and back at its end), ready
+  // the worker moves it into its heap, and back before quiescing), ready
   // heaps and parked wildcard receivers. threaded_run_ marks a multi-worker
   // run (clocks race).
   std::vector<std::vector<int>> worker_ready_;
@@ -823,7 +824,8 @@ class Engine {
   // mailboxes_[w * workers + v] carries messages from worker w to worker
   // v. round_busy_ is kBusyWorker times the workers that may still produce
   // work plus the lane messages not yet drained and settled: once it reads
-  // zero, the round is over.
+  // zero, the pass is over. run_done_ is written before the workers start
+  // and by the quiescence step, and read by the workers after each step.
   std::vector<std::unique_ptr<Lane>> mailboxes_;
   Lane& lane(int from, int to) {
     return *mailboxes_[static_cast<std::size_t>(from) *
@@ -833,6 +835,7 @@ class Engine {
   static constexpr std::int64_t kBusyWorker = std::int64_t{1} << 32;
   std::atomic<std::int64_t> round_busy_{0};
   std::atomic<bool> has_error_{false};
+  bool run_done_ = false;
 
   // The published floor words, one per cache line, and a count of stores
   // to them: a fold that sees the count unchanged read a consistent cut.
@@ -866,7 +869,7 @@ class Engine {
   // Optimistic-mode engine state. Anti-message cascades are queued per
   // context and drained iteratively from deliver_now's tail (flag guards
   // re-entry), so a chain of N cascading rollbacks costs O(1) stack.
-  // gvt_ / gvt_passes_ are atomic for the threaded driver's mid-round
+  // gvt_ / gvt_passes_ are atomic for the threaded driver's mid-pass
   // folds of the published floor words.
   std::function<void(int)> rollback_reset_;
   std::vector<std::vector<Message>> opt_anti_queues_;
@@ -887,13 +890,6 @@ class Engine {
   std::uint64_t opt_gvt_base_ = 256;
   std::uint64_t opt_gvt_pressure_bytes_ = std::uint64_t{1} << 20;
   std::uint64_t opt_log_bytes_last_pass_ = 0;
-
-  // Speculation-window throttling: a worker sets over-window heap minima
-  // aside for the rest of its round and requeues them at round end; the
-  // barrier sets this one-round override when a whole round made no
-  // progress (the window-defining minimum rank may be blocked on a
-  // throttled peer).
-  std::atomic<bool> opt_throttle_override_{false};
 
   // The wildcard latency floor is atomic only because smpi::Comm instances
   // set it (to the same value) from every rank's fiber, including worker

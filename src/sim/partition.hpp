@@ -1,8 +1,8 @@
 // Rank-to-worker partitioning for the threaded conservative scheduler.
 //
-// The cost of a threaded round is dominated by cross-partition messages:
-// they either ride a bounded mailbox (cheap, but still a shared-memory
-// hand-off) or wait for the round barrier (a whole extra round of latency).
+// The cost of a threaded run is dominated by cross-partition messages:
+// each rides an SPSC lane to its destination worker, a shared-memory
+// hand-off instead of a direct inbox insert.
 // Partition quality therefore directly controls how much the parallel
 // protocol costs, exactly as it did for MPI-Sim's distributed
 // implementation. Three policies are provided:

@@ -20,8 +20,8 @@
 //     not by message churn.
 //
 // Both are thread-safe via a spinlock: the threaded conservative scheduler
-// allocates on the sending worker and releases on the receiving worker.
-// The round barrier orders recycled-node reuse across workers. Neither
+// allocates on the sending worker and releases on the receiving worker;
+// the same spinlock orders a recycled node's reuse across workers. Neither
 // pool charges MemoryTracker — payloads are simulator overhead, not
 // target-visible data (target arrays are charged where they are
 // allocated, as before).

@@ -370,8 +370,7 @@ TEST(Campaign, ComparisonGroupsIgnoreTheSchedule) {
       {"mode": "measured"},
       {"mode": "de"},
       {"mode": "de", "schedule": "optimistic", "gvt_interval": 8,
-       "checkpoint_interval": 4, "checkpoint_adaptive": false,
-       "speculation_window_sec": 0.5},
+       "checkpoint_interval": 4, "checkpoint_adaptive": false},
       {"mode": "am", "schedule": "optimistic", "calibrate": 2}
     ]
   })");

@@ -117,9 +117,8 @@ TEST(Checkpoint, AdaptiveTuningAndSpeculationWindowPreserveDigests) {
       cfg.checkpoint_interval = 4;
       cfg.checkpoint_adaptive = true;
       cfg.gvt_interval = 16;
-      cfg.speculation_window_sec = 1e-4;  // aggressive throttle
       EXPECT_EQ(digest_of(app.prog, cfg), want)
-          << app.name << " adaptive+window workers=" << workers;
+          << app.name << " adaptive workers=" << workers;
     }
   }
 }
@@ -531,13 +530,11 @@ TEST(Checkpoint, TuningKnobsRoundTripThroughConfigJson) {
   cfg.gvt_interval = 32;
   cfg.checkpoint_interval = 7;
   cfg.checkpoint_adaptive = false;
-  cfg.speculation_window_sec = 0.25;
   const json::Value j = harness::run_config_to_json(cfg);
   const harness::RunConfig back = harness::run_config_from_json(j);
   EXPECT_EQ(back.gvt_interval, 32u);
   EXPECT_EQ(back.checkpoint_interval, 7u);
   EXPECT_FALSE(back.checkpoint_adaptive);
-  EXPECT_DOUBLE_EQ(back.speculation_window_sec, 0.25);
 
   // "checkpoint_interval": 0 is the canonical spelling of "off".
   harness::RunConfig off;

@@ -260,12 +260,33 @@ TEST(RunSpecJson, UnknownSchemaVersionIsAStructuredRejection) {
   EXPECT_FALSE(harness::schema_version_supported("stgsim-99"));
 }
 
+TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
+  // stgsim-9 dropped the key; a stgsim-8 document that carries it, at any
+  // value, is refused by name instead of running without it.
+  for (const char* value : {"0.5", "0"}) {
+    json::Value doc = json::Value::parse(
+        std::string(R"({"schema": "stgsim-8", "app": "sample", "procs": 2,)"
+                    R"( "schedule": "optimistic", "speculation_window_sec": )") +
+        value + "}");
+    try {
+      harness::run_spec_from_json(doc);
+      ADD_FAILURE() << "speculation_window_sec " << value << " was accepted";
+    } catch (const errors::StructuredError& e) {
+      EXPECT_EQ(e.code(), "usage.removed_key");
+      EXPECT_EQ(e.category(), errors::kCategoryUsage);
+      EXPECT_EQ(e.detail().at("removed").as_string(), "speculation_window_sec");
+      EXPECT_NE(std::string(e.what()).find("'speculation_window_sec'"),
+                std::string::npos);
+    }
+  }
+}
+
 TEST(RunSpecJson, PublishedJsonSchemasNameTheCurrentVersion) {
   const json::Value spec_schema = harness::run_spec_schema_json();
-  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-8/run-spec");
+  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-9/run-spec");
   EXPECT_TRUE(spec_schema.at("properties").has("max_host_sec"));
   const json::Value outcome_schema = harness::run_outcome_schema_json();
-  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-8/run-outcome");
+  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-9/run-outcome");
   EXPECT_TRUE(outcome_schema.at("properties").has("digest"));
 }
 
@@ -285,7 +306,6 @@ harness::RunSpec every_field_spec() {
   c.gvt_interval = 100;
   c.checkpoint_interval = 32;
   c.checkpoint_adaptive = false;
-  c.speculation_window_sec = 0.5;
   c.abstract_comm = true;
   c.memory_cap_bytes = std::size_t{96} << 20;
   c.fiber_stack_bytes = 512 * 1024;
@@ -324,10 +344,10 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
             R"("options":{"iters":"3","msg-doubles":"1024","pattern":"nn",)"
             R"("work":"2000"},"params":{"w_sample_work":1.25e-06},)"
             R"("partition":"comm","procs":6,"schedule":"optimistic",)"
-            R"("seed":99,"speculation_window_sec":0.5,"workers":3})");
-  EXPECT_EQ(harness::run_spec_digest_hex(spec), "1de2cf0f0bebc892");
+            R"("seed":99,"workers":3})");
+  EXPECT_EQ(harness::run_spec_digest_hex(spec), "b028592a55f51290");
   EXPECT_EQ(fnv1a_hex(harness::run_spec_schema_json().dump()),
-            "2bb31b50a6d557b9");
+            "fc3ac2f9825d7857");
   // Every field survives the round trip.
   EXPECT_EQ(harness::run_spec_to_json(
                 harness::run_spec_from_json(json::Value::parse(dump)))
@@ -348,8 +368,6 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
        "gvt_interval must be >= 0"},
       {R"({"checkpoint_interval": -1})",
        "checkpoint_interval must be >= 0"},
-      {R"({"speculation_window_sec": -1})",
-       "speculation_window_sec must be >= 0"},
       {R"({"turbo": true})",
        "unknown run-spec key 'turbo'"},
   };

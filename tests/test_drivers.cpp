@@ -109,35 +109,6 @@ TEST(Drivers, InlineRoundDriverMatchesPinnedCounts) {
   }
 }
 
-// A narrow speculation window: every runnable rank can end up past
-// GVT + window while the GVT-defining rank waits on one of them (sweep3d
-// and nas_sp reach that state; the anysource gather does not, but is the
-// shape the window was added for). One worker ignores the window, since
-// it never rolls back; with two, the round driver must still make
-// progress (requeue at round end, then a one-round throttle override)
-// instead of spinning. The host budget turns a livelock into a failed run
-// rather than a hung test.
-TEST(Drivers, SpeculationWindowMakesProgress) {
-  for (const PinCase& c : pin_cases()) {
-    for (const int workers : {0, 2}) {
-      harness::RunConfig cfg =
-          config_for(c, workers, harness::Schedule::kOptimistic);
-      cfg.speculation_window_sec = 1e-4;
-      cfg.max_host_seconds = 10.0;
-      const harness::RunOutcome out = harness::run_program(c.prog, cfg);
-      const std::string where =
-          std::string(c.name) + " workers=" + std::to_string(workers);
-      ASSERT_TRUE(out.ok()) << where << ": "
-                            << harness::run_status_name(out.status) << ": "
-                            << out.diagnostic;
-      EXPECT_EQ(harness::run_digest(out), c.pin.digest) << where;
-      if (workers == 0) {
-        EXPECT_EQ(out.messages, c.pin.messages) << where;
-        EXPECT_EQ(out.slices, c.pin.slices) << where;
-      }
-    }
-  }
-}
 
 }  // namespace
 }  // namespace stgsim

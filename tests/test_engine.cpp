@@ -16,7 +16,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace stgsim::simk {
 namespace {
@@ -719,7 +718,7 @@ INSTANTIATE_TEST_SUITE_P(Workers, ThreadedEquivalence,
                          ::testing::Values(2, 3, 4, 8));
 
 TEST(Engine, SingleWorkerTakesSequentialFastPath) {
-  // One worker must not pay for the pool or mailboxes: the round driver
+  // One worker must not pay for threads or mailboxes: the round driver
   // runs inline on the caller's thread, so parallel stats stay zero.
   EngineConfig cfg;
   cfg.num_processes = 6;
@@ -812,10 +811,6 @@ TEST(Engine, ThreadedRunPopulatesParallelStats) {
   std::uint64_t slices = 0;
   for (auto s : ps.worker_slices) slices += s;
   EXPECT_GT(slices, 0u);
-  EXPECT_FALSE(ps.window_advance_hist.empty());
-  std::uint64_t hist_total = 0;
-  for (auto c : ps.window_advance_hist) hist_total += c;
-  EXPECT_EQ(hist_total, ps.rounds);
 }
 
 TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
@@ -916,6 +911,76 @@ TEST(Engine, ThreadedWildcardLosesToSlowerPeersEarlierArrival) {
   }
 }
 
+TEST(Engine, ThreadedStuckPromotionRearmsWorkers) {
+  // Rank 0, alone on worker 0, makes 2 * kSends wildcard receives from
+  // ranks 1 and 2 on other workers, each of which waits for rank 0's reply
+  // before it sends again. A parked candidate's sender is therefore
+  // blocked at a clock below its arrival, so no bound admits it: only the
+  // quiescence step's stuck promotion decides each receive (Time Warp
+  // commits on sight instead), and the step must set every worker running
+  // again each time.
+  constexpr int kSends = 6;
+  const VTime us = vtime_from_us(1);
+  struct Run {
+    std::vector<VTime> completion;
+    std::uint64_t digest = 0;  ///< FNV-1a over rank 0's (src, arrival) picks
+    std::uint64_t rounds = 0;
+  };
+  auto run = [&](int workers, bool optimistic) {
+    EngineConfig cfg;
+    cfg.num_processes = 3;
+    cfg.host_workers = workers;
+    cfg.optimistic = optimistic;
+    if (workers > 1) cfg.partition = {0, 1, workers - 1};
+    Engine e(cfg);
+    Run out;
+    e.set_body([&](Process& p) {
+      if (p.rank() != 0) {
+        for (int i = 0; i < kSends; ++i) {
+          p.advance((2 + p.rank()) * us);  // the two senders interleave
+          p.send(make_msg(p.rank(), 0, 1, p.now(), p.now() + 5 * us));
+          p.lift_clock(p.blocking_match(match_tag(0, 2)).arrival);
+        }
+        return;
+      }
+      // Local until the end: a Time Warp rollback re-executes the body.
+      std::uint64_t digest = 0xcbf29ce484222325ULL;
+      for (int i = 0; i < 2 * kSends; ++i) {
+        const Message m =
+            p.blocking_match(match_tag(MatchSpec::kAnySource, 1));
+        p.lift_clock(m.arrival);
+        for (const VTime v : {static_cast<VTime>(m.src), m.arrival}) {
+          digest = (digest ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+        }
+        p.advance(us);
+        p.send(make_msg(0, m.src, 2, p.now(), p.now() + us));
+      }
+      out.digest = digest;
+    });
+    out.completion = e.run().per_rank_completion;
+    out.rounds = e.parallel_stats().rounds;
+    return out;
+  };
+  const Run want = run(1, false);
+  EXPECT_EQ(want.rounds, 0u);
+  for (const bool optimistic : {false, true}) {
+    for (const int workers : {1, 2, 4}) {
+      const Run got = run(workers, optimistic);
+      const std::string where = "workers=" + std::to_string(workers) +
+                                (optimistic ? " optimistic" : " conservative");
+      EXPECT_EQ(got.digest, want.digest) << where;
+      EXPECT_EQ(got.completion, want.completion) << where;
+      if (workers > 1) {
+        EXPECT_GE(got.rounds, 1u) << where;
+        // Every receive took a stuck promotion, and with it a re-arm.
+        if (!optimistic) {
+          EXPECT_GT(got.rounds, 1u) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(Engine, ThreadedDrainPermutationPastSixtyFourWorkers) {
   // A schedule oracle may reorder each worker's mailbox drain; the engine
   // checks the order is still a permutation of the sender workers. With
@@ -1012,53 +1077,6 @@ TEST(SpscLane, ConcurrentProducerConsumerPreservesOrder) {
   producer.join();
   std::uint64_t out;
   EXPECT_FALSE(lane.try_pop(&out));
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryWorkerOncePerRound) {
-  constexpr int kWorkers = 4;
-  std::atomic<int> counts[kWorkers] = {};
-  WorkerPool pool(kWorkers, [&](int w) { ++counts[w]; });
-  for (int round = 1; round <= 50; ++round) {
-    pool.run_round();
-    for (int w = 0; w < kWorkers; ++w) EXPECT_EQ(counts[w].load(), round);
-  }
-}
-
-TEST(WorkerPool, RoundsAreSequentiallyConsistentWithScheduler) {
-  // Data written by the scheduler between rounds must be visible to the
-  // workers in the next round, and worker writes visible back — the
-  // barrier is the only fence.
-  int shared = 0;  // deliberately non-atomic
-  std::atomic<bool> mismatch{false};
-  WorkerPool pool(2, [&](int w) {
-    // Only worker 0 touches `shared` (workers within one round are
-    // unordered with respect to each other; only the barrier orders them
-    // against the scheduler).
-    if (w == 0) {
-      if (shared % 2 != 0) mismatch = true;
-      ++shared;
-    }
-  });
-  for (int round = 0; round < 100; ++round) {
-    pool.run_round();
-    if (shared % 2 != 1) mismatch = true;  // worker 0's write is visible
-    ++shared;  // scheduler-side write: keeps `shared` even at release
-  }
-  EXPECT_FALSE(mismatch.load());
-  EXPECT_EQ(shared, 200);
-}
-
-TEST(WorkerPool, DestructorJoinsIdlePool) {
-  std::atomic<int> ran{0};
-  {
-    WorkerPool pool(3, [&](int) { ++ran; });
-    pool.run_round();
-  }  // destructor joins parked workers without a further round
-  EXPECT_EQ(ran.load(), 3);
 }
 
 // Wait-until-blocked semantics: a process that never blocks finishes in

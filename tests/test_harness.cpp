@@ -212,6 +212,34 @@ TEST(Harness, ThreadedMeasuredModeIsRejected) {
   EXPECT_THROW(run_program(prog, cfg), CheckError);
 }
 
+TEST(Harness, PlanErrorIsAnInternalErrorOutcome) {
+  // A kernel that reads a payload-free array fails plan compilation. The
+  // run reports that as an outcome, like any other target-program defect,
+  // also when the comm partition's affinity walk needs the plan first.
+  ir::ProgramBuilder b("ledger_only");
+  b.decl_array("dummy", {I(8)});
+  ir::KernelSpec k;
+  k.task = "peek";
+  k.iters = I(1);
+  k.reads.push_back("dummy");
+  b.compute(std::move(k));
+  ir::Program prog = b.take();
+  prog.main().front()->payload_free = true;
+  for (const int workers : {0, 2}) {
+    RunConfig cfg;
+    cfg.nprocs = 4;
+    cfg.mode = Mode::kDirectExec;
+    cfg.threads = workers;
+    cfg.partition = workers > 1 ? simk::PartitionMode::kComm
+                                : simk::PartitionMode::kBlock;
+    const RunOutcome out = run_program(prog, cfg);
+    EXPECT_EQ(out.status, RunStatus::kInternalError) << workers;
+    EXPECT_NE(out.diagnostic.find("payload-free array 'dummy'"),
+              std::string::npos)
+        << out.diagnostic;
+  }
+}
+
 TEST(Harness, ThreadedDirectExecWorks) {
   ir::Program prog = small_tomcatv();
   RunConfig cfg;

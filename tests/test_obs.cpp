@@ -160,7 +160,6 @@ TEST(Obs, ParallelMetricsPopulatedInThreadedRunsOnly) {
   bool found = false;
   seq.metrics.value("parallel.rounds", &found);
   EXPECT_FALSE(found);
-  EXPECT_TRUE(seq.metrics.window_advance_hist.empty());
 
   obs::Recorder par_rec(obs::Options{}, 4);
   harness::RunOutcome par = run_with(prog, 4, 2, &par_rec);
@@ -187,16 +186,6 @@ TEST(Obs, ParallelMetricsPopulatedInThreadedRunsOnly) {
     slices += s.value(prefix + "slices");
   }
   EXPECT_EQ(slices, static_cast<double>(par.slices));
-  // The window-advance histogram accounts for every round.
-  ASSERT_FALSE(s.window_advance_hist.empty());
-  std::uint64_t hist_total = 0;
-  for (std::uint64_t b : s.window_advance_hist) hist_total += b;
-  EXPECT_EQ(hist_total, static_cast<std::uint64_t>(s.value("parallel.rounds")));
-
-  // And the JSON writer carries the histogram through.
-  std::ostringstream ms;
-  obs::Recorder::write_metrics_json(ms, s);
-  EXPECT_NE(ms.str().find("\"window_advance_hist\": ["), std::string::npos);
 }
 
 // Trace spans are well-formed virtual-time intervals and the writer emits
