@@ -16,7 +16,9 @@
 //                   measure the enabled-observer overhead against a plain
 //                   run of the same sweep (budget: <5% events/sec)
 //   --threaded      run the threaded-scheduler sweep instead: workers in
-//                   {1,2,4,8} x ranks x all four apps under the comm-aware
+//                   {1,2,4,8} x ranks x all four apps (plus sweep3d_kb5,
+//                   the CLI's Sweep3D shape at --kb 5: many small
+//                   slices) under the comm-aware
 //                   partition, with the workers=1 rows (one worker,
 //                   inline, no pool) as the baseline. The JSON records host_cores —
 //                   events/sec ratios are only meaningful against it
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "apps/nas_sp.hpp"
+#include "apps/registry.hpp"
 #include "apps/sample.hpp"
 #include "apps/sweep3d.hpp"
 #include "apps/tomcatv.hpp"
@@ -246,6 +249,12 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
     apps::sweep3d_grid_for(nprocs, &cfg.npe_i, &cfg.npe_j);
     return apps::make_sweep3d(cfg);
   };
+  const benchx::ProgramFactory make_sweep_kb5 = [](int nprocs) {
+    apps::AppSpec spec;
+    spec.name = "sweep3d";
+    spec.options = {{"kb", "5"}};
+    return apps::build_app(spec, nprocs);
+  };
   const benchx::ProgramFactory make_tomcatv = [](int nprocs) {
     apps::TomcatvConfig cfg;
     cfg.n = std::max<std::int64_t>(2048, 2 * nprocs);  // >= 2 rows per rank
@@ -275,6 +284,7 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
        std::vector<std::pair<std::string, benchx::ProgramFactory>>{
            {"sample", make_sample},
            {"sweep3d", make_sweep},
+           {"sweep3d_kb5", make_sweep_kb5},
            {"tomcatv", make_tomcatv},
            {"nas_sp", make_sp}}) {
     const auto params = benchx::calibrate_at(make, 16, machine);

@@ -129,14 +129,14 @@
 // (1 = usage/configuration errors). Structured-error categories map onto
 // the same codes (errors::category_exit_code).
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   stgsim run --app tomcatv --n 1024 --procs 64 --mode am
 //   stgsim run --app sweep3d --kt 1000 --procs 10000 --mode am --calibrate 16
-//   stgsim run --app sweep3d --procs 4 --mode de \
+//   stgsim run --app sweep3d --procs 4 --mode de
 //       --fault "link:src=0,dst=1,latency=4,bandwidth=0.25;straggler:rank=2,factor=2"
-//   stgsim run --app tomcatv --procs 16 --mode de \
+//   stgsim run --app tomcatv --procs 16 --mode de
 //       --machine "ibm_sp[latency_us=30,bw=120e6]"
-//   stgsim run --app sweep3d --procs 64 --mode de --links-out links.json \
+//   stgsim run --app sweep3d --procs 64 --mode de --links-out links.json
 //       --machine "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]"
 //   stgsim campaign examples/scenario_sweep3d.json --jobs 4 --out-dir out
 //   stgsim compile --app nas_sp --class A --procs 16 --dump-stg sp.dot

@@ -15,7 +15,8 @@ namespace {
 /// The partition-round worker this thread runs: set by run_partition_round
 /// (worker 0 is the caller of Engine::run, so it is 0 on every other
 /// thread). Indexes the per-worker stat cells and anti-message queues; the
-/// quiescence step uses the cells of the worker that arrived last.
+/// quiescence step uses the cells of the worker that arrived last. Debug
+/// builds check arena ownership against it.
 thread_local int g_current_worker = 0;
 
 /// The process whose fiber this thread is currently executing (null in
@@ -36,13 +37,15 @@ double steady_now_sec() {
 
 Process::~Process() {
   // Unconsumed messages (legal at exit, like unmatched MPI sends) go back
-  // to the engine's arena; the arena outlives procs_ by declaration order.
+  // to the home worker's arena; the arenas outlive procs_ by declaration
+  // order. The workers have joined, so the owner rule no longer applies.
   if (engine_ == nullptr) return;
+  ObjectArena<Message>& arena = engine_->worker_at(home_worker_).arena;
   for (auto& ch : channels_) {
     MsgNode* n = ch.head;
     while (n != nullptr) {
       MsgNode* next = n->next;
-      engine_->msg_arena_.recycle(n);
+      arena.recycle(n);
       n = next;
     }
     ch.head = ch.tail = nullptr;
@@ -95,7 +98,7 @@ bool Process::try_match(const MatchSpec& spec, Message* out) {
   }
   auto take = [&](Channel& ch, MsgNode* node, MsgNode* prev) {
     unlink(ch, node, prev);
-    *out = engine_->msg_arena_.release(node);
+    *out = engine_->arena_of(*this).release(node);
     if (engine_->config_.optimistic) {
       // Consumption log: the replay feed and the anti-message lookup both
       // need the message back after the fiber has destroyed its copy.
@@ -137,7 +140,10 @@ bool Process::try_match(const MatchSpec& spec, Message* out) {
   // across sources we pick the earliest arrival (ties by source id) among
   // each channel's first acceptable message. The explicit tie-break makes
   // channel iteration order irrelevant.
-  engine_->saw_wildcard_recv_.store(true, std::memory_order_relaxed);
+  // Stored once: the flag shares a line with fields every message reads.
+  if (!engine_->saw_wildcard_recv_.load(std::memory_order_relaxed)) {
+    engine_->saw_wildcard_recv_.store(true, std::memory_order_relaxed);
+  }
   Channel* best_ch = nullptr;
   MsgNode* best_node = nullptr;
   MsgNode* best_prev = nullptr;
@@ -256,6 +262,8 @@ Engine::Engine(EngineConfig config)
               static_cast<std::size_t>(config.num_processes)) {
   STGSIM_CHECK_GT(config_.num_processes, 0);
   STGSIM_CHECK_GT(config_.host_workers, 0);
+  workers_ = std::make_unique<Worker[]>(
+      static_cast<std::size_t>(config_.host_workers));
   memory_.set_cap(config_.memory_cap_bytes);
   observer_ = config_.observer;
   oracle_ = config_.oracle;
@@ -273,10 +281,27 @@ Engine::Engine(EngineConfig config)
 
 Engine::~Engine() = default;
 
+ObjectArena<Message>& Engine::arena_of(const Process& p) {
+  STGSIM_DCHECK(!threaded_run_ || p.home_worker_ == g_current_worker)
+      << "rank " << p.rank_ << "'s arena (worker " << p.home_worker_
+      << ") used on worker " << g_current_worker;
+  return worker_at(p.home_worker_).arena;
+}
+
+ObjectArena<Message>::Stats Engine::arena_stats() const {
+  ObjectArena<Message>::Stats s;
+  for (int w = 0; w < config_.host_workers; ++w) {
+    const ObjectArena<Message>::Stats a = worker_at(w).arena.stats();
+    s.live += a.live;
+    s.capacity += a.capacity;
+  }
+  return s;
+}
+
 Engine::ClockFloor Engine::clock_floor(int w) const {
   ClockFloor f;
   if (w >= 0 && threaded_run_) {
-    const IndexedMinHeap<VTime>& h = worker_floors_[static_cast<std::size_t>(w)];
+    const IndexedMinHeap<VTime>& h = worker_at(w).floor;
     if (h.empty()) return f;
     std::tie(f.min, f.argmin) = h.top();
     f.second = h.second_key(kVTimeNever);
@@ -299,7 +324,7 @@ Engine::ClockFloor Engine::clock_floor(int w) const {
 
 void Engine::refloor(const Process& p) {
   if (!threaded_run_) return;
-  IndexedMinHeap<VTime>& h = worker_floors_[static_cast<std::size_t>(p.home_worker_)];
+  IndexedMinHeap<VTime>& h = worker_at(p.home_worker_).floor;
   if (!p.finished_) {
     h.push_or_update(p.rank_, p.clock_);
   } else if (h.contains(p.rank_)) {
@@ -340,10 +365,13 @@ void Engine::publish_floor(int w) {
     if (!out.transit.empty()) word = std::min(word, out.transit.front().second);
   }
   opt_sample_log_peak(w);
-  std::atomic<VTime>& slot = floor_words_[static_cast<std::size_t>(w)].v;
-  if (slot.load(std::memory_order_relaxed) != word) {
-    slot.store(word, std::memory_order_release);
-    floor_stores_.fetch_add(1, std::memory_order_acq_rel);
+  FloorWord& slot = floor_words_[static_cast<std::size_t>(w)];
+  if (slot.v.load(std::memory_order_relaxed) != word) {
+    slot.v.store(word, std::memory_order_release);
+    // Only this worker writes the count. The release orders the word
+    // before it, and it before the `delivered` stores below.
+    slot.stores.store(slot.stores.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
   }
   // Only now may the senders of what this worker delivered stop counting
   // it: a rollback that delivery caused is already in the word.
@@ -354,6 +382,15 @@ void Engine::publish_floor(int w) {
       in.delivered.store(in.popped, std::memory_order_release);
     }
   }
+}
+
+std::uint64_t Engine::floor_store_count() const {
+  std::uint64_t n = 0;
+  for (int v = 0; v < config_.host_workers; ++v) {
+    n += floor_words_[static_cast<std::size_t>(v)].stores.load(
+        std::memory_order_acquire);
+  }
+  return n;
 }
 
 bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
@@ -407,7 +444,7 @@ void Engine::deliver(Message&& msg) {
       out.q.push(std::move(msg));
       return;
     }
-    ++worker_stats_[static_cast<std::size_t>(w)].intra;
+    ++worker_at(w).stat.intra;
   }
 
   if (mc_active_) {
@@ -452,7 +489,7 @@ MsgNode* Engine::insert_sorted(Process& p, Message&& m) {
     }
     STGSIM_DCHECK(next->value.seq != m.seq);
   }
-  MsgNode* node = msg_arena_.acquire(std::move(m));
+  MsgNode* node = arena_of(p).acquire(std::move(m));
   node->next = next;
   if (prev != nullptr) {
     prev->next = node;
@@ -474,22 +511,25 @@ void Engine::deliver_now(Message&& msg) {
   }
 
   MsgNode* node = insert_sorted(dst, std::move(msg));
-  const std::uint64_t delivered = ++messages_delivered_;
-  if (config_.max_messages > 0 && delivered > config_.max_messages) {
-    if (threaded_run_ && Fiber::current() == nullptr) {
-      // Mailbox drain on a worker thread: raising here would tear down
-      // fibers owned by other workers. Record the violation; every worker
-      // sees has_error_ and stops, and run_rounds aborts after the join.
-      note_error(std::make_exception_ptr(BudgetExceededError(
-          BudgetExceededError::Kind::kMessages,
+  ++worker_at(dst.home_worker_).stat.delivered;
+  if (config_.max_messages > 0) {
+    // The budget needs the run-wide count the moment it is crossed.
+    const std::uint64_t delivered =
+        budget_delivered_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (delivered > config_.max_messages) {
+      const std::string what =
           "message budget exceeded: " + std::to_string(delivered) +
-              " messages delivered (cap " +
-              std::to_string(config_.max_messages) + ")")));
-    } else {
-      raise_budget(BudgetExceededError::Kind::kMessages,
-                   "message budget exceeded: " + std::to_string(delivered) +
-                       " messages delivered (cap " +
-                       std::to_string(config_.max_messages) + ")");
+          " messages delivered (cap " + std::to_string(config_.max_messages) +
+          ")";
+      if (threaded_run_ && Fiber::current() == nullptr) {
+        // Mailbox drain on a worker thread: raising here would tear down
+        // fibers owned by other workers. Record the violation; every worker
+        // sees has_error_ and stops, and run_rounds aborts after the join.
+        note_error(std::make_exception_ptr(
+            BudgetExceededError(BudgetExceededError::Kind::kMessages, what)));
+      } else {
+        raise_budget(BudgetExceededError::Kind::kMessages, what);
+      }
     }
   }
 
@@ -543,14 +583,14 @@ void Engine::wake_process(Process& p, VTime arrival) {
 void Engine::make_ready(Process& p) {
   // Deliveries and promotions happen on the rank's own worker, the stuck
   // promotion in the quiescence step: never at the same time.
-  worker_ready_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
+  worker_at(p.home_worker_).ready.push_back(p.rank_);
 }
 
 void Engine::park_wildcard(Process& p) {
   STGSIM_DCHECK(p.blocked_ && p.waiting_on_ != nullptr);
   if (p.wildcard_parked_) return;
   p.wildcard_parked_ = true;
-  worker_parked_[static_cast<std::size_t>(p.home_worker_)].push_back(p.rank_);
+  worker_at(p.home_worker_).parked.push_back(p.rank_);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,7 +634,7 @@ Message Engine::clone_message(const Message& m) {
 }
 
 Engine::WorkerStat& Engine::opt_stat() {
-  return worker_stats_[static_cast<std::size_t>(g_current_worker)];
+  return worker_at(g_current_worker).stat;
 }
 
 bool Engine::opt_feed_replay(Process& p, const MatchSpec& spec,
@@ -642,18 +682,18 @@ void Engine::opt_log_charge(Process& p, const Message& m) {
   // prunes the log.
   const std::size_t n = opt_entry_bytes(m);
   p.opt_.log_bytes += n;
-  worker_stats_[static_cast<std::size_t>(p.home_worker_)].log_bytes += n;
+  worker_at(p.home_worker_).stat.log_bytes += n;
 }
 
 void Engine::opt_log_release(Process& p, const Message& m) {
   const std::size_t n = opt_entry_bytes(m);
   STGSIM_DCHECK(p.opt_.log_bytes >= n);
   p.opt_.log_bytes -= n;
-  worker_stats_[static_cast<std::size_t>(p.home_worker_)].log_bytes -= n;
+  worker_at(p.home_worker_).stat.log_bytes -= n;
 }
 
 std::uint64_t Engine::opt_sample_log_peak(int w) {
-  WorkerStat& ws = worker_stats_[static_cast<std::size_t>(w)];
+  WorkerStat& ws = worker_at(w).stat;
   ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
   return ws.log_bytes;
 }
@@ -758,8 +798,8 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
     for (MsgNode* n = ch->head; n != nullptr; prev = n, n = n->next) {
       if (n->value.seq == anti.seq) {
         dst.unlink(*ch, n, prev);
-        msg_arena_.recycle(n);
-        messages_delivered_.fetch_sub(1, std::memory_order_relaxed);
+        arena_of(dst).recycle(n);
+        uncount_delivered(dst);
         return;
       }
       if (n->value.seq > anti.seq) break;  // channels stay seq-sorted
@@ -772,7 +812,7 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
   for (std::size_t i = 0; i < log.size(); ++i) {
     const Message& cm = log[i].msg;
     if (cm.src == anti.src && cm.seq == anti.seq) {
-      messages_delivered_.fetch_sub(1, std::memory_order_relaxed);
+      uncount_delivered(dst);
       opt_rollback(dst, dst.opt_.consumed_base + static_cast<std::uint64_t>(i),
                    /*drop_entry=*/true);
       return;
@@ -781,6 +821,13 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
   STGSIM_CHECK(false) << "anti-message " << anti.src << "->" << anti.dst
                       << " seq " << anti.seq
                       << " has no positive counterpart";
+}
+
+void Engine::uncount_delivered(const Process& dst) {
+  --worker_at(dst.home_worker_).stat.delivered;
+  if (config_.max_messages > 0) {
+    budget_delivered_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
@@ -821,7 +868,7 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
       << "rollback past the fossil-collected send horizon on rank "
       << p.rank_;
   const std::size_t keep = static_cast<std::size_t>(s_k - o.send_base);
-  auto& queue = opt_anti_queues_[static_cast<std::size_t>(g_current_worker)];
+  std::vector<Message>& queue = worker_at(g_current_worker).antis;
   for (std::size_t i = keep; i < o.sends.size(); ++i) {
     const SendRecord& sr = o.sends[i];
     Message a;
@@ -932,11 +979,11 @@ void Engine::opt_finish_unwind(Process& p) {
 }
 
 void Engine::opt_flush_antis() {
-  const auto w = static_cast<std::size_t>(g_current_worker);
-  if (opt_flushing_[w]) return;  // already draining further up the stack
-  auto& q = opt_anti_queues_[w];
+  Worker& w = worker_at(g_current_worker);
+  if (w.flushing) return;  // already draining further up the stack
+  std::vector<Message>& q = w.antis;
   if (q.empty()) return;
-  opt_flushing_[w] = 1;
+  w.flushing = true;
   // Index-based walk: applying an anti can trigger a cascading rollback
   // that appends more antis (and reallocates q).
   std::size_t i = 0;
@@ -945,7 +992,7 @@ void Engine::opt_flush_antis() {
     deliver(std::move(a));
   }
   q.clear();
-  opt_flushing_[w] = 0;
+  w.flushing = false;
 }
 
 Engine::OptDebug Engine::opt_debug(int rank) const {
@@ -1077,7 +1124,7 @@ bool Engine::promote_safe_wildcards(int w) {
   // receiver; excluding the receiver itself then costs O(1).
   const ClockFloor floor = clock_floor(w);
   const VTime peers = peer_floor(w);
-  std::vector<int>& parked = worker_parked_[static_cast<std::size_t>(w)];
+  std::vector<int>& parked = worker_at(w).parked;
   bool promoted = false;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < parked.size(); ++i) {
@@ -1105,8 +1152,8 @@ void Engine::promote_stuck_wildcard() {
   // for real (bound-safe) promotion later.
   VTime best = kVTimeNever;
   std::vector<int> tied;  // live parked ranks at `best`, in list order
-  for (const std::vector<int>& parked : worker_parked_) {
-    for (int rank : parked) {
+  for (int w = 0; w < config_.host_workers; ++w) {
+    for (int rank : worker_at(w).parked) {
       const Process& p = *procs_[static_cast<std::size_t>(rank)];
       if (!p.blocked_ || !p.wildcard_parked_) continue;
       const VTime arrival = parked_candidate(p);
@@ -1132,7 +1179,7 @@ void Engine::promote_stuck_wildcard() {
   }
   Process& p = *procs_[static_cast<std::size_t>(rank)];
   wake_process(p, best);
-  std::vector<int>& home = worker_parked_[static_cast<std::size_t>(p.home_worker_)];
+  std::vector<int>& home = worker_at(p.home_worker_).parked;
   home.erase(std::find(home.begin(), home.end(), rank));
 }
 
@@ -1140,7 +1187,6 @@ void Engine::resume_process(Process& p) {
   if (config_.optimistic && p.opt_.pending_unwind) opt_finish_unwind(p);
   STGSIM_DCHECK(!p.finished_ && !p.blocked_);
   if (observer_ != nullptr) observer_->on_resume(p.rank_, p.clock_);
-  slices_.fetch_add(1, std::memory_order_relaxed);
   p.opt_.fresh = false;
   g_current_proc = &p;
   p.fiber_->resume();
@@ -1300,13 +1346,7 @@ RunResult Engine::run() {
     procs_.push_back(std::move(p));
   }
 
-  const auto nctx = static_cast<std::size_t>(config_.host_workers);
-  worker_ready_.assign(nctx, {});
-  worker_stats_.assign(nctx, WorkerStat{});
   if (config_.optimistic) {
-    opt_anti_queues_.clear();
-    opt_anti_queues_.resize(nctx);
-    opt_flushing_.assign(nctx, 0);
     for (auto& p : procs_) {
       p->opt_.effective_interval = config_.checkpoint_interval;
     }
@@ -1330,24 +1370,39 @@ RunResult Engine::run() {
 
   run_rounds();
 
+  // Fold the per-worker cells. The pass and message split is reported
+  // with several workers only.
+  RunResult res;
   if (config_.optimistic) {
     pstats_.rollback_depth_hist.assign(WorkerStat::kDepthBuckets, 0);
+  }
+  for (int w = 0; w < config_.host_workers; ++w) {
+    WorkerStat& ws = worker_at(w).stat;
+    res.messages_delivered += ws.delivered;
+    res.slices += ws.slices;
+    if (config_.host_workers > 1) {
+      pstats_.intra_messages += ws.intra;
+      pstats_.mailbox_messages += ws.mailbox;
+      pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
+      pstats_.worker_slices.push_back(ws.slices);
+    }
+    if (!config_.optimistic) continue;
     // A run whose last stretch never hit a GVT pass (or that disabled
     // checkpointing and grew the log to the end) still reports its true
     // high-water mark. Several workers prune mid-pass, each at its own
     // time, so the run's peak is the sum of the workers' peaks.
-    for (auto& ws : worker_stats_) {
-      ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
-      pstats_.log_bytes_peak += ws.log_peak;
-      pstats_.rollbacks += ws.rollbacks;
-      pstats_.anti_messages += ws.antis;
-      pstats_.fossil_finalized += ws.fossil;
-      pstats_.replayed_events += ws.replayed;
-      for (int b = 0; b < WorkerStat::kDepthBuckets; ++b) {
-        pstats_.rollback_depth_hist[static_cast<std::size_t>(b)] +=
-            ws.depth_hist[b];
-      }
+    ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
+    pstats_.log_bytes_peak += ws.log_peak;
+    pstats_.rollbacks += ws.rollbacks;
+    pstats_.anti_messages += ws.antis;
+    pstats_.fossil_finalized += ws.fossil;
+    pstats_.replayed_events += ws.replayed;
+    for (int b = 0; b < WorkerStat::kDepthBuckets; ++b) {
+      pstats_.rollback_depth_hist[static_cast<std::size_t>(b)] +=
+          ws.depth_hist[b];
     }
+  }
+  if (config_.optimistic) {
     while (!pstats_.rollback_depth_hist.empty() &&
            pstats_.rollback_depth_hist.back() == 0) {
       pstats_.rollback_depth_hist.pop_back();
@@ -1358,7 +1413,6 @@ RunResult Engine::run() {
     pstats_.gvt_passes = gvt_passes_.load(std::memory_order_relaxed);
   }
 
-  RunResult res;
   res.per_rank_completion.reserve(procs_.size());
   for (const auto& p : procs_) {
     STGSIM_CHECK(p->finished_);
@@ -1366,8 +1420,6 @@ RunResult Engine::run() {
     res.completion = std::max(res.completion, p->clock_);
   }
   res.host_seconds = now_host_sec();
-  res.messages_delivered = messages_delivered_;
-  res.slices = slices_.load(std::memory_order_relaxed);
   res.peak_target_bytes = memory_.peak_bytes();
   res.final_target_bytes = memory_.current_bytes();
   return res;
@@ -1464,21 +1516,22 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
 
 void Engine::run_partition_round(int worker, Quiescence& quiescence) {
   g_current_worker = worker;
-  IndexedMinHeap<VTime>& heap = worker_heaps_[static_cast<std::size_t>(worker)];
-  std::vector<int>& local_ready = worker_ready_[static_cast<std::size_t>(worker)];
-  WorkerStat& ws = worker_stats_[static_cast<std::size_t>(worker)];
-  std::vector<int>& parked = worker_parked_[static_cast<std::size_t>(worker)];
+  Worker& self = worker_at(worker);
+  IndexedMinHeap<VTime>& heap = self.heap;
+  std::vector<int>& local_ready = self.ready;
+  WorkerStat& ws = self.stat;
+  std::vector<int>& parked = self.parked;
   // Time Warp with several workers: fold the published words into GVT
   // (CAS-max) and fossil-collect this worker's ranks whenever that
   // advanced it.
   VTime fossil_gvt = 0;
   auto opt_fold_and_fossil = [&] {
-    const std::uint64_t stores = floor_stores_.load(std::memory_order_acquire);
+    const std::uint64_t stores = floor_store_count();
     VTime g = peer_floor(-1);
     // A store between the two count reads may have moved a message's share
     // from its sender's word to its receiver's after this read passed the
     // receiver: skip this fold, a later one retries.
-    if (floor_stores_.load(std::memory_order_acquire) != stores) return;
+    if (floor_store_count() != stores) return;
     VTime cur = gvt_.load(std::memory_order_relaxed);
     while (g != kVTimeNever && g > cur) {
       if (gvt_.compare_exchange_weak(cur, g, std::memory_order_relaxed)) {
@@ -1490,7 +1543,7 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
     if (g <= fossil_gvt) return;
     fossil_gvt = g;
     opt_sample_log_peak(worker);
-    for (int r : worker_ranks_[static_cast<std::size_t>(worker)]) {
+    for (int r : self.ranks) {
       opt_fossil_rank(*procs_[static_cast<std::size_t>(r)], g);
     }
   };
@@ -1619,8 +1672,8 @@ void Engine::quiescence_step() noexcept {
     run_done_ = true;
     if (has_error_.load(std::memory_order_acquire)) return;
     auto any_ready = [&] {
-      for (const auto& v : worker_ready_) {
-        if (!v.empty()) return true;
+      for (int w = 0; w < config_.host_workers; ++w) {
+        if (!worker_at(w).ready.empty()) return true;
       }
       return false;
     };
@@ -1657,17 +1710,17 @@ void Engine::run_rounds() {
   // evaluated mid-slice and the round/mailbox counters stay zero.
   threaded_run_ = workers > 1;
   const auto nw = static_cast<std::size_t>(workers);
-  worker_parked_.assign(nw, {});
-  worker_heaps_.resize(nw);
-  for (auto& h : worker_heaps_) h.reset(config_.num_processes);
+  for (int w = 0; w < workers; ++w) {
+    worker_at(w).heap.reset(config_.num_processes);
+  }
   if (threaded_run_) {
     // The lower-bound service: own-rank lists, floor heaps, lanes with
     // their in-transit queues, and the published words.
-    worker_ranks_.assign(nw, {});
-    worker_floors_.resize(nw);
-    for (auto& h : worker_floors_) h.reset(config_.num_processes);
+    for (int w = 0; w < workers; ++w) {
+      worker_at(w).floor.reset(config_.num_processes);
+    }
     for (const auto& p : procs_) {
-      worker_ranks_[static_cast<std::size_t>(p->home_worker_)].push_back(p->rank_);
+      worker_at(p->home_worker_).ranks.push_back(p->rank_);
       refloor(*p);
     }
     mailboxes_.clear();
@@ -1706,15 +1759,6 @@ void Engine::run_rounds() {
 
   if (error_) abort_run(error_);
   if (clock_floor(-1).min != kVTimeNever) raise_deadlock();
-
-  if (threaded_run_) {
-    for (const auto& ws : worker_stats_) {
-      pstats_.intra_messages += ws.intra;
-      pstats_.mailbox_messages += ws.mailbox;
-      pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
-      pstats_.worker_slices.push_back(ws.slices);
-    }
-  }
   threaded_run_ = false;
 }
 

@@ -42,10 +42,12 @@
 // Hot-path data structures (all per-engine, no global state):
 //  * runnable processes sit in an IndexedMinHeap keyed by virtual clock;
 //  * each process's inbox is a flat vector of per-source channels holding
-//    intrusively-linked nodes from a shared ObjectArena<Message>;
+//    intrusively-linked nodes from its home worker's ObjectArena<Message>;
 //  * direct-execution payloads live in a size-classed PayloadPool.
 // All three recycle storage, so steady-state simulation performs no heap
-// allocation per message.
+// allocation per message. Everything a worker writes per message or per
+// slice (its arena, ready heap and counters) sits in its own cache-line-
+// aligned block, so workers share no written line on that path.
 #pragma once
 
 #include <atomic>
@@ -163,7 +165,7 @@ class ScheduleOracle {
 
 class Engine;
 
-/// Queued-message node; lives in the engine's ObjectArena.
+/// Queued-message node; lives in the arena of its rank's home worker.
 using MsgNode = ObjectArena<Message>::Node;
 
 /// Handle a target-process body uses to interact with the simulation.
@@ -243,7 +245,7 @@ class Process {
   friend class Engine;
 
   /// One FIFO of queued messages from a single source. Three words when
-  /// empty; nodes come from the engine's arena, so inbox overhead is
+  /// empty; nodes come from the home worker's arena, so inbox overhead is
   /// bounded by peak in-flight messages, not message churn.
   struct Channel {
     int src = -1;
@@ -557,9 +559,10 @@ class Engine {
 
   /// Pool/arena accounting — simulator overhead, distinct from the
   /// MemoryTracker's target-visible bytes. Capacity is bounded by peak
-  /// in-flight demand, never by total message churn.
+  /// in-flight demand, never by total message churn. The arena figures sum
+  /// the workers' arenas; read them once run() returned.
   PayloadPool::Stats payload_stats() { return payload_pool_.stats(); }
-  ObjectArena<Message>::Stats arena_stats() { return msg_arena_.stats(); }
+  ObjectArena<Message>::Stats arena_stats() const;
 
   /// Pass, message and Time Warp counters (see ParallelStats). Valid once
   /// run() returned.
@@ -589,6 +592,19 @@ class Engine {
   friend class Process;
 
   struct WorkerStat;  // defined below (used by opt_stat)
+  struct Worker;
+
+  Worker& worker_at(int w) { return workers_[static_cast<std::size_t>(w)]; }
+  const Worker& worker_at(int w) const {
+    return workers_[static_cast<std::size_t>(w)];
+  }
+  /// The arena that holds `p`'s queued messages: its home worker's. Only
+  /// that worker may use it while the workers run (checked in debug
+  /// builds); the process destructor returns nodes after the run.
+  ObjectArena<Message>& arena_of(const Process& p);
+  /// Takes back the count of a delivered message an anti-message
+  /// annihilated (on `dst`'s home worker).
+  void uncount_delivered(const Process& dst);
 
   /// Routes a message to its destination. With several workers a
   /// cross-partition message goes to the lane toward its destination
@@ -661,6 +677,9 @@ class Engine {
   VTime after_floor_latency(VTime t) const;
   /// Min of the words of every worker but `w` (all when `w` < 0).
   VTime peer_floor(int w) const;
+  /// Sum of the words' store counts: a fold that reads the same sum before
+  /// and after reading the words read a consistent cut.
+  std::uint64_t floor_store_count() const;
   /// Stores worker `w`'s word, min(clock_floor(w) + latency, arrivals it
   /// pushed that are not yet delivered), then releases what `w` drained to
   /// its senders' words. Also samples `w`'s consumption-log peak.
@@ -775,40 +794,74 @@ class Engine {
   EngineConfig config_;
   ProcessBody body_;
 
-  // Pools are declared before procs_ so they outlive the processes whose
-  // destructors recycle queued nodes — and payload_pool_ before
-  // msg_arena_, whose chunk teardown releases payload buffers. Every
-  // worker writes the pools' spinlocks and the two counters below on each
-  // message, so each group starts its own cache line, away from the
-  // read-mostly fields every slice reads.
+  // The payload pool and the workers' arenas are declared before procs_ so
+  // they outlive the processes whose destructors recycle queued nodes — and
+  // payload_pool_ before workers_, whose chunk teardown releases payload
+  // buffers.
   alignas(64) PayloadPool payload_pool_;
-  alignas(64) ObjectArena<Message> msg_arena_;
+
+  // Per-worker protocol counters (slot 0 with one worker).
+  struct WorkerStat {
+    static constexpr int kDepthBuckets = 24;
+
+    std::uint64_t intra = 0;
+    std::uint64_t mailbox = 0;
+    /// Messages queued into this worker's ranks' inboxes, less those an
+    /// anti-message annihilated; RunResult::messages_delivered sums them.
+    std::uint64_t delivered = 0;
+    std::uint64_t slices = 0;
+    VTime busy_vtime = 0;
+    // Optimistic-mode counters.
+    std::uint64_t rollbacks = 0;
+    std::uint64_t antis = 0;
+    std::uint64_t fossil = 0;
+    std::uint64_t replayed = 0;
+    std::uint64_t depth_hist[kDepthBuckets] = {};  ///< log2(discarded entries)
+    // Consumption-log bytes of this worker's ranks: current, sampled peak.
+    std::uint64_t log_bytes = 0;
+    std::uint64_t log_peak = 0;
+  };
+  // What one worker writes per message and per slice, one cache-line-
+  // aligned block per worker, so no two workers write a common line. While
+  // the workers run only the owner touches its block; the quiescence step
+  // (every worker waiting) and the code around the run may touch any.
+  struct alignas(64) Worker {
+    /// Queued messages of this worker's ranks: a node is acquired when a
+    /// message is queued for one of them and released when it is matched
+    /// or annihilated, both on this worker, so the arena needs no lock.
+    ObjectArena<Message> arena;
+    /// Woken ranks (every wake lands on its rank's worker list; the worker
+    /// moves it into `heap`, and back before quiescing).
+    std::vector<int> ready;
+    IndexedMinHeap<VTime> heap;  ///< ready ranks, lowest clock first
+    std::vector<int> parked;     ///< parked wildcard receivers
+    // Several workers only: the worker's own ranks and its floor heap (its
+    // unfinished ranks keyed by clock).
+    std::vector<int> ranks;
+    IndexedMinHeap<VTime> floor;
+    // Time Warp: anti-messages this worker's rollbacks queued, drained
+    // iteratively from deliver_now's tail (`flushing` guards re-entry), so
+    // a chain of N cascading rollbacks costs O(1) stack.
+    std::vector<Message> antis;
+    bool flushing = false;
+    WorkerStat stat;
+  };
+  // Own line: payload_pool_'s last one holds counters every DE message
+  // writes, and every message reads this pointer.
+  alignas(64) std::unique_ptr<Worker[]> workers_;
+
   // Every rank's fiber stack; unmapped after procs_ destroys the fibers.
   StackPool stacks_;
 
   alignas(64) std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;
 
-  alignas(64) std::atomic<std::uint64_t> messages_delivered_{0};
-  // Per-engine resume count. Not the global Fiber::switch_count(): several
-  // engines run concurrently under the campaign job pool, and a shared
-  // counter would bleed one run's slices into another's RunResult.
-  std::atomic<std::uint64_t> slices_{0};
+  // Delivered messages for the max_messages budget, counted only when it
+  // is set (so the error names the exact count).
+  alignas(64) std::atomic<std::uint64_t> budget_delivered_{0};
   alignas(64) bool ran_ = false;
-
-  // Per-worker ready lists (every wake lands on its rank's worker list;
-  // the worker moves it into its heap, and back before quiescing), ready
-  // heaps and parked wildcard receivers. threaded_run_ marks a multi-worker
-  // run (clocks race).
-  std::vector<std::vector<int>> worker_ready_;
-  std::vector<IndexedMinHeap<VTime>> worker_heaps_;
-  std::vector<std::vector<int>> worker_parked_;
+  // A multi-worker run (clocks race).
   bool threaded_run_ = false;
-
-  // Several workers only: each worker's own ranks and its floor heap (its
-  // unfinished ranks keyed by clock).
-  std::vector<std::vector<int>> worker_ranks_;
-  std::vector<IndexedMinHeap<VTime>> worker_floors_;
 
   // A cross-partition lane. `transit` is the sender's in-transit term:
   // (push index, arrival) with arrivals increasing, so once entries below
@@ -833,47 +886,25 @@ class Engine {
                        static_cast<std::size_t>(to)];
   }
   static constexpr std::int64_t kBusyWorker = std::int64_t{1} << 32;
-  std::atomic<std::int64_t> round_busy_{0};
-  std::atomic<bool> has_error_{false};
+  // Own line: every cross-partition message writes it, while has_error_
+  // and the fields above are read after every slice.
+  alignas(64) std::atomic<std::int64_t> round_busy_{0};
+  alignas(64) std::atomic<bool> has_error_{false};
   bool run_done_ = false;
 
-  // The published floor words, one per cache line, and a count of stores
-  // to them: a fold that sees the count unchanged read a consistent cut.
+  // The published floor words, one per cache line. Only the owner writes
+  // its word and `stores`, the count of changes to it (floor_store_count).
   struct alignas(64) FloorWord {
     std::atomic<VTime> v{kVTimeNever};
+    std::atomic<std::uint64_t> stores{0};
   };
   std::unique_ptr<FloorWord[]> floor_words_;
-  alignas(64) std::atomic<std::uint64_t> floor_stores_{0};
 
-  // Per-worker protocol counters, padded so workers never share a line.
-  struct alignas(64) WorkerStat {
-    static constexpr int kDepthBuckets = 24;
-
-    std::uint64_t intra = 0;
-    std::uint64_t mailbox = 0;
-    std::uint64_t slices = 0;
-    VTime busy_vtime = 0;
-    // Optimistic-mode counters (slot 0 with one worker).
-    std::uint64_t rollbacks = 0;
-    std::uint64_t antis = 0;
-    std::uint64_t fossil = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t depth_hist[kDepthBuckets] = {};  ///< log2(discarded entries)
-    // Consumption-log bytes of this worker's ranks: current, sampled peak.
-    std::uint64_t log_bytes = 0;
-    std::uint64_t log_peak = 0;
-  };
-  std::vector<WorkerStat> worker_stats_;
   ParallelStats pstats_;
 
-  // Optimistic-mode engine state. Anti-message cascades are queued per
-  // context and drained iteratively from deliver_now's tail (flag guards
-  // re-entry), so a chain of N cascading rollbacks costs O(1) stack.
-  // gvt_ / gvt_passes_ are atomic for the threaded driver's mid-pass
-  // folds of the published floor words.
+  // Optimistic-mode engine state. gvt_ / gvt_passes_ are atomic for the
+  // threaded driver's mid-pass folds of the published floor words.
   std::function<void(int)> rollback_reset_;
-  std::vector<std::vector<Message>> opt_anti_queues_;
-  std::vector<char> opt_flushing_;
   std::atomic<VTime> gvt_{0};
   std::atomic<std::uint64_t> gvt_passes_{0};
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 
 #include "support/check.hpp"
@@ -66,10 +65,6 @@ namespace stgsim::simk {
 namespace {
 
 thread_local Fiber* g_current_fiber = nullptr;
-// Global (not thread_local): the threaded scheduler resumes fibers from
-// persistent worker threads, and per-thread counters would silently drop
-// every resume performed off the scheduler thread.
-std::atomic<unsigned long long> g_switches{0};
 
 // AddressSanitizer tracks one stack per thread. Every stack switch below
 // is announced to it, so a throw on a fiber stack (which unpoisons "the"
@@ -215,7 +210,6 @@ void Fiber::resume() {
       << "resume() called from inside a fiber";
   STGSIM_CHECK(!finished_) << "resume() on finished fiber";
   g_current_fiber = this;
-  g_switches.fetch_add(1, std::memory_order_relaxed);
   void* fake_stack = nullptr;
 #if defined(__SANITIZE_THREAD__)
   tsan_caller_ = __tsan_get_current_fiber();
@@ -241,9 +235,5 @@ void Fiber::yield_to_scheduler() {
 }
 
 Fiber* Fiber::current() { return g_current_fiber; }
-
-unsigned long long Fiber::switch_count() {
-  return g_switches.load(std::memory_order_relaxed);
-}
 
 }  // namespace stgsim::simk

@@ -82,11 +82,6 @@ class Fiber {
 
   bool finished() const { return finished_; }
 
-  /// Total resume() calls across all fibers process-wide (stats). Counts
-  /// resumes from every thread, so threaded-scheduler slice totals match
-  /// the sequential scheduler's.
-  static unsigned long long switch_count();
-
  private:
   /// The first frame on a fresh stack: runs current()'s body.
   [[noreturn]] static void entry() noexcept;

@@ -12,18 +12,20 @@
 //     delivered payload by sharing it (PayloadBuf::share) instead of deep
 //     cloning it: payload bytes are written once at make() and read-only
 //     afterwards, which makes aliasing safe (copy-on-write degenerates to
-//     copy-never).
+//     copy-never). One pool serves every worker: a buffer made on the
+//     sending worker is freed wherever its last handle drops, so the free
+//     lists sit behind a spinlock.
 //   * ObjectArena<T> — chunked slab of intrusively-linked nodes; the
 //     engine stores queued messages in ObjectArena<Message> nodes, so an
 //     empty inbox channel holds no heap storage at all (three words), and
 //     node capacity is bounded by the peak number of in-flight messages,
-//     not by message churn.
+//     not by message churn. An arena has one owner and no lock: the engine
+//     keeps one per worker, and a message's node is acquired and released
+//     on its destination rank's home worker (the only thread that queues
+//     into or matches from that rank's inbox).
 //
-// Both are thread-safe via a spinlock: the threaded conservative scheduler
-// allocates on the sending worker and releases on the receiving worker;
-// the same spinlock orders a recycled node's reuse across workers. Neither
-// pool charges MemoryTracker — payloads are simulator overhead, not
-// target-visible data (target arrays are charged where they are
+// Neither pool charges MemoryTracker — payloads are simulator overhead,
+// not target-visible data (target arrays are charged where they are
 // allocated, as before).
 #pragma once
 
@@ -224,9 +226,10 @@ inline PayloadBuf PayloadBuf::share() const {
   return PayloadBuf(pool_, data_, size_, cls_);
 }
 
-/// Chunked slab of linked-list nodes with a shared free list. Node
-/// addresses are stable for the arena's lifetime; chunks are only freed on
-/// destruction, so capacity is bounded by the peak live-node count.
+/// Chunked slab of linked-list nodes with a free list. Node addresses are
+/// stable for the arena's lifetime; chunks are only freed on destruction,
+/// so capacity is bounded by the peak live-node count. Single-owner: the
+/// caller guarantees that one thread at a time uses the arena.
 template <typename T>
 class ObjectArena {
  public:
@@ -242,15 +245,13 @@ class ObjectArena {
   /// Takes a node from the free list (or grows by one chunk) and moves
   /// `v` into it.
   Node* acquire(T&& v) {
-    lock_.lock();
     Node* n = free_;
     if (n != nullptr) {
       free_ = n->next;
     } else {
-      n = grow_locked();
+      n = grow();
     }
     live_ += 1;
-    lock_.unlock();
     n->value = std::move(v);
     n->next = nullptr;
     return n;
@@ -266,28 +267,21 @@ class ObjectArena {
   /// Recycles a node, destroying its value (teardown paths).
   void recycle(Node* n) {
     n->value = T{};  // release held resources (e.g. payload buffers) now
-    lock_.lock();
     n->next = free_;
     free_ = n;
     live_ -= 1;
-    lock_.unlock();
   }
 
   struct Stats {
     std::uint64_t live = 0;      ///< nodes currently queued
     std::uint64_t capacity = 0;  ///< nodes ever allocated (peak demand)
   };
-  Stats stats() {
-    lock_.lock();
-    Stats s{live_, capacity_};
-    lock_.unlock();
-    return s;
-  }
+  Stats stats() const { return Stats{live_, capacity_}; }
 
  private:
   static constexpr std::size_t kChunkNodes = 256;
 
-  Node* grow_locked() {
+  Node* grow() {
     chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
     Node* chunk = chunks_.back().get();
     // Thread all but the first node onto the free list; hand out the first.
@@ -300,7 +294,6 @@ class ObjectArena {
     return &chunk[0];
   }
 
-  SpinLock lock_;
   Node* free_ = nullptr;
   std::uint64_t live_ = 0;
   std::uint64_t capacity_ = 0;

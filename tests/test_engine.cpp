@@ -11,6 +11,7 @@
 #include <cfenv>
 #include <chrono>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -524,24 +525,49 @@ TEST(Engine, VirtualTimeBudgetStopsRunawayFiber) {
 }
 
 TEST(Engine, MessageBudgetStopsChatter) {
-  EngineConfig cfg;
-  cfg.num_processes = 2;
-  cfg.max_messages = 50;
-  Engine e(cfg);
-  e.set_body([](Process& p) {
-    if (p.rank() == 0) {
-      for (;;) {
-        p.send(make_msg(0, 1, 1, p.now(), p.now() + vtime_from_us(1)));
-        p.advance(vtime_from_us(1));
+  // Every rank but the last floods the last one, and only the last rank
+  // receives, so its worker alone delivers: the run stops at exactly
+  // cap + 1 messages at every worker count and under either protocol,
+  // whether the crossing delivery is a mailbox drain or a send from the
+  // receiver's own worker. (The budget's count is the one run-wide
+  // delivered count that stays shared.)
+  constexpr int kProcs = 8;
+  constexpr int kSink = kProcs - 1;
+  for (const bool optimistic : {false, true}) {
+    for (const int workers : {1, 2, 4}) {
+      EngineConfig cfg;
+      cfg.num_processes = kProcs;
+      cfg.host_workers = workers;
+      cfg.optimistic = optimistic;
+      cfg.max_messages = 50;
+      Engine e(cfg);
+      e.set_body([](Process& p) {
+        if (p.rank() != kSink) {
+          for (int i = 0; i < 200; ++i) {
+            p.send(make_msg(p.rank(), kSink, 1, p.now(),
+                            p.now() + vtime_from_us(1)));
+            p.advance(vtime_from_us(1));
+          }
+          return;
+        }
+        for (;;) {
+          for (int src = 0; src < kSink; ++src) {
+            p.blocking_match(match_tag(src, 1));
+          }
+        }
+      });
+      const std::string where = "workers=" + std::to_string(workers) +
+                                (optimistic ? " optimistic" : " conservative");
+      try {
+        e.run();
+        ADD_FAILURE() << where << ": expected BudgetExceededError";
+      } catch (const BudgetExceededError& b) {
+        EXPECT_EQ(b.kind(), BudgetExceededError::Kind::kMessages) << where;
+        EXPECT_STREQ(b.what(),
+                     "message budget exceeded: 51 messages delivered (cap 50)")
+            << where;
       }
     }
-    for (;;) p.blocking_match(match_tag(0, 1));
-  });
-  try {
-    e.run();
-    FAIL() << "expected BudgetExceededError";
-  } catch (const BudgetExceededError& b) {
-    EXPECT_EQ(b.kind(), BudgetExceededError::Kind::kMessages);
   }
 }
 
@@ -811,6 +837,136 @@ TEST(Engine, ThreadedRunPopulatesParallelStats) {
   std::uint64_t slices = 0;
   for (auto s : ps.worker_slices) slices += s;
   EXPECT_GT(slices, 0u);
+}
+
+TEST(Engine, ThreadedArenasDrainAndSlicesSumWorkerSlices) {
+  // Each rank exchanges kMsgs payload-carrying messages with the rank half
+  // the ring away, which runs on another worker. Every node goes back to
+  // its worker's arena, and the run's slice count is the sum of the
+  // workers' slices.
+  constexpr int kProcs = 8;
+  constexpr int kMsgs = 40;
+  const VTime us = vtime_from_us(1);
+  auto body = [&](Process& p) {
+    const std::uint8_t bytes[96] = {};
+    const int to = (p.rank() + kProcs / 2) % kProcs;
+    for (int i = 0; i < kMsgs; ++i) {
+      Message m = make_msg(p.rank(), to, 1, p.now(), p.now() + us);
+      m.payload = p.make_payload(bytes, sizeof bytes);
+      p.send(std::move(m));
+      p.lift_clock(p.blocking_match(match_tag(to, 1)).arrival);
+      p.advance(us);
+    }
+  };
+  for (const bool optimistic : {false, true}) {
+    for (const int workers : {1, 2, 4}) {
+      const std::string where = "workers=" + std::to_string(workers) +
+                                (optimistic ? " optimistic" : " conservative");
+      EngineConfig cfg;
+      cfg.num_processes = kProcs;
+      cfg.host_workers = workers;
+      cfg.optimistic = optimistic;
+      Engine e(cfg);
+      e.set_body(body);
+      const RunResult r = e.run();
+      EXPECT_EQ(r.messages_delivered, std::uint64_t{kProcs} * kMsgs) << where;
+      const auto arena = e.arena_stats();
+      EXPECT_EQ(arena.live, 0u) << where;
+      EXPECT_GT(arena.capacity, 0u) << where;
+      // Time Warp's consumption logs still share the payloads they hold.
+      if (!optimistic) {
+        EXPECT_EQ(e.payload_stats().outstanding, 0u) << where;
+      }
+      const ParallelStats& ps = e.parallel_stats();
+      if (workers == 1) {
+        EXPECT_TRUE(ps.worker_slices.empty()) << where;
+        EXPECT_GT(r.slices, 0u) << where;
+        continue;
+      }
+      ASSERT_EQ(ps.worker_slices.size(), static_cast<std::size_t>(workers));
+      std::uint64_t slices = 0;
+      for (const std::uint64_t s : ps.worker_slices) slices += s;
+      EXPECT_EQ(r.slices, slices) << where;
+      EXPECT_GT(ps.cross_messages(), 0u) << where;
+    }
+  }
+}
+
+TEST(Engine, ThreadedAntiMessagesKeepDeliveredCount) {
+  // Ranks 0 and 2 run on worker 0, rank 1 on worker 1 and rank 3 on the
+  // last worker. Rank 0 wildcard-receives twice and forwards to rank 3
+  // after the first. Under Time Warp, rank 1 sends its early-arriving
+  // message only once rank 0 committed to rank 2's later one, so rank 0
+  // rolls back and an anti-message annihilates the forward on rank 3's
+  // worker, queued or consumed. The committed delivered count must equal
+  // the conservative run's: every annihilation takes its delivery back.
+  const VTime us = vtime_from_us(1);
+  struct Run {
+    RunResult result;
+    ParallelStats stats;
+  };
+  auto run = [&](int workers, bool optimistic) {
+    std::atomic<bool> committed{false};
+    EngineConfig cfg;
+    cfg.num_processes = 4;
+    cfg.host_workers = workers;
+    cfg.optimistic = optimistic;
+    if (workers > 1) cfg.partition = {0, 1, 0, workers - 1};
+    const bool force = optimistic && workers > 1;
+    Engine e(cfg);
+    e.set_body([&](Process& p) {
+      switch (p.rank()) {
+        case 0:
+          for (int i = 0; i < 2; ++i) {
+            const Message m =
+                p.blocking_match(match_tag(MatchSpec::kAnySource, 1));
+            p.lift_clock(m.arrival);
+            if (i == 0) {
+              committed.store(true);
+              p.send(make_msg(0, 3, 2, p.now(), p.now() + us));
+            }
+          }
+          break;
+        case 1: {
+          // Bounded, so a schedule that never commits cannot hang the test.
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (force && !committed.load() &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          p.send(make_msg(1, 0, 1, 0, us));
+          break;
+        }
+        case 2:
+          p.send(make_msg(2, 0, 1, 0, 100 * us));
+          break;
+        default:
+          p.lift_clock(p.blocking_match(match_tag(0, 2)).arrival);
+          break;
+      }
+    });
+    Run out;
+    out.result = e.run();
+    out.stats = e.parallel_stats();
+    return out;
+  };
+  const Run want = run(1, false);
+  EXPECT_EQ(want.result.messages_delivered, 3u);
+  for (const int workers : {2, 4}) {
+    const Run conservative = run(workers, false);
+    const Run got = run(workers, true);
+    const std::string where = "workers=" + std::to_string(workers);
+    EXPECT_EQ(conservative.result.per_rank_completion,
+              want.result.per_rank_completion) << where;
+    EXPECT_EQ(conservative.result.messages_delivered, 3u) << where;
+    EXPECT_EQ(got.result.per_rank_completion, want.result.per_rank_completion)
+        << where;
+    EXPECT_GE(got.stats.rollbacks, 1u) << where;
+    EXPECT_GE(got.stats.anti_messages, 1u) << where;
+    EXPECT_EQ(got.result.messages_delivered,
+              conservative.result.messages_delivered) << where;
+  }
 }
 
 TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
