@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "apps/registry.hpp"
 #include "fault/fault.hpp"
@@ -74,14 +75,20 @@ void read_member(const json::Value& v, RunConfig* c) {
 bool apply_config_key(RunConfig* config, const std::string& key,
                       const json::Value& value) {
   using Bound = RunConfigField::Bound;
-  if (key == "speculation_window_sec") {
-    // Removed in stgsim-9 with the engine's speculation window: an older
-    // document that carries it is refused by name, not run without it.
+  // Keys a published version dropped, with the version that dropped them:
+  // an older document that carries one is refused by name, not run
+  // without it.
+  static constexpr std::pair<const char*, const char*> kRemovedKeys[] = {
+      {"speculation_window_sec", "stgsim-9"},
+      {"gvt_interval", "stgsim-10"},
+  };
+  for (const auto& [removed, version] : kRemovedKeys) {
+    if (key != removed) continue;
     json::Value detail = json::Value::object();
     detail.set("removed", json::Value(key));
     throw errors::StructuredError(
         "usage.removed_key", errors::kCategoryUsage,
-        "run-spec key '" + key + "' was removed in stgsim-9", detail);
+        "run-spec key '" + key + "' was removed in " + version, detail);
   }
   for (const RunConfigField& f : run_config_fields()) {
     if (key != f.key) continue;
@@ -115,12 +122,14 @@ const std::vector<std::string>& published_schema_versions() {
   // Every tag kSimulatorVersion has ever carried. Up to stgsim-8 the
   // schema only grew additively (new optional keys with defaults);
   // stgsim-9 removed the run-spec key speculation_window_sec and the
-  // run-outcome field metrics.window_advance_hist. A document written for
-  // any published version parses under the current reader unless it
-  // carries a removed key, which is refused by name; the list exists to
-  // *reject* documents from the future, not to branch readers.
+  // run-outcome field metrics.window_advance_hist, stgsim-10 the run-spec
+  // key gvt_interval. A document written for any published version parses
+  // under the current reader unless it carries a removed key, which is
+  // refused by name; the list exists to *reject* documents from the
+  // future, not to branch readers.
   static const std::vector<std::string> kVersions = {
-      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9"};
+      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9",
+      "stgsim-10"};
   return kVersions;
 }
 
@@ -223,12 +232,6 @@ const std::vector<RunConfigField>& run_config_fields() {
                                     "' (expected conservative|optimistic)");
          }
        }},
-      {.key = "gvt_interval", .role = Role::kHostSide, .type = "integer",
-       .description = "committed events between GVT passes",
-       .bound = Bound::kNonNegative, .flag = "gvt-interval",
-       .flag_kind = Flag::kInteger, .flag_positive = "must be >= 1",
-       .write = write_member<&RunConfig::gvt_interval>,
-       .read = read_member<&RunConfig::gvt_interval>},
       {.key = "checkpoint_interval", .role = Role::kHostSide,
        .type = "integer",
        .description = "committed consumes between per-rank checkpoints "

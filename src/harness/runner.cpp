@@ -102,7 +102,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   const bool optimistic = config.schedule == Schedule::kOptimistic;
   if (optimistic) {
     ec.optimistic = true;
-    if (config.gvt_interval > 0) ec.gvt_interval = config.gvt_interval;
     ec.checkpoint_interval = config.checkpoint_interval;
     ec.checkpoint_adaptive = config.checkpoint_adaptive;
     STGSIM_CHECK(config.mode != Mode::kMeasured)

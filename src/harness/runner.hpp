@@ -104,11 +104,6 @@ struct RunConfig {
   // setting; they trade rollback re-execution cost against checkpoint and
   // log memory.
 
-  /// Scheduler iterations between exact GVT passes with one worker or
-  /// under the checker (0 = engine default). The engine retunes the live
-  /// interval from a baseline of max(this, nprocs).
-  std::uint64_t gvt_interval = 0;
-
   /// Committed consumes between per-rank checkpoints (0 = checkpoints
   /// off: rollback replays from rank start and the consumption log is
   /// never pruned — the pre-checkpoint behaviour).

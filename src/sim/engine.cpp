@@ -272,7 +272,6 @@ Engine::Engine(EngineConfig config)
     STGSIM_CHECK(config_.inject != Inject::kUnsafeWildcard)
         << "unsafe-wildcard injection targets the conservative safety "
            "bound; use commit-before-gvt against the optimistic scheduler";
-    if (config_.gvt_interval == 0) config_.gvt_interval = 256;
   } else {
     STGSIM_CHECK(config_.inject != Inject::kCommitBeforeGvt)
         << "commit-before-gvt injection requires the optimistic scheduler";
@@ -300,30 +299,21 @@ ObjectArena<Message>::Stats Engine::arena_stats() const {
 
 Engine::ClockFloor Engine::clock_floor(int w) const {
   ClockFloor f;
-  if (w >= 0 && threaded_run_) {
-    const IndexedMinHeap<VTime>& h = worker_at(w).floor;
-    if (h.empty()) return f;
-    std::tie(f.min, f.argmin) = h.top();
-    f.second = h.second_key(kVTimeNever);
+  if (w < 0) {
+    for (int v = 0; v < config_.host_workers; ++v) {
+      const ClockFloor g = clock_floor(v);
+      if (g.min < f.min) f = g;
+    }
     return f;
   }
-  for (const auto& p : procs_) {
-    if (p->finished_) continue;
-    if (p->clock_ < f.min) {
-      f.second = f.min;
-      f.min = p->clock_;
-      f.argmin = p->rank_;
-    } else if (p->clock_ < f.second) {
-      // Covers duplicates of min too: excluding argmin still leaves a
-      // process at that clock, so second must equal min then.
-      f.second = p->clock_;
-    }
-  }
+  const IndexedMinHeap<VTime>& h = worker_at(w).floor;
+  if (h.empty()) return f;
+  std::tie(f.min, f.argmin) = h.top();
+  f.second = h.second_key(kVTimeNever);
   return f;
 }
 
 void Engine::refloor(const Process& p) {
-  if (!threaded_run_) return;
   IndexedMinHeap<VTime>& h = worker_at(p.home_worker_).floor;
   if (!p.finished_) {
     h.push_or_update(p.rank_, p.clock_);
@@ -344,7 +334,6 @@ VTime Engine::after_floor_latency(VTime t) const {
 
 VTime Engine::peer_floor(int w) const {
   VTime b = kVTimeNever;
-  if (!threaded_run_) return b;
   for (int v = 0; v < config_.host_workers; ++v) {
     if (v == w) continue;
     b = std::min(b, floor_words_[static_cast<std::size_t>(v)].v.load(
@@ -692,10 +681,9 @@ void Engine::opt_log_release(Process& p, const Message& m) {
   worker_at(p.home_worker_).stat.log_bytes -= n;
 }
 
-std::uint64_t Engine::opt_sample_log_peak(int w) {
+void Engine::opt_sample_log_peak(int w) {
   WorkerStat& ws = worker_at(w).stat;
   ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
-  return ws.log_bytes;
 }
 
 void Process::take_checkpoint(std::vector<std::uint8_t> app_blob) {
@@ -1010,42 +998,20 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
   return d;
 }
 
-void Engine::opt_retune_gvt(std::uint64_t cur) {
-  // Log pressure rising past the threshold: fossil-collect more
-  // aggressively. Pressure flat or falling: back off toward (and past) the
-  // baseline cadence, up to 4x — GVT passes are O(P) and pure overhead
-  // when the logs stay small. Inputs are virtual-state byte counts, not
-  // host timing, so the cadence (and the run) stays deterministic.
-  if (cur > opt_log_bytes_last_pass_ && cur > opt_gvt_pressure_bytes_) {
-    opt_gvt_interval_ = std::max<std::uint64_t>(16, opt_gvt_interval_ / 2);
-  } else if (opt_gvt_interval_ < 4 * opt_gvt_base_) {
-    opt_gvt_interval_ = std::min(
-        4 * opt_gvt_base_, opt_gvt_interval_ + opt_gvt_interval_ / 4 + 1);
-  }
-  opt_log_bytes_last_pass_ = cur;
-  opt_gvt_countdown_ = opt_gvt_interval_;
-}
-
-std::uint64_t Engine::opt_gvt_pass() {
+void Engine::opt_gvt_pass() {
   // Capture the retained-log high-water mark before fossil collection
-  // below shrinks it; the retune that follows the pass reads these bytes.
-  std::uint64_t log_bytes = 0;
-  for (int w = 0; w < config_.host_workers; ++w) {
-    log_bytes += opt_sample_log_peak(w);
-  }
+  // below shrinks it.
+  for (int w = 0; w < config_.host_workers; ++w) opt_sample_log_peak(w);
   VTime g = clock_floor(-1).min;
   // MC mode: messages parked in in-flight lanes (including antis) are
   // in transit and bound future deliveries.
   for (const auto& lane : inflight_) {
     for (const Message& m : lane.q) g = std::min(g, m.arrival);
   }
-  if (g == kVTimeNever || g <= gvt_.load(std::memory_order_relaxed)) {
-    return log_bytes;
-  }
+  if (g == kVTimeNever || g <= gvt_.load(std::memory_order_relaxed)) return;
   gvt_.store(g, std::memory_order_relaxed);
   gvt_passes_.fetch_add(1, std::memory_order_relaxed);
   for (const auto& p : procs_) opt_fossil_rank(*p, g);
-  return log_bytes;
 }
 
 void Engine::opt_fossil_rank(Process& p, VTime g) {
@@ -1350,20 +1316,6 @@ RunResult Engine::run() {
     for (auto& p : procs_) {
       p->opt_.effective_interval = config_.checkpoint_interval;
     }
-    // The GVT baseline is at least the rank count, so the O(P) pass costs
-    // O(1) amortized per scheduler pop regardless of scale, and ~16 KiB of
-    // logged state per rank is steady state (one in-flight eager message
-    // each), not memory pressure.
-    opt_gvt_base_ = std::max<std::uint64_t>(
-        config_.gvt_interval,
-        static_cast<std::uint64_t>(config_.num_processes));
-    opt_gvt_pressure_bytes_ = std::max<std::uint64_t>(
-        std::uint64_t{1} << 20,
-        (std::uint64_t{16} << 10) *
-            static_cast<std::uint64_t>(config_.num_processes));
-    opt_gvt_interval_ = opt_gvt_base_;
-    opt_gvt_countdown_ = opt_gvt_interval_;
-    opt_log_bytes_last_pass_ = 0;
   }
 
   host_t0_sec_ = steady_now_sec();
@@ -1472,8 +1424,6 @@ int Engine::oracle_pick(IndexedMinHeap<VTime>& heap) {
 
 std::uint64_t Engine::drain_mailboxes(int worker) {
   const int workers = config_.host_workers;
-  // No peers: nothing to drain, and no drain order for an oracle to permute.
-  if (workers == 1) return 0;
   std::uint64_t drained = 0;
   Message m;
   auto drain_from = [&](int u) {
@@ -1484,7 +1434,7 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
       ++drained;
     }
   };
-  if (oracle_ != nullptr) {
+  if (oracle_ != nullptr && workers > 1) {
     // Schedule-checker hook: the claim the drain order is held to is that
     // it never affects simulated results (every cross-channel choice has
     // an explicit tie-break). Let the oracle permute it; validate that the
@@ -1521,9 +1471,12 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
   std::vector<int>& local_ready = self.ready;
   WorkerStat& ws = self.stat;
   std::vector<int>& parked = self.parked;
-  // Time Warp with several workers: fold the published words into GVT
-  // (CAS-max) and fossil-collect this worker's ranks whenever that
-  // advanced it.
+  // Time Warp: fold the published words into GVT (CAS-max) and
+  // fossil-collect this worker's ranks whenever that advanced it. Besides
+  // idle spins, a busy worker folds once per max(256, own ranks)
+  // iterations, so the fossil sweep costs O(1) amortized per iteration.
+  const std::uint64_t fold_every =
+      std::max<std::uint64_t>(256, self.ranks.size());
   VTime fossil_gvt = 0;
   auto opt_fold_and_fossil = [&] {
     const std::uint64_t stores = floor_store_count();
@@ -1624,13 +1577,13 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
         std::this_thread::yield();
         continue;
       }
-      if (config_.optimistic) {
-        if (threaded_run_) {
-          if ((iter & 255U) == 0) opt_fold_and_fossil();
-        } else if (--opt_gvt_countdown_ == 0) {
-          // One worker: no clock races, so the exact pass replaces the
-          // fold, on an adaptive cadence that amortizes its O(P) scan.
-          opt_retune_gvt(opt_gvt_pass());
+      if (config_.optimistic && iter % fold_every == 0) {
+        // MC's in-flight lanes are in no floor word; its exact pass reads
+        // them.
+        if (mc_active_) {
+          opt_gvt_pass();
+        } else {
+          opt_fold_and_fossil();
         }
       }
       int rank;
@@ -1683,8 +1636,7 @@ void Engine::quiescence_step() noexcept {
     if (!any_ready()) promote_stuck_wildcard();
     const bool more = any_ready();
     // Exact GVT: every worker is stopped and every lane drained. One worker
-    // passes GVT on its own cadence mid-pass, so it adds only the run's
-    // final pass here.
+    // has no peer to wait for, so it adds only the run's final pass here.
     if (config_.optimistic && (threaded_run_ || !more)) opt_gvt_pass();
     // Nothing ready: every rank finished, or run_rounds reports a deadlock.
     if (!more) return;
@@ -1706,32 +1658,31 @@ void Engine::quiescence_step() noexcept {
 void Engine::run_rounds() {
   const int workers = config_.host_workers;
   // Several workers run on their own threads and race each other's clocks;
-  // a single worker runs on this thread, where the safety bound can be
-  // evaluated mid-slice and the round/mailbox counters stay zero.
+  // a single worker runs on this thread, and its round and mailbox
+  // counters stay zero.
   threaded_run_ = workers > 1;
   const auto nw = static_cast<std::size_t>(workers);
+  // The lower-bound service, the same at every worker count: own-rank
+  // lists, floor heaps and the published words; lanes with their
+  // in-transit queues only where there is a peer to send to.
   for (int w = 0; w < workers; ++w) {
     worker_at(w).heap.reset(config_.num_processes);
+    worker_at(w).floor.reset(config_.num_processes);
+  }
+  for (const auto& p : procs_) {
+    worker_at(p->home_worker_).ranks.push_back(p->rank_);
+    refloor(*p);
   }
   if (threaded_run_) {
-    // The lower-bound service: own-rank lists, floor heaps, lanes with
-    // their in-transit queues, and the published words.
-    for (int w = 0; w < workers; ++w) {
-      worker_at(w).floor.reset(config_.num_processes);
-    }
-    for (const auto& p : procs_) {
-      worker_at(p->home_worker_).ranks.push_back(p->rank_);
-      refloor(*p);
-    }
     mailboxes_.clear();
     for (std::size_t i = 0; i < nw * nw; ++i) {
       mailboxes_.push_back(std::make_unique<Lane>());
     }
-    // Words stay valid across quiescence steps (nothing runs or arrives
-    // there), so one seeding covers the run.
-    floor_words_ = std::make_unique<FloorWord[]>(nw);
-    for (int v = 0; v < workers; ++v) publish_floor(v);
   }
+  // Words stay valid across quiescence steps (nothing runs or arrives
+  // there), so one seeding covers the run.
+  floor_words_ = std::make_unique<FloorWord[]>(nw);
+  for (int v = 0; v < workers; ++v) publish_floor(v);
   pstats_ = ParallelStats{};
   pstats_.rounds = threaded_run_ ? 1 : 0;
   for (const auto& p : procs_) make_ready(*p);

@@ -377,12 +377,6 @@ struct EngineConfig {
   /// count.
   bool optimistic = false;
 
-  /// Optimistic mode: scheduler iterations between exact GVT / fossil
-  /// passes (one-worker runs, oracle-driven ones included). The baseline
-  /// is max(this, process count); the engine then retunes it from
-  /// consumption-log pressure.
-  std::uint64_t gvt_interval = 256;
-
   /// Optimistic mode: committed consumptions between per-rank checkpoints
   /// (engine cursors + an app-layer state blob, see sim/rollback.hpp).
   /// Checkpoints bound both rollback cost (coast-forward replays at most
@@ -657,8 +651,8 @@ class Engine {
 
   // --- The lower bound both protocols read (DESIGN.md §10, §15.5) ---
 
-  /// Minimum unfinished clock, the rank holding it (lowest id on ties)
-  /// and the second minimum, so a blocked receiver can leave itself out.
+  /// Minimum unfinished clock, the rank holding it and the second minimum,
+  /// so a blocked receiver can leave itself out.
   struct ClockFloor {
     VTime min = kVTimeNever;
     int argmin = -1;
@@ -666,12 +660,11 @@ class Engine {
 
     VTime without(int rank) const { return rank == argmin ? second : min; }
   };
-  /// Clock floor of worker `w`'s ranks: live clocks over every rank with
-  /// one worker or when `w` < 0 (all ranks); else `w`'s floor heap, whose
-  /// key for a running rank is its clock at slice start.
+  /// Clock floor of worker `w`'s ranks, read from its floor heap, whose key
+  /// for a running rank is its clock at slice start. With `w` < 0, the
+  /// least of every worker's (min and argmin only).
   ClockFloor clock_floor(int w) const;
-  /// Several workers: re-keys `p` in its worker's floor heap (after a
-  /// slice or a rollback).
+  /// Re-keys `p` in its worker's floor heap (after a slice or a rollback).
   void refloor(const Process& p);
   /// `t` plus the latency floor (0 under Time Warp), saturating.
   VTime after_floor_latency(VTime t) const;
@@ -726,11 +719,9 @@ class Engine {
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
-  /// Exact GVT pass for one-worker runs and the quiescence step: min over
-  /// unfinished clocks (and MC in-flight lanes), then fossil-collects
-  /// every rank. Returns the consumption-log bytes it sampled before
-  /// collecting.
-  std::uint64_t opt_gvt_pass();
+  /// Exact GVT pass for MC and the quiescence step: min over unfinished
+  /// clocks and MC in-flight lanes, then fossil-collects every rank.
+  void opt_gvt_pass();
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
   /// wildcard records with arrival < g, prunes the committed send-log
   /// prefix that no future rollback can cancel, and frees consumption-log
@@ -749,13 +740,9 @@ class Engine {
   /// own ranks (current + sampled peak).
   void opt_log_charge(Process& p, const Message& m);
   void opt_log_release(Process& p, const Message& m);
-  /// Raises worker `w`'s log peak to its current bytes; returns them.
-  std::uint64_t opt_sample_log_peak(int w);
+  /// Raises worker `w`'s log peak to its current bytes.
+  void opt_sample_log_peak(int w);
   static std::size_t opt_entry_bytes(const Message& m);
-  /// Re-arms the exact-GVT countdown (one-worker runs) from `log_bytes`,
-  /// the bytes the pass sampled: the cadence shrinks while they grow and
-  /// stretches back out while they shrink (bounds [16, 4x baseline]).
-  void opt_retune_gvt(std::uint64_t log_bytes);
   /// This thread's worker stat cell (see g_current_worker).
   WorkerStat& opt_stat();
   /// Records `p` (blocked on a wildcard spec with at least one queued
@@ -835,8 +822,8 @@ class Engine {
     std::vector<int> ready;
     IndexedMinHeap<VTime> heap;  ///< ready ranks, lowest clock first
     std::vector<int> parked;     ///< parked wildcard receivers
-    // Several workers only: the worker's own ranks and its floor heap (its
-    // unfinished ranks keyed by clock).
+    // The worker's own ranks and its floor heap (its unfinished ranks keyed
+    // by clock).
     std::vector<int> ranks;
     IndexedMinHeap<VTime> floor;
     // Time Warp: anti-messages this worker's rollbacks queued, drained
@@ -903,24 +890,10 @@ class Engine {
   ParallelStats pstats_;
 
   // Optimistic-mode engine state. gvt_ / gvt_passes_ are atomic for the
-  // threaded driver's mid-pass folds of the published floor words.
+  // workers' mid-pass folds of the published floor words.
   std::function<void(int)> rollback_reset_;
   std::atomic<VTime> gvt_{0};
   std::atomic<std::uint64_t> gvt_passes_{0};
-
-  // Adaptive GVT cadence for one-worker optimistic runs (oracle or not):
-  // countdown to the next pass, re-armed to opt_gvt_interval_ which the
-  // pass itself retunes from log pressure (within [16, 4x the baseline]).
-  // A pass is an O(P) scan, so the adaptive baseline scales with the
-  // rank count — a fixed cadence turns GVT into O(P/interval) amortized
-  // work per scheduler pop, which at 4096+ ranks dominates the run. The
-  // pressure threshold scales the same way: "the logs hold one eager
-  // message per rank" is steady state, not an emergency.
-  std::uint64_t opt_gvt_interval_ = 256;
-  std::uint64_t opt_gvt_countdown_ = 256;
-  std::uint64_t opt_gvt_base_ = 256;
-  std::uint64_t opt_gvt_pressure_bytes_ = std::uint64_t{1} << 20;
-  std::uint64_t opt_log_bytes_last_pass_ = 0;
 
   // The wildcard latency floor is atomic only because smpi::Comm instances
   // set it (to the same value) from every rank's fiber, including worker

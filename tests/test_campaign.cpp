@@ -369,8 +369,8 @@ TEST(Campaign, ComparisonGroupsIgnoreTheSchedule) {
     "runs": [
       {"mode": "measured"},
       {"mode": "de"},
-      {"mode": "de", "schedule": "optimistic", "gvt_interval": 8,
-       "checkpoint_interval": 4, "checkpoint_adaptive": false},
+      {"mode": "de", "schedule": "optimistic", "checkpoint_interval": 4,
+       "checkpoint_adaptive": false},
       {"mode": "am", "schedule": "optimistic", "calibrate": 2}
     ]
   })");

@@ -116,7 +116,6 @@ TEST(Checkpoint, AdaptiveTuningAndSpeculationWindowPreserveDigests) {
       cfg.threads = workers;
       cfg.checkpoint_interval = 4;
       cfg.checkpoint_adaptive = true;
-      cfg.gvt_interval = 16;
       EXPECT_EQ(digest_of(app.prog, cfg), want)
           << app.name << " adaptive workers=" << workers;
     }
@@ -333,7 +332,7 @@ TEST(Checkpoint, PayloadFreeArrayCarriesNoBytes) {
 
 TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
   apps::SampleConfig c;
-  c.iterations = 30;
+  c.iterations = 300;
   c.msg_doubles = 256;
   c.work_iters = 1000;
   const ir::Program prog = apps::make_sample(c);
@@ -343,7 +342,6 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
     cfg.schedule = harness::Schedule::kOptimistic;
     cfg.checkpoint_interval = interval;
     cfg.checkpoint_adaptive = false;
-    cfg.gvt_interval = 16;
     harness::RunOutcome out = harness::run_program(prog, cfg);
     EXPECT_TRUE(out.ok()) << out.diagnostic;
     EXPECT_EQ(out.parallel.checkpoints_taken > 0, interval != 0);
@@ -364,13 +362,12 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
 
 TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
   constexpr int kProcs = 4;
-  constexpr std::int64_t kIters = 64;
+  constexpr std::int64_t kIters = 1024;
   simk::EngineConfig cfg;
   cfg.num_processes = kProcs;
   cfg.optimistic = true;
   cfg.checkpoint_interval = 4;
   cfg.checkpoint_adaptive = false;
-  cfg.gvt_interval = 16;
   simk::Engine e(cfg);
   e.set_body([](simk::Process& p) {
     const int r = p.rank();
@@ -527,12 +524,10 @@ TEST(Checkpoint, ThreadedLogPeakCoversRetainedLog) {
 
 TEST(Checkpoint, TuningKnobsRoundTripThroughConfigJson) {
   harness::RunConfig cfg;
-  cfg.gvt_interval = 32;
   cfg.checkpoint_interval = 7;
   cfg.checkpoint_adaptive = false;
   const json::Value j = harness::run_config_to_json(cfg);
   const harness::RunConfig back = harness::run_config_from_json(j);
-  EXPECT_EQ(back.gvt_interval, 32u);
   EXPECT_EQ(back.checkpoint_interval, 7u);
   EXPECT_FALSE(back.checkpoint_adaptive);
 

@@ -261,21 +261,29 @@ TEST(RunSpecJson, UnknownSchemaVersionIsAStructuredRejection) {
 }
 
 TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
-  // stgsim-9 dropped the key; a stgsim-8 document that carries it, at any
-  // value, is refused by name instead of running without it.
-  for (const char* value : {"0.5", "0"}) {
+  // stgsim-9 dropped speculation_window_sec and stgsim-10 gvt_interval; a
+  // document from before that carries one, at any value, is refused by
+  // name instead of running without it.
+  struct Removed {
+    const char* schema;
+    const char* key;
+    const char* value;
+  };
+  for (const Removed& r : {Removed{"stgsim-8", "speculation_window_sec", "0.5"},
+                           Removed{"stgsim-8", "speculation_window_sec", "0"},
+                           Removed{"stgsim-9", "gvt_interval", "100"}}) {
     json::Value doc = json::Value::parse(
-        std::string(R"({"schema": "stgsim-8", "app": "sample", "procs": 2,)"
-                    R"( "schedule": "optimistic", "speculation_window_sec": )") +
-        value + "}");
+        std::string(R"({"schema": ")") + r.schema +
+        R"(", "app": "sample", "procs": 2, "schedule": "optimistic", ")" +
+        r.key + "\": " + r.value + "}");
     try {
       harness::run_spec_from_json(doc);
-      ADD_FAILURE() << "speculation_window_sec " << value << " was accepted";
+      ADD_FAILURE() << r.key << " " << r.value << " was accepted";
     } catch (const errors::StructuredError& e) {
       EXPECT_EQ(e.code(), "usage.removed_key");
       EXPECT_EQ(e.category(), errors::kCategoryUsage);
-      EXPECT_EQ(e.detail().at("removed").as_string(), "speculation_window_sec");
-      EXPECT_NE(std::string(e.what()).find("'speculation_window_sec'"),
+      EXPECT_EQ(e.detail().at("removed").as_string(), r.key);
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + r.key + "'"),
                 std::string::npos);
     }
   }
@@ -283,10 +291,10 @@ TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
 
 TEST(RunSpecJson, PublishedJsonSchemasNameTheCurrentVersion) {
   const json::Value spec_schema = harness::run_spec_schema_json();
-  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-9/run-spec");
+  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-10/run-spec");
   EXPECT_TRUE(spec_schema.at("properties").has("max_host_sec"));
   const json::Value outcome_schema = harness::run_outcome_schema_json();
-  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-9/run-outcome");
+  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-10/run-outcome");
   EXPECT_TRUE(outcome_schema.at("properties").has("digest"));
 }
 
@@ -303,7 +311,6 @@ harness::RunSpec every_field_spec() {
   c.threads = 3;
   c.partition = simk::PartitionMode::kComm;
   c.schedule = harness::Schedule::kOptimistic;
-  c.gvt_interval = 100;
   c.checkpoint_interval = 32;
   c.checkpoint_adaptive = false;
   c.abstract_comm = true;
@@ -338,16 +345,16 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
             R"({"abstract_comm":true,"app":"sample","calibrate":0,)"
             R"("checkpoint_adaptive":false,"checkpoint_interval":32,)"
             R"("fault":"straggler:rank=1,factor=3","fiber_stack_kb":512,)"
-            R"("gvt_interval":100,"machine":"origin2000[latency_us=7]",)"
+            R"("machine":"origin2000[latency_us=7]",)"
             R"("max_host_sec":30,"max_messages":12345,)"
             R"("max_vtime_ns":2500000000,"memory_cap_mb":96,"mode":"am",)"
             R"("options":{"iters":"3","msg-doubles":"1024","pattern":"nn",)"
             R"("work":"2000"},"params":{"w_sample_work":1.25e-06},)"
             R"("partition":"comm","procs":6,"schedule":"optimistic",)"
             R"("seed":99,"workers":3})");
-  EXPECT_EQ(harness::run_spec_digest_hex(spec), "b028592a55f51290");
+  EXPECT_EQ(harness::run_spec_digest_hex(spec), "6edebcf2900c7390");
   EXPECT_EQ(fnv1a_hex(harness::run_spec_schema_json().dump()),
-            "fc3ac2f9825d7857");
+            "70d01fb747fcc2a2");
   // Every field survives the round trip.
   EXPECT_EQ(harness::run_spec_to_json(
                 harness::run_spec_from_json(json::Value::parse(dump)))
@@ -364,8 +371,6 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
        "unknown partition mode 'random' (expected block|interleave|comm)"},
       {R"({"schedule": "eager"})",
        "unknown schedule 'eager' (expected conservative|optimistic)"},
-      {R"({"gvt_interval": -1})",
-       "gvt_interval must be >= 0"},
       {R"({"checkpoint_interval": -1})",
        "checkpoint_interval must be >= 0"},
       {R"({"turbo": true})",

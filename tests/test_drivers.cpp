@@ -74,6 +74,11 @@ std::vector<PinCase> pin_cases() {
   cases.push_back({"sample-anysource",
                    sample_program(apps::SamplePattern::kAnySource), 8,
                    {0xc7157555b8de2eb1ULL, 35, 9}});
+  // Many live clocks under one bound: the floor heap keys a running
+  // sender at its slice-start clock, where a scan would read its live one.
+  cases.push_back({"sample-anysource-64",
+                   sample_program(apps::SamplePattern::kAnySource), 64,
+                   {0x9813138c3dfa4942ULL, 315, 65}});
   return cases;
 }
 

@@ -969,6 +969,125 @@ TEST(Engine, ThreadedAntiMessagesKeepDeliveredCount) {
   }
 }
 
+TEST(Engine, ThreadedGvtWaitsForTheReceiversRepublish) {
+  // A receiver may release a drained message from its sender's floor word
+  // only after its own word covers what the delivery did. Worker 0 holds
+  // A (rank 0), D (2) and G (7); worker 1 holds B (1), C (3), F (4), E (5)
+  // and E2 (6). Under Time Warp A commits D's message at 100 us and blocks
+  // there; worker 0 publishes that, and D then holds worker 0 until B has
+  // queued a straggler for A (1 us) and a message for G (600 us). Worker 0
+  // drains both in one go: the straggler rolls A back, and G's wakeup
+  // holds worker 0 inside the drain until worker 1 has run 2 * kPings
+  // slices of E and E2 (more than one fold period) with C blocked at
+  // 60 us on a speculative commit to F's message (50 us). The straggler
+  // must still bound those folds: A's re-execution sends C a message at
+  // 2 us that C should have taken first. Had a fold passed 50 us (worker
+  // 1's word without the straggler is 60 us), C's commit would already be
+  // final and C would end at 70 us instead of 60 us.
+  const VTime us = vtime_from_us(1);
+  constexpr int kPings = 300;
+  auto run = [&](int workers, bool optimistic) {
+    std::atomic<bool> published{false};
+    std::atomic<bool> pushed{false};
+    std::atomic<bool> stalled{false};
+    std::atomic<bool> spun{false};
+    std::atomic<bool> held{false};
+    const bool force = optimistic && workers > 1;
+    // Bounded, so a schedule that never gets there cannot hang the test.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto wait_for = [&](const std::atomic<bool>& flag) {
+      while (force && !flag.load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    };
+    struct HoldOnWake : EngineObserver {
+      std::function<void(int)> fn;
+      void on_wake(int rank, VTime, VTime) override { fn(rank); }
+    } hold;
+    hold.fn = [&](int rank) {
+      if (rank != 7 || !force || held.exchange(true)) return;
+      stalled.store(true);
+      wait_for(spun);
+    };
+    EngineConfig cfg;
+    cfg.num_processes = 8;
+    cfg.host_workers = workers;
+    cfg.optimistic = optimistic;
+    cfg.observer = &hold;
+    if (workers > 1) cfg.partition = {0, 1, 0, 1, 1, 1, 1, 0};
+    Engine e(cfg);
+    e.set_body([&](Process& p) {
+      switch (p.rank()) {
+        case 0:  // A
+          for (int i = 0; i < 2; ++i) {
+            const Message m =
+                p.blocking_match(match_tag(MatchSpec::kAnySource, 1));
+            p.lift_clock(m.arrival);
+            if (i > 0) continue;
+            if (m.src == 1) p.send(make_msg(0, 3, 2, p.now(), p.now() + us));
+            p.send(make_msg(0, 2, 8, p.now(), p.now() + us));
+          }
+          break;
+        case 1:  // B
+          wait_for(published);
+          p.send(make_msg(1, 0, 1, 0, us));
+          p.send(make_msg(1, 7, 12, 0, 600 * us));
+          pushed.store(true);
+          break;
+        case 2:  // D
+          p.send(make_msg(2, 0, 1, 0, 100 * us));
+          p.advance(200 * us);
+          p.lift_clock(p.blocking_match(match_tag(0, 8)).arrival);
+          published.store(true);
+          wait_for(pushed);
+          break;
+        case 3:  // C
+          for (int i = 0; i < 2; ++i) {
+            p.lift_clock(
+                p.blocking_match(match_tag(MatchSpec::kAnySource, 2)).arrival);
+            p.advance(10 * us);
+            if (i == 0) p.send(make_msg(3, 5, 9, p.now(), p.now() + us));
+          }
+          break;
+        case 4:  // F
+          p.send(make_msg(4, 3, 2, 0, 50 * us));
+          break;
+        case 5:  // E
+          p.advance(1000 * us);
+          p.lift_clock(p.blocking_match(match_tag(3, 9)).arrival);
+          wait_for(stalled);
+          for (int i = 0; i < kPings; ++i) {
+            p.send(make_msg(5, 6, 10, p.now(), p.now() + us));
+            p.lift_clock(p.blocking_match(match_tag(6, 11)).arrival);
+          }
+          spun.store(true);
+          break;
+        case 6:  // E2
+          p.advance(1000 * us);
+          for (int i = 0; i < kPings; ++i) {
+            p.lift_clock(p.blocking_match(match_tag(5, 10)).arrival);
+            p.send(make_msg(6, 5, 11, p.now(), p.now() + us));
+          }
+          break;
+        default:  // G
+          p.advance(500 * us);
+          p.lift_clock(p.blocking_match(match_tag(1, 12)).arrival);
+          break;
+      }
+    });
+    const RunResult result = e.run();
+    EXPECT_EQ(held.load(), force) << "worker 0 was never held mid-drain";
+    if (force) EXPECT_GE(e.parallel_stats().rollbacks, 1u);
+    return result;
+  };
+  const RunResult want = run(1, false);
+  EXPECT_EQ(want.per_rank_completion[3], 60 * us);
+  const RunResult got = run(2, true);
+  EXPECT_EQ(got.per_rank_completion, want.per_rank_completion);
+}
+
 TEST(Engine, ThreadedConservativeDeliversCrossPartitionMidRound) {
   // Four ranks on two workers (block partition: 0,1 -> worker 0; 2,3 ->
   // worker 1), chained 0 -> 2 -> 1 -> 3, so every hop crosses partitions.
