@@ -32,7 +32,13 @@ double run_with(bool linear, int procs, const harness::MachineSpec& machine,
   smpi::World::Options wopts;
   wopts.net = machine.net;
   wopts.compute = machine.compute;
-  wopts.linear_collectives = linear;
+  if (linear) {
+    for (smpi::CollOp op :
+         {smpi::CollOp::kBarrier, smpi::CollOp::kBcast, smpi::CollOp::kReduce,
+          smpi::CollOp::kAllreduce, smpi::CollOp::kAlltoall}) {
+      smpi::coll_algo_field(wopts.coll, op) = smpi::CollAlgo::kLinear;
+    }
+  }
   smpi::World world(wopts, procs);
 
   simk::EngineConfig ec;

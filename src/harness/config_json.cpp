@@ -75,15 +75,17 @@ void read_member(const json::Value& v, RunConfig* c) {
 bool apply_config_key(RunConfig* config, const std::string& key,
                       const json::Value& value) {
   using Bound = RunConfigField::Bound;
-  // Keys a published version dropped, with the version that dropped them:
-  // an older document that carries one is refused by name, not run
-  // without it.
+  // Keys a published version dropped, with the version that dropped them.
+  // Both defaulted to 0, which asks for exactly what today's engine does,
+  // and every document an older writer emitted carries them: at 0 they are
+  // ignored. Any other value is refused by name, not run without it.
   static constexpr std::pair<const char*, const char*> kRemovedKeys[] = {
       {"speculation_window_sec", "stgsim-9"},
       {"gvt_interval", "stgsim-10"},
   };
   for (const auto& [removed, version] : kRemovedKeys) {
     if (key != removed) continue;
+    if (value.is_number() && value.as_number() == 0) return true;
     json::Value detail = json::Value::object();
     detail.set("removed", json::Value(key));
     throw errors::StructuredError(
@@ -124,9 +126,9 @@ const std::vector<std::string>& published_schema_versions() {
   // stgsim-9 removed the run-spec key speculation_window_sec and the
   // run-outcome field metrics.window_advance_hist, stgsim-10 the run-spec
   // key gvt_interval. A document written for any published version parses
-  // under the current reader unless it carries a removed key, which is
-  // refused by name; the list exists to *reject* documents from the
-  // future, not to branch readers.
+  // under the current reader unless it carries a removed key at a value
+  // other than its old default 0, which is refused by name; the list
+  // exists to *reject* documents from the future, not to branch readers.
   static const std::vector<std::string> kVersions = {
       "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9",
       "stgsim-10"};

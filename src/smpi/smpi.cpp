@@ -11,6 +11,10 @@ namespace {
 /// Wire size charged for control messages (RTS/CTS envelopes).
 constexpr std::size_t kControlBytes = 64;
 
+// The two vocabularies an op is recorded under: CommTrace and obs spans.
+using TraceKind = CommEvent::Kind;
+using OpKind = obs::OpKind;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -110,7 +114,7 @@ void Comm::compute(VTime t) {
   const VTime dt = stretched(t);
   proc_.advance(dt);
   stats_.compute_time += dt;
-  obs_op(obs::OpKind::kCompute, -1, 0, t0);
+  obs_op(OpKind::kCompute, -1, 0, t0);
 }
 
 void Comm::delay(VTime t) {
@@ -120,12 +124,13 @@ void Comm::delay(VTime t) {
   proc_.advance(dt);
   stats_.compute_time += dt;
   ++stats_.delays;
-  obs_op(obs::OpKind::kDelay, -1, 0, t0);
+  obs_op(OpKind::kDelay, -1, 0, t0);
 }
 
-void Comm::send_raw(int dst, MsgKind msg_kind, int tag, std::uint64_t aux,
-                    const void* data, std::size_t bytes,
-                    std::size_t wire_bytes, net::TransferKind kind) {
+VTime Comm::send_raw(int dst, MsgKind msg_kind, int tag, std::uint64_t aux,
+                     const void* data, std::size_t bytes,
+                     std::size_t wire_bytes, net::TransferKind kind,
+                     std::optional<VTime> at) {
   simk::Message m;
   m.src = rank();
   m.dst = dst;
@@ -133,13 +138,51 @@ void Comm::send_raw(int dst, MsgKind msg_kind, int tag, std::uint64_t aux,
   m.tag = tag;
   m.aux = aux;
   m.sent_at = now();
-  m.arrival =
-      world_.network().arrival(rank(), dst, now(), wire_bytes, proc_.rng(), kind);
+  m.arrival = at ? std::max(*at, now())
+                 : world_.network().arrival(rank(), dst, now(), wire_bytes,
+                                            proc_.rng(), kind);
   m.wire_bytes = bytes;  // logical message size (status / rndv transfer)
   if (data != nullptr && bytes > 0) {
     m.payload = proc_.make_payload(data, bytes);
   }
+  const VTime arrival = m.arrival;
   proc_.send(std::move(m));
+  return arrival;
+}
+
+// recv_spec hands smpi's wildcards to the engine unchanged.
+static_assert(kAnySource == simk::MatchSpec::kAnySource &&
+              kAnyTag == simk::MatchSpec::kAnyTag);
+
+simk::MatchSpec Comm::cts_spec(int peer, std::uint64_t rid, int tag) {
+  simk::MatchSpec spec;
+  spec.src = peer;
+  spec.kind_mask = kMaskCts;
+  spec.match_aux = true;
+  spec.aux = rid;
+  spec.what = "rendezvous-cts";
+  spec.user_tag = tag;
+  return spec;
+}
+
+simk::MatchSpec Comm::recv_spec(int src, int tag) {
+  simk::MatchSpec spec;
+  spec.src = src;
+  spec.kind_mask = kMaskP2P;
+  spec.tag = tag;
+  spec.what = "recv";
+  spec.user_tag = tag;
+  return spec;
+}
+
+simk::MatchSpec Comm::coll_spec(int src, int round) const {
+  simk::MatchSpec spec;
+  spec.src = src;
+  spec.kind_mask = kMaskColl;
+  spec.match_aux = true;
+  spec.aux = coll_aux(round);
+  spec.what = "collective";
+  return spec;
 }
 
 VTime Comm::abstract_coll_cost(std::size_t bytes) const {
@@ -155,94 +198,70 @@ VTime Comm::abstract_coll_cost(std::size_t bytes) const {
          vtime_from_sec(static_cast<double>(bytes) / net.bytes_per_sec);
 }
 
-void Comm::coll_send_at(int dst, int round, const void* data,
-                        std::size_t bytes, VTime arrival) {
-  const std::uint64_t aux =
-      (coll_seq_ << 8) | static_cast<std::uint64_t>(round & 0xff);
-  simk::Message m;
-  m.src = rank();
-  m.dst = dst;
-  m.kind = kKindColl;
-  m.tag = 0;
-  m.aux = aux;
-  m.sent_at = now();
-  m.arrival = std::max(arrival, now());
-  m.wire_bytes = bytes;
-  if (data != nullptr && bytes > 0) {
-    m.payload = proc_.make_payload(data, bytes);
-  }
-  proc_.send(std::move(m));
-  stats_.bytes_sent += bytes;
-  if (world_.options().obs != nullptr) {
-    world_.options().obs->count_coll_msg(rank(), dst, bytes);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Point-to-point
 // ---------------------------------------------------------------------------
 
-void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
-  const VTime t0 = now();
+Request Comm::post_send(TraceKind kind, int dst, int tag,
+                        const void* data, std::size_t bytes) {
   STGSIM_CHECK(dst >= 0 && dst < size());
-  trace(CommEvent::Kind::kSend, dst, tag, bytes);
+  trace(kind, dst, tag, bytes);
   proc_.advance(world_.options().net.send_overhead);
   ++stats_.sends;
   stats_.bytes_sent += bytes;
 
+  Request req;
+  req.peer = dst;
+  req.tag = tag;
+  req.bytes = bytes;
   if (abstract_comm() || !world_.network().uses_rendezvous(bytes)) {
-    send_raw(dst, kKindEager, tag, 0, data, bytes, bytes);
+    send_raw(dst, kKindEager, tag, 0, data, bytes, bytes,
+             net::TransferKind::kEager);
+    req.kind_ = Request::Kind::kSendDone;
+    req.done_ = true;
   } else {
     // Rendezvous: the RTS envelope carries the payload for fidelity of the
     // data, but only kControlBytes travel now; the bulk transfer is modeled
-    // by the receiver once it grants the CTS. The blocking send completes
-    // when the CTS arrives — i.e. not before the receive is posted.
-    const std::uint64_t rid =
-        (static_cast<std::uint64_t>(rank()) << 32) | next_rid_++;
-    {
-      simk::Message m;
-      m.src = rank();
-      m.dst = dst;
-      m.kind = kKindRts;
-      m.tag = tag;
-      m.aux = rid;
-      m.sent_at = now();
-      m.arrival = world_.network().arrival(rank(), dst, now(), kControlBytes,
-                                           proc_.rng(),
-                                           net::TransferKind::kControl);
-      m.wire_bytes = bytes;
-      if (data != nullptr && bytes > 0) {
-        m.payload = proc_.make_payload(data, bytes);
-      }
-      proc_.send(std::move(m));
-    }
-    simk::MatchSpec spec;
-    spec.src = dst;
-    spec.kind_mask = kMaskCts;
-    spec.match_aux = true;
-    spec.aux = rid;
-    spec.what = "rendezvous-cts";
-    spec.user_tag = tag;
-    simk::Message cts = proc_.blocking_match(spec);
-    proc_.lift_clock(cts.arrival);
+    // by the receiver once it grants the CTS, so the send completes when
+    // the CTS arrives — i.e. not before the receive is posted.
+    req.kind_ = Request::Kind::kSendRendezvous;
+    req.rid = (static_cast<std::uint64_t>(rank()) << 32) | next_rid_++;
+    send_raw(dst, kKindRts, tag, req.rid, data, bytes, kControlBytes,
+             net::TransferKind::kControl);
   }
-  stats_.comm_time += now() - t0;
-  if (world_.options().obs != nullptr) {
-    world_.options().obs->count_p2p(
-        rank(), dst, bytes,
-        !abstract_comm() && world_.network().uses_rendezvous(bytes));
-    obs_op(obs::OpKind::kSend, dst, bytes, t0);
-  }
+  return req;
 }
 
-simk::Message Comm::match_recv(int src, int user_tag) {
-  simk::MatchSpec spec;
-  spec.src = (src == kAnySource) ? simk::MatchSpec::kAnySource : src;
-  spec.kind_mask = kMaskP2P;
-  spec.tag = user_tag;  // kAnyTag == MatchSpec::kAnyTag
-  spec.what = "recv";
-  spec.user_tag = user_tag;
-  return proc_.blocking_match(spec);
+void Comm::close_send(OpKind kind, const Request& req, VTime t0) {
+  if (world_.options().obs != nullptr) {
+    world_.options().obs->count_p2p(
+        rank(), req.peer, req.bytes,
+        req.kind_ == Request::Kind::kSendRendezvous);
+  }
+  close_op(kind, req.peer, req.bytes, t0);
+}
+
+void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
+  const VTime t0 = now();
+  Request req = post_send(TraceKind::kSend, dst, tag, data, bytes);
+  if (!req.done_) await(req);
+  close_send(OpKind::kSend, req, t0);
+}
+
+Request Comm::isend(int dst, int tag, const void* data, std::size_t bytes) {
+  const VTime t0 = now();
+  Request req = post_send(TraceKind::kIsend, dst, tag, data, bytes);
+  close_send(OpKind::kIsend, req, t0);
+  return req;
+}
+
+void Comm::complete(Request& req, simk::Message& m) {
+  if (req.kind_ == Request::Kind::kSendRendezvous) {
+    proc_.lift_clock(m.arrival);  // the CTS: the bulk transfer may start
+  } else {
+    complete_eager_or_rts(m, req.buf, req.bytes, req.status);
+  }
+  req.done_ = true;
 }
 
 void Comm::complete_eager_or_rts(simk::Message& m, void* data,
@@ -262,25 +281,12 @@ void Comm::complete_eager_or_rts(simk::Message& m, void* data,
   if (m.kind == kKindRts) {
     // Grant the transfer: CTS back to the sender, then model the bulk
     // data crossing the wire starting when the CTS reaches the sender.
-    const VTime cts_arrival = world_.network().arrival(
-        rank(), m.src, now(), kControlBytes, proc_.rng(),
-        net::TransferKind::kControl);
-    {
-      simk::Message cts;
-      cts.src = rank();
-      cts.dst = m.src;
-      cts.kind = kKindCts;
-      cts.tag = m.tag;
-      cts.aux = m.aux;
-      cts.sent_at = now();
-      cts.arrival = cts_arrival;
-      cts.wire_bytes = kControlBytes;
-      proc_.send(std::move(cts));
-    }
-    const VTime data_done = world_.network().arrival(
+    const VTime cts_arrival =
+        send_raw(m.src, kKindCts, m.tag, m.aux, nullptr, kControlBytes,
+                 kControlBytes, net::TransferKind::kControl);
+    proc_.lift_clock(world_.network().arrival(
         m.src, rank(), cts_arrival, m.wire_bytes, proc_.rng(),
-        net::TransferKind::kRendezvousData);
-    proc_.lift_clock(data_done);
+        net::TransferKind::kRendezvousData));
   }
 
   proc_.advance(world_.options().net.recv_overhead);
@@ -298,65 +304,15 @@ void Comm::complete_eager_or_rts(simk::Message& m, void* data,
 void Comm::recv(int src, int tag, void* data, std::size_t bytes,
                 RecvStatus* status) {
   const VTime t0 = now();
-  trace(CommEvent::Kind::kRecv, src, tag, bytes);
-  simk::Message m = match_recv(src, tag);
-  const int from = m.src;
+  trace(TraceKind::kRecv, src, tag, bytes);
+  simk::Message m = proc_.blocking_match(recv_spec(src, tag));
   complete_eager_or_rts(m, data, bytes, status);
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kRecv, from, bytes, t0);
-}
-
-Request Comm::isend(int dst, int tag, const void* data, std::size_t bytes) {
-  const VTime t0 = now();
-  STGSIM_CHECK(dst >= 0 && dst < size());
-  trace(CommEvent::Kind::kIsend, dst, tag, bytes);
-  proc_.advance(world_.options().net.send_overhead);
-  ++stats_.sends;
-  stats_.bytes_sent += bytes;
-
-  Request req;
-  req.peer = dst;
-  req.tag = tag;
-  req.bytes = bytes;
-
-  if (abstract_comm() || !world_.network().uses_rendezvous(bytes)) {
-    send_raw(dst, kKindEager, tag, 0, data, bytes, bytes);
-    req.kind_ = Request::Kind::kSendDone;
-    req.done_ = true;
-  } else {
-    const std::uint64_t rid =
-        (static_cast<std::uint64_t>(rank()) << 32) | next_rid_++;
-    simk::Message m;
-    m.src = rank();
-    m.dst = dst;
-    m.kind = kKindRts;
-    m.tag = tag;
-    m.aux = rid;
-    m.sent_at = now();
-    m.arrival = world_.network().arrival(rank(), dst, now(), kControlBytes,
-                                         proc_.rng(),
-                                         net::TransferKind::kControl);
-    m.wire_bytes = bytes;
-    if (data != nullptr && bytes > 0) {
-      m.payload = proc_.make_payload(data, bytes);
-    }
-    proc_.send(std::move(m));
-    req.kind_ = Request::Kind::kSendRendezvous;
-    req.rid = rid;
-  }
-  stats_.comm_time += now() - t0;
-  if (world_.options().obs != nullptr) {
-    world_.options().obs->count_p2p(
-        rank(), dst, bytes,
-        !abstract_comm() && world_.network().uses_rendezvous(bytes));
-    obs_op(obs::OpKind::kIsend, dst, bytes, t0);
-  }
-  return req;
+  close_op(OpKind::kRecv, m.src, bytes, t0);
 }
 
 Request Comm::irecv(int src, int tag, void* data, std::size_t bytes,
                     RecvStatus* status) {
-  trace(CommEvent::Kind::kIrecv, src, tag, bytes);
+  trace(TraceKind::kIrecv, src, tag, bytes);
   Request req;
   req.kind_ = Request::Kind::kRecv;
   req.peer = src;
@@ -364,7 +320,7 @@ Request Comm::irecv(int src, int tag, void* data, std::size_t bytes,
   req.buf = data;
   req.bytes = bytes;
   req.status = status;
-  obs_op(obs::OpKind::kIrecv, src, bytes, now());  // posting is instant
+  obs_op(OpKind::kIrecv, src, bytes, now());  // posting is instant
   return req;
 }
 
@@ -372,35 +328,13 @@ void Comm::wait(Request& req) {
   STGSIM_CHECK(req.valid()) << "wait() on invalid request";
   if (req.done_) return;
   const VTime t0 = now();
-  switch (req.kind_) {
-    case Request::Kind::kSendRendezvous: {
-      simk::MatchSpec spec;
-      spec.src = req.peer;
-      spec.kind_mask = kMaskCts;
-      spec.match_aux = true;
-      spec.aux = req.rid;
-      spec.what = "rendezvous-cts";
-      spec.user_tag = req.tag;
-      simk::Message cts = proc_.blocking_match(spec);
-      proc_.lift_clock(cts.arrival);
-      break;
-    }
-    case Request::Kind::kRecv: {
-      simk::Message m = match_recv(req.peer, req.tag);
-      complete_eager_or_rts(m, req.buf, req.bytes, req.status);
-      break;
-    }
-    default:
-      break;
-  }
-  req.done_ = true;
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kWait, req.peer, req.bytes, t0);
+  await(req);
+  close_op(OpKind::kWait, req.peer, req.bytes, t0);
 }
 
 void Comm::waitall(std::vector<Request>& reqs) {
   const VTime t0 = now();
-  trace(CommEvent::Kind::kWaitall, -1, 0, reqs.size());
+  trace(TraceKind::kWaitall, -1, 0, reqs.size());
   // Service receives first: granting CTSes unblocks peers whose
   // rendezvous sends we may be waiting on ourselves (progress-engine
   // behaviour of a real MPI library).
@@ -410,121 +344,73 @@ void Comm::waitall(std::vector<Request>& reqs) {
   for (auto& r : reqs) {
     if (!r.done_) wait(r);
   }
-  obs_op(obs::OpKind::kWaitall, -1, reqs.size(), t0);
+  obs_op(OpKind::kWaitall, -1, reqs.size(), t0);
 }
 
 std::size_t Comm::waitany(std::vector<Request>& reqs) {
   const VTime t0 = now();
-  auto spec_for = [](const Request& r, simk::MatchSpec* spec) {
-    if (r.kind_ == Request::Kind::kSendRendezvous) {
-      spec->src = r.peer;
-      spec->kind_mask = kMaskCts;
-      spec->match_aux = true;
-      spec->aux = r.rid;
-      spec->what = "rendezvous-cts";
-      spec->user_tag = r.tag;
-      return true;
-    }
-    if (r.kind_ == Request::Kind::kRecv) {
-      spec->src =
-          (r.peer == kAnySource) ? simk::MatchSpec::kAnySource : r.peer;
-      spec->kind_mask = kMaskP2P;
-      spec->tag = r.tag;  // kAnyTag == MatchSpec::kAnyTag
-      spec->what = "recv";
-      spec->user_tag = r.tag;
-      return true;
-    }
-    return false;
-  };
-  auto complete = [&](std::size_t i, simk::MatchSpec& spec) {
-    Request& r = reqs[i];
-    simk::Message m;
-    STGSIM_CHECK(proc_.try_match(spec, &m));
-    if (r.kind_ == Request::Kind::kSendRendezvous) {
-      proc_.lift_clock(m.arrival);
-    } else {
-      complete_eager_or_rts(m, r.buf, r.bytes, r.status);
-    }
-    r.done_ = true;
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kWaitany, r.peer, r.bytes, t0);
+  auto pending = [](const Request& r) { return r.valid() && !r.done_; };
+  auto finish = [&](std::size_t i, simk::Message& m) {
+    complete(reqs[i], m);
+    close_op(OpKind::kWaitany, reqs[i].peer, reqs[i].bytes, t0);
+    return i;
   };
 
-  while (true) {
-    // Pass 1: among everything already completable, finish the one whose
-    // message arrived earliest in virtual time (what a real waitany on
-    // the target machine would have observed first).
-    bool any_incomplete = false;
-    int matchable = 0;
-    std::size_t best_idx = reqs.size();
-    VTime best_arrival = kVTimeNever;
-    simk::MatchSpec best_spec;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      Request& r = reqs[i];
-      if (!r.valid() || r.done_) continue;
-      any_incomplete = true;
-      simk::MatchSpec spec;
-      if (!spec_for(r, &spec)) continue;
-      ++matchable;
-      VTime arrival = 0;
-      if (proc_.peek_match(spec, &arrival) && arrival < best_arrival) {
-        best_arrival = arrival;
-        best_idx = i;
-        best_spec = std::move(spec);
-      }
+  // Pass 1: among everything already completable, finish the one whose
+  // message arrived earliest in virtual time (what a real waitany on the
+  // target machine would have observed first).
+  int matchable = 0;
+  std::size_t best_idx = reqs.size();
+  VTime best_arrival = kVTimeNever;
+  simk::MatchSpec best_spec;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (!pending(reqs[i])) continue;
+    ++matchable;
+    const simk::MatchSpec spec = spec_of(reqs[i]);
+    VTime arrival = 0;
+    if (proc_.peek_match(spec, &arrival) && arrival < best_arrival) {
+      best_arrival = arrival;
+      best_idx = i;
+      best_spec = spec;
     }
-    if (best_idx < reqs.size()) {
-      // Committing here is a cross-source choice whenever more than one
-      // request (or an ANY_SOURCE request) is pending: a slower-clocked
-      // rank could still send an earlier-arriving match for another
-      // alternative. Only commit under the engine's safety bound; when it
-      // does not hold yet, fall through to the blocking path, which parks
-      // until the bound passes.
-      const bool choice =
-          matchable > 1 || best_spec.src == simk::MatchSpec::kAnySource;
-      if (!choice ||
-          proc_.engine().wildcard_commit_safe(proc_, best_arrival)) {
-        complete(best_idx, best_spec);
-        return best_idx;
-      }
-    }
-    STGSIM_CHECK(any_incomplete) << "waitany with no incomplete requests";
-
-    // Pass 2: block on the union of all pending matches; the winning
-    // message is identified afterwards by re-testing each request. The
-    // alternatives live on this fiber's stack for the whole block.
-    std::vector<simk::MatchSpec> alts;
-    alts.reserve(reqs.size());
-    for (const Request& r : reqs) {
-      if (!r.valid() || r.done_) continue;
-      simk::MatchSpec s;
-      if (spec_for(r, &s)) alts.push_back(s);
-    }
-    simk::MatchSpec united;
-    united.src = simk::MatchSpec::kAnySource;
-    united.what = "waitany";
-    united.any_of = alts.data();
-    united.any_of_count = static_cast<std::uint32_t>(alts.size());
-    simk::Message m = proc_.blocking_match(united);
-
-    // Attribute the message to the first request it satisfies.
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      Request& r = reqs[i];
-      if (!r.valid() || r.done_) continue;
-      simk::MatchSpec s;
-      if (!spec_for(r, &s) || !s.accepts(m)) continue;
-      if (r.kind_ == Request::Kind::kSendRendezvous) {
-        proc_.lift_clock(m.arrival);
-      } else {
-        complete_eager_or_rts(m, r.buf, r.bytes, r.status);
-      }
-      r.done_ = true;
-      stats_.comm_time += now() - t0;
-      obs_op(obs::OpKind::kWaitany, r.peer, r.bytes, t0);
-      return i;
-    }
-    STGSIM_UNREACHABLE("waitany matched a message no request claims");
   }
+  if (best_idx < reqs.size()) {
+    // Committing here is a cross-source choice whenever more than one
+    // request (or an ANY_SOURCE request) is pending: a slower-clocked rank
+    // could still send an earlier-arriving match for another alternative.
+    // Only commit under the engine's safety bound; when it does not hold
+    // yet, fall through to the blocking path, which parks until the bound
+    // passes.
+    const bool choice =
+        matchable > 1 || best_spec.src == simk::MatchSpec::kAnySource;
+    if (!choice || proc_.engine().wildcard_commit_safe(proc_, best_arrival)) {
+      simk::Message m;
+      STGSIM_CHECK(proc_.try_match(best_spec, &m));
+      return finish(best_idx, m);
+    }
+  }
+  STGSIM_CHECK(matchable > 0) << "waitany with no incomplete requests";
+
+  // Pass 2: block on the union of all pending matches; the winning message
+  // is identified afterwards by re-testing each request. The alternatives
+  // live on this fiber's stack for the whole block.
+  std::vector<simk::MatchSpec> alts;
+  alts.reserve(reqs.size());
+  for (const Request& r : reqs) {
+    if (pending(r)) alts.push_back(spec_of(r));
+  }
+  simk::MatchSpec united;
+  united.src = simk::MatchSpec::kAnySource;
+  united.what = "waitany";
+  united.any_of = alts.data();
+  united.any_of_count = static_cast<std::uint32_t>(alts.size());
+  simk::Message m = proc_.blocking_match(united);
+
+  // Attribute the message to the first request it satisfies.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (pending(reqs[i]) && spec_of(reqs[i]).accepts(m)) return finish(i, m);
+  }
+  STGSIM_UNREACHABLE("waitany matched a message no request claims");
 }
 
 void Comm::sendrecv(int dst, int send_tag, const void* send_data,
@@ -536,19 +422,45 @@ void Comm::sendrecv(int dst, int send_tag, const void* send_data,
   reqs.push_back(irecv(src, recv_tag, recv_data, recv_bytes, status));
   reqs.push_back(isend(dst, send_tag, send_data, send_bytes));
   waitall(reqs);
-  obs_op(obs::OpKind::kSendrecv, dst, send_bytes + recv_bytes, t0);
+  obs_op(OpKind::kSendrecv, dst, send_bytes + recv_bytes, t0);
 }
 
 // ---------------------------------------------------------------------------
 // Collectives
 // ---------------------------------------------------------------------------
 
-void Comm::coll_send(int dst, int round, const void* data, std::size_t bytes) {
-  proc_.advance(world_.options().net.send_overhead);
-  const std::uint64_t aux =
-      (coll_seq_ << 8) | static_cast<std::uint64_t>(round & 0xff);
-  send_raw(dst, kKindColl, 0, aux, data, bytes,
-           std::max(bytes, std::size_t{8}));
+namespace {
+
+/// `base + off`, or null for a modeled-only (null) buffer.
+template <class T>
+T* at_offset(T* base, std::size_t off) {
+  return base != nullptr ? base + off : nullptr;
+}
+
+/// Block `r` of a rank-major buffer of `each`-byte blocks (or null).
+template <class T>
+T* block(T* base, int r, std::size_t each) {
+  return at_offset(base, static_cast<std::size_t>(r) * each);
+}
+
+}  // namespace
+
+template <class Body>
+void Comm::collective(TraceKind trace_kind, OpKind op, int peer, int tag,
+                      std::size_t bytes, Body&& body) {
+  trace(trace_kind, peer, tag, bytes);
+  const VTime t0 = now();
+  ++coll_seq_;
+  ++stats_.collectives;
+  body();
+  close_op(op, peer, bytes, t0);
+}
+
+void Comm::coll_send(int dst, int round, const void* data, std::size_t bytes,
+                     std::optional<VTime> at) {
+  if (!at) proc_.advance(world_.options().net.send_overhead);
+  send_raw(dst, kKindColl, 0, coll_aux(round), data, bytes,
+           std::max(bytes, std::size_t{8}), net::TransferKind::kEager, at);
   stats_.bytes_sent += bytes;
   if (world_.options().obs != nullptr) {
     world_.options().obs->count_coll_msg(rank(), dst, bytes);
@@ -556,13 +468,7 @@ void Comm::coll_send(int dst, int round, const void* data, std::size_t bytes) {
 }
 
 void Comm::coll_recv(int src, int round, void* data, std::size_t bytes) {
-  simk::MatchSpec spec;
-  spec.src = src;
-  spec.kind_mask = kMaskColl;
-  spec.match_aux = true;
-  spec.aux = (coll_seq_ << 8) | static_cast<std::uint64_t>(round & 0xff);
-  spec.what = "collective";
-  simk::Message m = proc_.blocking_match(spec);
+  simk::Message m = proc_.blocking_match(coll_spec(src, round));
   proc_.lift_clock(m.arrival);
   proc_.advance(world_.options().net.recv_overhead);
   if (data != nullptr && !m.payload.empty()) {
@@ -571,231 +477,184 @@ void Comm::coll_recv(int src, int round, void* data, std::size_t bytes) {
   }
 }
 
+template <class Take>
+VTime Comm::star_gather(int root, const void* data, std::size_t bytes,
+                        VTime at, Take take) {
+  if (rank() != root) {
+    coll_send(root, 0, data, bytes, at);
+    return now();
+  }
+  VTime latest = now();
+  for (int r = 0; r < size(); ++r) {
+    if (r == root) continue;
+    const simk::Message m = proc_.blocking_match(coll_spec(r, 0));
+    latest = std::max(latest, m.arrival);
+    take(m);
+  }
+  return latest;
+}
+
 void Comm::barrier() {
-  trace(CommEvent::Kind::kBarrier, -1, 0, 0);
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  if (abstract_comm()) {
-    // Gather/release star with a closed-form cost each way.
-    const VTime half = abstract_coll_cost(0) / 2;
-    if (rank() == 0) {
-      VTime latest = now();
-      for (int r = 1; r < P; ++r) {
-        simk::MatchSpec spec;
-        spec.src = r;
-        spec.kind_mask = kMaskColl;
-        spec.match_aux = true;
-        spec.aux = (coll_seq_ << 8);
-        spec.what = "collective";
-        simk::Message m = proc_.blocking_match(spec);
-        latest = std::max(latest, m.arrival);
+  collective(TraceKind::kBarrier, OpKind::kBarrier, -1, 0, 0, [&] {
+    const int P = size();
+    if (abstract_comm()) {
+      // Gather/release star with a closed-form cost each way.
+      const VTime half = abstract_coll_cost(0) / 2;
+      const VTime latest = star_gather(0, nullptr, 0, now() + half,
+                                       [](const simk::Message&) {});
+      if (rank() == 0) {
+        proc_.lift_clock(latest + half);
+        for (int r = 1; r < P; ++r) coll_send(r, 1, nullptr, 0, now() + half);
+      } else {
+        coll_recv(0, 1, nullptr, 0);
       }
-      proc_.lift_clock(latest + half);
-      for (int r = 1; r < P; ++r) {
-        coll_send_at(r, 1, nullptr, 0, now() + half);
+    } else if (coll_algo(CollOp::kBarrier, coll_cfg().barrier, 0) ==
+               CollAlgo::kLinear) {
+      // Gather-to-0 then release, both root-sequential.
+      if (rank() == 0) {
+        for (int r = 1; r < P; ++r) coll_recv(r, 0, nullptr, 0);
+        for (int r = 1; r < P; ++r) coll_send(r, 1, nullptr, 0);
+      } else {
+        coll_send(0, 0, nullptr, 0);
+        coll_recv(0, 1, nullptr, 0);
       }
     } else {
-      coll_send_at(0, 0, nullptr, 0, now() + half);
-      coll_recv(0, 1, nullptr, 0);
+      for (int round = 0, offset = 1; offset < P; ++round, offset <<= 1) {
+        coll_send((rank() + offset) % P, round, nullptr, 0);
+        coll_recv((rank() - offset % P + P) % P, round, nullptr, 0);
+      }
     }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kBarrier, -1, 0, t0);
-    return;
-  }
-  if (coll_algo(CollOp::kBarrier, coll_cfg().barrier, 0) ==
-      CollAlgo::kLinear) {
-    // Gather-to-0 then release, both root-sequential.
-    if (rank() == 0) {
-      for (int r = 1; r < P; ++r) coll_recv(r, 0, nullptr, 0);
-      for (int r = 1; r < P; ++r) coll_send(r, 1, nullptr, 0);
-    } else {
-      coll_send(0, 0, nullptr, 0);
-      coll_recv(0, 1, nullptr, 0);
-    }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kBarrier, -1, 0, t0);
-    return;
-  }
-  for (int round = 0, offset = 1; offset < P; ++round, offset <<= 1) {
-    const int dst = (rank() + offset) % P;
-    const int src = (rank() - offset % P + P) % P;
-    coll_send(dst, round, nullptr, 0);
-    coll_recv(src, round, nullptr, 0);
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kBarrier, -1, 0, t0);
+  });
 }
 
 void Comm::bcast(void* data, std::size_t bytes, int root) {
-  trace(CommEvent::Kind::kBcast, root, 0, bytes);
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  const int relative = (rank() - root + P) % P;
-
-  if (abstract_comm()) {
-    // Star from the root, arrivals at the closed-form completion time.
-    if (rank() == root) {
-      const VTime done = now() + abstract_coll_cost(bytes);
-      for (int r = 0; r < P; ++r) {
-        if (r != root) coll_send_at(r, 0, data, bytes, done);
+  collective(TraceKind::kBcast, OpKind::kBcast, root, 0, bytes, [&] {
+    const int P = size();
+    const CollAlgo algo = coll_algo(CollOp::kBcast, coll_cfg().bcast, bytes);
+    if (abstract_comm() || algo == CollAlgo::kLinear) {
+      // Root-sequential star; the abstract model lands every copy at the
+      // closed-form completion time.
+      if (rank() != root) {
+        coll_recv(root, 0, data, bytes);
+        return;
       }
-    } else {
-      coll_recv(root, 0, data, bytes);
-    }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kBcast, root, bytes, t0);
-    return;
-  }
-
-  const CollAlgo algo = coll_algo(CollOp::kBcast, coll_cfg().bcast, bytes);
-  if (algo == CollAlgo::kLinear) {
-    if (rank() == root) {
+      const std::optional<VTime> at =
+          abstract_comm() ? std::optional{now() + abstract_coll_cost(bytes)}
+                          : std::nullopt;
       for (int r = 0; r < P; ++r) {
-        if (r != root) coll_send(r, 0, data, bytes);
+        if (r != root) coll_send(r, 0, data, bytes, at);
       }
+    } else if (algo == CollAlgo::kRing) {
+      bcast_ring(data, bytes, root);
     } else {
-      coll_recv(root, 0, data, bytes);
+      const int relative = (rank() - root + P) % P;
+      int mask = 1;
+      while (mask < P) {
+        if (relative & mask) {
+          coll_recv((rank() - mask + P) % P, 0, data, bytes);
+          break;
+        }
+        mask <<= 1;
+      }
+      for (mask >>= 1; mask > 0; mask >>= 1) {
+        if (relative + mask < P) coll_send((rank() + mask) % P, 0, data, bytes);
+      }
     }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kBcast, root, bytes, t0);
-    return;
-  }
-  if (algo == CollAlgo::kRing) {
-    bcast_ring(data, bytes, root);
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kBcast, root, bytes, t0);
-    return;
-  }
-
-  int mask = 1;
-  while (mask < P) {
-    if (relative & mask) {
-      const int src = (rank() - mask + P) % P;
-      coll_recv(src, 0, data, bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < P) {
-      const int dst = (rank() + mask) % P;
-      coll_send(dst, 0, data, bytes);
-    }
-    mask >>= 1;
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kBcast, root, bytes, t0);
+  });
 }
 
-void Comm::reduce_sum(double* inout, int n, int root) {
-  trace(CommEvent::Kind::kAllreduce, root, 0,
-        static_cast<std::size_t>(n) * sizeof(double));
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
+namespace {
+
+void fold(double* acc, const double* in, std::size_t n, bool is_max) {
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] = is_max ? std::max(acc[i], in[i]) : acc[i] + in[i];
+  }
+}
+
+}  // namespace
+
+void Comm::reduce(double* inout, int n, int root, ReduceOp op, CollAlgo algo) {
   const int P = size();
-  const int relative = (rank() - root + P) % P;
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
   std::vector<double> partial(static_cast<std::size_t>(n));
-
+  auto combine = [&] {
+    if (inout != nullptr) {
+      fold(inout, partial.data(), partial.size(), op == ReduceOp::kMax);
+    }
+  };
   if (abstract_comm()) {
     // Gather star into the root; completion = latest entry + closed form.
     const VTime cost = abstract_coll_cost(bytes);
-    if (rank() == root) {
-      VTime latest = now();
-      for (int r = 0; r < P; ++r) {
-        if (r == root) continue;
-        simk::MatchSpec spec;
-        spec.src = r;
-        spec.kind_mask = kMaskColl;
-        spec.match_aux = true;
-        spec.aux = (coll_seq_ << 8);
-        spec.what = "collective";
-        simk::Message m = proc_.blocking_match(spec);
-        latest = std::max(latest, m.arrival);
-        if (inout != nullptr && !m.payload.empty()) {
+    const VTime latest =
+        star_gather(root, inout, bytes, now(), [&](const simk::Message& m) {
+          if (inout == nullptr || m.payload.empty()) return;
           std::memcpy(partial.data(), m.payload.data(), m.payload.size());
-          for (int i = 0; i < n; ++i) inout[i] += partial[i];
-        }
-      }
-      proc_.lift_clock(latest + cost);
-    } else {
-      coll_send_at(root, 0, inout, bytes, now());
-    }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kReduce, root, bytes, t0);
-    return;
-  }
-
-  const CollAlgo algo = coll_algo(CollOp::kReduce, coll_cfg().reduce, bytes);
-  if (algo == CollAlgo::kLinear) {
-    if (rank() == root) {
-      for (int r = 0; r < P; ++r) {
-        if (r == root) continue;
-        coll_recv(r, 0, partial.data(), bytes);
-        if (inout != nullptr) {
-          for (int i = 0; i < n; ++i) inout[i] += partial[i];
-        }
-      }
-    } else {
-      coll_send(root, 0, inout, bytes);
-    }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kReduce, root, bytes, t0);
+          combine();
+        });
+    if (rank() == root) proc_.lift_clock(latest + cost);
     return;
   }
   if (algo == CollAlgo::kRing && P > 1) {
-    reduce_ring(inout, n, root, /*is_max=*/false);
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kReduce, root, bytes, t0);
-    return;
-  }
-
-  int mask = 1;
-  while (mask < P) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < P) {
-        const int src = (src_rel + root) % P;
-        coll_recv(src, mask, partial.data(), bytes);
-        if (inout != nullptr) {
-          for (int i = 0; i < n; ++i) inout[i] += partial[i];
-        }
-      }
-    } else {
-      const int dst = ((relative & ~mask) + root) % P;
-      coll_send(dst, mask, inout, bytes);
-      break;
+    reduce_ring(inout, n, root, op);
+  } else if (algo == CollAlgo::kLinear) {
+    if (rank() != root) {
+      coll_send(root, 0, inout, bytes);
+      return;
     }
-    mask <<= 1;
+    for (int r = 0; r < P; ++r) {
+      if (r == root) continue;
+      coll_recv(r, 0, partial.data(), bytes);
+      combine();
+    }
+  } else {
+    const int relative = (rank() - root + P) % P;
+    for (int mask = 1; mask < P; mask <<= 1) {
+      if (relative & mask) {
+        coll_send(((relative & ~mask) + root) % P, mask, inout, bytes);
+        return;
+      }
+      if ((relative | mask) < P) {
+        coll_recv(((relative | mask) + root) % P, mask, partial.data(), bytes);
+        combine();
+      }
+    }
   }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kReduce, root, bytes, t0);
 }
 
-void Comm::allreduce_sum(double* inout, int n) {
+void Comm::reduce_sum(double* inout, int n, int root) {
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+  collective(TraceKind::kAllreduce, OpKind::kReduce, root, 0, bytes, [&] {
+    reduce(inout, n, root, ReduceOp::kSum,
+           coll_algo(CollOp::kReduce, coll_cfg().reduce, bytes));
+  });
+}
+
+void Comm::allreduce(double* inout, int n, ReduceOp op) {
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+  const int tag = op == ReduceOp::kMax ? 1 : 0;
   if (!abstract_comm() && size() > 1 &&
       coll_algo(CollOp::kAllreduce, coll_cfg().allreduce, bytes) ==
           CollAlgo::kRing) {
-    trace(CommEvent::Kind::kAllreduce, -1, 0, bytes);
-    const VTime t0 = now();
-    ++coll_seq_;
-    ++stats_.collectives;
-    allreduce_ring(inout, n, /*is_max=*/false);
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kAllreduce, -1, bytes, t0);
+    collective(TraceKind::kAllreduce, OpKind::kAllreduce, -1, tag, bytes, [&] {
+      ring_reduce_scatter(inout, n, 0, op);
+      ring_allgather(inout, n, 0);
+    });
     return;
   }
-  // Tree/linear compositions reuse reduce + bcast, each dispatching its
-  // own configured algorithm.
-  reduce_sum(inout, n, 0);
+  // Otherwise reduce to rank 0, then bcast: the sum as reduce_sum (with
+  // algo.reduce), the max over a binomial tree.
+  if (op == ReduceOp::kSum) {
+    reduce_sum(inout, n, 0);
+  } else {
+    collective(TraceKind::kAllreduce, OpKind::kAllreduce, -1, tag, bytes, [&] {
+      reduce(inout, n, 0, op, CollAlgo::kBinomial);
+    });
+  }
   bcast(inout, bytes, 0);
+}
+
+void Comm::allreduce_sum(double* inout, int n) {
+  allreduce(inout, n, ReduceOp::kSum);
 }
 
 double Comm::allreduce_sum(double value) {
@@ -804,137 +663,43 @@ double Comm::allreduce_sum(double value) {
 }
 
 void Comm::allreduce_max(double* inout, int n) {
-  if (!abstract_comm() && size() > 1 &&
-      coll_algo(CollOp::kAllreduce, coll_cfg().allreduce,
-                static_cast<std::size_t>(n) * sizeof(double)) ==
-          CollAlgo::kRing) {
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
-    trace(CommEvent::Kind::kAllreduce, -1, 1, bytes);
-    const VTime t0 = now();
-    ++coll_seq_;
-    ++stats_.collectives;
-    allreduce_ring(inout, n, /*is_max=*/true);
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kAllreduce, -1, bytes, t0);
-    return;
-  }
-  trace(CommEvent::Kind::kAllreduce, -1, 1,
-        static_cast<std::size_t>(n) * sizeof(double));
-  // Same binomial pattern as reduce_sum with a max combiner, then bcast.
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
-  std::vector<double> partial(static_cast<std::size_t>(n));
-
-  if (abstract_comm()) {
-    // Gather star into rank 0, closed-form completion, then bcast (which
-    // itself takes the abstract path).
-    const VTime cost = abstract_coll_cost(bytes);
-    if (rank() == 0) {
-      VTime latest = now();
-      for (int r = 1; r < P; ++r) {
-        simk::MatchSpec spec;
-        spec.src = r;
-        spec.kind_mask = kMaskColl;
-        spec.match_aux = true;
-        spec.aux = (coll_seq_ << 8);
-        spec.what = "collective";
-        simk::Message m = proc_.blocking_match(spec);
-        latest = std::max(latest, m.arrival);
-        if (inout != nullptr && !m.payload.empty()) {
-          std::memcpy(partial.data(), m.payload.data(), m.payload.size());
-          for (int i = 0; i < n; ++i) {
-            inout[i] = std::max(inout[i], partial[i]);
-          }
-        }
-      }
-      proc_.lift_clock(latest + cost);
-    } else {
-      coll_send_at(0, 0, inout, bytes, now());
-    }
-    stats_.comm_time += now() - t0;
-    obs_op(obs::OpKind::kAllreduce, -1, bytes, t0);
-    bcast(inout, bytes, 0);
-    return;
-  }
-
-  int mask = 1;
-  while (mask < P) {
-    if ((rank() & mask) == 0) {
-      const int src = rank() | mask;
-      if (src < P) {
-        coll_recv(src, mask, partial.data(), bytes);
-        if (inout != nullptr) {
-          for (int i = 0; i < n; ++i) inout[i] = std::max(inout[i], partial[i]);
-        }
-      }
-    } else {
-      const int dst = rank() & ~mask;
-      coll_send(dst, mask, inout, bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kAllreduce, -1, bytes, t0);
-  bcast(inout, bytes, 0);
+  allreduce(inout, n, ReduceOp::kMax);
 }
 
 void Comm::gather(const void* send, std::size_t bytes_each, void* recv_all,
                   int root) {
-  trace(CommEvent::Kind::kAllreduce, root, 2, bytes_each);
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  if (rank() == root) {
+  collective(TraceKind::kAllreduce, OpKind::kGather, root, 2, bytes_each, [&] {
+    if (rank() != root) {
+      coll_send(root, 0, send, bytes_each);
+      return;
+    }
     auto* out = static_cast<std::uint8_t*>(recv_all);
     if (out != nullptr && send != nullptr) {
-      std::memcpy(out + static_cast<std::size_t>(root) * bytes_each, send,
-                  bytes_each);
+      std::memcpy(block(out, root, bytes_each), send, bytes_each);
     }
-    for (int r = 0; r < P; ++r) {
+    for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      coll_recv(r, 0,
-                out != nullptr
-                    ? out + static_cast<std::size_t>(r) * bytes_each
-                    : nullptr,
-                bytes_each);
+      coll_recv(r, 0, block(out, r, bytes_each), bytes_each);
     }
-  } else {
-    coll_send(root, 0, send, bytes_each);
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kGather, root, bytes_each, t0);
+  });
 }
 
 void Comm::scatter(const void* send_all, std::size_t bytes_each, void* recv,
                    int root) {
-  trace(CommEvent::Kind::kAllreduce, root, 3, bytes_each);
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  if (rank() == root) {
+  collective(TraceKind::kAllreduce, OpKind::kScatter, root, 3, bytes_each, [&] {
+    if (rank() != root) {
+      coll_recv(root, 0, recv, bytes_each);
+      return;
+    }
     const auto* in = static_cast<const std::uint8_t*>(send_all);
-    for (int r = 0; r < P; ++r) {
+    for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      coll_send(r, 0,
-                in != nullptr ? in + static_cast<std::size_t>(r) * bytes_each
-                              : nullptr,
-                bytes_each);
+      coll_send(r, 0, block(in, r, bytes_each), bytes_each);
     }
     if (recv != nullptr && in != nullptr) {
-      std::memcpy(recv, in + static_cast<std::size_t>(root) * bytes_each,
-                  bytes_each);
+      std::memcpy(recv, block(in, root, bytes_each), bytes_each);
     }
-  } else {
-    coll_recv(root, 0, recv, bytes_each);
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kScatter, root, bytes_each, t0);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -946,9 +711,22 @@ void Comm::scatter(const void* send_all, std::size_t bytes_each, void* recv,
 // deadlock-free by construction.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Chunk c of an n-unit payload cut into P pieces: units [lo, lo + n).
+struct Chunk {
+  std::size_t lo, n;
+};
+
+Chunk ring_chunk(int c, std::size_t n, int P) {
+  const std::size_t lo = static_cast<std::size_t>(c) * n / P;
+  return {lo, (static_cast<std::size_t>(c) + 1) * n / P - lo};
+}
+
+}  // namespace
+
 void Comm::bcast_ring(void* data, std::size_t bytes, int root) {
   const int P = size();
-  if (P < 2) return;
   auto* out = static_cast<std::uint8_t*>(data);
   const int rel = (rank() - root + P) % P;
   const int prev = (rank() - 1 + P) % P;
@@ -956,47 +734,31 @@ void Comm::bcast_ring(void* data, std::size_t bytes, int root) {
   // Pipelined chain: the payload is cut into P segments that stream down
   // the chain, so the bandwidth term is ~2x the payload (like van de
   // Geijn scatter+allgather) instead of P-1 x for a naive chain.
-  const int segments = P;
-  for (int seg = 0; seg < segments; ++seg) {
-    const std::size_t lo = bytes * static_cast<std::size_t>(seg) / segments;
-    const std::size_t hi =
-        bytes * (static_cast<std::size_t>(seg) + 1) / segments;
-    void* p = out != nullptr ? out + lo : nullptr;
-    if (rel > 0) coll_recv(prev, seg, p, hi - lo);
-    if (rel < P - 1) coll_send(next, seg, p, hi - lo);
+  for (int seg = 0; seg < P; ++seg) {
+    const Chunk c = ring_chunk(seg, bytes, P);
+    if (rel > 0) coll_recv(prev, seg, at_offset(out, c.lo), c.n);
+    if (rel < P - 1) coll_send(next, seg, at_offset(out, c.lo), c.n);
   }
 }
 
-void Comm::ring_reduce_scatter(double* work, int n, int root, bool is_max) {
+void Comm::ring_reduce_scatter(double* work, int n, int root, ReduceOp op) {
   const int P = size();
   const int rel = (rank() - root + P) % P;
   const int right = (rank() + 1) % P;
   const int left = (rank() - 1 + P) % P;
-  // Chunk c covers elements [c*n/P, (c+1)*n/P).
-  auto lo = [&](int c) {
-    return static_cast<std::size_t>(c) * static_cast<std::size_t>(n) / P;
-  };
-  std::vector<double> tmp(static_cast<std::size_t>(n) / P + 1);
+  const auto count = static_cast<std::size_t>(n);
+  std::vector<double> tmp(count / P + 1);
   for (int s = 0; s < P - 1; ++s) {
     // The chunk received last step is the one sent this step, so the
     // partial sums accumulate around the ring; after P-1 steps chunk
     // (rel + 1) % P on this rank holds every rank's contribution.
-    const int send_c = ((rel - s) % P + P) % P;
-    const int recv_c = ((rel - s - 1) % P + P) % P;
-    const std::size_t recv_lo = lo(recv_c);
-    const std::size_t recv_n = lo(recv_c + 1) - recv_lo;
-    coll_send(right, s, work != nullptr ? work + lo(send_c) : nullptr,
-              (lo(send_c + 1) - lo(send_c)) * sizeof(double));
+    const Chunk send_c = ring_chunk(((rel - s) % P + P) % P, count, P);
+    const Chunk recv_c = ring_chunk(((rel - s - 1) % P + P) % P, count, P);
+    coll_send(right, s, at_offset(work, send_c.lo), send_c.n * sizeof(double));
     coll_recv(left, s, work != nullptr ? tmp.data() : nullptr,
-              recv_n * sizeof(double));
+              recv_c.n * sizeof(double));
     if (work != nullptr) {
-      for (std::size_t i = 0; i < recv_n; ++i) {
-        if (is_max) {
-          work[recv_lo + i] = std::max(work[recv_lo + i], tmp[i]);
-        } else {
-          work[recv_lo + i] += tmp[i];
-        }
-      }
+      fold(work + recv_c.lo, tmp.data(), recv_c.n, op == ReduceOp::kMax);
     }
   }
 }
@@ -1006,53 +768,38 @@ void Comm::ring_allgather(double* work, int n, int root) {
   const int rel = (rank() - root + P) % P;
   const int right = (rank() + 1) % P;
   const int left = (rank() - 1 + P) % P;
-  auto lo = [&](int c) {
-    return static_cast<std::size_t>(c) * static_cast<std::size_t>(n) / P;
-  };
+  const auto count = static_cast<std::size_t>(n);
   // Entry state: chunk (rel + 1) % P is this rank's fully reduced chunk
   // (ring_reduce_scatter's postcondition). Rounds continue the sequence
   // numbers where reduce-scatter left off.
   for (int s = 0; s < P - 1; ++s) {
-    const int send_c = ((rel + 1 - s) % P + P) % P;
-    const int recv_c = ((rel - s) % P + P) % P;
-    coll_send(right, P - 1 + s,
-              work != nullptr ? work + lo(send_c) : nullptr,
-              (lo(send_c + 1) - lo(send_c)) * sizeof(double));
-    coll_recv(left, P - 1 + s,
-              work != nullptr ? work + lo(recv_c) : nullptr,
-              (lo(recv_c + 1) - lo(recv_c)) * sizeof(double));
+    const Chunk send_c = ring_chunk(((rel + 1 - s) % P + P) % P, count, P);
+    const Chunk recv_c = ring_chunk(((rel - s) % P + P) % P, count, P);
+    coll_send(right, P - 1 + s, at_offset(work, send_c.lo),
+              send_c.n * sizeof(double));
+    coll_recv(left, P - 1 + s, at_offset(work, recv_c.lo),
+              recv_c.n * sizeof(double));
   }
 }
 
-void Comm::allreduce_ring(double* inout, int n, bool is_max) {
-  if (size() < 2) return;
-  ring_reduce_scatter(inout, n, 0, is_max);
-  ring_allgather(inout, n, 0);
-}
-
-void Comm::reduce_ring(double* inout, int n, int root, bool is_max) {
+void Comm::reduce_ring(double* inout, int n, int root, ReduceOp op) {
   const int P = size();
-  if (P < 2) return;
-  ring_reduce_scatter(inout, n, root, is_max);
+  ring_reduce_scatter(inout, n, root, op);
   // Owners forward their reduced chunk to the root (chunk c is owned by
   // relative position (c - 1 + P) % P).
-  auto lo = [&](int c) {
-    return static_cast<std::size_t>(c) * static_cast<std::size_t>(n) / P;
-  };
-  const int rel = (rank() - root + P) % P;
-  const int own_c = (rel + 1) % P;
-  if (rank() == root) {
-    for (int c = 0; c < P; ++c) {
-      if (c == own_c) continue;
-      const int owner = (((c - 1 + P) % P) + root) % P;
-      coll_recv(owner, P - 1 + c,
-                inout != nullptr ? inout + lo(c) : nullptr,
-                (lo(c + 1) - lo(c)) * sizeof(double));
-    }
-  } else {
-    coll_send(root, P - 1 + own_c,
-              inout != nullptr ? inout + lo(own_c) : nullptr,
-              (lo(own_c + 1) - lo(own_c)) * sizeof(double));
+  const auto count = static_cast<std::size_t>(n);
+  const int own_c = ((rank() - root + P) % P + 1) % P;
+  if (rank() != root) {
+    const Chunk c = ring_chunk(own_c, count, P);
+    coll_send(root, P - 1 + own_c, at_offset(inout, c.lo),
+              c.n * sizeof(double));
+    return;
+  }
+  for (int c = 0; c < P; ++c) {
+    if (c == own_c) continue;
+    const Chunk chunk = ring_chunk(c, count, P);
+    coll_recv((((c - 1 + P) % P) + root) % P, P - 1 + c,
+              at_offset(inout, chunk.lo), chunk.n * sizeof(double));
   }
 }
 
@@ -1060,93 +807,50 @@ void Comm::reduce_ring(double* inout, int n, int root, bool is_max) {
 // Alltoall
 // ---------------------------------------------------------------------------
 
-void Comm::alltoall_pairwise(const void* send_all, std::size_t bytes_each,
-                             void* recv_all) {
-  const int P = size();
-  const auto* in = static_cast<const std::uint8_t*>(send_all);
-  auto* out = static_cast<std::uint8_t*>(recv_all);
-  for (int s = 1; s < P; ++s) {
-    // Step s exchanges with partners at ring distance s; every rank is in
-    // exactly one pair-per-step, so the P-1 steps tile the traffic with
-    // no endpoint contention.
-    const int dst = (rank() + s) % P;
-    const int src = (rank() - s + P) % P;
-    coll_send(dst, s,
-              in != nullptr ? in + static_cast<std::size_t>(dst) * bytes_each
-                            : nullptr,
-              bytes_each);
-    coll_recv(src, s,
-              out != nullptr
-                  ? out + static_cast<std::size_t>(src) * bytes_each
-                  : nullptr,
-              bytes_each);
-  }
-}
-
-void Comm::alltoall_linear(const void* send_all, std::size_t bytes_each,
-                           void* recv_all) {
-  const int P = size();
-  const auto* in = static_cast<const std::uint8_t*>(send_all);
-  auto* out = static_cast<std::uint8_t*>(recv_all);
-  for (int r = 0; r < P; ++r) {
-    if (r == rank()) continue;
-    coll_send(r, 0,
-              in != nullptr ? in + static_cast<std::size_t>(r) * bytes_each
-                            : nullptr,
-              bytes_each);
-  }
-  for (int r = 0; r < P; ++r) {
-    if (r == rank()) continue;
-    coll_recv(r, 0,
-              out != nullptr ? out + static_cast<std::size_t>(r) * bytes_each
-                             : nullptr,
-              bytes_each);
-  }
-}
-
 void Comm::alltoall(const void* send_all, std::size_t bytes_each,
                     void* recv_all) {
-  trace(CommEvent::Kind::kAlltoall, -1, 0, bytes_each);
-  const VTime t0 = now();
-  ++coll_seq_;
-  ++stats_.collectives;
-  const int P = size();
-  const auto* in = static_cast<const std::uint8_t*>(send_all);
-  auto* out = static_cast<std::uint8_t*>(recv_all);
-  if (out != nullptr && in != nullptr) {
-    std::memcpy(out + static_cast<std::size_t>(rank()) * bytes_each,
-                in + static_cast<std::size_t>(rank()) * bytes_each,
-                bytes_each);
-  }
-  if (abstract_comm()) {
-    // Every off-rank block lands at the closed-form completion time for
-    // the full per-rank volume.
-    const VTime done =
-        now() + abstract_coll_cost(bytes_each * static_cast<std::size_t>(P));
-    for (int s = 1; s < P; ++s) {
-      const int dst = (rank() + s) % P;
-      coll_send_at(dst, s,
-                   in != nullptr
-                       ? in + static_cast<std::size_t>(dst) * bytes_each
-                       : nullptr,
-                   bytes_each, done);
+  collective(TraceKind::kAlltoall, OpKind::kAlltoall, -1, 0, bytes_each, [&] {
+    const int P = size();
+    const auto* in = static_cast<const std::uint8_t*>(send_all);
+    auto* out = static_cast<std::uint8_t*>(recv_all);
+    if (out != nullptr && in != nullptr) {
+      std::memcpy(block(out, rank(), bytes_each), block(in, rank(), bytes_each),
+                  bytes_each);
     }
-    for (int s = 1; s < P; ++s) {
-      const int src = (rank() - s + P) % P;
-      coll_recv(src, s,
-                out != nullptr
-                    ? out + static_cast<std::size_t>(src) * bytes_each
-                    : nullptr,
-                bytes_each);
+    if (abstract_comm()) {
+      // Every off-rank block lands at the closed-form completion time for
+      // the full per-rank volume.
+      const VTime done =
+          now() + abstract_coll_cost(bytes_each * static_cast<std::size_t>(P));
+      for (int s = 1; s < P; ++s) {
+        const int dst = (rank() + s) % P;
+        coll_send(dst, s, block(in, dst, bytes_each), bytes_each, done);
+      }
+      for (int s = 1; s < P; ++s) {
+        const int src = (rank() - s + P) % P;
+        coll_recv(src, s, block(out, src, bytes_each), bytes_each);
+      }
+    } else if (coll_algo(CollOp::kAlltoall, coll_cfg().alltoall,
+                         bytes_each) == CollAlgo::kLinear) {
+      // Root-sequential at every rank: post all blocks, then collect.
+      for (int r = 0; r < P; ++r) {
+        if (r != rank()) coll_send(r, 0, block(in, r, bytes_each), bytes_each);
+      }
+      for (int r = 0; r < P; ++r) {
+        if (r != rank()) coll_recv(r, 0, block(out, r, bytes_each), bytes_each);
+      }
+    } else {
+      // Pairwise exchange: step s pairs partners at ring distance s; every
+      // rank is in exactly one pair per step, so the P-1 steps tile the
+      // traffic with no endpoint contention.
+      for (int s = 1; s < P; ++s) {
+        const int dst = (rank() + s) % P;
+        const int src = (rank() - s + P) % P;
+        coll_send(dst, s, block(in, dst, bytes_each), bytes_each);
+        coll_recv(src, s, block(out, src, bytes_each), bytes_each);
+      }
     }
-  } else if (coll_algo(CollOp::kAlltoall, coll_cfg().alltoall, bytes_each) ==
-             CollAlgo::kLinear) {
-    alltoall_linear(send_all, bytes_each, recv_all);
-  } else {
-    alltoall_pairwise(send_all, bytes_each, recv_all);
-  }
-  stats_.comm_time += now() - t0;
-  obs_op(obs::OpKind::kAlltoall, -1, bytes_each, t0);
+  });
 }
 
 double Comm::read_param(const std::string& name) {

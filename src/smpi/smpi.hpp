@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,11 +132,6 @@ class World {
     /// size like real MPI selection tables.
     CollectiveConfig coll;
 
-    /// Legacy ablation switch: use naive root-sequential algorithms for
-    /// every collective. Mapped onto `coll` (all ops forced to kLinear)
-    /// at World construction.
-    bool linear_collectives = false;
-
     /// Test-only fault injection: widens the advertised wildcard latency
     /// floor past the network's sound bound, so regression tests can show
     /// that a floor tighter than every routed path trips the
@@ -159,13 +155,6 @@ class World {
   World(Options options, int nranks)
       : options_(options), network_(options.net, nranks),
         stats_(static_cast<std::size_t>(nranks)) {
-    if (options_.linear_collectives) {
-      options_.coll.barrier = CollAlgo::kLinear;
-      options_.coll.bcast = CollAlgo::kLinear;
-      options_.coll.reduce = CollAlgo::kLinear;
-      options_.coll.allreduce = CollAlgo::kLinear;
-      options_.coll.alltoall = CollAlgo::kLinear;
-    }
     network_.set_fault_plan(options_.faults);
   }
 
@@ -330,26 +319,85 @@ class Comm {
   static constexpr std::uint8_t kMaskCts = 1u << kKindCts;
   static constexpr std::uint8_t kMaskColl = 1u << kKindColl;
 
-  void send_raw(int dst, MsgKind msg_kind, int tag, std::uint64_t aux,
-                const void* data, std::size_t bytes, std::size_t wire_bytes,
-                net::TransferKind kind = net::TransferKind::kEager);
+  enum class ReduceOp : std::uint8_t { kSum, kMax };
+
+  /// The one message builder: posts a `msg_kind` message of logical size
+  /// `bytes` (payload copied when `data` is non-null) and returns its
+  /// arrival. The network prices `wire_bytes` of transfer `kind`, unless
+  /// the abstract model supplies the arrival `at` (never before now).
+  VTime send_raw(int dst, MsgKind msg_kind, int tag, std::uint64_t aux,
+                 const void* data, std::size_t bytes, std::size_t wire_bytes,
+                 net::TransferKind kind, std::optional<VTime> at = {});
+
+  // The three MatchSpec shapes smpi blocks on. The `what` labels are what
+  // deadlock reports print.
+  static simk::MatchSpec cts_spec(int peer, std::uint64_t rid, int tag);
+  static simk::MatchSpec recv_spec(int src, int tag);
+  simk::MatchSpec coll_spec(int src, int round) const;
+  /// A collective message's aux: this collective's sequence and the round.
+  std::uint64_t coll_aux(int round) const {
+    return (coll_seq_ << 8) | static_cast<std::uint64_t>(round & 0xff);
+  }
+  /// What an incomplete (rendezvous send or receive) request waits for.
+  static simk::MatchSpec spec_of(const Request& r) {
+    return r.kind_ == Request::Kind::kSendRendezvous
+               ? cts_spec(r.peer, r.rid, r.tag)
+               : recv_spec(r.peer, r.tag);
+  }
 
   /// Stretched virtual duration of `t` of local work starting now (applies
   /// the fault plan's straggler factors for this rank).
   VTime stretched(VTime t) const {
     return world_.network().fault_plan().stretch_compute(rank(), now(), t);
   }
+
+  /// The posting half of send and isend: overhead, stats, then the eager
+  /// message or the rendezvous RTS.
+  Request post_send(CommEvent::Kind kind, int dst, int tag, const void* data,
+                    std::size_t bytes);
+  /// Blocks until `req`'s CTS or message arrives, then completes it.
+  void await(Request& req) {
+    simk::Message m = proc_.blocking_match(spec_of(req));
+    complete(req, m);
+  }
+  /// Completes `req` with its matched message `m`.
+  void complete(Request& req, simk::Message& m);
   void complete_eager_or_rts(simk::Message& m, void* data, std::size_t bytes,
                              RecvStatus* status);
-  simk::Message match_recv(int src, int user_tag);
+  void close_send(obs::OpKind kind, const Request& req, VTime t0);
 
-  // Collective-internal point-to-point (distinct matching space).
-  void coll_send(int dst, int round, const void* data, std::size_t bytes);
+  /// Charges [t0, now()] to comm time and records the op's obs span.
+  void close_op(obs::OpKind kind, int peer, std::size_t bytes, VTime t0) {
+    stats_.comm_time += now() - t0;
+    obs_op(kind, peer, bytes, t0);
+  }
+
+  /// Runs one public collective: on entry the trace record, a fresh
+  /// collective sequence number and the stats count; on exit close_op.
+  /// An op unwound by FiberAborted never reaches the exit, so it records
+  /// no span.
+  template <class Body>
+  void collective(CommEvent::Kind trace_kind, obs::OpKind op, int peer,
+                  int tag, std::size_t bytes, Body&& body);
+
+  // Collective-internal point-to-point (distinct matching space). With
+  // `at` (abstract mode) the message lands then and costs no overhead.
+  void coll_send(int dst, int round, const void* data, std::size_t bytes,
+                 std::optional<VTime> at = {});
   void coll_recv(int src, int round, void* data, std::size_t bytes);
 
-  /// coll_send with an explicitly chosen arrival time (abstract mode).
-  void coll_send_at(int dst, int round, const void* data, std::size_t bytes,
-                    VTime arrival);
+  /// Abstract-mode gather star into `root` (round 0): every other rank
+  /// posts `data` landing at `at`; the root consumes one message per rank
+  /// in rank order, hands each to `take`, and gets the latest arrival.
+  template <class Take>
+  VTime star_gather(int root, const void* data, std::size_t bytes, VTime at,
+                    Take take);
+
+  /// The one reduction tree: combines every rank's `inout` into the root's
+  /// with `op`, by `algo` (binomial, linear or ring), or by the abstract
+  /// star under abstract fidelity.
+  void reduce(double* inout, int n, int root, ReduceOp op, CollAlgo algo);
+  void allreduce(double* inout, int n, ReduceOp op);
 
   bool abstract_comm() const {
     return world_.options().comm_fidelity ==
@@ -367,15 +415,9 @@ class Comm {
   /// Reduce-scatter over the ring; on return this rank's owned chunk
   /// (index (rel + 1) % P) of `work` holds the fully combined values.
   /// `work` may be null for modeled-only runs.
-  void ring_reduce_scatter(double* work, int n, int root, bool is_max);
+  void ring_reduce_scatter(double* work, int n, int root, ReduceOp op);
   void ring_allgather(double* work, int n, int root);
-  void reduce_ring(double* inout, int n, int root, bool is_max);
-  void allreduce_ring(double* inout, int n, bool is_max);
-
-  void alltoall_pairwise(const void* send_all, std::size_t bytes_each,
-                         void* recv_all);
-  void alltoall_linear(const void* send_all, std::size_t bytes_each,
-                       void* recv_all);
+  void reduce_ring(double* inout, int n, int root, ReduceOp op);
 
   /// Closed-form collective completion cost for P ranks, `bytes` payload
   /// (abstract comm fidelity). Hop-aware: charges the platform's diameter

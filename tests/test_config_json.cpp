@@ -262,20 +262,35 @@ TEST(RunSpecJson, UnknownSchemaVersionIsAStructuredRejection) {
 
 TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
   // stgsim-9 dropped speculation_window_sec and stgsim-10 gvt_interval; a
-  // document from before that carries one, at any value, is refused by
-  // name instead of running without it.
+  // document from before that carries one at its old default 0 runs as if
+  // it did not, at any other value it is refused by name instead of
+  // running without it.
   struct Removed {
     const char* schema;
     const char* key;
     const char* value;
   };
+  auto doc_with = [](const std::string& schema, const std::string& extra) {
+    return json::Value::parse(
+        R"({"schema": ")" + schema +
+        R"(", "app": "sample", "procs": 2, "schedule": "optimistic")" + extra +
+        "}");
+  };
+  auto field = [](const Removed& r) {
+    return std::string(", \"") + r.key + "\": " + r.value;
+  };
+  auto canonical = [](const json::Value& doc) {
+    return harness::run_spec_to_json(harness::run_spec_from_json(doc)).dump();
+  };
+  for (const Removed& r : {Removed{"stgsim-8", "speculation_window_sec", "0"},
+                           Removed{"stgsim-9", "gvt_interval", "0"}}) {
+    EXPECT_EQ(canonical(doc_with(r.schema, field(r))),
+              canonical(doc_with(r.schema, "")))
+        << r.key;
+  }
   for (const Removed& r : {Removed{"stgsim-8", "speculation_window_sec", "0.5"},
-                           Removed{"stgsim-8", "speculation_window_sec", "0"},
                            Removed{"stgsim-9", "gvt_interval", "100"}}) {
-    json::Value doc = json::Value::parse(
-        std::string(R"({"schema": ")") + r.schema +
-        R"(", "app": "sample", "procs": 2, "schedule": "optimistic", ")" +
-        r.key + "\": " + r.value + "}");
+    const json::Value doc = doc_with(r.schema, field(r));
     try {
       harness::run_spec_from_json(doc);
       ADD_FAILURE() << r.key << " " << r.value << " was accepted";
