@@ -39,8 +39,6 @@ std::uint64_t optimistic_log_peak(const benchx::ProgramFactory& make,
   cfg.params = params;
   cfg.schedule = harness::Schedule::kOptimistic;
   cfg.checkpoint_interval = checkpoint_interval;
-  // Fixed intervals isolate the interval's effect on the log bound.
-  cfg.checkpoint_adaptive = false;
   harness::RunOutcome out = harness::run_program(compiled.simplified.program, cfg);
   STGSIM_CHECK(out.ok()) << harness::run_status_name(out.status) << " "
                          << out.diagnostic;

@@ -101,13 +101,14 @@
 // conservative schedulers; `check --schedule optimistic` explores the
 // rollback/commit protocol against the conservative sequential digest, and
 // --inject commit-before-gvt plants a commit-finalized-before-GVT race on
-// the optimistic path for the gate to rediscover. Two knobs tune the
+// the optimistic path for the gate to rediscover. One knob tunes the
 // optimistic engine without changing any simulated result:
-// --checkpoint-interval (N or "none") and --checkpoint-adaptive, documented
-// on their RunConfig fields (harness/runner.hpp). GVT needs no knob: every
-// worker folds it on idle spins and once per max(256, own ranks) scheduler
-// iterations. --speculation-window (removed in stgsim-9) and
-// --gvt-interval (removed in stgsim-10) fail with "usage.removed_flag".
+// --checkpoint-interval (N or "none"), documented on its RunConfig field
+// (harness/runner.hpp). GVT needs no knob: every worker folds it on idle
+// spins and once per max(256, own ranks) scheduler iterations.
+// --speculation-window (removed in stgsim-9), --gvt-interval (removed in
+// stgsim-10) and --checkpoint-adaptive (removed in stgsim-11) fail with
+// "usage.removed_flag".
 //
 // `serve` runs the long-lived campaign daemon (DESIGN.md §16): a local
 // HTTP API (loopback by default, ephemeral port published via
@@ -256,6 +257,7 @@ json::Value spec_doc_from_args(Args& args) {
   args.reject_legacy("calib", "calibrate");
   args.reject_legacy("speculation-window", "");
   args.reject_legacy("gvt-interval", "");
+  args.reject_legacy("checkpoint-adaptive", "");
 
   json::Value doc = json::Value::object();
   const std::string config_path = args.str("config", "");

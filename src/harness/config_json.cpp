@@ -76,21 +76,32 @@ bool apply_config_key(RunConfig* config, const std::string& key,
                       const json::Value& value) {
   using Bound = RunConfigField::Bound;
   // Keys a published version dropped, with the version that dropped them.
-  // Both defaulted to 0, which asks for exactly what today's engine does,
-  // and every document an older writer emitted carries them: at 0 they are
-  // ignored. Any other value is refused by name, not run without it.
-  static constexpr std::pair<const char*, const char*> kRemovedKeys[] = {
-      {"speculation_window_sec", "stgsim-9"},
-      {"gvt_interval", "stgsim-10"},
+  // Every document an older writer emitted carries them, and the values
+  // that ask for exactly what today's engine does are ignored: the numbers
+  // at their old default 0, checkpoint_adaptive at either boolean (it never
+  // changed a digest). Any other value is refused by name, not run without
+  // it.
+  struct Removed {
+    const char* key;
+    const char* version;
+    bool boolean;  ///< any boolean is ignored, not just 0
   };
-  for (const auto& [removed, version] : kRemovedKeys) {
-    if (key != removed) continue;
-    if (value.is_number() && value.as_number() == 0) return true;
+  static constexpr Removed kRemovedKeys[] = {
+      {"speculation_window_sec", "stgsim-9", false},
+      {"gvt_interval", "stgsim-10", false},
+      {"checkpoint_adaptive", "stgsim-11", true},
+  };
+  for (const Removed& r : kRemovedKeys) {
+    if (key != r.key) continue;
+    if (r.boolean ? value.is_bool()
+                  : value.is_number() && value.as_number() == 0) {
+      return true;
+    }
     json::Value detail = json::Value::object();
     detail.set("removed", json::Value(key));
     throw errors::StructuredError(
         "usage.removed_key", errors::kCategoryUsage,
-        "run-spec key '" + key + "' was removed in " + version, detail);
+        "run-spec key '" + key + "' was removed in " + r.version, detail);
   }
   for (const RunConfigField& f : run_config_fields()) {
     if (key != f.key) continue;
@@ -125,13 +136,14 @@ const std::vector<std::string>& published_schema_versions() {
   // schema only grew additively (new optional keys with defaults);
   // stgsim-9 removed the run-spec key speculation_window_sec and the
   // run-outcome field metrics.window_advance_hist, stgsim-10 the run-spec
-  // key gvt_interval. A document written for any published version parses
-  // under the current reader unless it carries a removed key at a value
-  // other than its old default 0, which is refused by name; the list
+  // key gvt_interval, stgsim-11 the run-spec key checkpoint_adaptive. A
+  // document written for any published version parses under the current
+  // reader unless it carries a removed key at a value that asks for
+  // something today's engine cannot do, which is refused by name; the list
   // exists to *reject* documents from the future, not to branch readers.
   static const std::vector<std::string> kVersions = {
       "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9",
-      "stgsim-10"};
+      "stgsim-10", "stgsim-11"};
   return kVersions;
 }
 
@@ -243,11 +255,6 @@ const std::vector<RunConfigField>& run_config_fields() {
        .flag_positive = "must be >= 1 or 'none'",
        .write = write_member<&RunConfig::checkpoint_interval>,
        .read = read_member<&RunConfig::checkpoint_interval>},
-      {.key = "checkpoint_adaptive", .role = Role::kHostSide,
-       .type = "boolean", .description = "auto-tune the checkpoint interval",
-       .flag = "checkpoint-adaptive", .flag_kind = Flag::kBoolean,
-       .write = write_member<&RunConfig::checkpoint_adaptive>,
-       .read = read_member<&RunConfig::checkpoint_adaptive>},
       {.key = "abstract_comm", .role = Role::kMethod, .type = "boolean",
        .description = "abstract communication model",
        .flag = "abstract-comm", .flag_kind = Flag::kBoolean,

@@ -42,7 +42,7 @@ namespace stgsim::harness {
 /// models, protocol costs, app kernels). Part of every cache key, so stale
 /// campaign caches invalidate wholesale instead of serving results from an
 /// older simulator.
-inline constexpr const char kSimulatorVersion[] = "stgsim-10";
+inline constexpr const char kSimulatorVersion[] = "stgsim-11";
 
 /// The RunSpec/RunOutcome JSON is a *public wire schema*: clients of the
 /// serve daemon and config files on disk both speak it. Published versions,

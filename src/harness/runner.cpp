@@ -103,7 +103,6 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   if (optimistic) {
     ec.optimistic = true;
     ec.checkpoint_interval = config.checkpoint_interval;
-    ec.checkpoint_adaptive = config.checkpoint_adaptive;
     STGSIM_CHECK(config.mode != Mode::kMeasured)
         << "optimistic schedule: emulation (contention/jitter state) cannot "
            "be rolled back";
@@ -225,15 +224,8 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
                         static_cast<double>(ps2.barrier_messages));
         out.metrics.add("parallel.cross_messages",
                         static_cast<double>(ps2.cross_messages()));
-        for (std::size_t w = 0; w < ps2.worker_busy_vtime.size(); ++w) {
-          const std::string prefix =
-              "parallel.worker" + std::to_string(w) + ".";
-          const double busy = vtime_to_sec(ps2.worker_busy_vtime[w]);
-          out.metrics.add(prefix + "busy_vtime_sec", busy);
-          out.metrics.add(
-              prefix + "idle_vtime_sec",
-              std::max(0.0, vtime_to_sec(rr.completion) - busy));
-          out.metrics.add(prefix + "slices",
+        for (std::size_t w = 0; w < ps2.worker_slices.size(); ++w) {
+          out.metrics.add("parallel.worker" + std::to_string(w) + ".slices",
                           static_cast<double>(ps2.worker_slices[w]));
         }
       }

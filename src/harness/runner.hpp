@@ -99,19 +99,15 @@ struct RunConfig {
   /// communication model (paper §5's proposed extension).
   bool abstract_comm = false;
 
-  // -- Optimistic-schedule tuning (ignored under kConservative). None of
-  // these affect simulated results: digests are bit-identical across every
-  // setting; they trade rollback re-execution cost against checkpoint and
+  // -- Optimistic-schedule tuning (ignored under kConservative). It never
+  // affects simulated results: digests are bit-identical across every
+  // setting; it trades rollback re-execution cost against checkpoint and
   // log memory.
 
   /// Committed consumes between per-rank checkpoints (0 = checkpoints
   /// off: rollback replays from rank start and the consumption log is
   /// never pruned — the pre-checkpoint behaviour).
   std::uint64_t checkpoint_interval = 64;
-
-  /// Auto-tune the per-rank checkpoint interval from observed rollback
-  /// frequency (halve on rollback, grow while rollback-free).
-  bool checkpoint_adaptive = true;
 
   std::size_t fiber_stack_bytes = 256 * 1024;
   std::uint64_t seed = 20260704;

@@ -353,7 +353,15 @@ void Engine::publish_floor(int w) {
     }
     if (!out.transit.empty()) word = std::min(word, out.transit.front().second);
   }
-  opt_sample_log_peak(w);
+  // MC mode: messages (antis included) parked in the in-flight lanes are in
+  // transit and bound future deliveries.
+  if (mc_active_) {
+    for (const auto& l : inflight_) {
+      for (const Message& m : l.q) word = std::min(word, m.arrival);
+    }
+  }
+  WorkerStat& ws = worker_at(w).stat;
+  ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
   FloorWord& slot = floor_words_[static_cast<std::size_t>(w)];
   if (slot.v.load(std::memory_order_relaxed) != word) {
     slot.v.store(word, std::memory_order_release);
@@ -644,18 +652,9 @@ bool Engine::opt_feed_replay(Process& p, const MatchSpec& spec,
 
 void Engine::opt_note_consume(Process& p) {
   OptState& o = p.opt_;
-  ++o.consumes_since_rollback;
-  const std::uint64_t iv = o.effective_interval;
-  if (iv == 0) return;  // checkpointing disabled
-  if (++o.since_checkpoint < iv) return;
-  o.checkpoint_due = true;
-  // Adaptive growth: after a long rollback-free stretch the restore points
-  // are pure overhead — stretch the interval back out (capped at 8x the
-  // configured value; rollback halves it again, see opt_rollback).
-  if (config_.checkpoint_adaptive &&
-      o.consumes_since_rollback >= 8 * iv &&
-      iv < 8 * config_.checkpoint_interval) {
-    o.effective_interval = std::min(iv * 2, 8 * config_.checkpoint_interval);
+  if (config_.checkpoint_interval == 0) return;  // checkpointing disabled
+  if (++o.since_checkpoint >= config_.checkpoint_interval) {
+    o.checkpoint_due = true;
   }
 }
 
@@ -664,26 +663,19 @@ std::size_t Engine::opt_entry_bytes(const Message& m) {
 }
 
 void Engine::opt_log_charge(Process& p, const Message& m) {
-  // Plain counters: a rank's log is only ever touched by its owning worker
-  // (or the quiescence step, with the workers stopped), so the per-message cost
-  // is two adds instead of contended atomic RMWs. The peak is sampled at
-  // publishes and GVT passes, which run right before fossil collection
+  // A plain counter: a rank's log is only ever touched by its owning worker
+  // (or the quiescence step, with the workers stopped), so the per-message
+  // cost is one add instead of a contended atomic RMW. The peak is sampled
+  // at publishes, which run right before a GVT fold's fossil collection
   // prunes the log.
-  const std::size_t n = opt_entry_bytes(m);
-  p.opt_.log_bytes += n;
-  worker_at(p.home_worker_).stat.log_bytes += n;
+  worker_at(p.home_worker_).stat.log_bytes += opt_entry_bytes(m);
 }
 
 void Engine::opt_log_release(Process& p, const Message& m) {
+  WorkerStat& ws = worker_at(p.home_worker_).stat;
   const std::size_t n = opt_entry_bytes(m);
-  STGSIM_DCHECK(p.opt_.log_bytes >= n);
-  p.opt_.log_bytes -= n;
-  worker_at(p.home_worker_).stat.log_bytes -= n;
-}
-
-void Engine::opt_sample_log_peak(int w) {
-  WorkerStat& ws = worker_at(w).stat;
-  ws.log_peak = std::max(ws.log_peak, ws.log_bytes);
+  STGSIM_DCHECK(ws.log_bytes >= n);
+  ws.log_bytes -= n;
 }
 
 void Process::take_checkpoint(std::vector<std::uint8_t> app_blob) {
@@ -712,7 +704,7 @@ void Engine::opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob) {
     o.checkpoints.pop_back();
   }
   o.checkpoints.push_back(std::move(cp));
-  ++o.checkpoints_taken;
+  ++opt_stat().checkpoints;
   o.since_checkpoint = 0;
   o.checkpoint_due = false;
 }
@@ -839,13 +831,6 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
     if (depth == 0) bucket = 0;
     ++ws.depth_hist[bucket];
   }
-  // Adaptive shrink: a rollback means up to effective_interval entries of
-  // replay; frequent rollbacks favor closer restore points.
-  if (config_.checkpoint_adaptive && o.effective_interval > 1) {
-    o.effective_interval /= 2;
-  }
-  o.consumes_since_rollback = 0;
-
   // 1) Cancel speculative output: every send issued at or after the
   //    rolled-back consumption gets an anti-message. Queued (not sent
   //    inline) so an annihilation cascade unwinds iteratively; per-lane
@@ -989,7 +974,9 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
   d.consumed_base = o.consumed_base;
   d.consumed_size = o.consumed.size();
   d.fossil_cursor = o.fossil_cursor;
-  d.log_bytes = o.log_bytes;
+  for (const ConsumedEntry& e : o.consumed) {
+    d.log_bytes += opt_entry_bytes(e.msg);
+  }
   d.checkpoint_cursors.reserve(o.checkpoints.size());
   for (const Checkpoint& cp : o.checkpoints) {
     d.checkpoint_cursors.push_back(cp.cursor);
@@ -998,20 +985,29 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
   return d;
 }
 
-void Engine::opt_gvt_pass() {
-  // Capture the retained-log high-water mark before fossil collection
-  // below shrinks it.
-  for (int w = 0; w < config_.host_workers; ++w) opt_sample_log_peak(w);
-  VTime g = clock_floor(-1).min;
-  // MC mode: messages parked in in-flight lanes (including antis) are
-  // in transit and bound future deliveries.
-  for (const auto& lane : inflight_) {
-    for (const Message& m : lane.q) g = std::min(g, m.arrival);
+void Engine::opt_fold_gvt(int w) {
+  const std::uint64_t stores = floor_store_count();
+  VTime g = peer_floor(-1);
+  // A store between the two count reads may have moved a message's share
+  // from its sender's word to its receiver's after this read passed the
+  // receiver: skip this fold, a later one retries.
+  if (floor_store_count() != stores) return;
+  VTime cur = gvt_.load(std::memory_order_relaxed);
+  while (g != kVTimeNever && g > cur) {
+    if (gvt_.compare_exchange_weak(cur, g, std::memory_order_relaxed)) {
+      gvt_passes_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    }
   }
-  if (g == kVTimeNever || g <= gvt_.load(std::memory_order_relaxed)) return;
-  gvt_.store(g, std::memory_order_relaxed);
-  gvt_passes_.fetch_add(1, std::memory_order_relaxed);
-  for (const auto& p : procs_) opt_fossil_rank(*p, g);
+  // Every fold follows a publish of w's word, which sampled the log peak
+  // that fossil collection is about to shrink.
+  Worker& self = worker_at(w);
+  g = gvt_.load(std::memory_order_relaxed);
+  if (g <= self.fossil_gvt) return;
+  self.fossil_gvt = g;
+  for (int r : self.ranks) {
+    opt_fossil_rank(*procs_[static_cast<std::size_t>(r)], g);
+  }
 }
 
 void Engine::opt_fossil_rank(Process& p, VTime g) {
@@ -1022,7 +1018,8 @@ void Engine::opt_fossil_rank(Process& p, VTime g) {
     auto it = std::remove_if(
         o.records.begin(), o.records.end(),
         [g](const WildcardRecord& r) { return r.arrival < g; });
-    opt_stat().fossil += static_cast<std::uint64_t>(o.records.end() - it);
+    worker_at(p.home_worker_).stat.fossil +=
+        static_cast<std::uint64_t>(o.records.end() - it);
     o.records.erase(it, o.records.end());
   }
   // Send-log pruning. Every future rollback targets a consumed entry with
@@ -1312,12 +1309,6 @@ RunResult Engine::run() {
     procs_.push_back(std::move(p));
   }
 
-  if (config_.optimistic) {
-    for (auto& p : procs_) {
-      p->opt_.effective_interval = config_.checkpoint_interval;
-    }
-  }
-
   host_t0_sec_ = steady_now_sec();
 
   run_rounds();
@@ -1335,7 +1326,6 @@ RunResult Engine::run() {
     if (config_.host_workers > 1) {
       pstats_.intra_messages += ws.intra;
       pstats_.mailbox_messages += ws.mailbox;
-      pstats_.worker_busy_vtime.push_back(ws.busy_vtime);
       pstats_.worker_slices.push_back(ws.slices);
     }
     if (!config_.optimistic) continue;
@@ -1347,6 +1337,7 @@ RunResult Engine::run() {
     pstats_.log_bytes_peak += ws.log_peak;
     pstats_.rollbacks += ws.rollbacks;
     pstats_.anti_messages += ws.antis;
+    pstats_.checkpoints_taken += ws.checkpoints;
     pstats_.fossil_finalized += ws.fossil;
     pstats_.replayed_events += ws.replayed;
     for (int b = 0; b < WorkerStat::kDepthBuckets; ++b) {
@@ -1358,9 +1349,6 @@ RunResult Engine::run() {
     while (!pstats_.rollback_depth_hist.empty() &&
            pstats_.rollback_depth_hist.back() == 0) {
       pstats_.rollback_depth_hist.pop_back();
-    }
-    for (const auto& p : procs_) {
-      pstats_.checkpoints_taken += p->opt_.checkpoints_taken;
     }
     pstats_.gvt_passes = gvt_passes_.load(std::memory_order_relaxed);
   }
@@ -1471,35 +1459,11 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
   std::vector<int>& local_ready = self.ready;
   WorkerStat& ws = self.stat;
   std::vector<int>& parked = self.parked;
-  // Time Warp: fold the published words into GVT (CAS-max) and
-  // fossil-collect this worker's ranks whenever that advanced it. Besides
-  // idle spins, a busy worker folds once per max(256, own ranks)
-  // iterations, so the fossil sweep costs O(1) amortized per iteration.
+  // Time Warp: besides idle spins, a busy worker folds GVT once per
+  // max(256, own ranks) iterations, so the fossil sweep costs O(1)
+  // amortized per iteration.
   const std::uint64_t fold_every =
       std::max<std::uint64_t>(256, self.ranks.size());
-  VTime fossil_gvt = 0;
-  auto opt_fold_and_fossil = [&] {
-    const std::uint64_t stores = floor_store_count();
-    VTime g = peer_floor(-1);
-    // A store between the two count reads may have moved a message's share
-    // from its sender's word to its receiver's after this read passed the
-    // receiver: skip this fold, a later one retries.
-    if (floor_store_count() != stores) return;
-    VTime cur = gvt_.load(std::memory_order_relaxed);
-    while (g != kVTimeNever && g > cur) {
-      if (gvt_.compare_exchange_weak(cur, g, std::memory_order_relaxed)) {
-        gvt_passes_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-    g = gvt_.load(std::memory_order_relaxed);
-    if (g <= fossil_gvt) return;
-    fossil_gvt = g;
-    opt_sample_log_peak(worker);
-    for (int r : self.ranks) {
-      opt_fossil_rank(*procs_[static_cast<std::size_t>(r)], g);
-    }
-  };
   auto take_ready = [&] {
     for (int woken : local_ready) {
       heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
@@ -1573,19 +1537,11 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
       if (!work) {
         // A peer is still running and may yet feed us through a lane. Idle
         // time is free for Time Warp's fold and fossil collection.
-        if (config_.optimistic) opt_fold_and_fossil();
+        if (config_.optimistic) opt_fold_gvt(worker);
         std::this_thread::yield();
         continue;
       }
-      if (config_.optimistic && iter % fold_every == 0) {
-        // MC's in-flight lanes are in no floor word; its exact pass reads
-        // them.
-        if (mc_active_) {
-          opt_gvt_pass();
-        } else {
-          opt_fold_and_fossil();
-        }
-      }
+      if (config_.optimistic && iter % fold_every == 0) opt_fold_gvt(worker);
       int rank;
       if (mc_active_) {
         rank = oracle_pick(heap);
@@ -1594,9 +1550,7 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
         rank = heap.pop();
       }
       Process& p = *procs_[static_cast<std::size_t>(rank)];
-      const VTime clock_before = p.clock_;
       resume_process(p);
-      ws.busy_vtime += p.clock_ - clock_before;
       ++ws.slices;
       refloor(p);
       // Stop at the first error: a failed slice ends the pass before any
@@ -1605,7 +1559,6 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
     }
   };
   do {
-    fossil_gvt = gvt_.load(std::memory_order_relaxed);
     // A worker-side exception (simulator invariant failure, an oracle
     // abandoning its prefix) is recorded, and the worker still arrives, so
     // the quiescence step sees the error and ends the run.
@@ -1635,9 +1588,15 @@ void Engine::quiescence_step() noexcept {
     // nothing can run.
     if (!any_ready()) promote_stuck_wildcard();
     const bool more = any_ready();
-    // Exact GVT: every worker is stopped and every lane drained. One worker
-    // has no peer to wait for, so it adds only the run's final pass here.
-    if (config_.optimistic && (threaded_run_ || !more)) opt_gvt_pass();
+    // Every worker is stopped and every lane drained, so the words can be
+    // exact. Republish them first: a sender's word may still hold the
+    // arrival of a message its receiver delivered after the sender last
+    // published. One worker has no peer to wait for, so it folds here only
+    // at the run's end.
+    if (config_.optimistic && (threaded_run_ || !more)) {
+      for (int w = 0; w < config_.host_workers; ++w) publish_floor(w);
+      for (int w = 0; w < config_.host_workers; ++w) opt_fold_gvt(w);
+    }
     // Nothing ready: every rank finished, or run_rounds reports a deadlock.
     if (!more) return;
     if (host_budget_exhausted()) {

@@ -12,8 +12,8 @@
 // One driver decides which process runs next: EngineConfig::host_workers
 // workers, started once per run, each executing run_partition_round over
 // its partition of the processes. When no worker can run they meet at a
-// quiescence step that promotes a stuck wildcard receive, passes exact GVT
-// and either sets them running again or ends the run. Each worker's pick
+// quiescence step that promotes a stuck wildcard receive, folds GVT and
+// either sets them running again or ends the run. Each worker's pick
 // step is one of three pickers:
 //  * Heap (one worker, no oracle): the worker's ready heap, lowest clock
 //    first, inline on the caller's thread.
@@ -385,12 +385,6 @@ struct EngineConfig {
   /// replay-from-zero, unbounded log — the pre-checkpoint behavior.
   std::uint64_t checkpoint_interval = 64;
 
-  /// Auto-tune the per-rank checkpoint interval from observed rollbacks:
-  /// halve it (floor 1) when a rank rolls back, grow it (cap 8x the
-  /// configured value) after long rollback-free stretches. Never affects
-  /// committed results — only where restore points sit.
-  bool checkpoint_adaptive = true;
-
   // Run budgets (0 = unlimited). When a budget is exceeded the run is torn
   // down cleanly and BudgetExceededError is thrown, so a pathological
   // target program (unbounded loop, livelocked protocol) terminates with a
@@ -420,9 +414,7 @@ struct ParallelStats {
     return mailbox_messages + barrier_messages;
   }
 
-  /// Per-worker virtual time spent executing slices (sum over executed
-  /// slices of the resumed rank's clock delta) and slice counts.
-  std::vector<VTime> worker_busy_vtime;
+  /// Slices each worker executed.
   std::vector<std::uint64_t> worker_slices;
 
   // Optimistic-mode counters (all zero under the conservative protocol).
@@ -640,9 +632,10 @@ class Engine {
   /// run.
   void run_partition_round(int worker, Quiescence& quiescence);
   /// Runs once per quiescence, while every worker waits: promotes a stuck
-  /// wildcard, passes exact GVT and probes the wall-clock watchdog, then
-  /// re-arms round_busy_ if some rank is ready or sets run_done_. An
-  /// exception goes to note_error and ends the run.
+  /// wildcard, republishes every word and folds GVT for every worker (Time
+  /// Warp), probes the wall-clock watchdog, then re-arms round_busy_ if
+  /// some rank is ready or sets run_done_. An exception goes to note_error
+  /// and ends the run.
   void quiescence_step() noexcept;
   /// Pops every queued message from `worker`'s incoming lanes, hands it to
   /// deliver_now and republishes the worker's floor word. Returns how many
@@ -675,7 +668,8 @@ class Engine {
   std::uint64_t floor_store_count() const;
   /// Stores worker `w`'s word, min(clock_floor(w) + latency, arrivals it
   /// pushed that are not yet delivered), then releases what `w` drained to
-  /// its senders' words. Also samples `w`'s consumption-log peak.
+  /// its senders' words. In MC mode the word also covers every message in
+  /// the in-flight lanes. Also samples `w`'s consumption-log peak.
   void publish_floor(int w);
   void resume_process(Process& p);
   [[noreturn]] void raise_deadlock();
@@ -719,9 +713,11 @@ class Engine {
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
-  /// Exact GVT pass for MC and the quiescence step: min over unfinished
-  /// clocks and MC in-flight lanes, then fossil-collects every rank.
-  void opt_gvt_pass();
+  /// Folds the published floor words into GVT (CAS-max; an advance counts
+  /// one GVT pass) and, when that passed worker `w`'s fossil_gvt,
+  /// fossil-collects `w`'s ranks. Runs on `w`'s thread, or in the
+  /// quiescence step for every worker.
+  void opt_fold_gvt(int w);
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
   /// wildcard records with arrival < g, prunes the committed send-log
   /// prefix that no future rollback can cancel, and frees consumption-log
@@ -730,18 +726,15 @@ class Engine {
   void opt_fossil_rank(Process& p, VTime g);
   /// Bookkeeping after `p` consumed a message (live match or replay feed):
   /// advances the checkpoint countdown, arming checkpoint_due when the
-  /// effective interval elapses, and grows the adaptive interval after
-  /// long rollback-free stretches.
+  /// checkpoint interval elapses.
   void opt_note_consume(Process& p);
   /// Process::take_checkpoint body: captures cursors + blob into
   /// OptState::checkpoints.
   void opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob);
-  /// Consumption-log byte accounting: per rank, and per worker over its
-  /// own ranks (current + sampled peak).
+  /// Consumption-log byte accounting per worker over its own ranks
+  /// (current + sampled peak).
   void opt_log_charge(Process& p, const Message& m);
   void opt_log_release(Process& p, const Message& m);
-  /// Raises worker `w`'s log peak to its current bytes.
-  void opt_sample_log_peak(int w);
   static std::size_t opt_entry_bytes(const Message& m);
   /// This thread's worker stat cell (see g_current_worker).
   WorkerStat& opt_stat();
@@ -797,10 +790,10 @@ class Engine {
     /// anti-message annihilated; RunResult::messages_delivered sums them.
     std::uint64_t delivered = 0;
     std::uint64_t slices = 0;
-    VTime busy_vtime = 0;
     // Optimistic-mode counters.
     std::uint64_t rollbacks = 0;
     std::uint64_t antis = 0;
+    std::uint64_t checkpoints = 0;
     std::uint64_t fossil = 0;
     std::uint64_t replayed = 0;
     std::uint64_t depth_hist[kDepthBuckets] = {};  ///< log2(discarded entries)
@@ -831,6 +824,8 @@ class Engine {
     // a chain of N cascading rollbacks costs O(1) stack.
     std::vector<Message> antis;
     bool flushing = false;
+    /// The GVT this worker's ranks were last fossil-collected at.
+    VTime fossil_gvt = 0;
     WorkerStat stat;
   };
   // Own line: payload_pool_'s last one holds counters every DE message

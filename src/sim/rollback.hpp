@@ -128,11 +128,11 @@ struct OptState {
 
   // Checkpoints, cursor-ordered (strictly increasing). Capture is driven
   // by the engine setting checkpoint_due once since_checkpoint reaches
-  // effective_interval; the application layer polls the flag at statement
-  // boundaries and calls Process::take_checkpoint with its blob.
+  // EngineConfig::checkpoint_interval; the application layer polls the flag
+  // at statement boundaries and calls Process::take_checkpoint with its
+  // blob.
   std::vector<Checkpoint> checkpoints;
   std::uint64_t since_checkpoint = 0;
-  std::uint64_t effective_interval = 0;  ///< adaptive; 0 = checkpoints off
   bool checkpoint_due = false;
 
   // Restore handoff: rollback into a checkpoint copies its blob here and
@@ -140,14 +140,6 @@ struct OptState {
   // initializing fresh state.
   std::vector<std::uint8_t> restore_blob;
   bool restore_armed = false;
-
-  // Adaptive-interval inputs: committed consumes since this rank last
-  // rolled back (grow signal) and total rollbacks (shrink signal).
-  std::uint64_t consumes_since_rollback = 0;
-
-  // Per-rank counters surfaced through ParallelStats.
-  std::uint64_t checkpoints_taken = 0;
-  std::uint64_t log_bytes = 0;  ///< current consumption-log bytes
 
   // Send log. sends[i] is the send with ordinal send_base + i;
   // send_ordinal counts sends issued by the *current incarnation* of the

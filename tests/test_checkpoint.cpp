@@ -1,6 +1,6 @@
 // Tests for the optimistic scheduler's state-saving layer (DESIGN.md §15):
 // periodic per-rank checkpoints, coast-forward restore, GVT-gated
-// consumption-log pruning, and the adaptive tuning knobs. The contract
+// consumption-log pruning, and the checkpoint-interval knob. The contract
 // under test throughout: none of these mechanisms may change committed
 // results — digests stay bit-identical to the sequential conservative
 // scheduler at every checkpoint interval, including runs whose fault
@@ -20,6 +20,7 @@
 #include "fault/fault.hpp"
 #include "harness/config_json.hpp"
 #include "harness/digest.hpp"
+#include "harness/machines.hpp"
 #include "harness/runner.hpp"
 #include "ir/interp.hpp"
 #include "ir/plan.hpp"
@@ -99,7 +100,6 @@ TEST(Checkpoint, DigestsBitIdenticalAcrossIntervalsAndWorkers) {
         cfg.schedule = harness::Schedule::kOptimistic;
         cfg.threads = workers;
         cfg.checkpoint_interval = interval;
-        cfg.checkpoint_adaptive = false;  // pin the interval exactly
         EXPECT_EQ(digest_of(app.prog, cfg), want)
             << app.name << " interval=" << interval << " workers=" << workers;
       }
@@ -115,7 +115,6 @@ TEST(Checkpoint, AdaptiveTuningAndSpeculationWindowPreserveDigests) {
       cfg.schedule = harness::Schedule::kOptimistic;
       cfg.threads = workers;
       cfg.checkpoint_interval = 4;
-      cfg.checkpoint_adaptive = true;
       EXPECT_EQ(digest_of(app.prog, cfg), want)
           << app.name << " adaptive workers=" << workers;
     }
@@ -183,7 +182,6 @@ TEST(Checkpoint, StragglerRollbackRestoresCorrectlyAtEveryInterval) {
     harness::RunConfig opt = ref;
     opt.schedule = harness::Schedule::kOptimistic;
     opt.checkpoint_interval = interval;
-    opt.checkpoint_adaptive = false;
     opt.oracle = &oracle;
     opt.obs = &rec;
     harness::RunOutcome out = harness::run_program(prog, opt);
@@ -229,7 +227,6 @@ TEST(Checkpoint, RollbackDepthHistogramAccountsForEveryRollback) {
   opt.faults = fault::parse_fault_plan(kStragglerPlan);
   opt.schedule = harness::Schedule::kOptimistic;
   opt.checkpoint_interval = 4;
-  opt.checkpoint_adaptive = false;
   opt.oracle = &oracle;
   opt.obs = &rec;
   harness::RunOutcome out = harness::run_program(prog, opt);
@@ -242,6 +239,121 @@ TEST(Checkpoint, RollbackDepthHistogramAccountsForEveryRollback) {
   }
   EXPECT_EQ(histogram_total, out.parallel.rollbacks)
       << "every rollback lands in exactly one depth bucket";
+}
+
+TEST(Checkpoint, TimeWarpPinnedAtParent) {
+  // Every Time Warp counter of the deterministic shapes, captured before
+  // the adaptive checkpoint interval and the MC-only exact GVT pass were
+  // removed (at the fixed interval those builds ran when asked to). The
+  // fixed countdown and the one GVT fold must reproduce them exactly; never
+  // re-capture them to make an engine change pass.
+  struct Pin {
+    std::string shape;
+    std::uint64_t digest, rollbacks, antis, replayed, checkpoints, fossil,
+        gvt_passes, log_bytes_peak;
+  };
+  auto measure = [](const std::string& shape, const ir::Program& prog,
+                    harness::RunConfig cfg) {
+    harness::RunOutcome out = harness::run_program(prog, cfg);
+    EXPECT_TRUE(out.ok()) << shape << ": " << out.diagnostic;
+    const simk::ParallelStats& s = out.parallel;
+    return Pin{shape, harness::run_digest(out), s.rollbacks,
+               s.anti_messages, s.replayed_events, s.checkpoints_taken,
+               s.fossil_finalized, s.gvt_passes, s.log_bytes_peak};
+  };
+  std::vector<Pin> got;
+  // The MC straggler-first rollback fixture (DESIGN.md §15.6).
+  const ir::Program straggler = anysource_program(3, 4);
+  for (const std::uint64_t interval : kIntervals) {
+    StragglerFirstOracle oracle;
+    harness::RunConfig cfg = base_config(3);
+    cfg.faults = fault::parse_fault_plan(kStragglerPlan);
+    cfg.schedule = harness::Schedule::kOptimistic;
+    cfg.checkpoint_interval = interval;
+    cfg.oracle = &oracle;
+    got.push_back(measure("mc-straggler@" + std::to_string(interval),
+                          straggler, cfg));
+  }
+  // Long enough for the MC fold to advance GVT (its word covers the
+  // in-flight lanes) and finalize records.
+  {
+    StragglerFirstOracle oracle;
+    harness::RunConfig cfg = base_config(3);
+    cfg.faults = fault::parse_fault_plan(kStragglerPlan);
+    cfg.schedule = harness::Schedule::kOptimistic;
+    cfg.checkpoint_interval = 4;
+    cfg.oracle = &oracle;
+    got.push_back(
+        measure("mc-straggler-200@4", anysource_program(3, 200), cfg));
+  }
+  // One worker, mid-pass folds without a wildcard.
+  {
+    apps::AppSpec sp;
+    sp.name = "nas_sp";
+    sp.options = {{"steps", "8"}};
+    harness::RunConfig cfg = base_config(16);
+    cfg.schedule = harness::Schedule::kOptimistic;
+    got.push_back(measure("nas_sp-16", apps::build_app(sp, 16), cfg));
+  }
+  // One worker, rendezvous: a wildcard receive of an RTS rolls back
+  // without an oracle.
+  {
+    apps::SampleConfig c;
+    c.pattern = apps::SamplePattern::kAnySource;
+    c.iterations = 5;
+    c.msg_doubles = 256;
+    c.work_iters = 1000;
+    harness::RunConfig cfg = base_config(8);
+    cfg.machine = harness::parse_machine_spec("ibm_sp[eager_threshold=0]");
+    cfg.schedule = harness::Schedule::kOptimistic;
+    got.push_back(measure("anysource-8-rndv", apps::make_sample(c), cfg));
+  }
+  // One worker, 64 ranks: the root takes 1,260 rollback-free wildcard
+  // consumptions, enough for the removed controller to have stretched
+  // its interval.
+  apps::AppSpec gather;
+  gather.name = "sample";
+  gather.options = {{"pattern", "anysource"},
+                    {"iters", "20"},
+                    {"work", "10"},
+                    {"msg-doubles", "64"}};
+  const ir::Program wide = apps::build_app(gather, 64);
+  for (const int workers : {0, 1}) {
+    harness::RunConfig cfg = base_config(64);
+    cfg.schedule = harness::Schedule::kOptimistic;
+    cfg.threads = workers;
+    got.push_back(
+        measure("anysource-64@w" + std::to_string(workers), wide, cfg));
+  }
+
+  // shape, digest, rollbacks, anti-messages, replayed events, checkpoints,
+  // fossil-finalized, gvt_passes, log_bytes_peak.
+  const std::vector<Pin> want = {
+      {"mc-straggler@1", 0x414862bf5bdb39c9ULL, 4, 0, 0, 24, 0, 0, 4864},
+      {"mc-straggler@4", 0x414862bf5bdb39c9ULL, 4, 0, 6, 6, 0, 0, 4864},
+      {"mc-straggler@64", 0x414862bf5bdb39c9ULL, 4, 0, 6, 0, 0, 0, 4864},
+      {"mc-straggler@0", 0x414862bf5bdb39c9ULL, 4, 0, 6, 0, 0, 0, 4864},
+      {"mc-straggler-200@4", 0x4b3432b1c4ec8783ULL, 200, 0, 299, 7565, 232,
+       2, 243200},
+      {"nas_sp-16", 0x626e98bfcb8dba2dULL, 0, 0, 0, 20, 0, 3, 22262368},
+      {"anysource-8-rndv", 0xc71a6bf209973dd4ULL, 5, 8, 92, 0, 0, 0, 78400},
+      {"anysource-64@w0", 0x6ef770885bcd4208ULL, 0, 0, 0, 19, 0, 0, 766080},
+      {"anysource-64@w1", 0x6ef770885bcd4208ULL, 0, 0, 0, 19, 0, 0, 766080},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Pin& g = got[i];
+    const Pin& w = want[i];
+    ASSERT_EQ(g.shape, w.shape);
+    EXPECT_EQ(g.digest, w.digest) << g.shape;
+    EXPECT_EQ(g.rollbacks, w.rollbacks) << g.shape;
+    EXPECT_EQ(g.antis, w.antis) << g.shape;
+    EXPECT_EQ(g.replayed, w.replayed) << g.shape;
+    EXPECT_EQ(g.checkpoints, w.checkpoints) << g.shape;
+    EXPECT_EQ(g.fossil, w.fossil) << g.shape;
+    EXPECT_EQ(g.gvt_passes, w.gvt_passes) << g.shape;
+    EXPECT_EQ(g.log_bytes_peak, w.log_bytes_peak) << g.shape;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +384,6 @@ TEST(Checkpoint, PayloadFreeArrayCarriesNoBytes) {
   harness::RunConfig tw = am;
   tw.schedule = harness::Schedule::kOptimistic;
   tw.checkpoint_interval = 1;
-  tw.checkpoint_adaptive = false;
   {
     tw.threads = 2;
     const harness::RunOutcome out = harness::run_program(prog, tw);
@@ -308,7 +419,6 @@ TEST(Checkpoint, PayloadFreeArrayCarriesNoBytes) {
   ec.host_workers = 2;
   ec.optimistic = true;
   ec.checkpoint_interval = 1;
-  ec.checkpoint_adaptive = false;
   simk::Engine engine(ec);
   engine.set_wildcard_min_latency(world.wildcard_latency_floor());
   engine.set_body([&](simk::Process& p) {
@@ -341,7 +451,6 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
     harness::RunConfig cfg = base_config(8);
     cfg.schedule = harness::Schedule::kOptimistic;
     cfg.checkpoint_interval = interval;
-    cfg.checkpoint_adaptive = false;
     harness::RunOutcome out = harness::run_program(prog, cfg);
     EXPECT_TRUE(out.ok()) << out.diagnostic;
     EXPECT_EQ(out.parallel.checkpoints_taken > 0, interval != 0);
@@ -367,7 +476,6 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
   cfg.num_processes = kProcs;
   cfg.optimistic = true;
   cfg.checkpoint_interval = 4;
-  cfg.checkpoint_adaptive = false;
   simk::Engine e(cfg);
   e.set_body([](simk::Process& p) {
     const int r = p.rank();
@@ -525,11 +633,9 @@ TEST(Checkpoint, ThreadedLogPeakCoversRetainedLog) {
 TEST(Checkpoint, TuningKnobsRoundTripThroughConfigJson) {
   harness::RunConfig cfg;
   cfg.checkpoint_interval = 7;
-  cfg.checkpoint_adaptive = false;
   const json::Value j = harness::run_config_to_json(cfg);
   const harness::RunConfig back = harness::run_config_from_json(j);
   EXPECT_EQ(back.checkpoint_interval, 7u);
-  EXPECT_FALSE(back.checkpoint_adaptive);
 
   // "checkpoint_interval": 0 is the canonical spelling of "off".
   harness::RunConfig off;

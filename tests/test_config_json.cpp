@@ -261,10 +261,11 @@ TEST(RunSpecJson, UnknownSchemaVersionIsAStructuredRejection) {
 }
 
 TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
-  // stgsim-9 dropped speculation_window_sec and stgsim-10 gvt_interval; a
-  // document from before that carries one at its old default 0 runs as if
-  // it did not, at any other value it is refused by name instead of
-  // running without it.
+  // stgsim-9 dropped speculation_window_sec, stgsim-10 gvt_interval and
+  // stgsim-11 checkpoint_adaptive; a document from before that carries one
+  // at a value that asks for what today's engine does (0; for
+  // checkpoint_adaptive either boolean) runs as if it did not, at any other
+  // value it is refused by name instead of running without it.
   struct Removed {
     const char* schema;
     const char* key;
@@ -283,13 +284,19 @@ TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
     return harness::run_spec_to_json(harness::run_spec_from_json(doc)).dump();
   };
   for (const Removed& r : {Removed{"stgsim-8", "speculation_window_sec", "0"},
-                           Removed{"stgsim-9", "gvt_interval", "0"}}) {
+                           Removed{"stgsim-9", "gvt_interval", "0"},
+                           Removed{"stgsim-10", "checkpoint_adaptive", "true"},
+                           Removed{"stgsim-10", "checkpoint_adaptive",
+                                   "false"}}) {
     EXPECT_EQ(canonical(doc_with(r.schema, field(r))),
               canonical(doc_with(r.schema, "")))
         << r.key;
   }
   for (const Removed& r : {Removed{"stgsim-8", "speculation_window_sec", "0.5"},
-                           Removed{"stgsim-9", "gvt_interval", "100"}}) {
+                           Removed{"stgsim-9", "gvt_interval", "100"},
+                           Removed{"stgsim-10", "checkpoint_adaptive", "0"},
+                           Removed{"stgsim-10", "checkpoint_adaptive",
+                                   "\"off\""}}) {
     const json::Value doc = doc_with(r.schema, field(r));
     try {
       harness::run_spec_from_json(doc);
@@ -306,10 +313,10 @@ TEST(RunSpecJson, RemovedSpeculationWindowKeyIsAStructuredRejection) {
 
 TEST(RunSpecJson, PublishedJsonSchemasNameTheCurrentVersion) {
   const json::Value spec_schema = harness::run_spec_schema_json();
-  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-10/run-spec");
+  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-11/run-spec");
   EXPECT_TRUE(spec_schema.at("properties").has("max_host_sec"));
   const json::Value outcome_schema = harness::run_outcome_schema_json();
-  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-10/run-outcome");
+  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-11/run-outcome");
   EXPECT_TRUE(outcome_schema.at("properties").has("digest"));
 }
 
@@ -327,7 +334,6 @@ harness::RunSpec every_field_spec() {
   c.partition = simk::PartitionMode::kComm;
   c.schedule = harness::Schedule::kOptimistic;
   c.checkpoint_interval = 32;
-  c.checkpoint_adaptive = false;
   c.abstract_comm = true;
   c.memory_cap_bytes = std::size_t{96} << 20;
   c.fiber_stack_bytes = 512 * 1024;
@@ -358,7 +364,7 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
   const std::string dump = harness::run_spec_to_json(spec).dump();
   EXPECT_EQ(dump,
             R"({"abstract_comm":true,"app":"sample","calibrate":0,)"
-            R"("checkpoint_adaptive":false,"checkpoint_interval":32,)"
+            R"("checkpoint_interval":32,)"
             R"("fault":"straggler:rank=1,factor=3","fiber_stack_kb":512,)"
             R"("machine":"origin2000[latency_us=7]",)"
             R"("max_host_sec":30,"max_messages":12345,)"
@@ -367,9 +373,9 @@ TEST(RunSpecJson, EveryFieldPinnedAtParent) {
             R"("work":"2000"},"params":{"w_sample_work":1.25e-06},)"
             R"("partition":"comm","procs":6,"schedule":"optimistic",)"
             R"("seed":99,"workers":3})");
-  EXPECT_EQ(harness::run_spec_digest_hex(spec), "6edebcf2900c7390");
+  EXPECT_EQ(harness::run_spec_digest_hex(spec), "8da8192099579319");
   EXPECT_EQ(fnv1a_hex(harness::run_spec_schema_json().dump()),
-            "70d01fb747fcc2a2");
+            "c62ecdf5b538c474");
   // Every field survives the round trip.
   EXPECT_EQ(harness::run_spec_to_json(
                 harness::run_spec_from_json(json::Value::parse(dump)))

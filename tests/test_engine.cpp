@@ -832,7 +832,6 @@ TEST(Engine, ThreadedRunPopulatesParallelStats) {
   // cross-partition; the rest stays on-worker.
   EXPECT_GT(ps.cross_messages(), 0u);
   EXPECT_GT(ps.intra_messages, 0u);
-  ASSERT_EQ(ps.worker_busy_vtime.size(), 4u);
   ASSERT_EQ(ps.worker_slices.size(), 4u);
   std::uint64_t slices = 0;
   for (auto s : ps.worker_slices) slices += s;

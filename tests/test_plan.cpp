@@ -170,7 +170,6 @@ TEST(Checkpoint, RankDependentDeclarationSurvivesThreadedRestore) {
   tw.schedule = harness::Schedule::kOptimistic;
   tw.threads = 2;  // block partition: ranks {0, 1} and {2, 3}
   tw.checkpoint_interval = 1;
-  tw.checkpoint_adaptive = false;
   // Whether the straggler beats the wildcard is host timing; a few tries
   // make a run without any rollback vanishingly unlikely.
   bool rolled_back = false;

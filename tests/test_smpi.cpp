@@ -710,9 +710,11 @@ const CommLayerPin kCommLayerPins[] = {
     {"sample-anysource", "ibm_sp", 0x53d4d74ab3620f9aULL,
      {0xc7157555b8de2eb1ULL, 35, 9, 0xc7eb338c21d5b093ULL},
      {0xc7157555b8de2eb1ULL, 35, 9, 0xc7eb338c21d5b093ULL}},
+    // Rendezvous wildcards roll back at one worker, so the optimistic
+    // slices depend on where the (fixed-interval) checkpoints sit.
     {"sample-anysource", "ibm_sp[eager_threshold=0]", 0x53d4d74ab3620f9aULL,
      {0xc71a6bf209973dd4ULL, 70, 78, 0x895bc94a0428b733ULL},
-     {0xc71a6bf209973dd4ULL, 70, 52, 0x895bc94a0428b733ULL}},
+     {0xc71a6bf209973dd4ULL, 70, 53, 0x895bc94a0428b733ULL}},
     {"sample-anysource", kAllLinear, 0x53d4d74ab3620f9aULL,
      {0xc7157555b8de2eb1ULL, 35, 9, 0xc7eb338c21d5b093ULL},
      {0xc7157555b8de2eb1ULL, 35, 9, 0xc7eb338c21d5b093ULL}},
