@@ -84,91 +84,124 @@ void Process::send(Message msg) {
       }
       return;
     }
-    opt_.sends.push_back(
-        SendRecord{msg.dst, msg.seq, msg.sent_at, msg.arrival});
+    if (opt_.saving) {
+      msg.tainted = true;
+      opt_.sends.push_back(
+          SendRecord{msg.dst, msg.seq, msg.sent_at, msg.arrival});
+    }
   }
   engine_->deliver(std::move(msg));
 }
 
+Process::Match Process::find_match(const MatchSpec& spec,
+                                   std::uint64_t* probes) {
+  // Locals for the counts and the best key: the loop then keeps them in
+  // registers instead of reloading through pointers on every node.
+  std::uint64_t seen = 0;
+  Match best;
+  if (spec.src != MatchSpec::kAnySource && spec.any_of == nullptr) {
+    if (Channel* ch = find_channel(spec.src)) {
+      MsgNode* prev = nullptr;
+      for (MsgNode* n = ch->head; n != nullptr; prev = n, n = n->next) {
+        ++seen;
+        if (spec.accepts(n->value)) {
+          best = Match{ch, n, prev};
+          break;
+        }
+      }
+    }
+  } else {
+    // Wildcard: per MPI, messages from one source are matched in send
+    // order; across sources we pick the earliest arrival (ties by source
+    // id) among each channel's first acceptable message. The explicit
+    // tie-break makes channel iteration order irrelevant.
+    VTime best_arrival = kVTimeNever;
+    int best_src = -1;
+    for (auto& ch : channels_) {
+      MsgNode* prev = nullptr;
+      for (MsgNode* n = ch.head; n != nullptr; prev = n, n = n->next) {
+        ++seen;
+        if (spec.accepts(n->value)) {
+          if (n->value.arrival < best_arrival ||
+              (n->value.arrival == best_arrival && ch.src < best_src)) {
+            best = Match{&ch, n, prev};
+            best_arrival = n->value.arrival;
+            best_src = ch.src;
+          }
+          break;  // only the first acceptable message per channel competes
+        }
+      }
+    }
+  }
+  *probes += seen;
+  return best;
+}
+
+bool Process::deferring() const {
+  return engine_->config_.optimistic && !opt_.saving && opt_.cursor() > 0;
+}
+
+void Process::take(const MatchSpec& spec, const Match& f, Message* out) {
+  unlink(*f.ch, f.node, f.prev);
+  *out = engine_->arena_of(*this).release(f.node);
+  if (!engine_->config_.optimistic) return;
+  if (!opt_.saving && speculative(spec, *out)) {
+    if (opt_.cursor() == 0) {
+      engine_->opt_start_saving(*this);  // rank start is the restore point
+    } else {
+      // The bound admitted the step, so no rollback can undo it. The
+      // checkpoint it arms is the restore point saving starts from.
+      opt_.admitted = false;
+      ++engine_->opt_stat().deferred;
+      if (engine_->config_.checkpoint_interval > 0) opt_.checkpoint_due = true;
+    }
+  }
+  if (!opt_.saving) {
+    ++opt_.consumed_base;  // a clean rank only counts its consumptions
+    return;
+  }
+  // Consumption log: the replay feed and the anti-message lookup both need
+  // the message back after the fiber has destroyed its copy. clone_message
+  // shares the payload (refcount bump, no byte copy).
+  ConsumedEntry e;
+  e.msg = engine_->clone_message(*out);
+  e.sends_before = opt_.send_ordinal;
+  engine_->opt_log_charge(*this, e.msg);
+  opt_.consumed.push_back(std::move(e));
+  engine_->opt_note_consume(*this);
+}
+
 bool Process::try_match(const MatchSpec& spec, Message* out) {
+  bool deferred = false;
+  return match(spec, out, &deferred);
+}
+
+bool Process::match(const MatchSpec& spec, Message* out, bool* deferred) {
   if (engine_->config_.optimistic && opt_.replaying()) {
     // Rollback replay: consumptions come from the log, not the inbox
     // (saw_wildcard_recv_ was already set by the original execution).
     return engine_->opt_feed_replay(*this, spec, out);
   }
-  auto take = [&](Channel& ch, MsgNode* node, MsgNode* prev) {
-    unlink(ch, node, prev);
-    *out = engine_->arena_of(*this).release(node);
-    if (engine_->config_.optimistic) {
-      // Consumption log: the replay feed and the anti-message lookup both
-      // need the message back after the fiber has destroyed its copy.
-      // clone_message shares the payload (refcount bump, no byte copy).
-      ConsumedEntry e;
-      e.msg = engine_->clone_message(*out);
-      e.sends_before = opt_.send_ordinal;
-      engine_->opt_log_charge(*this, e.msg);
-      opt_.consumed.push_back(std::move(e));
-      engine_->opt_note_consume(*this);
-    }
-  };
-
+  // Stored once: the flag shares a line with fields every message reads.
+  if (spec.is_wildcard() &&
+      !engine_->saw_wildcard_recv_.load(std::memory_order_relaxed)) {
+    engine_->saw_wildcard_recv_.store(true, std::memory_order_relaxed);
+  }
   // Probe accounting for the observer: one local increment per inspected
   // node, reported once per attempt (never per node).
   std::uint64_t probes = 0;
-  auto report = [&](bool hit) {
-    if (engine_->observer_ != nullptr) {
-      engine_->observer_->on_match(rank_, probes, hit);
-    }
-    return hit;
-  };
-
-  if (spec.src != MatchSpec::kAnySource && spec.any_of == nullptr) {
-    Channel* ch = find_channel(spec.src);
-    if (ch == nullptr) return report(false);
-    MsgNode* prev = nullptr;
-    for (MsgNode* n = ch->head; n != nullptr; prev = n, n = n->next) {
-      ++probes;
-      if (spec.accepts(n->value)) {
-        take(*ch, n, prev);
-        return report(true);
-      }
-    }
-    return report(false);
+  const Match f = find_match(spec, &probes);
+  // A clean rank past its first consumption has no restore point: its
+  // speculative step waits until the bound passes the candidate.
+  *deferred = f.node != nullptr && speculative(spec, f.node->value) &&
+              deferring() && !opt_.admitted &&
+              !engine_->bound_passed(*this, candidate(spec, f.node->value));
+  const bool hit = f.node != nullptr && !*deferred;
+  if (hit) take(spec, f, out);
+  if (engine_->observer_ != nullptr) {
+    engine_->observer_->on_match(rank_, probes, hit);
   }
-
-  // Wildcard: per MPI, messages from one source are matched in send order;
-  // across sources we pick the earliest arrival (ties by source id) among
-  // each channel's first acceptable message. The explicit tie-break makes
-  // channel iteration order irrelevant.
-  // Stored once: the flag shares a line with fields every message reads.
-  if (!engine_->saw_wildcard_recv_.load(std::memory_order_relaxed)) {
-    engine_->saw_wildcard_recv_.store(true, std::memory_order_relaxed);
-  }
-  Channel* best_ch = nullptr;
-  MsgNode* best_node = nullptr;
-  MsgNode* best_prev = nullptr;
-  VTime best_arrival = kVTimeNever;
-  int best_src = -1;
-  for (auto& ch : channels_) {
-    MsgNode* prev = nullptr;
-    for (MsgNode* n = ch.head; n != nullptr; prev = n, n = n->next) {
-      ++probes;
-      if (spec.accepts(n->value)) {
-        if (n->value.arrival < best_arrival ||
-            (n->value.arrival == best_arrival && ch.src < best_src)) {
-          best_ch = &ch;
-          best_node = n;
-          best_prev = prev;
-          best_arrival = n->value.arrival;
-          best_src = ch.src;
-        }
-        break;  // only the first acceptable message per channel competes
-      }
-    }
-  }
-  if (best_ch == nullptr) return report(false);
-  take(*best_ch, best_node, best_prev);
-  return report(true);
+  return hit;
 }
 
 bool Process::peek_match(const MatchSpec& spec, VTime* arrival) const {
@@ -181,40 +214,40 @@ bool Process::peek_match(const MatchSpec& spec, VTime* arrival) const {
     if (arrival != nullptr) *arrival = m.arrival;
     return true;
   }
-  VTime best = kVTimeNever;
-  for (const auto& ch : channels_) {
-    if (spec.src != MatchSpec::kAnySource && spec.src != ch.src) continue;
-    for (const MsgNode* n = ch.head; n != nullptr; n = n->next) {
-      if (spec.accepts(n->value)) {
-        best = std::min(best, n->value.arrival);
-        break;  // send order: only the first acceptable per channel
-      }
-    }
+  std::uint64_t probes = 0;
+  // find_match only reads the inbox.
+  const Match f = const_cast<Process*>(this)->find_match(spec, &probes);
+  // A clean rank's speculative step is blocking_match's to take, once the
+  // bound passes it.
+  if (f.node == nullptr || (deferring() && speculative(spec, f.node->value))) {
+    return false;
   }
-  if (best == kVTimeNever) return false;
-  if (arrival != nullptr) *arrival = best;
+  if (arrival != nullptr) *arrival = f.node->value.arrival;
   return true;
 }
 
 Message Process::blocking_match(const MatchSpec& spec) {
   Message out;
   if (engine_->config_.optimistic) {
-    // Optimistic mode: commit on sight. A wildcard commit is speculative —
-    // record it so a straggler that would have won the (arrival, src)
-    // choice triggers rollback (the conservative safety bound, enforced
-    // after the fact). The loop re-probes after every wake: the waking
-    // message may have been annihilated by an anti-message before this
-    // fiber actually ran.
+    // Optimistic mode: commit on sight. A saving rank's wildcard commit is
+    // speculative — record it so a straggler that would have won the
+    // (arrival, src) choice triggers rollback (the conservative safety
+    // bound, enforced after the fact). A clean rank past its first
+    // consumption parks a speculative step instead, until the bound passes
+    // it. The loop re-probes after every wake: the waking message may have
+    // been annihilated by an anti-message before this fiber actually ran.
     for (;;) {
       const bool fed = opt_.replaying();
-      if (try_match(spec, &out)) {
-        if (!fed && spec.is_wildcard()) {
+      bool deferred = false;
+      if (match(spec, &out, &deferred)) {
+        if (!fed && spec.is_wildcard() && opt_.saving) {
           engine_->opt_record_wildcard(*this, spec, out);
         }
         return out;
       }
       blocked_ = true;
       waiting_on_ = &spec;
+      if (deferred) engine_->park_wildcard(*this);
       if (engine_->observer_ != nullptr) {
         engine_->observer_->on_block(rank_, clock_, spec);
       }
@@ -342,8 +375,9 @@ VTime Engine::peer_floor(int w) const {
   return b;
 }
 
-void Engine::publish_floor(int w) {
+std::uint64_t Engine::publish_floor(int w) {
   VTime word = after_floor_latency(clock_floor(w).min);
+  std::uint64_t released = 0;
   for (int v = 0; v < config_.host_workers; ++v) {
     if (v == w) continue;
     Lane& out = lane(w, v);
@@ -352,6 +386,8 @@ void Engine::publish_floor(int w) {
       out.transit.pop_front();
     }
     if (!out.transit.empty()) word = std::min(word, out.transit.front().second);
+    released += done - out.settled;
+    out.settled = done;
   }
   // MC mode: messages (antis included) parked in the in-flight lanes are in
   // transit and bound future deliveries.
@@ -379,6 +415,7 @@ void Engine::publish_floor(int w) {
       in.delivered.store(in.popped, std::memory_order_release);
     }
   }
+  return released;
 }
 
 std::uint64_t Engine::floor_store_count() const {
@@ -392,10 +429,11 @@ std::uint64_t Engine::floor_store_count() const {
 
 bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
   if (config_.optimistic) {
-    // Optimistic mode never uses the conservative bound: cross-source
+    // Optimistic mode never uses the conservative bound here: cross-source
     // choices must flow through blocking_match so the commit is recorded
-    // for straggler detection (the smpi waitany fast path commits only
-    // single-candidate, fixed-source completions, which are not choices).
+    // for straggler detection, or waits there on a clean rank (the smpi
+    // waitany fast path commits only single-candidate, fixed-source
+    // completions, which are not choices).
     return false;
   }
   if (config_.inject == Inject::kUnsafeWildcard) {
@@ -403,18 +441,35 @@ bool Engine::wildcard_commit_safe(const Process& p, VTime arrival) const {
     // pre-safety-bound behavior for the schedule checker to rediscover.
     return true;
   }
+  return bound_passed(p, arrival);
+}
+
+VTime Engine::peers_bound(int w) const {
+  if (!config_.optimistic) return peer_floor(w);
+  const std::uint64_t stores = floor_store_count();
+  VTime b = peer_floor(w);
+  for (int v = 0; v < config_.host_workers; ++v) {
+    if (v == w) continue;
+    // Entries the receiver already delivered only lower the bound.
+    const auto& transit = lane(w, v).transit;
+    if (!transit.empty()) b = std::min(b, transit.front().second);
+  }
+  return floor_store_count() == stores ? b : 0;
+}
+
+bool Engine::bound_passed(const Process& p, VTime t) const {
   if (mc_active_) {
-    // MC mode: never commit mid-slice. Wildcards park and are promoted
-    // only when every in-flight lane is drained, so the candidate set the
+    // MC mode: never commit mid-slice. Receives park and are promoted only
+    // when every in-flight lane is drained, so the candidate set the
     // promotion scan evaluates is final.
     return false;
   }
   // kVTimeNever: no other unfinished process exists, so the queued message
   // set is final and any match is safe.
-  const VTime bound =
-      std::min(after_floor_latency(clock_floor(p.home_worker_).without(p.rank_)),
-               peer_floor(p.home_worker_));
-  return bound == kVTimeNever || arrival < bound;
+  const VTime bound = std::min(
+      after_floor_latency(clock_floor(p.home_worker_).without(p.rank_)),
+      peers_bound(p.home_worker_));
+  return bound == kVTimeNever || t < bound;
 }
 
 double Engine::now_host_sec() const { return steady_now_sec() - host_t0_sec_; }
@@ -553,14 +608,20 @@ void Engine::deliver_now(Message&& msg) {
       can_match = spec.accepts(m);
     }
     if (can_match) {
-      if (!config_.optimistic && spec.is_wildcard() &&
-          !wildcard_commit_safe(dst, m.arrival)) {
-        // Conservative: a slower-clocked rank could still send an
-        // earlier-arriving match: defer the wakeup until the safety bound
-        // passes. If an already-queued candidate has an even earlier
-        // arrival, it is safe whenever this one is, and try_match picks it
-        // on resume. (Optimistic mode never parks: it commits on sight and
-        // corrects with rollback.)
+      // Conservative: a slower-clocked rank could still send an
+      // earlier-arriving match: defer the wakeup until the safety bound
+      // passes. If an already-queued candidate has an even earlier arrival,
+      // it is safe whenever this one is, and try_match picks it on resume.
+      // Time Warp commits on sight and corrects with rollback, except on a
+      // clean rank past its first consumption: a speculative step parks
+      // there, and so does anything behind a parked candidate, for the
+      // worker's promotion to admit.
+      const bool waits =
+          config_.optimistic
+              ? dst.deferring() &&
+                    (dst.wildcard_parked_ || Process::speculative(spec, m))
+              : spec.is_wildcard() && !wildcard_commit_safe(dst, m.arrival);
+      if (waits) {
         park_wildcard(dst);
         return;
       }
@@ -618,6 +679,7 @@ Message Engine::clone_message(const Message& m) {
   c.tag = m.tag;
   c.kind = m.kind;
   c.anti = m.anti;
+  c.tainted = m.tainted;
   c.sent_at = m.sent_at;
   c.arrival = m.arrival;
   c.seq = m.seq;
@@ -648,6 +710,14 @@ bool Engine::opt_feed_replay(Process& p, const MatchSpec& spec,
   opt_note_consume(p);
   if (observer_ != nullptr) observer_->on_match(p.rank_, 1, true);
   return true;
+}
+
+void Engine::opt_start_saving(Process& p) {
+  OptState& o = p.opt_;
+  o.saving = true;
+  o.send_base = o.send_ordinal;
+  o.fossil_cursor = o.consumed_base;
+  worker_at(p.home_worker_).saving.push_back(p.rank_);
 }
 
 void Engine::opt_note_consume(Process& p) {
@@ -685,6 +755,9 @@ void Process::take_checkpoint(std::vector<std::uint8_t> app_blob) {
 void Engine::opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob) {
   OptState& o = p.opt_;
   STGSIM_DCHECK(config_.optimistic && o.checkpoint_due);
+  // A clean rank's first checkpoint follows a step the bound admitted; no
+  // rollback reaches below it, so saving starts here.
+  if (!o.saving) opt_start_saving(p);
   Checkpoint cp;
   cp.cursor = o.cursor();
   // send_ordinal is absolute within every incarnation: a restored fiber
@@ -780,6 +853,13 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
         dst.unlink(*ch, n, prev);
         arena_of(dst).recycle(n);
         uncount_delivered(dst);
+        // A parked clean rank may have lost its only candidate: it waits
+        // for the next delivery instead.
+        std::uint64_t probes = 0;
+        if (dst.wildcard_parked_ &&
+            dst.find_match(*dst.waiting_on_, &probes).node == nullptr) {
+          dst.wildcard_parked_ = false;
+        }
         return;
       }
       if (n->value.seq > anti.seq) break;  // channels stay seq-sorted
@@ -982,7 +1062,14 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
     d.checkpoint_cursors.push_back(cp.cursor);
     d.checkpoint_blob_bytes.push_back(cp.app_blob.size());
   }
+  d.saving = o.saving;
   return d;
+}
+
+std::uint64_t Engine::deferred_admissions() const {
+  std::uint64_t n = 0;
+  for (int w = 0; w < config_.host_workers; ++w) n += worker_at(w).stat.deferred;
+  return n;
 }
 
 void Engine::opt_fold_gvt(int w) {
@@ -1005,7 +1092,7 @@ void Engine::opt_fold_gvt(int w) {
   g = gvt_.load(std::memory_order_relaxed);
   if (g <= self.fossil_gvt) return;
   self.fossil_gvt = g;
-  for (int r : self.ranks) {
+  for (int r : self.saving) {
     opt_fossil_rank(*procs_[static_cast<std::size_t>(r)], g);
   }
 }
@@ -1074,19 +1161,24 @@ void Engine::opt_fossil_rank(Process& p, VTime g) {
   }
 }
 
-VTime Engine::parked_candidate(const Process& p) {
-  VTime arrival = kVTimeNever;
-  STGSIM_CHECK(p.peek_match(*p.waiting_on_, &arrival))
-      << "parked wildcard receive on rank " << p.rank_
-      << " lost its queued candidate";
-  return arrival;
+VTime Engine::parked_candidate(Process& p) {
+  std::uint64_t probes = 0;
+  const Process::Match f = p.find_match(*p.waiting_on_, &probes);
+  STGSIM_CHECK(f.node != nullptr)
+      << "parked receive on rank " << p.rank_ << " lost its queued candidate";
+  return Process::candidate(*p.waiting_on_, f.node->value);
+}
+
+void Engine::promote(Process& p, VTime candidate) {
+  p.opt_.admitted = config_.optimistic;
+  wake_process(p, candidate);
 }
 
 bool Engine::promote_safe_wildcards(int w) {
   // One floor read and one read of the peers' words serve every parked
   // receiver; excluding the receiver itself then costs O(1).
   const ClockFloor floor = clock_floor(w);
-  const VTime peers = peer_floor(w);
+  const VTime peers = peers_bound(w);
   std::vector<int>& parked = worker_at(w).parked;
   bool promoted = false;
   std::size_t keep = 0;
@@ -1094,11 +1186,11 @@ bool Engine::promote_safe_wildcards(int w) {
     const int rank = parked[i];
     Process& p = *procs_[static_cast<std::size_t>(rank)];
     if (!p.blocked_ || !p.wildcard_parked_) continue;  // woken since; drop
-    const VTime arrival = parked_candidate(p);
+    const VTime candidate = parked_candidate(p);
     const VTime bound =
         std::min(after_floor_latency(floor.without(rank)), peers);
-    if (bound == kVTimeNever || arrival < bound) {
-      wake_process(p, arrival);
+    if (bound == kVTimeNever || candidate < bound) {
+      promote(p, candidate);
       promoted = true;
       continue;
     }
@@ -1110,29 +1202,29 @@ bool Engine::promote_safe_wildcards(int w) {
 
 void Engine::promote_stuck_wildcard() {
   // Nothing can run, so no further message will ever be queued: the
-  // earliest-arrival candidate is exactly what the safety bound would
-  // eventually admit. Wake only that one; its commit may unblock others
-  // for real (bound-safe) promotion later.
+  // least candidate is exactly what the safety bound would eventually
+  // admit. Wake only that one; its commit may unblock others for real
+  // (bound-safe) promotion later.
   VTime best = kVTimeNever;
   std::vector<int> tied;  // live parked ranks at `best`, in list order
   for (int w = 0; w < config_.host_workers; ++w) {
     for (int rank : worker_at(w).parked) {
-      const Process& p = *procs_[static_cast<std::size_t>(rank)];
+      Process& p = *procs_[static_cast<std::size_t>(rank)];
       if (!p.blocked_ || !p.wildcard_parked_) continue;
-      const VTime arrival = parked_candidate(p);
-      if (arrival > best) continue;
-      if (arrival < best) tied.clear();
-      best = arrival;
+      const VTime candidate = parked_candidate(p);
+      if (candidate > best) continue;
+      if (candidate < best) tied.clear();
+      best = candidate;
       tied.push_back(rank);
     }
   }
   if (tied.empty()) return;
   int rank = *std::min_element(tied.begin(), tied.end());
   if (mc_active_ && tied.size() > 1) {
-    // Several parked ranks tied at the same candidate arrival is the one
-    // point where the (arrival, rank) rule is a genuine tie-break rather
-    // than a timestamp-forced choice. Expose the tie to the oracle so
-    // the checker can prove the committed results do not depend on it.
+    // Several parked ranks tied at the same candidate is the one point
+    // where the (candidate, rank) rule is a genuine tie-break rather than
+    // a timestamp-forced choice. Expose the tie to the oracle so the
+    // checker can prove the committed results do not depend on it.
     std::vector<ChoiceOption> options(tied.size());
     for (std::size_t i = 0; i < tied.size(); ++i) {
       options[i].kind = ChoiceOption::Kind::kWildcard;
@@ -1141,7 +1233,7 @@ void Engine::promote_stuck_wildcard() {
     rank = tied[oracle_choose(options)];
   }
   Process& p = *procs_[static_cast<std::size_t>(rank)];
-  wake_process(p, best);
+  promote(p, best);
   std::vector<int>& home = worker_at(p.home_worker_).parked;
   home.erase(std::find(home.begin(), home.end(), rank));
 }
@@ -1448,8 +1540,19 @@ std::uint64_t Engine::drain_mailboxes(int worker) {
       if (u != worker) drain_from(u);
     }
   }
-  publish_floor(worker);
   return drained;
+}
+
+bool Engine::parked_receives_checked() const {
+  if (!threaded_run_) return true;
+  const std::uint64_t stores = floor_store_count();
+  for (int v = 0; v < config_.host_workers; ++v) {
+    if (floor_words_[static_cast<std::size_t>(v)].checked.load(
+            std::memory_order_acquire) < stores) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Engine::run_partition_round(int worker, Quiescence& quiescence) {
@@ -1485,35 +1588,59 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
     // Whether this worker counts in round_busy_: it leaves when it has no
     // work and rejoins when a drain or a promotion gives it some.
     bool active = true;
+    // Lane messages this worker pushed whose delivery its word no longer
+    // counts, not yet taken out of round_busy_.
+    std::int64_t owed = 0;
     std::uint64_t iter = 0;
+    FloorWord& word = floor_words_[static_cast<std::size_t>(worker)];
     for (;;) {
       // Cross-partition messages pushed by peers since the last check
-      // (wakeups land on local_ready); the drain also republishes this
-      // worker's floor word, between slices and while idle.
+      // (wakeups land on local_ready), then this worker's floor word,
+      // between slices and while idle.
       const std::uint64_t drained = drain_mailboxes(worker);
       ws.mailbox += drained;
+      owed += static_cast<std::int64_t>(publish_floor(worker));
       take_ready();
+      // Which words this worker's parked receives were checked against.
+      // Only an idle worker's value is ever read (by the update that would
+      // end the pass), so a worker with ready ranks skips it.
+      const bool record = threaded_run_ && heap.empty();
+      std::uint64_t checked = kNothingParked;
       if (inflight_total_ == 0 && !parked.empty()) {
-        // Parked wildcards whose candidate passed the bound wake now (MC:
+        // Parked receives whose candidate passed the bound wake now (MC:
         // once every in-flight lane is drained, so each candidate set is
         // final).
+        if (record) checked = floor_store_count();
         promote_safe_wildcards(worker);
         take_ready();
+        if (parked.empty()) checked = kNothingParked;
+      }
+      if (record && word.checked.load(std::memory_order_relaxed) != checked) {
+        word.checked.store(checked, std::memory_order_release);
       }
 
       const bool work = has_work();
-      std::int64_t settle = -static_cast<std::int64_t>(drained);
+      std::int64_t settle = -owed;
       if (work != active) settle += work ? kBusyWorker : -kBusyWorker;
       if (settle != 0) {
-        // Zero is final: peers that read it have stopped. Only a promotion
-        // can give an idle worker work without a counted message, and that
-        // worker then stops too; its ranks wait for the next pass.
+        // Zero is final: peers that read it have stopped. So the update
+        // that would reach it waits until every parked receive was checked
+        // against the words as they are now, and a sender settles a lane
+        // message only once its own word dropped it: a receive that the
+        // last words admit wakes in this pass. Only a promotion can give an
+        // idle worker work without a counted message, and the stuck one
+        // runs in the quiescence step, with its ranks in the next pass.
         std::int64_t busy = round_busy_.load(std::memory_order_relaxed);
-        while (busy != 0 && !round_busy_.compare_exchange_weak(
-                                busy, busy + settle, std::memory_order_acq_rel)) {
+        for (;;) {
+          if (busy == 0) return;
+          if (busy + settle == 0 && !parked_receives_checked()) break;
+          if (round_busy_.compare_exchange_weak(busy, busy + settle,
+                                                std::memory_order_acq_rel)) {
+            owed = 0;
+            active = work;
+            break;
+          }
         }
-        if (busy == 0) return;
-        active = work;
       }
       // Quiescent: no worker can run and nothing is in flight. A parked
       // wildcard left now waits for the quiescence step's stuck promotion.
@@ -1536,8 +1663,10 @@ void Engine::run_partition_round(int worker, Quiescence& quiescence) {
       }
       if (!work) {
         // A peer is still running and may yet feed us through a lane. Idle
-        // time is free for Time Warp's fold and fossil collection.
-        if (config_.optimistic) opt_fold_gvt(worker);
+        // time is free for Time Warp's fold and fossil collection, where
+        // this worker has a log to collect: a fold reads every word, and
+        // those lines are the ones busy peers write.
+        if (config_.optimistic && !self.saving.empty()) opt_fold_gvt(worker);
         std::this_thread::yield();
         continue;
       }

@@ -35,7 +35,8 @@
 // processes execute speculatively past the safe bound; causality
 // violations trigger rollback via coast-forward replay from a per-process
 // consumption log (sim/rollback.hpp), speculative output is cancelled with
-// anti-messages, and periodic GVT passes fossil-collect the logs).
+// anti-messages, and periodic GVT passes fossil-collect the logs). Only
+// processes a rollback can reach keep a log; the rest stay clean.
 // Committed results are bit-identical across pickers, worker counts and
 // protocols. See DESIGN.md §15.
 //
@@ -212,9 +213,10 @@ class Process {
 
   // --- Optimistic-mode checkpoint handshake (no-ops under conservative
   // runs). The engine decides *when* a checkpoint is due (every
-  // checkpoint_interval committed consumptions); the application layer
-  // decides *where* it is safe (a quiescent statement boundary with no
-  // pending requests) and what goes in the blob. See DESIGN.md §15.
+  // checkpoint_interval committed consumptions of a saving process, or
+  // after a clean one's first admitted speculative step); the application
+  // layer decides *where* it is safe (a quiescent statement boundary with
+  // no pending requests) and what goes in the blob. See DESIGN.md §15.
 
   /// True when the engine wants a checkpoint. Poll at safe boundaries.
   bool checkpoint_due() const { return opt_.checkpoint_due; }
@@ -252,6 +254,37 @@ class Process {
     MsgNode* head = nullptr;
     MsgNode* tail = nullptr;
   };
+
+  /// The queued message a receive by `spec` takes next: the first
+  /// acceptable one of its channel for a fixed source, else the least
+  /// (arrival, src) among every channel's first acceptable one. `node` is
+  /// null when nothing matches; `probes` counts the inspected nodes.
+  struct Match {
+    Channel* ch = nullptr;
+    MsgNode* node = nullptr;
+    MsgNode* prev = nullptr;
+  };
+  Match find_match(const MatchSpec& spec, std::uint64_t* probes);
+  /// try_match's body; *deferred reports a match that is a clean rank's
+  /// speculative step the bound has not passed yet (not taken).
+  bool match(const MatchSpec& spec, Message* out, bool* deferred);
+  /// Unlinks `f` into *out and, under Time Warp, logs the consumption or,
+  /// for a clean process, starts saving or arms its first checkpoint.
+  void take(const MatchSpec& spec, const Match& f, Message* out);
+  /// Time Warp: a clean process past its first consumption, whose
+  /// speculative steps wait for the bound (DESIGN.md §15.1).
+  bool deferring() const;
+  /// Consuming `m` for `spec` is a speculative step: a wildcard commit, or
+  /// a message a rollback of its sender may still cancel.
+  static bool speculative(const MatchSpec& spec, const Message& m) {
+    return spec.is_wildcard() || m.tainted;
+  }
+  /// What the bound must pass before a clean process takes that step: the
+  /// arrival for a wildcard (no earlier message may still come), else the
+  /// send time (its sender can no longer roll back past the send).
+  static VTime candidate(const MatchSpec& spec, const Message& m) {
+    return spec.is_wildcard() ? m.arrival : m.sent_at;
+  }
 
   Channel* find_channel(int src) {
     for (auto& ch : channels_) {
@@ -377,8 +410,9 @@ struct EngineConfig {
   /// count.
   bool optimistic = false;
 
-  /// Optimistic mode: committed consumptions between per-rank checkpoints
-  /// (engine cursors + an app-layer state blob, see sim/rollback.hpp).
+  /// Optimistic mode: committed consumptions between a saving rank's
+  /// checkpoints (engine cursors + an app-layer state blob, see
+  /// sim/rollback.hpp).
   /// Checkpoints bound both rollback cost (coast-forward replays at most
   /// ~interval entries) and log memory (fossil collection frees entries
   /// below the newest GVT-committed checkpoint). 0 disables checkpointing:
@@ -535,12 +569,9 @@ class Engine {
   }
 
   /// True when a wildcard receive by `p` may commit to a queued message
-  /// arriving at `arrival`: `arrival` is below min(the clock floor of
-  /// p's worker without p + the latency floor, every other worker's
-  /// published word), so no message still to come can arrive earlier.
-  /// Holds mid-slice at every worker count. Always false under Time Warp
-  /// (commits are recorded and corrected by rollback) and in MC mode
-  /// (parked receives are promoted once the in-flight lanes drain).
+  /// arriving at `arrival`: bound_passed(p, arrival). Always false under
+  /// Time Warp (commits are recorded and corrected by rollback, or wait in
+  /// the engine on a clean rank).
   bool wildcard_commit_safe(const Process& p, VTime arrival) const;
 
   /// Pool/arena accounting — simulator overhead, distinct from the
@@ -564,8 +595,14 @@ class Engine {
     std::uint64_t log_bytes = 0;
     std::vector<std::uint64_t> checkpoint_cursors;
     std::vector<std::size_t> checkpoint_blob_bytes;  ///< app blob per cursor
+    bool saving = false;  ///< the rank keeps a log (DESIGN.md §15.1)
   };
   OptDebug opt_debug(int rank) const;
+
+  /// Test hook: speculative steps that clean ranks past their first
+  /// consumption took once the bound admitted them. Valid once run()
+  /// returned.
+  std::uint64_t deferred_admissions() const;
 
   /// True once any wildcard receive (ANY_SOURCE / waitany union) was
   /// attempted this run. A schedule checker uses this to decide whether
@@ -637,10 +674,12 @@ class Engine {
   /// some rank is ready or sets run_done_. An exception goes to note_error
   /// and ends the run.
   void quiescence_step() noexcept;
-  /// Pops every queued message from `worker`'s incoming lanes, hands it to
-  /// deliver_now and republishes the worker's floor word. Returns how many
-  /// it delivered.
+  /// Pops every queued message from `worker`'s incoming lanes and hands it
+  /// to deliver_now. Returns how many it delivered.
   std::uint64_t drain_mailboxes(int worker);
+  /// True when every worker's parked receives were last checked against
+  /// the floor words as they are now (always with one worker).
+  bool parked_receives_checked() const;
 
   // --- The lower bound both protocols read (DESIGN.md §10, §15.5) ---
 
@@ -663,14 +702,29 @@ class Engine {
   VTime after_floor_latency(VTime t) const;
   /// Min of the words of every worker but `w` (all when `w` < 0).
   VTime peer_floor(int w) const;
+  /// What bounds the messages still to come to a rank of worker `w` from
+  /// outside it. Conservative: peer_floor(w). Time Warp: also `w`'s own
+  /// undelivered lane arrivals, since such a message can roll its receiver
+  /// back and the re-execution may send to `w`; and read as a consistent
+  /// cut like the GVT fold (0, admitting nothing, when a peer's word moved
+  /// under the read).
+  VTime peers_bound(int w) const;
+  /// True when every message still to come to `p` from another rank
+  /// arrives after `t`: `t` is below min(the clock floor of p's worker
+  /// without p + the latency floor, peers_bound). Holds mid-slice at every
+  /// worker count; never in MC mode (parked receives are promoted once the
+  /// in-flight lanes drain).
+  bool bound_passed(const Process& p, VTime t) const;
   /// Sum of the words' store counts: a fold that reads the same sum before
   /// and after reading the words read a consistent cut.
   std::uint64_t floor_store_count() const;
   /// Stores worker `w`'s word, min(clock_floor(w) + latency, arrivals it
   /// pushed that are not yet delivered), then releases what `w` drained to
   /// its senders' words. In MC mode the word also covers every message in
-  /// the in-flight lanes. Also samples `w`'s consumption-log peak.
-  void publish_floor(int w);
+  /// the in-flight lanes. Also samples `w`'s consumption-log peak. Returns
+  /// how many of `w`'s lane messages the word stopped counting since the
+  /// last call: the pass settles them in round_busy_.
+  std::uint64_t publish_floor(int w);
   void resume_process(Process& p);
   [[noreturn]] void raise_deadlock();
 
@@ -692,6 +746,9 @@ class Engine {
   /// Replay feed: hands `p` the next logged consumption instead of
   /// touching the inbox. Called from try_match while p is replaying.
   bool opt_feed_replay(Process& p, const MatchSpec& spec, Message* out);
+  /// Makes clean `p` saving from its current cursor on: sends before it are
+  /// never cancelled, and it joins its worker's fossil-collection list.
+  void opt_start_saving(Process& p);
   /// Records a speculative wildcard commit (called from blocking_match).
   void opt_record_wildcard(Process& p, const MatchSpec& spec,
                            const Message& m);
@@ -715,7 +772,7 @@ class Engine {
   void opt_flush_antis();
   /// Folds the published floor words into GVT (CAS-max; an advance counts
   /// one GVT pass) and, when that passed worker `w`'s fossil_gvt,
-  /// fossil-collects `w`'s ranks. Runs on `w`'s thread, or in the
+  /// fossil-collects `w`'s saving ranks. Runs on `w`'s thread, or in the
   /// quiescence step for every worker.
   void opt_fold_gvt(int w);
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
@@ -724,12 +781,12 @@ class Engine {
   /// entries below the newest checkpoint whose cursor the fossil cursor
   /// has passed (no future rollback can replay below that checkpoint).
   void opt_fossil_rank(Process& p, VTime g);
-  /// Bookkeeping after `p` consumed a message (live match or replay feed):
-  /// advances the checkpoint countdown, arming checkpoint_due when the
-  /// checkpoint interval elapses.
+  /// Bookkeeping after saving `p` consumed a message (live match or replay
+  /// feed): advances the checkpoint countdown, arming checkpoint_due when
+  /// the checkpoint interval elapses.
   void opt_note_consume(Process& p);
   /// Process::take_checkpoint body: captures cursors + blob into
-  /// OptState::checkpoints.
+  /// OptState::checkpoints (a clean process starts saving there).
   void opt_take_checkpoint(Process& p, std::vector<std::uint8_t> blob);
   /// Consumption-log byte accounting per worker over its own ranks
   /// (current + sampled peak).
@@ -738,20 +795,24 @@ class Engine {
   static std::size_t opt_entry_bytes(const Message& m);
   /// This thread's worker stat cell (see g_current_worker).
   WorkerStat& opt_stat();
-  /// Records `p` (blocked on a wildcard spec with at least one queued
-  /// match) on its worker's parked list for later promotion.
+  /// Records `p` (blocked on a receive whose queued match must wait for the
+  /// bound: a conservative wildcard, or a clean rank's speculative step) on
+  /// its worker's parked list for later promotion.
   void park_wildcard(Process& p);
-  /// Wakes every rank parked on worker `w` whose best queued match passed
-  /// the wildcard bound; returns whether any woke. Runs on `w`'s thread
-  /// (or the caller's with one worker).
+  /// Wakes every rank parked on worker `w` whose candidate passed the
+  /// bound; returns whether any woke. Runs on `w`'s thread (or the
+  /// caller's with one worker).
   bool promote_safe_wildcards(int w);
   /// Nothing can run and no message is in flight, so the queued message
-  /// set is final: wakes the parked rank with the smallest (arrival,
+  /// set is final: wakes the parked rank with the smallest (candidate,
   /// rank), the choice the bound would admit (MC: a tie goes to the
   /// oracle). Runs in the quiescence step.
   void promote_stuck_wildcard();
-  /// Arrival of the best queued candidate of parked wildcard receiver `p`.
-  static VTime parked_candidate(const Process& p);
+  /// Unblocks parked `p` for its promoted receive (wake_process; a clean
+  /// Time Warp rank takes its step without reading the bound again).
+  void promote(Process& p, VTime candidate);
+  /// Process::candidate of parked receiver `p`'s best queued match.
+  static VTime parked_candidate(Process& p);
 
   /// Raises BudgetExceededError: thrown in place when called from inside a
   /// target fiber (unwinding it through the body wrapper), or routed
@@ -796,6 +857,7 @@ class Engine {
     std::uint64_t checkpoints = 0;
     std::uint64_t fossil = 0;
     std::uint64_t replayed = 0;
+    std::uint64_t deferred = 0;  ///< see Engine::deferred_admissions
     std::uint64_t depth_hist[kDepthBuckets] = {};  ///< log2(discarded entries)
     // Consumption-log bytes of this worker's ranks: current, sampled peak.
     std::uint64_t log_bytes = 0;
@@ -819,6 +881,8 @@ class Engine {
     // by clock).
     std::vector<int> ranks;
     IndexedMinHeap<VTime> floor;
+    /// Time Warp: its saving ranks, the only ones fossil collection visits.
+    std::vector<int> saving;
     // Time Warp: anti-messages this worker's rollbacks queued, drained
     // iteratively from deliver_now's tail (`flushing` guards re-entry), so
     // a chain of N cascading rollbacks costs O(1) stack.
@@ -852,17 +916,18 @@ class Engine {
     SpscLane<Message> q;
     std::deque<std::pair<std::uint64_t, VTime>> transit;  ///< sender only
     std::uint64_t pushed = 0;                             ///< sender only
+    std::uint64_t settled = 0;  ///< sender only: `delivered` it settled
     std::uint64_t popped = 0;  ///< destination only
     /// Messages the destination has delivered and published past.
     alignas(64) std::atomic<std::uint64_t> delivered{0};
   };
   // mailboxes_[w * workers + v] carries messages from worker w to worker
   // v. round_busy_ is kBusyWorker times the workers that may still produce
-  // work plus the lane messages not yet drained and settled: once it reads
+  // work plus the lane messages their senders' words still count: once it reads
   // zero, the pass is over. run_done_ is written before the workers start
   // and by the quiescence step, and read by the workers after each step.
   std::vector<std::unique_ptr<Lane>> mailboxes_;
-  Lane& lane(int from, int to) {
+  Lane& lane(int from, int to) const {
     return *mailboxes_[static_cast<std::size_t>(from) *
                            static_cast<std::size_t>(config_.host_workers) +
                        static_cast<std::size_t>(to)];
@@ -875,10 +940,14 @@ class Engine {
   bool run_done_ = false;
 
   // The published floor words, one per cache line. Only the owner writes
-  // its word and `stores`, the count of changes to it (floor_store_count).
+  // its word, `stores`, the count of changes to it (floor_store_count), and
+  // `checked`, the store count its last check of its parked receives read
+  // before reading the words (kNothingParked with none parked).
+  static constexpr std::uint64_t kNothingParked = ~std::uint64_t{0};
   struct alignas(64) FloorWord {
     std::atomic<VTime> v{kVTimeNever};
     std::atomic<std::uint64_t> stores{0};
+    std::atomic<std::uint64_t> checked{kNothingParked};
   };
   std::unique_ptr<FloorWord[]> floor_words_;
 

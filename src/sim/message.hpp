@@ -26,6 +26,9 @@ struct Message {
   /// from the destination inbox, or triggers a rollback if the counterpart
   /// was already consumed. Never set under the conservative schedulers.
   bool anti = false;
+  /// Optimistic mode only: the sender was saving state when it sent this,
+  /// so a rollback may still cancel it (DESIGN.md §15.1).
+  bool tainted = false;
   VTime sent_at = 0;        ///< virtual time the send was issued
   VTime arrival = 0;        ///< virtual time available at the receiver
   std::uint64_t seq = 0;    ///< per-(src,dst) send order (non-overtaking)

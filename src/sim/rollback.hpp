@@ -23,6 +23,14 @@
 // no future rollback can target the freed prefix. Peak log memory is
 // O(checkpoint interval), not O(history). See DESIGN.md §15.
 //
+// Only a *saving* process keeps any of this. Every process starts clean:
+// it logs nothing, records no send and takes no checkpoint, because only a
+// speculative step (an optimistic wildcard commit, or consuming a message
+// whose sender was saving) can ever be rolled back. A clean process becomes
+// saving at its first speculative step if it has consumed nothing yet (rank
+// start is its restore point); otherwise the step waits for the bound, and
+// the checkpoint it arms starts the saving (DESIGN.md §15.1).
+//
 // Logs per process:
 //  * consumed — ConsumedEntry per matched message (the replay feed),
 //    indexed by *absolute* cursor i as consumed[i - consumed_base]; fossil
@@ -118,6 +126,13 @@ struct WildcardRecord {
 /// EngineConfig::optimistic is set.
 struct OptState {
   std::uint64_t rng_seed = 0;  ///< per-rank seed, reapplied on rollback
+
+  /// Keeps the logs below; permanent once set. A clean process only counts
+  /// its consumptions (in consumed_base) and its sends (send_ordinal).
+  bool saving = false;
+  /// A promotion admitted the clean process's parked speculative step: the
+  /// fiber takes it on resume without reading the bound again.
+  bool admitted = false;
 
   // Consumption log. Absolute cursor i lives at consumed[i - consumed_base];
   // fossil pruning frees the front and advances consumed_base (only ever to

@@ -22,12 +22,15 @@
 #include "harness/digest.hpp"
 #include "harness/machines.hpp"
 #include "harness/runner.hpp"
+#include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "ir/plan.hpp"
+#include "mc/checker.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "smpi/smpi.hpp"
 #include "support/blob.hpp"
+#include "testutil.hpp"
 
 namespace stgsim {
 namespace {
@@ -103,20 +106,6 @@ TEST(Checkpoint, DigestsBitIdenticalAcrossIntervalsAndWorkers) {
         EXPECT_EQ(digest_of(app.prog, cfg), want)
             << app.name << " interval=" << interval << " workers=" << workers;
       }
-    }
-  }
-}
-
-TEST(Checkpoint, AdaptiveTuningAndSpeculationWindowPreserveDigests) {
-  for (const AppCase& app : small_apps()) {
-    const std::uint64_t want = digest_of(app.prog, base_config(app.nprocs));
-    for (int workers : {0, 4}) {
-      harness::RunConfig cfg = base_config(app.nprocs);
-      cfg.schedule = harness::Schedule::kOptimistic;
-      cfg.threads = workers;
-      cfg.checkpoint_interval = 4;
-      EXPECT_EQ(digest_of(app.prog, cfg), want)
-          << app.name << " adaptive workers=" << workers;
     }
   }
 }
@@ -335,7 +324,9 @@ TEST(Checkpoint, TimeWarpPinnedAtParent) {
       {"mc-straggler@0", 0x414862bf5bdb39c9ULL, 4, 0, 6, 0, 0, 0, 4864},
       {"mc-straggler-200@4", 0x4b3432b1c4ec8783ULL, 200, 0, 299, 7565, 232,
        2, 243200},
-      {"nas_sp-16", 0x626e98bfcb8dba2dULL, 0, 0, 0, 20, 0, 3, 22262368},
+      // nas_sp has no wildcard, so no rank saves state: its 20 checkpoints
+      // and 22,262,368-byte log peak at the parent are gone.
+      {"nas_sp-16", 0x626e98bfcb8dba2dULL, 0, 0, 0, 0, 0, 3, 0},
       {"anysource-8-rndv", 0xc71a6bf209973dd4ULL, 5, 8, 92, 0, 0, 0, 78400},
       {"anysource-64@w0", 0x6ef770885bcd4208ULL, 0, 0, 0, 19, 0, 0, 766080},
       {"anysource-64@w1", 0x6ef770885bcd4208ULL, 0, 0, 0, 19, 0, 0, 766080},
@@ -441,7 +432,11 @@ TEST(Checkpoint, PayloadFreeArrayCarriesNoBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
+  // The rendezvous anysource gather: its root commits wildcards from its
+  // first consumption on, so it saves state (DESIGN.md §15.1), and every
+  // sender waits for its clear-to-send, so GVT advances mid-run.
   apps::SampleConfig c;
+  c.pattern = apps::SamplePattern::kAnySource;
   c.iterations = 300;
   c.msg_doubles = 256;
   c.work_iters = 1000;
@@ -449,6 +444,7 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
 
   auto peak_at = [&prog](std::uint64_t interval) {
     harness::RunConfig cfg = base_config(8);
+    cfg.machine = harness::parse_machine_spec("ibm_sp[eager_threshold=0]");
     cfg.schedule = harness::Schedule::kOptimistic;
     cfg.checkpoint_interval = interval;
     harness::RunOutcome out = harness::run_program(prog, cfg);
@@ -496,8 +492,9 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
       m.sent_at = p.now();
       m.arrival = p.now() + vtime_from_us(2);
       p.send(std::move(m));
+      // ANY_SOURCE although only `prev` sends tag 5: a wildcard commit is
+      // the first consumption, so every rank saves state from rank start.
       simk::MatchSpec spec;
-      spec.src = prev;
       spec.tag = 5;
       simk::Message got = p.blocking_match(spec);
       p.lift_clock(got.arrival);
@@ -537,58 +534,33 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
 // Mid-round GVT on several workers
 // ---------------------------------------------------------------------------
 
-/// What a threaded Time Warp run leaves behind for the fossil checks.
-struct TimeWarpRun {
-  simk::ParallelStats stats;
-  std::vector<VTime> per_rank;
-  bool pruned = false;               ///< some rank's log lost its oldest entries
-  std::uint64_t retained_bytes = 0;  ///< consumption-log bytes left at run end
-};
-
-/// Runs `prog` in direct execution under Time Warp on `workers` workers,
-/// wired like harness::run_program but keeping the engine in reach for
-/// opt_debug.
-TimeWarpRun run_time_warp(const ir::Program& prog, int nprocs, int workers) {
-  const harness::RunConfig cfg = base_config(nprocs);
-  smpi::World::Options wopts;
-  wopts.net = cfg.machine.net;
-  wopts.compute = cfg.machine.compute;
-  wopts.coll = cfg.machine.coll;
-  simk::EngineConfig ec;
-  ec.num_processes = nprocs;
-  ec.host_workers = workers;
-  ec.optimistic = true;
-  ec.seed = cfg.seed;
-  const ir::Plan plan(prog);
-  simk::Engine engine(ec);
-  smpi::World world(wopts, nprocs);
-  engine.set_wildcard_min_latency(world.wildcard_latency_floor());
-  engine.set_rollback_reset(
-      [&world](int rank) { world.stats(rank) = smpi::RankStats{}; });
-  engine.set_body([&](simk::Process& p) {
-    smpi::Comm comm(world, p);
-    ir::execute(plan, comm);
-  });
-  TimeWarpRun run;
-  run.per_rank = engine.run().per_rank_completion;
-  run.stats = engine.parallel_stats();
-  for (int r = 0; r < nprocs; ++r) {
-    const simk::Engine::OptDebug d = engine.opt_debug(r);
-    run.pruned = run.pruned || d.consumed_base > 0;
-    run.retained_bytes += d.log_bytes;
+/// Whether some rank's log lost its oldest entries, and the consumption-log
+/// bytes left at the run's end. A clean rank's consumed_base only counts its
+/// consumptions; the saving ranks of these shapes all save from rank start.
+bool pruned(const testutil::TimeWarpRun& run) {
+  for (const simk::Engine::OptDebug& d : run.ranks) {
+    if (d.saving && d.consumed_base > 0) return true;
   }
-  return run;
+  return false;
+}
+std::uint64_t retained_bytes(const testutil::TimeWarpRun& run) {
+  std::uint64_t n = 0;
+  for (const simk::Engine::OptDebug& d : run.ranks) n += d.log_bytes;
+  return n;
 }
 
-/// The registry's default sweep3d and nas_sp shapes at 16 ranks.
+/// The rendezvous anysource gather at 16 ranks (32 KiB messages): its root
+/// and every sender save state (DESIGN.md §15.1), and every send waits for
+/// the root's clear-to-send, so the run takes many slices.
 std::vector<AppCase> gvt_apps() {
+  apps::AppSpec spec;
+  spec.name = "sample";
+  spec.options = {{"pattern", "anysource"},
+                  {"iters", "20"},
+                  {"work", "10"},
+                  {"msg-doubles", "4096"}};
   std::vector<AppCase> cases;
-  for (const char* name : {"sweep3d", "nas_sp"}) {
-    apps::AppSpec spec;
-    spec.name = name;
-    if (spec.name == "nas_sp") spec.options = {{"steps", "8"}};
-    cases.push_back({name, apps::build_app(spec, 16), 16});
-  }
+  cases.push_back({"anysource-rndv", apps::build_app(spec, 16), 16});
   return cases;
 }
 
@@ -600,13 +572,14 @@ TEST(Checkpoint, ThreadedGvtAdvancesWithinOneRound) {
   // mid-round fold keeps advancing.
   for (const AppCase& app : gvt_apps()) {
     const std::vector<VTime> want =
-        run_time_warp(app.prog, app.nprocs, 1).per_rank;
+        testutil::run_time_warp(app.prog, app.nprocs, 1).per_rank;
     for (int workers : {2, 4}) {
-      const TimeWarpRun run = run_time_warp(app.prog, app.nprocs, workers);
+      const testutil::TimeWarpRun run =
+          testutil::run_time_warp(app.prog, app.nprocs, workers);
       EXPECT_EQ(run.per_rank, want) << app.name << " @" << workers;
       EXPECT_LE(run.stats.rounds, 2u) << app.name << " @" << workers;
       EXPECT_GT(run.stats.gvt_passes, 1u) << app.name << " @" << workers;
-      EXPECT_TRUE(run.pruned)
+      EXPECT_TRUE(pruned(run))
           << app.name << " @" << workers << ": no rank's log was pruned";
     }
   }
@@ -619,11 +592,148 @@ TEST(Checkpoint, ThreadedLogPeakCoversRetainedLog) {
   const std::vector<AppCase> apps = gvt_apps();
   const AppCase& app = apps.front();
   for (int workers : {2, 4}) {
-    const TimeWarpRun run = run_time_warp(app.prog, app.nprocs, workers);
-    ASSERT_TRUE(run.pruned) << "@" << workers;
-    EXPECT_GT(run.retained_bytes, 0u) << "@" << workers;
-    EXPECT_GE(run.stats.log_bytes_peak, run.retained_bytes) << "@" << workers;
+    const testutil::TimeWarpRun run =
+        testutil::run_time_warp(app.prog, app.nprocs, workers);
+    ASSERT_TRUE(pruned(run)) << "@" << workers;
+    EXPECT_GT(retained_bytes(run), 0u) << "@" << workers;
+    EXPECT_GE(run.stats.log_bytes_peak, retained_bytes(run)) << "@" << workers;
   }
+}
+
+// ---------------------------------------------------------------------------
+// State saving only where a rollback can reach (DESIGN.md §15.1)
+// ---------------------------------------------------------------------------
+
+TEST(Checkpoint, StateSavingOnlyWhereRollbackCanReach) {
+  // No rollback can reach a rank that never commits a wildcard and never
+  // consumes a message whose sender saves state: on these wildcard-free
+  // programs Time Warp logs nothing and takes no checkpoint.
+  std::vector<AppCase> cases = small_apps();
+  cases.pop_back();  // the anysource gather, checked below
+  apps::SampleConfig nn;
+  nn.iterations = 2;
+  nn.msg_doubles = 64;
+  nn.work_iters = 2000;
+  cases.push_back({"sample-nn", apps::make_sample(nn), 8});
+  for (const AppCase& app : cases) {
+    const std::uint64_t want = digest_of(app.prog, base_config(app.nprocs));
+    for (int workers : {0, 2, 4}) {
+      harness::RunConfig cfg = base_config(app.nprocs);
+      cfg.schedule = harness::Schedule::kOptimistic;
+      cfg.threads = workers;
+      const harness::RunOutcome out = harness::run_program(app.prog, cfg);
+      ASSERT_TRUE(out.ok()) << out.diagnostic;
+      EXPECT_EQ(harness::run_digest(out), want)
+          << app.name << " workers=" << workers;
+      EXPECT_EQ(out.parallel.checkpoints_taken, 0u)
+          << app.name << " workers=" << workers;
+      EXPECT_EQ(out.parallel.log_bytes_peak, 0u)
+          << app.name << " workers=" << workers;
+    }
+  }
+  // The anysource gather: only its root commits wildcards. With rendezvous
+  // messages every sender's first consumption is the root's clear-to-send,
+  // so every rank saves from rank start.
+  for (const char* doubles : {"64", "4096"}) {
+    const bool rendezvous = std::string(doubles) == "4096";
+    apps::AppSpec spec;
+    spec.name = "sample";
+    spec.options = {{"pattern", "anysource"},
+                    {"iters", "4"},
+                    {"work", "10"},
+                    {"msg-doubles", doubles}};
+    const ir::Program prog = apps::build_app(spec, 8);
+    for (int workers : {1, 2, 4}) {
+      const testutil::TimeWarpRun run = testutil::run_time_warp(prog, 8, workers);
+      for (int r = 0; r < 8; ++r) {
+        const simk::Engine::OptDebug& d = run.ranks[static_cast<std::size_t>(r)];
+        EXPECT_EQ(d.saving, r == 0 || rendezvous)
+            << "msg-doubles=" << doubles << " workers=" << workers
+            << " rank " << r;
+        if (!d.saving) {
+          EXPECT_EQ(d.consumed_size, 0u) << "rank " << r;
+          EXPECT_TRUE(d.checkpoint_cursors.empty()) << "rank " << r;
+        }
+      }
+      EXPECT_EQ(run.deferred_admissions, 0u);
+    }
+  }
+}
+
+/// Two clean ranks consume an untainted message first, so their speculative
+/// step has no restore point and must wait for the bound:
+///  * rank 1 receives from rank 2 (fixed source), then wildcard-receives
+///    twice (rank 0's message, then rank 3's);
+///  * rank 3 shifts with rank 2 (sends, then receives), then receives from
+///    rank 0, a wildcard root whose sends are tainted.
+/// Rank 0 wildcard-receives rank 1's early message or rank 2's late one,
+/// sends, then receives the other: a delivery order that commits rank 2's
+/// first rolls rank 0 back and cancels the tainted messages ranks 1 and 3
+/// may be waiting on.
+ir::Program deferred_steps_program() {
+  using sym::Expr;
+  auto I = [](std::int64_t v) { return Expr::integer(v); };
+  ir::ProgramBuilder b("deferred_steps");
+  const Expr myid = b.get_rank("myid");
+  const Expr msg = b.decl_int("MSG", I(4));
+  b.decl_array("buf", {msg});
+  b.if_then(sym::eq(myid, I(0)), [&] {
+    b.recv("buf", I(-1), msg, I(0), 3);
+    b.delay(Expr::real(20e-6));
+    b.send("buf", I(3), msg, I(0), 4);
+    b.send("buf", I(1), msg, I(0), 2);
+    b.recv("buf", I(-1), msg, I(0), 3);
+  });
+  b.if_then(sym::eq(myid, I(1)), [&] {
+    b.send("buf", I(0), msg, I(0), 3);
+    b.recv("buf", I(2), msg, I(0), 1);
+    b.recv("buf", I(-1), msg, I(0), 2);
+    b.delay(Expr::real(5e-6));
+    b.recv("buf", I(-1), msg, I(0), 2);
+  });
+  b.if_then(sym::eq(myid, I(2)), [&] {
+    b.delay(Expr::real(10e-6));
+    b.send("buf", I(0), msg, I(0), 3);
+    b.send("buf", I(1), msg, I(0), 1);
+    b.send("buf", I(3), msg, I(0), 5);
+    b.recv("buf", I(3), msg, I(0), 5);
+  });
+  b.if_then(sym::eq(myid, I(3)), [&] {
+    b.send("buf", I(2), msg, I(0), 5);
+    b.recv("buf", I(2), msg, I(0), 5);
+    b.recv("buf", I(0), msg, I(0), 4);
+    b.send("buf", I(1), msg, I(0), 2);
+  });
+  return b.take();
+}
+
+TEST(Checkpoint, CleanRankPastItsFirstConsumptionWaitsForTheBound) {
+  const ir::Program prog = deferred_steps_program();
+  const std::uint64_t want = digest_of(prog, base_config(4));
+  for (int workers : {1, 2, 4}) {
+    harness::RunConfig cfg = base_config(4);
+    cfg.schedule = harness::Schedule::kOptimistic;
+    cfg.threads = workers;
+    EXPECT_EQ(digest_of(prog, cfg), want) << "workers=" << workers;
+    // Each step was admitted once and armed the checkpoint that starts its
+    // rank's saving; rank 1's second wildcard then commits on sight.
+    const testutil::TimeWarpRun run = testutil::run_time_warp(prog, 4, workers);
+    EXPECT_EQ(run.deferred_admissions, 2u) << "workers=" << workers;
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(run.ranks[static_cast<std::size_t>(r)].saving, r != 2)
+          << "workers=" << workers << " rank " << r;
+    }
+  }
+  // Every explored delivery order commits the conservative digest.
+  mc::CheckOptions opts;
+  opts.base = base_config(4);
+  opts.base.schedule = harness::Schedule::kOptimistic;
+  const mc::CheckReport rep = mc::check_program(prog, opts);
+  ASSERT_TRUE(rep.error.empty()) << rep.error;
+  EXPECT_TRUE(rep.ok()) << (rep.divergences.empty()
+                                ? ""
+                                : rep.divergences.front().description);
+  EXPECT_GT(rep.stats.schedules, 1u);
 }
 
 // ---------------------------------------------------------------------------

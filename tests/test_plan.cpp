@@ -121,12 +121,14 @@ TEST(Plan, RankDependentDeclarationReadsOnlyWhereDeclared) {
   }
 }
 
-/// Rank 1 (odd, so it holds z) consumes rank 0's first message, which arms
-/// a checkpoint, then wildcard-receives twice. Rank 0's second message is
-/// ready at once in host time but arrives 100 us late in virtual time;
-/// rank 2's is early in virtual time but held back in host time by a
-/// sleeping kernel, so on two workers it is a straggler that rolls rank 1
-/// back into the checkpoint. After the restore rank 1 reads z again.
+/// Rank 1 (odd, so it holds z) wildcard-receives rank 0's first message,
+/// the only tag-1 message, so it saves state from rank start (DESIGN.md
+/// §15.1) and that consumption arms a checkpoint; then it wildcard-receives
+/// twice. Rank 0's second message is ready at once in host time but
+/// arrives 100 us late in virtual time; rank 2's is early in virtual time
+/// but held back in host time by a sleeping kernel, so on two workers it is
+/// a straggler that rolls rank 1 back into the checkpoint. After the
+/// restore rank 1 reads z again.
 ir::Program straggler_program() {
   ir::ProgramBuilder b("odd_decl_straggler");
   const Expr myid = b.get_rank("myid");
@@ -140,7 +142,7 @@ ir::Program straggler_program() {
     b.send("buf", I(1), msg, I(0), 2);
   });
   b.if_then(sym::eq(myid, I(1)), [&] {
-    b.recv("buf", I(0), msg, I(0), 1);
+    b.recv("buf", I(-1), msg, I(0), 1);
     b.recv("buf", I(-1), msg, I(0), 2);
     b.delay(z * Expr::real(1e-6));
     b.recv("buf", I(-1), msg, I(0), 2);

@@ -277,5 +277,18 @@ TEST(RandomProgramsCoverage, ManySeedsRunWildcardReceives) {
   EXPECT_GE(wildcard_seeds, 8);
 }
 
+// A clean Time Warp rank past its first consumption takes a speculative
+// step only once the bound admits it (DESIGN.md §15.1); the optimistic
+// comparisons above cover that path only on seeds that reach it.
+TEST(RandomProgramsCoverage, ManySeedsReachDeferredAdmission) {
+  int deferred_seeds = 0;
+  for (std::uint64_t seed = 1; seed < 25; ++seed) {
+    const testutil::TimeWarpRun run =
+        testutil::run_time_warp(ProgramGenerator(seed).generate(), 6, 1);
+    if (run.deferred_admissions > 0) ++deferred_seeds;
+  }
+  EXPECT_GE(deferred_seeds, 4);
+}
+
 }  // namespace
 }  // namespace stgsim
