@@ -16,9 +16,9 @@ using namespace stgsim;
 namespace {
 
 void BM_FiberCreateAndRun(benchmark::State& state) {
-  simk::StackPool stacks(64 * 1024, 1);
+  simk::RunStack stack(64 * 1024);
   for (auto _ : state) {
-    simk::Fiber f([] {}, stacks);
+    simk::Fiber f([] {}, stack);
     f.resume();
     benchmark::DoNotOptimize(f.finished());
   }
@@ -26,18 +26,40 @@ void BM_FiberCreateAndRun(benchmark::State& state) {
 BENCHMARK(BM_FiberCreateAndRun);
 
 void BM_FiberSwitch(benchmark::State& state) {
-  simk::StackPool stacks(64 * 1024, 1);
+  simk::RunStack stack(64 * 1024);
   simk::Fiber f(
       [] {
         while (true) simk::Fiber::yield_to_scheduler();
       },
-      stacks);
+      stack);
   for (auto _ : state) {
     f.resume();
   }
+  state.counters["saved_bytes"] = static_cast<double>(f.saved_bytes());
   // Destroyed while suspended: the body holds no resources to unwind.
 }
 BENCHMARK(BM_FiberSwitch);
+
+/// Yields forever from under `bytes` of extra live frame.
+[[gnu::noinline]] void yield_under(std::size_t bytes) {
+  auto* pad = static_cast<volatile char*>(__builtin_alloca(bytes));
+  pad[0] = 0;
+  while (true) simk::Fiber::yield_to_scheduler();
+}
+
+/// BM_FiberSwitch with 2.7 KiB of live frames, a little above what an
+/// engine rank blocked in a receive saves (2.3 KiB at sweep3d@16,384 AM):
+/// each resume copies them onto the run stack and each yield copies them
+/// off.
+void BM_FiberSwitchDeepFrames(benchmark::State& state) {
+  simk::RunStack stack(64 * 1024);
+  simk::Fiber f([] { yield_under(2512); }, stack);
+  for (auto _ : state) {
+    f.resume();
+  }
+  state.counters["saved_bytes"] = static_cast<double>(f.saved_bytes());
+}
+BENCHMARK(BM_FiberSwitchDeepFrames);
 
 void BM_EnginePingPong(benchmark::State& state) {
   const auto msgs = static_cast<int>(state.range(0));

@@ -256,6 +256,9 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
     out.status = RunStatus::kOutOfMemory;
     out.diagnostic = e.what();
     out.peak_target_bytes = engine ? engine->memory().peak_bytes() : 0;
+  } catch (const simk::RunStackMapError& e) {
+    out.status = RunStatus::kOutOfMemory;
+    out.diagnostic = e.what();
   } catch (const simk::DeadlockError& e) {
     out.status = RunStatus::kDeadlock;
     out.diagnostic = e.what();

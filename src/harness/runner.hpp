@@ -109,6 +109,8 @@ struct RunConfig {
   /// never pruned — the pre-checkpoint behaviour).
   std::uint64_t checkpoint_interval = 64;
 
+  /// The deepest stack one rank may use; sizes each host worker's run
+  /// stack (simk::EngineConfig::fiber_stack_bytes).
   std::size_t fiber_stack_bytes = 256 * 1024;
   std::uint64_t seed = 20260704;
 
@@ -153,7 +155,9 @@ struct RunConfig {
 /// these statuses instead of crashing or hanging the simulator.
 enum class RunStatus {
   kOk,
-  kOutOfMemory,     ///< simulated data exceeded RunConfig::memory_cap_bytes
+  /// simulated data exceeded RunConfig::memory_cap_bytes, or a worker's
+  /// run stack (RunConfig::fiber_stack_bytes) could not be mapped
+  kOutOfMemory,
   kDeadlock,        ///< every unfinished rank blocked with nothing in flight
   kBudgetExceeded,  ///< a RunConfig::max_* budget fired
   kInternalError,   ///< target program error (e.g. buffer overrun check)

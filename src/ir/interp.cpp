@@ -352,8 +352,49 @@ class ExecState {
     return a.buf.data() + static_cast<std::size_t>(offset) * a.elem_bytes;
   }
 
+  /// Runs the block-bearing statements here and every other one in
+  /// exec_leaf, so the frame each nesting level keeps on a suspended
+  /// rank's stack holds only a loop's state: fiber frames are copied at
+  /// every yield (sim/fiber.hpp).
   void exec_stmt(const Stmt& s) {
     const Plan::StmtPlan& p = plan_.at(s);
+    switch (s.kind) {
+      case StmtKind::kFor: {
+        const std::int64_t lo = eval(p.e1).as_int();
+        const std::int64_t hi = eval(p.e2).as_int();
+        for (std::int64_t i = lo; i <= hi; ++i) {
+          define(p.slot, sym::Value(i));
+          const std::size_t pd = pos_stack_.size() - 1;
+          pos_stack_[pd].loop_i = i;
+          pos_stack_[pd].loop_hi = hi;
+          exec_block(s.body);
+        }
+        break;
+      }
+      case StmtKind::kIf: {
+        const bool taken = eval(p.e1).as_bool();
+        if (options_.branches != nullptr) {
+          options_.branches->record(s.id, taken);
+        }
+        pos_stack_[pos_stack_.size() - 1].branch = taken ? 1 : 0;
+        if (taken) {
+          exec_block(s.body);
+        } else {
+          exec_block(s.else_body);
+        }
+        break;
+      }
+      case StmtKind::kCall:
+        exec_block(callee(s).body);
+        break;
+      default:
+        exec_leaf(s, p);
+        break;
+    }
+  }
+
+  /// Every statement without a body.
+  [[gnu::noinline]] void exec_leaf(const Stmt& s, const Plan::StmtPlan& p) {
     switch (s.kind) {
       case StmtKind::kDeclScalar: {
         sym::Value v = s.has_init ? eval(p.e1) : sym::Value(0);
@@ -381,31 +422,6 @@ class ExecState {
       case StmtKind::kAssign:
         assign(p.slot, s.name, eval(p.e1));
         break;
-      case StmtKind::kFor: {
-        const std::int64_t lo = eval(p.e1).as_int();
-        const std::int64_t hi = eval(p.e2).as_int();
-        for (std::int64_t i = lo; i <= hi; ++i) {
-          define(p.slot, sym::Value(i));
-          const std::size_t pd = pos_stack_.size() - 1;
-          pos_stack_[pd].loop_i = i;
-          pos_stack_[pd].loop_hi = hi;
-          exec_block(s.body);
-        }
-        break;
-      }
-      case StmtKind::kIf: {
-        const bool taken = eval(p.e1).as_bool();
-        if (options_.branches != nullptr) {
-          options_.branches->record(s.id, taken);
-        }
-        pos_stack_[pos_stack_.size() - 1].branch = taken ? 1 : 0;
-        if (taken) {
-          exec_block(s.body);
-        } else {
-          exec_block(s.else_body);
-        }
-        break;
-      }
       case StmtKind::kCompute:
         exec_kernel(s, p);
         break;
@@ -521,9 +537,8 @@ class ExecState {
         }
         break;
       }
-      case StmtKind::kCall:
-        exec_block(callee(s).body);
-        break;
+      default:
+        STGSIM_UNREACHABLE("block statement in exec_leaf");
     }
   }
 

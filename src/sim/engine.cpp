@@ -246,7 +246,7 @@ Message Process::blocking_match(const MatchSpec& spec) {
         return out;
       }
       blocked_ = true;
-      waiting_on_ = &spec;
+      waiting_on_ = spec;
       if (deferred) engine_->park_wildcard(*this);
       if (engine_->observer_ != nullptr) {
         engine_->observer_->on_block(rank_, clock_, spec);
@@ -258,7 +258,7 @@ Message Process::blocking_match(const MatchSpec& spec) {
   if (!spec.is_wildcard()) {
     if (try_match(spec, &out)) return out;
     blocked_ = true;
-    waiting_on_ = &spec;
+    waiting_on_ = spec;
   } else {
     // A wildcard receive may only commit when no slower-clocked process
     // can still produce an earlier-arriving match. If the best queued
@@ -271,7 +271,7 @@ Message Process::blocking_match(const MatchSpec& spec) {
       return out;
     }
     blocked_ = true;
-    waiting_on_ = &spec;
+    waiting_on_ = spec;
     if (arrival != kVTimeNever) engine_->park_wildcard(*this);
   }
   if (engine_->observer_ != nullptr) {
@@ -289,14 +289,14 @@ Message Process::blocking_match(const MatchSpec& spec) {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(EngineConfig config)
-    : config_(config),
-      stacks_(config.fiber_stack_bytes,
-              static_cast<std::size_t>(config.num_processes)) {
+Engine::Engine(EngineConfig config) : config_(config) {
   STGSIM_CHECK_GT(config_.num_processes, 0);
   STGSIM_CHECK_GT(config_.host_workers, 0);
   workers_ = std::make_unique<Worker[]>(
       static_cast<std::size_t>(config_.host_workers));
+  for (int w = 0; w < config_.host_workers; ++w) {
+    worker_at(w).run_stack.emplace(config_.fiber_stack_bytes);
+  }
   memory_.set_cap(config_.memory_cap_bytes);
   observer_ = config_.observer;
   oracle_ = config_.oracle;
@@ -596,7 +596,7 @@ void Engine::deliver_now(Message&& msg) {
   if (dst.blocked_) {
     // Wake only if the newly available message completes a match, so a
     // process never context-switches spuriously.
-    const MatchSpec& spec = *dst.waiting_on_;
+    const MatchSpec& spec = dst.waiting_on_;
     const Message& m = node->value;
     bool can_match = false;
     if (spec.src == MatchSpec::kAnySource || spec.src == m.src ||
@@ -632,7 +632,6 @@ void Engine::deliver_now(Message&& msg) {
 
 void Engine::wake_process(Process& p, VTime arrival) {
   p.blocked_ = false;
-  p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
   if (observer_ != nullptr) observer_->on_wake(p.rank_, p.clock_, arrival);
   make_ready(p);
@@ -645,7 +644,7 @@ void Engine::make_ready(Process& p) {
 }
 
 void Engine::park_wildcard(Process& p) {
-  STGSIM_DCHECK(p.blocked_ && p.waiting_on_ != nullptr);
+  STGSIM_DCHECK(p.blocked_);
   if (p.wildcard_parked_) return;
   p.wildcard_parked_ = true;
   worker_at(p.home_worker_).parked.push_back(p.rank_);
@@ -657,7 +656,6 @@ void Engine::park_wildcard(Process& p) {
 
 void Engine::attach_fresh_fiber(Process& p) {
   Process* raw = &p;
-  p.fiber_.reset();  // finished: its stack is the one the new fiber takes
   p.fiber_ = std::make_unique<Fiber>(
       [this, raw] {
         try {
@@ -668,7 +666,7 @@ void Engine::attach_fresh_fiber(Process& p) {
           note_error(std::current_exception());
         }
       },
-      stacks_);
+      *worker_at(p.home_worker_).run_stack);
   p.opt_.fresh = true;
 }
 
@@ -857,7 +855,7 @@ void Engine::opt_apply_anti(Process& dst, const Message& anti) {
         // for the next delivery instead.
         std::uint64_t probes = 0;
         if (dst.wildcard_parked_ &&
-            dst.find_match(*dst.waiting_on_, &probes).node == nullptr) {
+            dst.find_match(dst.waiting_on_, &probes).node == nullptr) {
           dst.wildcard_parked_ = false;
         }
         return;
@@ -1014,7 +1012,6 @@ void Engine::opt_rollback(Process& p, std::uint64_t k, bool drop_entry) {
   const bool was_queued = !p.blocked_ && !p.finished_;
   p.finished_ = false;
   p.blocked_ = false;
-  p.waiting_on_ = nullptr;
   p.wildcard_parked_ = false;
   if (!was_queued) make_ready(p);
   refloor(p);
@@ -1163,10 +1160,10 @@ void Engine::opt_fossil_rank(Process& p, VTime g) {
 
 VTime Engine::parked_candidate(Process& p) {
   std::uint64_t probes = 0;
-  const Process::Match f = p.find_match(*p.waiting_on_, &probes);
+  const Process::Match f = p.find_match(p.waiting_on_, &probes);
   STGSIM_CHECK(f.node != nullptr)
       << "parked receive on rank " << p.rank_ << " lost its queued candidate";
-  return Process::candidate(*p.waiting_on_, f.node->value);
+  return Process::candidate(p.waiting_on_, f.node->value);
 }
 
 void Engine::promote(Process& p, VTime candidate) {
@@ -1267,12 +1264,16 @@ void Engine::abort_run(std::exception_ptr fallback) {
   // Every started fiber is suspended at a blocking_match yield, which
   // throws FiberAborted once aborting_ is set: a blocked one, one woken but
   // not yet resumed, and a rolled-back one whose old incarnation was never
-  // re-resumed (no fresh fiber is attached during an abort).
+  // re-resumed (no fresh fiber is attached during an abort). Each resumes
+  // on its home worker's run stack, also here after the threaded join; a
+  // fiber whose frames could not be saved is lost (finished) and skipped.
   for (auto& p : procs_) {
-    if (p->finished_ || p->fiber_ == nullptr || p->opt_.fresh) continue;
+    if (p->finished_ || p->fiber_ == nullptr || p->opt_.fresh ||
+        p->fiber_->finished()) {
+      continue;
+    }
     p->opt_.pending_unwind = false;
     p->blocked_ = false;
-    p->waiting_on_ = nullptr;
     p->fiber_->resume();
     p->finished_ = true;
   }
@@ -1291,10 +1292,10 @@ void Engine::raise_deadlock() {
     b.rank = p->rank_;
     b.clock = p->clock_;
     b.home_worker = p->home_worker_;
-    if (p->waiting_on_ != nullptr) {
-      b.waiting_src = p->waiting_on_->src;
-      b.waiting_tag = p->waiting_on_->user_tag;
-      b.waiting_what = p->waiting_on_->what;
+    if (p->blocked_) {
+      b.waiting_src = p->waiting_on_.src;
+      b.waiting_tag = p->waiting_on_.user_tag;
+      b.waiting_what = p->waiting_on_.what;
     } else {
       b.waiting_what = "(not blocked)";
     }

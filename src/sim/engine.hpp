@@ -58,6 +58,7 @@
 #include <mutex>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -240,9 +241,6 @@ class Process {
 
   Engine& engine() { return *engine_; }
 
-  /// Slot for the layer above (smpi::Comm) to attach its state.
-  void* user = nullptr;
-
  private:
   friend class Engine;
 
@@ -339,7 +337,10 @@ class Process {
   OptState opt_;  ///< optimistic-mode logs; inert under conservative runs
   bool finished_ = false;
   bool blocked_ = false;
-  const MatchSpec* waiting_on_ = nullptr;  // valid while blocked_
+  /// The receive a blocked process waits for, by value: the spec the
+  /// fiber passed lives in its frames, which are off the run stack while
+  /// it is suspended (sim/fiber.hpp). Valid while blocked_.
+  MatchSpec waiting_on_;
   bool wildcard_parked_ = false;  ///< blocked wildcard with an unsafe match
   int home_worker_ = 0;
 
@@ -382,6 +383,7 @@ struct EngineConfig {
   /// thread executes each rank.
   std::vector<int> partition;
 
+  /// The deepest stack one rank may use: sizes each worker's run stack.
   std::size_t fiber_stack_bytes = 256 * 1024;
   std::size_t memory_cap_bytes = 0;  ///< 0 = uncapped
   std::uint64_t seed = 0x5eedULL;
@@ -891,13 +893,13 @@ class Engine {
     /// The GVT this worker's ranks were last fossil-collected at.
     VTime fossil_gvt = 0;
     WorkerStat stat;
+    /// The stack this worker's ranks run on, whichever thread resumes
+    /// them (EngineConfig::fiber_stack_bytes; mapped by the constructor).
+    std::optional<RunStack> run_stack;
   };
   // Own line: payload_pool_'s last one holds counters every DE message
   // writes, and every message reads this pointer.
   alignas(64) std::unique_ptr<Worker[]> workers_;
-
-  // Every rank's fiber stack; unmapped after procs_ destroys the fibers.
-  StackPool stacks_;
 
   alignas(64) std::vector<std::unique_ptr<Process>> procs_;
   MemoryTracker memory_;

@@ -3,8 +3,12 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -24,8 +28,8 @@
 // current stack, stores the stack pointer to *save_sp, then loads load_sp
 // and restores the same set from it: a System V call that returns on
 // another stack. The signal mask is process state the fibers share, so
-// nothing here enters the kernel. A fresh stack holds the frame Fiber's
-// constructor writes: zeroed registers, the creator's control words, and
+// nothing here enters the kernel. A fiber's first resume writes the frame
+// it starts from: zeroed registers, the resumer's control words, and
 // Fiber::entry as the return address.
 extern "C" void stgsim_switch_stack(void** save_sp, void* load_sp);
 asm(R"(
@@ -65,12 +69,13 @@ namespace stgsim::simk {
 namespace {
 
 thread_local Fiber* g_current_fiber = nullptr;
+std::atomic<Fiber::SaveHook> g_save_hook{nullptr};
 
 // AddressSanitizer tracks one stack per thread. Every stack switch below
-// is announced to it, so a throw on a fiber stack (which unpoisons "the"
-// stack in __asan_handle_no_return) sees the right bounds instead of
-// reporting the scheduler's frames as stack-use-after-scope, and
-// detect_stack_use_after_return's fake frames follow the fiber.
+// is announced to it, naming the run stack, so a throw on a fiber (which
+// unpoisons "the" stack in __asan_handle_no_return) sees the right bounds
+// instead of reporting the scheduler's frames as stack-use-after-scope,
+// and detect_stack_use_after_return's fake frames follow the fiber.
 // ThreadSanitizer likewise keeps one shadow call stack and vector clock
 // per context: each switch names the TSan fiber it enters, so a fiber
 // resumed by another worker thread carries its own history with it. No-ops
@@ -95,6 +100,24 @@ void finish_switch([[maybe_unused]] void* fake_stack_save,
 #endif
 }
 
+// Copies frames between the run stack and a fiber's buffer. Not memcpy:
+// under AddressSanitizer the frames hold poisoned redzones, which an
+// intercepted or instrumented copy would report. On the 2-3 KiB a blocked
+// rank saves it is as fast as glibc's memcpy (EXPERIMENTS.md).
+void copy_frames(void* dst, const void* src, std::size_t n) {
+  asm volatile("rep movsb" : "+D"(dst), "+S"(src), "+c"(n) : : "memory");
+}
+
+// Under AddressSanitizer, clears the shadow of run-stack bytes a fiber's
+// frames just left: the next fiber's frames land on clean shadow, never on
+// another rank's stale redzones. No-op in other builds.
+void unpoison_frames([[maybe_unused]] const void* lo,
+                     [[maybe_unused]] std::size_t n) {
+#if defined(__SANITIZE_ADDRESS__)
+  __asan_unpoison_memory_region(lo, n);
+#endif
+}
+
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return ps;
@@ -103,91 +126,55 @@ std::size_t page_size() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// StackPool
+// RunStack
 // ---------------------------------------------------------------------------
 
-StackPool::StackPool(std::size_t stack_bytes, std::size_t expected_stacks)
-    : stack_bytes_((stack_bytes + page_size() - 1) / page_size() * page_size()),
-      slab_stacks_(std::clamp<std::size_t>(expected_stacks, 1, kSlabStacks)) {
-  STGSIM_CHECK_GT(stack_bytes_, 0u);
-}
-
-StackPool::~StackPool() {
-  for (const Slab& s : slabs_) munmap(s.base, s.bytes);
-}
-
-void* StackPool::acquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (free_.empty()) {
-    // Stacks grow down on x86-64: each stack's guard page sits at the low
-    // end of its stride, between it and the stack below.
-    const std::size_t stride = page_size() + stack_bytes_;
-    const std::size_t bytes = stride * slab_stacks_;
-    void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    STGSIM_CHECK(base != MAP_FAILED) << "fiber stack slab mmap failed";
-    slabs_.push_back({base, bytes});
-    for (std::size_t i = slab_stacks_; i-- > 0;) {
-      auto* guard = static_cast<std::uint8_t*>(base) + i * stride;
-      STGSIM_CHECK_EQ(mprotect(guard, page_size(), PROT_NONE), 0);
-      free_.push_back(guard + page_size());
+RunStack::RunStack(std::size_t bytes) {
+  STGSIM_CHECK_GT(bytes, 0u) << "a run stack needs at least one byte";
+  const std::size_t ps = page_size();
+  void* base = MAP_FAILED;
+  if (bytes <= std::numeric_limits<std::size_t>::max() - 2 * ps) {
+    bytes_ = (bytes + ps - 1) / ps * ps;
+    // Stacks grow down on x86-64: the guard page is the lowest page.
+    base = mmap(nullptr, ps + bytes_, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                0);
+    if (base != MAP_FAILED && mprotect(base, ps, PROT_NONE) != 0) {
+      munmap(base, ps + bytes_);
+      base = MAP_FAILED;
     }
   }
-  void* lo = free_.back();
-  free_.pop_back();
-  return lo;
+  if (base == MAP_FAILED) {
+    throw RunStackMapError("cannot map a fiber run stack of " +
+                           std::to_string(bytes / 1024) +
+                           " KiB (fiber_stack_kb)");
+  }
+  lo_ = static_cast<std::uint8_t*>(base) + ps;
 }
 
-void StackPool::release(void* stack_lo) {
-#if defined(__SANITIZE_ADDRESS__)
-  // A fiber destroyed while suspended leaves its frames' redzones
-  // poisoned; the next fiber on this stack starts clean.
-  __asan_unpoison_memory_region(stack_lo, stack_bytes_);
-#endif
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(stack_lo);
-}
+RunStack::~RunStack() { munmap(lo_ - page_size(), page_size() + bytes_); }
 
 // ---------------------------------------------------------------------------
 // Fiber
 // ---------------------------------------------------------------------------
 
-Fiber::Fiber(BodyFn body, StackPool& stacks)
-    : body_(std::move(body)), stacks_(stacks) {
+Fiber::Fiber(BodyFn body, RunStack& stack)
+    : body_(std::move(body)), stack_(stack) {
   STGSIM_CHECK(body_ != nullptr);
-  stack_lo_ = stacks.acquire();
-  // The frame stgsim_switch_stack pops on first resume, from the lowest
-  // address: the control words, r15 r14 r13 r12 rbx rbp (zero; a zero rbp
-  // ends frame-pointer walks), the return address entry(), and entry()'s
-  // own return address, null, so unwinders stop at the fiber base. The
-  // stack top is page-aligned, so entry() starts with rsp ≡ 8 (mod 16) as
-  // the ABI expects of a called function.
-  auto* top = reinterpret_cast<std::uint64_t*>(
-      static_cast<std::uint8_t*>(stack_lo_) + stacks.stack_bytes());
-  std::uint64_t* frame = top - 9;
-  std::uint32_t mxcsr = 0;
-  std::uint16_t fpu_cw = 0;
-  asm volatile("stmxcsr %0" : "=m"(mxcsr));
-  asm volatile("fnstcw %0" : "=m"(fpu_cw));
-  frame[0] = mxcsr | static_cast<std::uint64_t>(fpu_cw) << 32;
-  for (int i = 1; i <= 6; ++i) frame[i] = 0;
-  frame[7] = reinterpret_cast<std::uint64_t>(&Fiber::entry);
-  frame[8] = 0;
-  sp_ = frame;
 #if defined(__SANITIZE_THREAD__)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 }
 
 Fiber::~Fiber() {
-  // Fibers must not be destroyed while suspended mid-body with live RAII
-  // state; the engine only destroys fibers after completion or when the
-  // whole run is being torn down (where leaking fiber-local destructors
-  // is acceptable for abnormal termination).
-  stacks_.release(stack_lo_);
+  std::free(saved_);
 #if defined(__SANITIZE_THREAD__)
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
+}
+
+void Fiber::set_save_hook(SaveHook hook) {
+  g_save_hook.store(hook, std::memory_order_relaxed);
 }
 
 void Fiber::entry() noexcept { current()->run_body(); }
@@ -209,15 +196,64 @@ void Fiber::resume() {
   STGSIM_CHECK(g_current_fiber == nullptr)
       << "resume() called from inside a fiber";
   STGSIM_CHECK(!finished_) << "resume() on finished fiber";
+  if (sp_ != nullptr) {
+    copy_frames(stack_.top() - saved_bytes_, saved_, saved_bytes_);
+  } else {
+    // The frame stgsim_switch_stack pops on first resume, from the lowest
+    // address: the control words, r15 r14 r13 r12 rbx rbp (zero; a zero
+    // rbp ends frame-pointer walks), the return address entry(), and
+    // entry()'s own return address, null, so unwinders stop at the fiber
+    // base. The stack top is page-aligned, so entry() starts with
+    // rsp ≡ 8 (mod 16) as the ABI expects of a called function.
+    std::uint64_t* frame = reinterpret_cast<std::uint64_t*>(stack_.top()) - 9;
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpu_cw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpu_cw));
+    frame[0] = mxcsr | static_cast<std::uint64_t>(fpu_cw) << 32;
+    for (int i = 1; i <= 6; ++i) frame[i] = 0;
+    frame[7] = reinterpret_cast<std::uint64_t>(&Fiber::entry);
+    frame[8] = 0;
+    sp_ = frame;
+  }
   g_current_fiber = this;
   void* fake_stack = nullptr;
 #if defined(__SANITIZE_THREAD__)
   tsan_caller_ = __tsan_get_current_fiber();
 #endif
-  start_switch(&fake_stack, stack_lo_, stacks_.stack_bytes(), tsan_fiber_);
+  start_switch(&fake_stack, stack_.lo(), stack_.bytes(), tsan_fiber_);
   stgsim_switch_stack(&caller_sp_, sp_);
   finish_switch(fake_stack, nullptr, nullptr);
   STGSIM_CHECK(g_current_fiber == nullptr);
+  save_frames();
+}
+
+void Fiber::save_frames() {
+  const std::size_t live =
+      static_cast<std::size_t>(stack_.top() - static_cast<std::uint8_t*>(sp_));
+  if (finished_) {
+    std::free(saved_);
+    saved_ = nullptr;
+    saved_bytes_ = saved_capacity_ = 0;
+  } else {
+    if (live > saved_capacity_) {
+      std::free(saved_);
+      saved_ = static_cast<std::uint8_t*>(std::malloc(live));
+      saved_capacity_ = saved_ != nullptr ? live : 0;
+    }
+    if (saved_ == nullptr) {
+      saved_bytes_ = 0;
+      finished_ = true;
+      unpoison_frames(sp_, live);
+      throw std::bad_alloc();
+    }
+    copy_frames(saved_, sp_, live);
+    saved_bytes_ = live;
+    if (SaveHook hook = g_save_hook.load(std::memory_order_relaxed)) {
+      hook(live);
+    }
+  }
+  unpoison_frames(sp_, live);
 }
 
 void Fiber::yield_to_scheduler() {

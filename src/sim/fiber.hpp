@@ -1,58 +1,55 @@
 // Stackful fibers for process-oriented simulation.
 //
 // MPI-Sim simulates each target MPI process with a thread on the host; we
-// use fibers instead of OS threads so a single host process can hold tens
-// of thousands of target processes (the paper simulates Sweep3D on 10,000
-// target processors). A switch is a few instructions of x86-64 assembly
-// that save the callee-saved registers and the floating-point control words
-// and make no system call. Stacks are carved from slabs a StackPool maps a
-// few dozen at a time, each with a guard page below it, so a runaway target
-// program faults instead of corrupting a neighbouring fiber.
+// use fibers instead of OS threads so a single host process can hold
+// hundreds of thousands of target processes (the paper simulates Sweep3D
+// on 10,000 target processors). A switch is a few instructions of x86-64
+// assembly that save the callee-saved registers and the floating-point
+// control words and make no system call.
+//
+// Fibers have no stacks of their own. Each engine worker owns one
+// RunStack, a guarded mapping its fibers run on one at a time. When a fiber
+// yields, resume() copies its live frames (stack pointer to stack top, a
+// few KiB) into a heap buffer; the next resume() copies them back to the
+// same addresses before switching in. Frames hold absolute addresses
+// (return addresses, saved frame pointers, pointers to locals), so two
+// rules follow: a fiber always resumes on the run stack it was created
+// for, and nothing outside a suspended fiber may point into its frames,
+// since another fiber's frames occupy those addresses while it waits.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <vector>
+#include <stdexcept>
 
 namespace stgsim::simk {
 
-/// Fiber stacks of one size, carved from slabs of up to kSlabStacks stacks
-/// (one mmap each) with a PROT_NONE guard page below every stack. A
-/// destroyed fiber's stack goes back on a free list for the next fiber;
-/// the slabs are unmapped with the pool, which must outlive its fibers.
-/// Thread-safe: fibers may be created and destroyed on any thread.
-class StackPool {
+/// Thrown when a run stack cannot be mapped: the host is out of address
+/// space or memory. The harness reports it as an out_of_memory outcome.
+class RunStackMapError : public std::runtime_error {
  public:
-  /// `stack_bytes` is rounded up to whole pages. `expected_stacks` sizes
-  /// every slab (at most kSlabStacks), so a small run maps only what it
-  /// uses.
-  StackPool(std::size_t stack_bytes, std::size_t expected_stacks);
-  StackPool(const StackPool&) = delete;
-  StackPool& operator=(const StackPool&) = delete;
-  ~StackPool();
+  using std::runtime_error::runtime_error;
+};
 
-  std::size_t stack_bytes() const { return stack_bytes_; }
+/// The stack an engine worker's fibers run on: `bytes` rounded up to whole
+/// pages, in one mapping with a PROT_NONE guard page below it, so a fiber
+/// that runs past the bottom faults instead of writing into other memory.
+class RunStack {
+ public:
+  explicit RunStack(std::size_t bytes);
+  RunStack(const RunStack&) = delete;
+  RunStack& operator=(const RunStack&) = delete;
+  ~RunStack();
+
+  std::size_t bytes() const { return bytes_; }
+  /// Lowest usable address; the guard page is the page below it.
+  std::uint8_t* lo() const { return lo_; }
+  std::uint8_t* top() const { return lo_ + bytes_; }
 
  private:
-  friend class Fiber;
-
-  static constexpr std::size_t kSlabStacks = 64;
-
-  /// Low end of an unused stack of stack_bytes().
-  void* acquire();
-  void release(void* stack_lo);
-
-  struct Slab {
-    void* base;
-    std::size_t bytes;
-  };
-
-  std::size_t stack_bytes_;
-  std::size_t slab_stacks_;
-  std::mutex mu_;            ///< guards free_ and slabs_
-  std::vector<void*> free_;  ///< lowest address at the back
-  std::vector<Slab> slabs_;
+  std::uint8_t* lo_ = nullptr;
+  std::size_t bytes_ = 0;
 };
 
 /// A suspendable call stack. Fibers are cooperatively scheduled: the
@@ -61,16 +58,22 @@ class Fiber {
  public:
   using BodyFn = std::function<void()>;
 
-  /// Creates a fiber that will run `body` on first resume, on a stack
-  /// taken from `stacks` (returned to it by the destructor).
-  Fiber(BodyFn body, StackPool& stacks);
+  /// Creates a fiber that will run `body` on `stack` at its first resume.
+  /// It touches no memory until then, and saves nothing before it yields.
+  Fiber(BodyFn body, RunStack& stack);
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
+  /// Frees the saved frames. A fiber destroyed while suspended is never
+  /// unwound: its RAII state leaks (the engine unwinds first).
   ~Fiber();
 
-  /// Runs the fiber until it yields or its body returns.
-  /// Must be called from scheduler context (not from inside a fiber).
+  /// Runs the fiber until it yields or its body returns, then saves its
+  /// live frames off the run stack (or frees them once it finished). Must
+  /// be called from scheduler context (not from inside a fiber), with no
+  /// other fiber running on this run stack. If the frames cannot be saved
+  /// the fiber is lost: it counts as finished and resume() throws
+  /// std::bad_alloc.
   void resume();
 
   /// Suspends the currently running fiber, returning control to the
@@ -82,16 +85,31 @@ class Fiber {
 
   bool finished() const { return finished_; }
 
+  /// Bytes of live frames the last yield saved (0 before the first yield
+  /// and once finished), and where they are kept.
+  std::size_t saved_bytes() const { return saved_bytes_; }
+  const std::uint8_t* saved_frames() const { return saved_; }
+
+  /// Test hook: called with saved_bytes() after every yield, on the thread
+  /// that resumed the fiber. Null (the default) disables it.
+  using SaveHook = void (*)(std::size_t bytes);
+  static void set_save_hook(SaveHook hook);
+
  private:
-  /// The first frame on a fresh stack: runs current()'s body.
+  /// The first frame on the run stack: runs current()'s body.
   [[noreturn]] static void entry() noexcept;
   [[noreturn]] void run_body();
+  /// Copies the frames below the stack top into the heap buffer.
+  void save_frames();
 
   BodyFn body_;
-  StackPool& stacks_;
-  void* stack_lo_ = nullptr;
-  void* sp_ = nullptr;         ///< this fiber's stack pointer while switched out
+  RunStack& stack_;
+  /// This fiber's stack pointer while switched out; null until it starts.
+  void* sp_ = nullptr;
   void* caller_sp_ = nullptr;  ///< the resumer's stack pointer while running
+  std::uint8_t* saved_ = nullptr;  ///< live frames while suspended (malloc)
+  std::size_t saved_bytes_ = 0;
+  std::size_t saved_capacity_ = 0;
   bool finished_ = false;
   // AddressSanitizer fiber bookkeeping (unused in other builds): this
   // fiber's fake stack while it is switched out, and the stack of the

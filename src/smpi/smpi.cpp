@@ -78,7 +78,6 @@ RankStats World::aggregate_stats() const {
 Comm::Comm(World& world, simk::Process& proc)
     : world_(world), proc_(proc), stats_(world.stats(proc.rank())) {
   STGSIM_CHECK_EQ(world.nranks(), proc.world_size());
-  proc_.user = this;
   // Arm the engine's wildcard (ANY_SOURCE / waitany) safety bound with
   // this network's latency floor; without it the bound degenerates to the
   // raw minimum clock and every contested wildcard receive takes the
@@ -86,8 +85,6 @@ Comm::Comm(World& world, simk::Process& proc)
   // always-on global latency factors — a sound, possibly larger bound.
   proc_.engine().set_wildcard_min_latency(world_.wildcard_latency_floor());
 }
-
-Comm::~Comm() { proc_.user = nullptr; }
 
 void Comm::save_state(BlobWriter& w) const {
   w.u32(next_rid_);

@@ -222,7 +222,6 @@ class Request {
 class Comm {
  public:
   Comm(World& world, simk::Process& proc);
-  ~Comm();
 
   int rank() const { return proc_.rank(); }
   int size() const { return proc_.world_size(); }

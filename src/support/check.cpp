@@ -1,6 +1,7 @@
 #include "support/check.hpp"
 
 #include <cstdio>
+#include <exception>
 
 namespace stgsim::detail {
 
@@ -33,6 +34,20 @@ void check_failed_noexcept(const char* cond, const char* file, int line,
     std::fflush(stderr);
   } catch (...) {
     // Formatting must never throw out of a noexcept reporting path.
+  }
+}
+
+CheckMessage::CheckMessage(const char* cond, const char* file, int line)
+    : cond_(cond),
+      file_(file),
+      line_(line),
+      stream_(std::make_unique<std::ostringstream>()) {}
+
+CheckMessage::~CheckMessage() noexcept(false) {
+  if (std::uncaught_exceptions() > 0) {
+    check_failed_noexcept(cond_, file_, line_, stream_->str());
+  } else {
+    check_failed(cond_, file_, line_, stream_->str());
   }
 }
 

@@ -5,7 +5,7 @@
 // meant for hot paths (event queues, interpreter dispatch).
 #pragma once
 
-#include <exception>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -30,36 +30,38 @@ namespace detail {
 void check_failed_noexcept(const char* cond, const char* file, int line,
                            const std::string& msg) noexcept;
 
-/// Builds the optional streamed message for a failed check.
+/// Builds the optional streamed message for a failed check. Only a failed
+/// check constructs one, so its constructor and destructor are cold and
+/// out of line, and the stream lives on the heap: a frame holds a few
+/// words per check instead of a std::ostringstream (about 400 B). Fiber
+/// frames are copied at every yield (sim/fiber.hpp), so hot frames with
+/// checks stay small.
 class CheckMessage {
  public:
-  CheckMessage(const char* cond, const char* file, int line)
-      : cond_(cond), file_(file), line_(line) {}
+  [[gnu::cold, gnu::noinline]] CheckMessage(const char* cond,
+                                            const char* file, int line);
+  CheckMessage(const CheckMessage&) = delete;
+  CheckMessage& operator=(const CheckMessage&) = delete;
 
   template <typename T>
   CheckMessage& operator<<(const T& v) {
-    stream_ << v;
+    *stream_ << v;
     return *this;
   }
 
-  ~CheckMessage() noexcept(false) {
-    // A check can fail inside a destructor that runs while another
-    // exception is already unwinding the stack; throwing then would call
-    // std::terminate before anything is reported. Log-and-continue keeps
-    // the original exception (which the harness turns into a structured
-    // outcome) as the error of record.
-    if (std::uncaught_exceptions() > 0) {
-      check_failed_noexcept(cond_, file_, line_, stream_.str());
-    } else {
-      check_failed(cond_, file_, line_, stream_.str());
-    }
-  }
+  /// Throws CheckError; only logs when another exception is unwinding the
+  /// stack. A check can fail inside a destructor that runs while another
+  /// exception is already unwinding the stack; throwing then would call
+  /// std::terminate before anything is reported. Log-and-continue keeps
+  /// the original exception (which the harness turns into a structured
+  /// outcome) as the error of record.
+  [[gnu::cold, gnu::noinline]] ~CheckMessage() noexcept(false);
 
  private:
   const char* cond_;
   const char* file_;
   int line_;
-  std::ostringstream stream_;
+  std::unique_ptr<std::ostringstream> stream_;
 };
 
 }  // namespace detail

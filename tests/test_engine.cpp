@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cfenv>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <thread>
@@ -26,9 +27,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Fiber, RunsBodyToCompletion) {
-  StackPool stacks(64 * 1024, 1);
+  RunStack stack(64 * 1024);
   int x = 0;
-  Fiber f([&] { x = 42; }, stacks);
+  Fiber f([&] { x = 42; }, stack);
   EXPECT_FALSE(f.finished());
   f.resume();
   EXPECT_TRUE(f.finished());
@@ -36,7 +37,7 @@ TEST(Fiber, RunsBodyToCompletion) {
 }
 
 TEST(Fiber, YieldSuspendsAndResumes) {
-  StackPool stacks(64 * 1024, 1);
+  RunStack stack(64 * 1024);
   std::vector<int> log;
   Fiber f(
       [&] {
@@ -46,7 +47,7 @@ TEST(Fiber, YieldSuspendsAndResumes) {
         Fiber::yield_to_scheduler();
         log.push_back(5);
       },
-      stacks);
+      stack);
   f.resume();
   log.push_back(2);
   f.resume();
@@ -58,10 +59,10 @@ TEST(Fiber, YieldSuspendsAndResumes) {
 }
 
 TEST(Fiber, CurrentIsSetInsideFiberOnly) {
-  StackPool stacks(64 * 1024, 1);
+  RunStack stack(64 * 1024);
   EXPECT_EQ(Fiber::current(), nullptr);
   Fiber* observed = nullptr;
-  Fiber f([&] { observed = Fiber::current(); }, stacks);
+  Fiber f([&] { observed = Fiber::current(); }, stack);
   f.resume();
   EXPECT_EQ(observed, &f);
   EXPECT_EQ(Fiber::current(), nullptr);
@@ -70,14 +71,14 @@ TEST(Fiber, CurrentIsSetInsideFiberOnly) {
 TEST(Fiber, DeepStackUsageSurvives) {
   // Recursion touching well under the stack size must work; the guard
   // page below the stack is for the case beyond it.
-  StackPool stacks(256 * 1024, 1);
+  RunStack stack(256 * 1024);
   std::function<int(int)> rec = [&](int n) -> int {
     char pad[512];
     pad[0] = static_cast<char>(n);
     return n == 0 ? pad[0] : rec(n - 1) + 1;
   };
   int out = -1;
-  Fiber f([&] { out = rec(200); }, stacks);
+  Fiber f([&] { out = rec(200); }, stack);
   f.resume();
   EXPECT_EQ(out, 200);
 }
@@ -85,7 +86,7 @@ TEST(Fiber, DeepStackUsageSurvives) {
 TEST(Fiber, FloatingPointControlIsPerFiber) {
   // Rounding mode lives in both MXCSR and the x87 control word; a switch
   // must carry both with the fiber, not leak them to the scheduler.
-  StackPool stacks(64 * 1024, 1);
+  RunStack stack(64 * 1024);
   ASSERT_EQ(std::fegetround(), FE_TONEAREST);
   int before_yield = -1;
   int after_resume = -1;
@@ -98,7 +99,7 @@ TEST(Fiber, FloatingPointControlIsPerFiber) {
         after_resume = std::fegetround();
         sse_after_resume = _MM_GET_ROUNDING_MODE();
       },
-      stacks);
+      stack);
   f.resume();
   EXPECT_EQ(before_yield, FE_UPWARD);
   EXPECT_EQ(std::fegetround(), FE_TONEAREST);
@@ -111,16 +112,63 @@ TEST(Fiber, FloatingPointControlIsPerFiber) {
   EXPECT_EQ(_MM_GET_ROUNDING_MODE(), static_cast<unsigned>(_MM_ROUND_NEAREST));
 }
 
-// Stack overflow death test state: the neighbour fiber's sentinel, checked
-// by the SIGSEGV handler on its own signal stack.
+TEST(Fiber, FramesAreSavedAtAYieldAndFreedAtTheEnd) {
+  // Fibers share one run stack: each yield moves the live frames to the
+  // fiber's own buffer, and a resume puts them back at the same addresses,
+  // so locals (and pointers to them) survive other fibers' turns.
+  RunStack stack(64 * 1024);
+  std::vector<int> seen;
+  auto body = [&](int base) {
+    int local = base;
+    int* self = &local;
+    Fiber::yield_to_scheduler();
+    *self += 1;
+    Fiber::yield_to_scheduler();
+    seen.push_back(local);
+  };
+  Fiber a([&] { body(10); }, stack);
+  Fiber b([&] { body(20); }, stack);
+  EXPECT_EQ(a.saved_bytes(), 0u);  // never started: nothing saved
+  a.resume();
+  b.resume();
+  EXPECT_GT(a.saved_bytes(), 0u);
+  EXPECT_LT(a.saved_bytes(), 4096u);
+  a.resume();
+  b.resume();
+  b.resume();
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(a.saved_bytes(), 0u);
+  EXPECT_EQ(a.saved_frames(), nullptr);
+  EXPECT_EQ(seen, (std::vector<int>{21, 11}));
+}
+
+// Stack overflow death test state: the neighbour fiber's saved frames and
+// the guard page's bounds, checked by the SIGSEGV handler on its own
+// signal stack.
 constexpr std::size_t kSentinelBytes = 1024;
-volatile unsigned char* g_sentinel = nullptr;
+const volatile unsigned char* g_saved = nullptr;
+std::size_t g_saved_bytes = 0;
+std::uintptr_t g_guard_lo = 0;
+std::uintptr_t g_guard_hi = 0;
 volatile int g_overflow_depth_limit = 1 << 30;
 
-void exit_on_overflow(int) {
-  for (std::size_t i = 0; i < kSentinelBytes; ++i) {
-    if (g_sentinel[i] != 0x5a) _exit(43);  // the neighbour was overwritten
+/// True when `frames` hold the neighbour's sentinel: kSentinelBytes of
+/// 0x5a in a row.
+bool holds_sentinel(const volatile unsigned char* frames, std::size_t n) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    run = frames[i] == 0x5a ? run + 1 : 0;
+    if (run == kSentinelBytes) return true;
   }
+  return false;
+}
+
+void exit_on_overflow(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  if (addr < g_guard_lo || addr >= g_guard_hi) _exit(46);  // not the guard
+  if (!holds_sentinel(g_saved, g_saved_bytes)) _exit(43);  // overwritten
   _exit(42);
 }
 
@@ -131,6 +179,15 @@ int recurse_forever(int depth) {
   return recurse_forever(depth + 1) + pad[0];
 }
 
+// The sentinel is a local of this frame on the run stack (no sanitizer
+// moves it to a fake stack), so the yield saves it with the frames.
+[[gnu::noinline, gnu::no_sanitize_address]] void yield_with_sentinel() {
+  volatile unsigned char sentinel[kSentinelBytes];
+  for (std::size_t i = 0; i < kSentinelBytes; ++i) sentinel[i] = 0x5a;
+  Fiber::yield_to_scheduler();
+  sentinel[0] = sentinel[1];
+}
+
 void overflow_next_to_neighbour() {
   static unsigned char alt_stack[64 * 1024];
   stack_t ss{};
@@ -138,41 +195,30 @@ void overflow_next_to_neighbour() {
   ss.ss_size = sizeof alt_stack;
   sigaltstack(&ss, nullptr);
   struct sigaction sa {};
-  sa.sa_handler = exit_on_overflow;
-  sa.sa_flags = SA_ONSTACK;
+  sa.sa_sigaction = exit_on_overflow;
+  sa.sa_flags = SA_ONSTACK | SA_SIGINFO;
   sigaction(SIGSEGV, &sa, nullptr);
 
-  // One slab: the neighbour gets the lower stack, so the overflowing
-  // fiber's guard page is all that separates it from the neighbour's
-  // live frames.
-  StackPool stacks(64 * 1024, 2);
-  void* neighbour_frame = nullptr;
-  Fiber neighbour(
-      [&] {
-        neighbour_frame = __builtin_frame_address(0);
-        volatile unsigned char sentinel[kSentinelBytes];
-        for (std::size_t i = 0; i < kSentinelBytes; ++i) sentinel[i] = 0x5a;
-        g_sentinel = sentinel;
-        Fiber::yield_to_scheduler();
-      },
-      stacks);
+  // The neighbour suspends with a sentinel in its saved frames; then a
+  // fiber on the same run stack recurses until it runs off the bottom.
+  RunStack stack(64 * 1024);
+  Fiber neighbour([] { yield_with_sentinel(); }, stack);
   neighbour.resume();
-  Fiber overflow(
-      [&] {
-        // Frame addresses are on the fiber stacks even where a sanitizer
-        // moves address-taken locals elsewhere.
-        if (__builtin_frame_address(0) < neighbour_frame) _exit(44);
-        recurse_forever(0);
-      },
-      stacks);
+  g_saved = neighbour.saved_frames();
+  g_saved_bytes = neighbour.saved_bytes();
+  if (!holds_sentinel(g_saved, g_saved_bytes)) _exit(44);
+  g_guard_hi = reinterpret_cast<std::uintptr_t>(stack.lo());
+  g_guard_lo = g_guard_hi - static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  Fiber overflow([] { recurse_forever(0); }, stack);
   overflow.resume();
   _exit(45);  // the recursion returned: no fault
 }
 
 TEST(Fiber, StackOverflowHitsGuardPage) {
-  // Exit 42: the overflow faulted with the neighbour's frames intact (43:
-  // they were overwritten, 44: the stacks are not adjacent as assumed,
-  // 45: no fault at all).
+  // Exit 42: the overflow faulted in the guard page below the run stack
+  // with the suspended neighbour's saved frames intact (43: they were
+  // overwritten, 44: the yield did not save the sentinel, 45: no fault at
+  // all, 46: the fault was not in the guard page).
   EXPECT_EXIT(overflow_next_to_neighbour(), testing::ExitedWithCode(42), "");
 }
 

@@ -3,10 +3,19 @@
 // abstract communication fidelity.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "apps/registry.hpp"
 #include "apps/tomcatv.hpp"
 #include "core/compiler.hpp"
+#include "harness/digest.hpp"
 #include "harness/runner.hpp"
 #include "ir/builder.hpp"
+#include "sim/fiber.hpp"
 
 namespace stgsim::harness {
 namespace {
@@ -249,6 +258,116 @@ TEST(Harness, ThreadedDirectExecWorks) {
   cfg.threads = 2;
   const auto par = run_program(prog, cfg);
   EXPECT_EQ(seq.predicted_time, par.predicted_time);
+}
+
+TEST(Harness, UnmappableRunStackIsAnOutOfMemoryOutcome) {
+  // Each host worker maps one run stack of fiber_stack_bytes; 2^60 bytes
+  // is past any x86-64 address space, so the first mmap fails.
+  RunConfig cfg;
+  cfg.nprocs = 4;
+  cfg.mode = Mode::kDirectExec;
+  cfg.fiber_stack_bytes = std::size_t{1} << 60;
+  const RunOutcome out = run_program(small_tomcatv(), cfg);
+  EXPECT_EQ(out.status, RunStatus::kOutOfMemory);
+  EXPECT_NE(out.diagnostic.find("cannot map a fiber run stack"),
+            std::string::npos)
+      << out.diagnostic;
+}
+
+/// The AM program of `spec` at `nprocs` ranks, with every task time
+/// parameter set to 1 us (the run's shape does not depend on the values).
+struct AmProgram {
+  ir::Program program;
+  std::map<std::string, double> params;
+};
+AmProgram am_program(const apps::AppSpec& spec, int nprocs) {
+  core::CompileResult compiled = core::compile(apps::build_app(spec, nprocs));
+  AmProgram am{std::move(compiled.simplified.program), {}};
+  for (const auto& name : compiled.simplified.params) am.params[name] = 1e-6;
+  return am;
+}
+
+std::atomic<std::size_t> g_largest_saved{0};
+
+void note_saved(std::size_t bytes) {
+  std::size_t prev = g_largest_saved.load(std::memory_order_relaxed);
+  while (prev < bytes && !g_largest_saved.compare_exchange_weak(prev, bytes)) {
+  }
+}
+
+TEST(Harness, SavedFramesStayUnder3KiB) {
+  // Every yield copies the rank's live frames off its worker's run stack
+  // and every resume copies them back (sim/fiber.hpp), so frame depth is
+  // both per-switch work and per-rank memory. A large local or an inline
+  // stream in a hot frame fails here, by app and protocol. The bound holds
+  // for the frames an optimized, uninstrumented build lays out; -O0 and
+  // the sanitizers' redzones and shadow bookkeeping make them 4-6x larger.
+#if defined(__OPTIMIZE__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  constexpr std::size_t kBound = 3072;
+#else
+  constexpr std::size_t kBound = std::numeric_limits<std::size_t>::max();
+#endif
+  const std::vector<apps::AppSpec> specs = {
+      {"sweep3d", {}},
+      {"tomcatv", {}},
+      {"nas_sp", {}},
+      {"sample", {{"pattern", "anysource"}}},
+  };
+  for (const apps::AppSpec& spec : specs) {
+    const AmProgram am = am_program(spec, 64);
+    for (const Schedule schedule :
+         {Schedule::kConservative, Schedule::kOptimistic}) {
+      RunConfig cfg;
+      cfg.nprocs = 64;
+      cfg.mode = Mode::kAnalytical;
+      cfg.params = am.params;
+      cfg.schedule = schedule;
+      g_largest_saved.store(0);
+      simk::Fiber::set_save_hook(note_saved);
+      const RunOutcome out = run_program(am.program, cfg);
+      simk::Fiber::set_save_hook(nullptr);
+      ASSERT_TRUE(out.ok()) << spec.name << ": " << out.diagnostic;
+      const std::size_t largest = g_largest_saved.load();
+      EXPECT_GT(largest, 0u) << spec.name;
+      EXPECT_LE(largest, kBound)
+          << spec.name << " (" << schedule_name(schedule)
+          << "): a yield saved " << largest << " B of frames";
+    }
+  }
+}
+
+TEST(Harness, PastThe32KRankCeiling) {
+  // Ranks own no stack mapping (one run stack per host worker), so the
+  // rank count is not bounded by vm.max_map_count (65,530 mappings; a
+  // guarded stack per rank would take two each): 40,000 ranks of sample nn
+  // in AM mode run and agree at one and two workers under both protocols.
+#if defined(__SANITIZE_ADDRESS__)
+  // detect_stack_use_after_return gives every fiber a fake stack of its
+  // own: 40,000 fibers peaked at 12.4 GB of RSS under ASan, so the ceiling
+  // is checked in uninstrumented builds.
+  GTEST_SKIP() << "40,000 ASan fake stacks";
+#endif
+  const AmProgram am = am_program(
+      {"sample", {{"iters", "1"}, {"work", "10"}}}, 40000);
+  std::string want;
+  for (const int workers : {0, 2}) {
+    for (const Schedule schedule :
+         {Schedule::kConservative, Schedule::kOptimistic}) {
+      RunConfig cfg;
+      cfg.nprocs = 40000;
+      cfg.mode = Mode::kAnalytical;
+      cfg.params = am.params;
+      cfg.threads = workers;
+      cfg.schedule = schedule;
+      const RunOutcome out = run_program(am.program, cfg);
+      ASSERT_TRUE(out.ok()) << out.diagnostic;
+      const std::string digest = run_digest_hex(out);
+      if (want.empty()) want = digest;
+      EXPECT_EQ(digest, want)
+          << workers << " workers, " << schedule_name(schedule);
+    }
+  }
 }
 
 }  // namespace

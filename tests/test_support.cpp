@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "sim/fiber.hpp"
 #include "support/check.hpp"
 #include "support/indexed_heap.hpp"
 #include "support/memtrack.hpp"
@@ -74,6 +75,72 @@ TEST(Check, FailureDuringUnwindingIsLoggedNotFatal) {
   }
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("dtor check"), std::string::npos);
+  EXPECT_NE(err.find("suppressed"), std::string::npos);
+}
+
+TEST(Check, MessageStreamIsOffTheFrame) {
+  // A frame holds a few words per check; the stream is built on the heap
+  // only when the check fails (fiber frames are copied at every yield).
+  EXPECT_LE(sizeof(detail::CheckMessage), 4 * sizeof(void*));
+  int evaluated = 0;
+  auto count = [&] { return ++evaluated; };
+  STGSIM_CHECK(true) << count();
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_THROW(STGSIM_CHECK(false) << count(), CheckError);
+  EXPECT_EQ(evaluated, 1);
+}
+
+TEST(Check, FailureOutsideUnwindingThrowsFromADestructor) {
+  // Only a check that fails while another exception unwinds just logs.
+  struct ThrowingDtor {
+    ~ThrowingDtor() noexcept(false) { STGSIM_CHECK(false) << "dtor throws"; }
+  };
+  testing::internal::CaptureStderr();
+  try {
+    { ThrowingDtor d; }
+    FAIL();
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("dtor throws"), std::string::npos);
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("suppressed"), std::string::npos);
+}
+
+TEST(Check, FailureInsideAFiberThrowsThere) {
+  // Thrown and caught on the fiber's run stack, after the fiber's frames
+  // were saved at a yield and copied back.
+  simk::RunStack stack(64 * 1024);
+  std::string what;
+  std::string logged;
+  simk::Fiber f(
+      [&] {
+        try {
+          simk::Fiber::yield_to_scheduler();
+          STGSIM_CHECK_EQ(1, 2) << "in fiber " << 7;
+        } catch (const CheckError& e) {
+          what = e.what();
+        }
+        struct TrapInDtor {
+          ~TrapInDtor() { STGSIM_CHECK(false) << "fiber dtor check"; }
+        };
+        try {
+          TrapInDtor trap;
+          simk::Fiber::yield_to_scheduler();
+          throw std::runtime_error("original");
+        } catch (const std::runtime_error& e) {
+          logged = e.what();
+        }
+      },
+      stack);
+  testing::internal::CaptureStderr();
+  f.resume();
+  f.resume();
+  f.resume();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(f.finished());
+  EXPECT_NE(what.find("in fiber 7"), std::string::npos) << what;
+  EXPECT_EQ(logged, "original");
+  EXPECT_NE(err.find("fiber dtor check"), std::string::npos);
   EXPECT_NE(err.find("suppressed"), std::string::npos);
 }
 
