@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/kernels.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "support/check.hpp"
@@ -18,14 +19,9 @@ Expr I(std::int64_t v) { return Expr::integer(v); }
 /// execution without benchmark-specific physics.
 void stream_kernel_body(ir::KernelCtx& ctx, const char* in, const char* out,
                         double scale) {
-  const double* a = ctx.array(in);
-  double* b = ctx.array(out);
-  const std::size_t n = std::min(ctx.array_elems(in), ctx.array_elems(out));
-  const auto iters = static_cast<std::size_t>(ctx.iters());
-  for (std::size_t k = 0; k < iters; ++k) {
-    const std::size_t c = k % n;
-    b[c] = b[c] * (1.0 - scale) + a[c] * scale;
-  }
+  stream_update(ctx.array(in), ctx.array(out),
+                std::min(ctx.array_elems(in), ctx.array_elems(out)),
+                static_cast<std::size_t>(ctx.iters()), scale);
 }
 
 }  // namespace

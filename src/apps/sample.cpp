@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "apps/kernels.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "support/check.hpp"
@@ -26,16 +27,9 @@ ir::KernelSpec work_kernel(const SampleConfig& config) {
     // body touches the working set (capped — the modeled cost comes from
     // the iteration count, not from host work) so direct execution still
     // has real array traffic.
-    double* d = ctx.array("data");
-    const std::size_t n = ctx.array_elems("data");
-    const std::size_t steps =
-        std::min(static_cast<std::size_t>(ctx.iters()), std::size_t{65536});
-    double acc = 1.0;
-    for (std::size_t i = 0; i < steps; ++i) {
-      const std::size_t c = i % n;
-      acc = acc * 0.999 + d[c] * 0.001;
-      d[c] = acc;
-    }
+    sample_fill(ctx.array("data"), ctx.array_elems("data"),
+                std::min(static_cast<std::size_t>(ctx.iters()),
+                         std::size_t{65536}));
   };
   return k;
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/kernels.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "support/check.hpp"
@@ -126,48 +127,28 @@ ir::Program make_sweep3d(const Sweep3DConfig& config) {
             sweep.reads = {"src", "sigt", "sigs", "qsrc"};
             sweep.writes = {"phi", "flux", "flm1", "flm2", "phiib", "phijb"};
             sweep.body = [](ir::KernelCtx& ctx) {
-              const double* src = ctx.array("src");
-              const double* sigt = ctx.array("sigt");
-              const double* sigs = ctx.array("sigs");
-              const double* qsrc = ctx.array("qsrc");
-              double* phi = ctx.array("phi");
-              double* flux = ctx.array("flux");
-              double* f1 = ctx.array("flm1");
-              double* f2 = ctx.array("flm2");
-              double* fi = ctx.array("phiib");
-              double* fj = ctx.array("phijb");
-              const std::size_t cells = ctx.array_elems("phi");
-              const std::size_t ni = ctx.array_elems("phiib");
-              const std::size_t nj = ctx.array_elems("phijb");
-              const auto iters = static_cast<std::size_t>(ctx.iters());
-              for (std::size_t n = 0; n < iters; ++n) {
-                const std::size_t c = n % cells;
-                const double incoming = fi[n % ni] + fj[n % nj];
-                double p = (src[c] + qsrc[c] + 0.5 * incoming) /
-                           (sigt[c] - 0.5 * sigs[c]);
-                if (p < 0.0) {
-                  // Fixup: clamp and rebalance (the extra-work branch).
-                  p = 0.0;
-                }
-                phi[c] = p;
-                flux[c] += p;
-                f1[c] += 0.5 * p;
-                f2[c] += 0.25 * p;
-                fi[n % ni] = 0.7 * p + 0.3 * fi[n % ni];
-                fj[n % nj] = 0.7 * p + 0.3 * fj[n % nj];
-              }
+              SweepArrays a;
+              a.src = ctx.array("src");
+              a.sigt = ctx.array("sigt");
+              a.sigs = ctx.array("sigs");
+              a.qsrc = ctx.array("qsrc");
+              a.phi = ctx.array("phi");
+              a.flux = ctx.array("flux");
+              a.flm1 = ctx.array("flm1");
+              a.flm2 = ctx.array("flm2");
+              a.phiib = ctx.array("phiib");
+              a.phijb = ctx.array("phijb");
+              a.cells = ctx.array_elems("phi");
+              a.ni = ctx.array_elems("phiib");
+              a.nj = ctx.array_elems("phijb");
+              sweep_block(a, static_cast<std::size_t>(ctx.iters()));
             };
             sweep.branch_fraction = [](ir::KernelCtx& ctx) {
               // Fraction of cells whose flux required the fixup in this
               // block — recomputed from the data, as a direct-execution
               // simulator would observe it.
-              const double* src = ctx.array("src");
-              const std::size_t cells = ctx.array_elems("phi");
-              std::size_t neg = 0;
-              for (std::size_t c = 0; c < cells; ++c) {
-                if (src[c] < 0.0) ++neg;
-              }
-              return static_cast<double>(neg) / static_cast<double>(cells);
+              return sweep_fixup_fraction(ctx.array("src"),
+                                          ctx.array_elems("phi"));
             };
             b.compute(std::move(sweep));
           }

@@ -80,8 +80,10 @@ class CheckMessage {
 #define STGSIM_CHECK_GE(a, b) STGSIM_CHECK((a) >= (b))
 
 #ifdef NDEBUG
+// The condition is still compiled but never evaluated, so a variable kept
+// only for a DCHECK stays used and the condition keeps type-checking.
 #define STGSIM_DCHECK(cond) \
-  if (true) {               \
+  if (true || (cond)) {     \
   } else                    \
     ::stgsim::detail::CheckMessage(#cond, __FILE__, __LINE__)
 #else

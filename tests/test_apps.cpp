@@ -3,6 +3,10 @@
 // key contract — its compiler-simplified version communicates identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+
 #include "apps/nas_sp.hpp"
 #include "apps/sample.hpp"
 #include "apps/sweep3d.hpp"
@@ -263,6 +267,140 @@ TEST(Sample, WorkForRatioProducesRequestedBalance) {
                      machine.net.recv_overhead) +
         static_cast<double>(msg) * 8.0 / machine.net.bytes_per_sec;
     EXPECT_NEAR(comp / comm, ratio, 0.05 * ratio + 1.0) << "ratio " << ratio;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel array contents
+// ---------------------------------------------------------------------------
+
+// The run digest hashes no array bytes, so it cannot show that a kernel
+// body still computes every element bit for bit. A probe kernel appended
+// to main() hashes each declared array on each rank at the end of a DE
+// run, and a wrapper around sw_sweep's branch_fraction hashes every
+// fixup fraction the interpreter charges.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+void for_each_stmt_mut(std::vector<ir::StmtP>& block,
+                       const std::function<void(ir::Stmt&)>& fn) {
+  for (ir::StmtP& s : block) {
+    fn(*s);
+    for_each_stmt_mut(s->body, fn);
+    for_each_stmt_mut(s->else_body, fn);
+  }
+}
+
+struct ArrayHashes {
+  std::uint64_t arrays = kFnvBasis;  ///< every array of every rank, in order
+  std::uint64_t fixup = kFnvBasis;   ///< every sw_sweep fixup fraction
+};
+
+ArrayHashes kernel_array_hashes(ir::Program prog, int nprocs) {
+  const auto n = static_cast<std::size_t>(nprocs);
+  std::vector<std::uint64_t> arrays(n, kFnvBasis);
+  std::vector<std::uint64_t> fixup(n, kFnvBasis);
+  std::vector<std::string> names;
+  for_each_stmt_mut(prog.main(), [&](ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::kDeclArray &&
+        std::find(names.begin(), names.end(), s.name) == names.end()) {
+      names.push_back(s.name);
+    }
+    if (s.kind == ir::StmtKind::kCompute && s.kernel.branch_fraction) {
+      s.kernel.branch_fraction = [inner = s.kernel.branch_fraction,
+                                  &fixup](ir::KernelCtx& ctx) {
+        const double f = inner(ctx);
+        std::uint64_t& h = fixup[static_cast<std::size_t>(ctx.rank())];
+        h = fnv1a(h, &f, sizeof f);
+        return f;
+      };
+    }
+  });
+  ir::KernelSpec probe;
+  probe.task = "array_probe";
+  probe.reads = names;
+  probe.body = [&arrays, names](ir::KernelCtx& ctx) {
+    std::uint64_t& h = arrays[static_cast<std::size_t>(ctx.rank())];
+    for (const std::string& a : names) {
+      h = fnv1a(h, ctx.array(a), ctx.array_elems(a) * sizeof(double));
+    }
+  };
+  ir::StmtP s = prog.make_stmt(ir::StmtKind::kCompute);
+  s->kernel = std::move(probe);
+  prog.main().push_back(std::move(s));
+
+  (void)testutil::run_traced(prog, nprocs, kSP);
+  ArrayHashes out;
+  for (std::size_t r = 0; r < n; ++r) {
+    out.arrays = fnv1a(out.arrays, &arrays[r], sizeof arrays[r]);
+    out.fixup = fnv1a(out.fixup, &fixup[r], sizeof fixup[r]);
+  }
+  return out;
+}
+
+apps::SampleConfig pin_sample(apps::SamplePattern pattern,
+                              std::int64_t work) {
+  apps::SampleConfig c;
+  c.pattern = pattern;
+  c.iterations = 3;
+  c.msg_doubles = 1024;
+  c.work_iters = work;
+  return c;
+}
+
+TEST(Apps, KernelArraysPinnedAtParent) {
+  // A sweep block longer than the cell array (kb * mmi > kt), so the cell
+  // index wraps inside one call as well as the face indices.
+  apps::Sweep3DConfig wrap;
+  wrap.it = 3;
+  wrap.jt = 2;
+  wrap.kt = 4;
+  wrap.kb = 2;
+  wrap.mm = 6;
+  wrap.mmi = 3;
+  wrap.npe_i = 2;
+  wrap.npe_j = 2;
+  apps::NasSpConfig sp9 = small_sp();
+  sp9.q = 3;
+  struct Case {
+    const char* name;
+    ir::Program prog;
+    int nprocs;
+    ArrayHashes want;
+  };
+  // Captured before the kernels' per-element loops lost their divisions.
+  Case cases[] = {
+      {"sweep3d", apps::make_sweep3d(small_sweep()), 6,
+       {0xf5f0075cbaeddb70ULL, 0x449685d7f92fc84dULL}},
+      {"sweep3d-wrap", apps::make_sweep3d(wrap), 4,
+       {0x54d997c55aa33d61ULL, 0x1d875a681cf7ad15ULL}},
+      {"tomcatv", apps::make_tomcatv(small_tomcatv()), 4,
+       {0xcd8d6c91f9fe2903ULL, 0x939e3a8b38c8fe25ULL}},
+      {"nas_sp", apps::make_nas_sp(small_sp()), 4,
+       {0x33a8181f40790d4bULL, 0x939e3a8b38c8fe25ULL}},
+      {"nas_sp-9", apps::make_nas_sp(sp9), 9,
+       {0xc5afa998d925eab3ULL, 0x80e235df8de89bccULL}},
+      {"sample-nn",
+       apps::make_sample(
+           pin_sample(apps::SamplePattern::kNearestNeighbor, 100000)),
+       8, {0x0c159183357f8c2cULL, 0xaf3449a2699d5925ULL}},
+      {"sample-anysource",
+       apps::make_sample(pin_sample(apps::SamplePattern::kAnySource, 3000)),
+       16, {0x5186647673619432ULL, 0x6f26cf977ace8f25ULL}},
+  };
+  for (Case& c : cases) {
+    const ArrayHashes got = kernel_array_hashes(std::move(c.prog), c.nprocs);
+    EXPECT_EQ(got.arrays, c.want.arrays) << c.name;
+    EXPECT_EQ(got.fixup, c.want.fixup) << c.name;
   }
 }
 

@@ -476,7 +476,6 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
   e.set_body([](simk::Process& p) {
     const int r = p.rank();
     const int next = (r + 1) % kProcs;
-    const int prev = (r + kProcs - 1) % kProcs;
     std::int64_t start = 0;
     if (const std::vector<std::uint8_t>* blob = p.pending_restore()) {
       BlobReader br(*blob);
@@ -492,8 +491,9 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
       m.sent_at = p.now();
       m.arrival = p.now() + vtime_from_us(2);
       p.send(std::move(m));
-      // ANY_SOURCE although only `prev` sends tag 5: a wildcard commit is
-      // the first consumption, so every rank saves state from rank start.
+      // ANY_SOURCE although only rank r - 1 sends tag 5: a wildcard commit
+      // is the first consumption, so every rank saves state from rank
+      // start.
       simk::MatchSpec spec;
       spec.tag = 5;
       simk::Message got = p.blocking_match(spec);

@@ -1124,7 +1124,9 @@ TEST(Engine, ThreadedGvtWaitsForTheReceiversRepublish) {
     });
     const RunResult result = e.run();
     EXPECT_EQ(held.load(), force) << "worker 0 was never held mid-drain";
-    if (force) EXPECT_GE(e.parallel_stats().rollbacks, 1u);
+    if (force) {
+      EXPECT_GE(e.parallel_stats().rollbacks, 1u);
+    }
     return result;
   };
   const RunResult want = run(1, false);
