@@ -1,7 +1,11 @@
 #include "harness/affinity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace stgsim::harness {
@@ -21,15 +25,26 @@ class Walker {
         aff_(aff),
         has_comm_(static_cast<std::size_t>(plan.program().next_id()), -1),
         vals_(static_cast<std::size_t>(plan.num_slots())),
-        bound_(static_cast<std::size_t>(plan.num_slots()), 0) {}
+        bound_(static_cast<std::size_t>(plan.num_slots()), 0),
+        read_(static_cast<std::size_t>(plan.num_slots()), 0),
+        seen_(read_.size(), 0),
+        memo_(kWays * static_cast<std::size_t>(plan.num_memos())),
+        inputs_(kWays * static_cast<std::size_t>(plan.num_stamps())),
+        next_(static_cast<std::size_t>(plan.num_memos()), 0) {}
 
   void walk_rank(int rank) {
     rank_ = rank;
     std::fill(bound_.begin(), bound_.end(), 0);
+    log_.clear();
+    undo_.clear();
     walk_block(plan_.program().main());
   }
 
  private:
+  // Results kept per tape: a condition over both directions of a sweep,
+  // at this rank and at the one before it.
+  static constexpr std::size_t kWays = 4;
+
   // Walks beyond this call depth are cut off; real target programs nest a
   // handful of loops, so only a recursive kCall chain could get here.
   static constexpr int kMaxDepth = 64;
@@ -68,21 +83,82 @@ class Walker {
     return r;
   }
 
+  /// True if `slot` holds bound flag `bound` and, when bound, the type
+  /// and bits of `value`.
+  bool holds(std::size_t slot, std::uint8_t bound,
+             const sym::Value& value) const {
+    const sym::Value& v = vals_[slot];
+    return bound_[slot] == bound &&
+           (bound == 0 ||
+            (v.is_int() == value.is_int() &&
+             (v.is_int() ? v.as_int() == value.as_int()
+                         : std::bit_cast<std::uint64_t>(v.as_real()) ==
+                               std::bit_cast<std::uint64_t>(value.as_real()))));
+  }
+
+  /// True if the writes logged from undo_[from] on left every slot but
+  /// `skip` as it was before its first one.
+  bool restored(std::size_t from, int skip) {
+    bool same = true;
+    for (std::size_t i = from; i < undo_.size(); ++i) {
+      const auto& [slot, bound, value] = undo_[i];
+      const auto k = static_cast<std::size_t>(slot);
+      if (seen_[k] != 0) continue;
+      seen_[k] = 1;
+      same = same && (slot == skip || holds(k, bound, value));
+    }
+    for (std::size_t i = from; i < undo_.size(); ++i) {
+      seen_[static_cast<std::size_t>(std::get<0>(undo_[i]))] = 0;
+    }
+    return same;
+  }
+
   void walk_block(const std::vector<ir::StmtP>& block) {
     for (const auto& s : block) walk(*s);
   }
 
   void set(int id, sym::Value v) {
+    unset(id);
     vals_[static_cast<std::size_t>(id)] = v;
     bound_[static_cast<std::size_t>(id)] = 1;
   }
 
-  void unset(int id) { bound_[static_cast<std::size_t>(id)] = 0; }
+  void unset(int id) {
+    const auto k = static_cast<std::size_t>(id);
+    undo_.emplace_back(id, bound_[k], vals_[k]);
+    bound_[k] = 0;
+  }
 
   /// Evaluates plan operand `id` against the current environment. Throws
-  /// like Expr::eval.
+  /// like Expr::eval. A tape is a pure function of its slots' bound flags
+  /// and bound values, so its last kWays results are kept with those
+  /// inputs (at its plan memo and stamp cells) and one is reused, across
+  /// ranks too, while its inputs hold the same bits.
   sym::Value eval(int id) {
-    return plan_.eval(id, vals_, bound_, scratch_);
+    const ir::Plan::Operand& op = plan_.operand(id);
+    for (const int slot : op.slots) read_[static_cast<std::size_t>(slot)] = 1;
+    if (op.kind != ir::Plan::Operand::Kind::kTape) {
+      return plan_.eval(id, vals_, bound_, scratch_);
+    }
+    const std::size_t n = op.slots.size();
+    const std::size_t memo = kWays * static_cast<std::size_t>(op.memo);
+    const std::size_t at = kWays * static_cast<std::size_t>(op.stamp);
+    for (std::size_t way = 0; way < kWays; ++way) {
+      bool hit = memo_[memo + way].has_value();
+      for (std::size_t i = 0; hit && i < n; ++i) {
+        const auto& [bound, value] = inputs_[at + way * n + i];
+        hit = holds(static_cast<std::size_t>(op.slots[i]), bound, value);
+      }
+      if (hit) return *memo_[memo + way];
+    }
+    const sym::Value v = plan_.eval(id, vals_, bound_, scratch_);
+    const std::size_t way = next_[static_cast<std::size_t>(op.memo)]++ % kWays;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto k = static_cast<std::size_t>(op.slots[i]);
+      inputs_[at + way * n + i] = {bound_[k], vals_[k]};
+    }
+    memo_[memo + way] = v;
+    return v;
   }
 
   void record_comm(const ir::Stmt& s) {
@@ -101,6 +177,7 @@ class Walker {
       // Unresolvable size: count the edge with unit weight.
     }
     aff_->add(rank_, static_cast<int>(peer), w);
+    log_.emplace_back(static_cast<int>(peer), w);
   }
 
   void walk(const ir::Stmt& s) {
@@ -174,14 +251,38 @@ class Walker {
       // either loop-invariant or shift by one between iterations, so
       // {lo, lo+1, hi} covers the edge structure without executing the
       // full (possibly huge) trip count.
+      //
+      // A sample is replayed instead when its walk cannot differ from the
+      // previous one's: that walk evaluated nothing that reads the loop
+      // variable, and every other slot holds what it held at that walk's
+      // entry. This walk would then take the same path, make the same
+      // adds in the same order and leave every slot as it found it, so
+      // re-emitting the logged adds is bit-identical.
+      const auto v_slot = static_cast<std::size_t>(var);
+      const std::uint8_t read_before = read_[v_slot];
       const std::int64_t samples[3] = {lo, std::min(lo + 1, hi), hi};
       std::int64_t prev = lo - 1;
+      std::size_t from = 0, to = 0;  // the previous walk's adds in log_
+      std::size_t writes = 0;        // ... and its writes in undo_
       for (std::int64_t v : samples) {
         if (v == prev) continue;
-        prev = v;
         set(var, sym::Value(v));
-        walk_block(s.body);
+        if (v != lo && read_[v_slot] == 0 && restored(writes, var)) {
+          for (std::size_t i = from; i < to; ++i) {
+            const auto [peer, w] = log_[i];
+            aff_->add(rank_, peer, w);
+            log_.emplace_back(peer, w);
+          }
+        } else {
+          from = log_.size();
+          writes = undo_.size();
+          read_[v_slot] = 0;
+          walk_block(s.body);
+          to = log_.size();
+        }
+        prev = v;
       }
+      read_[v_slot] |= read_before;
       unset(var);
     }
     --depth_;
@@ -225,6 +326,16 @@ class Walker {
   int depth_ = 0;
   std::vector<sym::Value> vals_;
   std::vector<std::uint8_t> bound_;
+  std::vector<std::uint8_t> read_;  ///< slots an evaluated operand named
+  /// Every add of this rank's walk (peer, weight), in order.
+  std::vector<std::pair<int, double>> log_;
+  /// Every write of this rank's walk: (slot, bound, value) before it.
+  std::vector<std::tuple<int, std::uint8_t, sym::Value>> undo_;
+  std::vector<std::uint8_t> seen_;  ///< scratch for restored()
+  // Per tape and way: the last results and their inputs (bound, value).
+  std::vector<std::optional<sym::Value>> memo_;
+  std::vector<std::pair<std::uint8_t, sym::Value>> inputs_;
+  std::vector<std::uint8_t> next_;  ///< per tape: the way to replace next
   sym::CompiledExpr::Scratch scratch_;
 };
 

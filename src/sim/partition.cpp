@@ -1,10 +1,12 @@
 #include "sim/partition.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <queue>
-#include <set>
 
 #include "support/check.hpp"
+#include "support/indexed_heap.hpp"
 
 namespace stgsim::simk {
 
@@ -90,17 +92,6 @@ double cut_weight(const Affinity& aff, const std::vector<int>& part) {
 
 namespace {
 
-/// Weight from `r` to every part, computed on demand (rank degrees are
-/// small for the mesh/grid patterns we partition).
-void part_weights(const Affinity& aff, const std::vector<int>& part, int r,
-                  std::vector<double>* w) {
-  std::fill(w->begin(), w->end(), 0.0);
-  for (const auto& [peer, pw] : aff.neighbors(r)) {
-    (*w)[static_cast<std::size_t>(part[static_cast<std::size_t>(peer)])] +=
-        pw;
-  }
-}
-
 /// Greedy graph growing: parts are filled one at a time to their quota,
 /// always absorbing the unassigned rank with the strongest connection to
 /// the part grown so far (ties to the lowest rank; disconnected ranks seed
@@ -152,16 +143,11 @@ std::vector<int> greedy_grow(const Affinity& aff, int workers,
   return part;
 }
 
-/// Candidates of one side of a KL pass, best first: (D desc, rank asc).
-/// Equal-D ranks stay rank-ordered, so the pool's head is the same
-/// deterministic top-k a stable sort of the side list would give.
-struct ByGain {
-  bool operator()(const std::pair<double, int>& a,
-                  const std::pair<double, int>& b) const {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  }
-};
-using Pool = std::set<std::pair<double, int>, ByGain>;
+/// Candidates of one side of a KL pass, best first: (D desc, rank asc),
+/// i.e. the smallest (-D, rank). Equal-D ranks stay rank-ordered, so the
+/// pool's head is the same deterministic top-k a stable sort of the side
+/// list would give.
+using Pool = IndexedMinHeap<double>;
 
 /// One Kernighan–Lin pass between parts `p` and `q`. The classic inner
 /// loop: tentatively apply the best available swap (or quota-permitted
@@ -171,28 +157,43 @@ using Pool = std::set<std::pair<double, int>, ByGain>;
 /// moves is what lets the pass climb out of zero-gain plateaus (e.g. a
 /// row-blocked grid, where every single swap is gain <= 0 but a pair of
 /// swaps re-tiles the boundary). Each rank moves at most once per pass.
-/// The unlocked ranks of each side sit in an ordered pool keyed by D, so a
-/// move costs O(degree * log n) to re-key its neighbours and a pass
+/// The unlocked ranks of each side sit in an indexed heap keyed by -D, so
+/// a move costs O(degree * log n) to re-key its neighbours and a pass
 /// O(moves * degree * log n), bounded by `max_moves`.
+///
+/// A pass's cumulative gain is the drop of the p-q cut weight, which
+/// cannot fall below zero: with `exact` set (see comm_partition), a pair
+/// without a cut edge returns false before any move.
 bool refine_pair(const Affinity& aff, std::vector<int>* part,
                  std::vector<int>* sizes, const std::vector<int>& quota,
-                 int p, int q, int max_moves) {
+                 int p, int q, int max_moves, bool exact) {
   const int n = aff.nranks();
-  std::vector<double> w(sizes->size());
   // D[r] = (weight to the other part) - (weight to own part): the cut
   // reduction of moving r across, before accounting for the partner swap.
   std::vector<double> d(static_cast<std::size_t>(n), 0.0);
-  Pool pool_p, pool_q;
+  std::vector<int> members;
+  double cut = 0.0;  // p-q cut weight
   for (int r = 0; r < n; ++r) {
     const int pr = (*part)[static_cast<std::size_t>(r)];
     if (pr != p && pr != q) continue;
-    part_weights(aff, *part, r, &w);
     const int other = pr == p ? q : p;
-    d[static_cast<std::size_t>(r)] = w[static_cast<std::size_t>(other)] -
-                                     w[static_cast<std::size_t>(pr)];
-    (pr == p ? pool_p : pool_q).emplace(d[static_cast<std::size_t>(r)], r);
+    double to_other = 0.0, to_own = 0.0;
+    for (const auto& [peer, pw] : aff.neighbors(r)) {
+      const int pp = (*part)[static_cast<std::size_t>(peer)];
+      if (pp == other) to_other += pw;
+      if (pp == pr) to_own += pw;
+    }
+    d[static_cast<std::size_t>(r)] = to_other - to_own;
+    if (pr == p) cut += to_other;
+    members.push_back(r);
   }
+  if (exact && cut == 0.0) return false;
+  Pool pool_p(n), pool_q(n);
   auto pool_of = [&](int side) -> Pool& { return side == p ? pool_p : pool_q; };
+  for (int r : members) {
+    pool_of((*part)[static_cast<std::size_t>(r)])
+        .push(r, -d[static_cast<std::size_t>(r)]);
+  }
 
   auto weight_between = [&](int a, int b) {
     for (const auto& [peer, pw] : aff.neighbors(a)) {
@@ -205,7 +206,7 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
   // of the pass (so the rollback below, which moves only locked ranks,
   // never re-enters one). Neighbours still in a pool are re-keyed.
   auto apply_move = [&](int r, int from, int to) {
-    pool_of(from).erase({d[static_cast<std::size_t>(r)], r});
+    if (pool_of(from).contains(r)) pool_of(from).erase(r);
     (*part)[static_cast<std::size_t>(r)] = to;
     --(*sizes)[static_cast<std::size_t>(from)];
     ++(*sizes)[static_cast<std::size_t>(to)];
@@ -216,17 +217,13 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
       const int pp = (*part)[static_cast<std::size_t>(peer)];
       if (pp != to && pp != from) continue;
       double& dp = d[static_cast<std::size_t>(peer)];
-      Pool& pool = pool_of(pp);
-      auto node = pool.extract({dp, peer});
       if (pp == to) {
         dp -= 2.0 * pw;
       } else {
         dp += 2.0 * pw;
       }
-      if (node) {
-        node.value().first = dp;
-        pool.insert(std::move(node));
-      }
+      Pool& pool = pool_of(pp);
+      if (pool.contains(peer)) pool.update(peer, -dp);
     }
   };
 
@@ -247,17 +244,9 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
   constexpr std::size_t kPool = 8;
 
   std::vector<int> cand_p, cand_q;
-  auto top_candidates = [](const Pool& pool, std::vector<int>* out) {
-    out->clear();
-    for (auto it = pool.begin(); it != pool.end() && out->size() < kPool;
-         ++it) {
-      out->push_back(it->second);
-    }
-  };
-
   while (static_cast<int>(moves.size()) < max_moves) {
-    top_candidates(pool_p, &cand_p);
-    top_candidates(pool_q, &cand_q);
+    pool_p.smallest<kPool>(&cand_p);
+    pool_q.smallest<kPool>(&cand_q);
     if (cand_p.empty() && cand_q.empty()) break;
 
     // Option 1: one-sided move, when the balance budget allows it (only
@@ -282,14 +271,18 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
     // Option 2: the best swap over the candidate pools (keeps sizes
     // exactly; the workhorse when sizes already match quotas). Strict >
     // keeps the earliest — lowest-(rank_p, rank_q) — maximizing pair, so
-    // the pass is deterministic.
+    // the pass is deterministic. Both pools are in descending D and every
+    // edge weight is positive, so once D_a + D_b cannot beat the best gain
+    // no later b can either (rounding is monotone): the scan stops there
+    // with the same argmax.
     double swap_gain = kNoGain;
     int rp = -1, rq = -1;
     for (int a : cand_p) {
       for (int b : cand_q) {
-        const double g = d[static_cast<std::size_t>(a)] +
-                         d[static_cast<std::size_t>(b)] -
-                         2.0 * weight_between(a, b);
+        const double bound =
+            d[static_cast<std::size_t>(a)] + d[static_cast<std::size_t>(b)];
+        if (bound <= swap_gain) break;
+        const double g = bound - 2.0 * weight_between(a, b);
         if (g > swap_gain) {
           swap_gain = g;
           rp = a;
@@ -325,6 +318,17 @@ bool refine_pair(const Affinity& aff, std::vector<int>* part,
   return best_cum > 0.0;
 }
 
+/// True if every edge weight is an integer and the total is at most
+/// 2^50 (see comm_partition).
+bool integral_weights(const Affinity& aff) {
+  for (int r = 0; r < aff.nranks(); ++r) {
+    for (const auto& [peer, w] : aff.neighbors(r)) {
+      if (w != std::floor(w)) return false;
+    }
+  }
+  return aff.total_weight() <= 0x1p50;
+}
+
 }  // namespace
 
 std::vector<int> comm_partition(const Affinity& aff, int workers) {
@@ -350,11 +354,31 @@ std::vector<int> comm_partition(const Affinity& aff, int workers) {
   // A KL pass can move every rank of the pair once; locking makes that a
   // natural bound, the cap is only a backstop.
   const int max_moves = std::max(64, 2 * ((n + workers - 1) / workers + 1));
+  // refine_pair is a function of its two parts' membership, so a pair it
+  // found nothing for is not run again until one of them changes. Its
+  // zero-cut exit is exact when every weight is an integer and the total
+  // at most 2^50: then every D, gain and partial sum is an integer below
+  // 2^53. On other graphs a zero-cut pair runs its pass.
+  const bool exact = integral_weights(aff);
+  std::vector<std::uint64_t> version(static_cast<std::size_t>(workers), 1);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> settled(
+      static_cast<std::size_t>(workers) * static_cast<std::size_t>(workers));
   for (int pass = 0; pass < 4; ++pass) {
     bool improved = false;
     for (int p = 0; p < workers; ++p) {
       for (int q = p + 1; q < workers; ++q) {
-        improved |= refine_pair(aff, &part, &sizes, quota, p, q, max_moves);
+        auto& vp = version[static_cast<std::size_t>(p)];
+        auto& vq = version[static_cast<std::size_t>(q)];
+        auto& seen = settled[static_cast<std::size_t>(p * workers + q)];
+        if (seen == std::pair{vp, vq}) continue;
+        if (refine_pair(aff, &part, &sizes, quota, p, q, max_moves,
+                        exact)) {
+          ++vp;
+          ++vq;
+          improved = true;
+        } else {
+          seen = {vp, vq};
+        }
       }
     }
     if (!improved) break;

@@ -7,6 +7,7 @@
 // which is what keeps scheduling deterministic across refactors.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -85,6 +86,28 @@ class IndexedMinHeap {
     if (heap_.size() < 2) return none;
     if (heap_.size() == 2) return heap_[1].key;
     return heap_[2].key < heap_[1].key ? heap_[2].key : heap_[1].key;
+  }
+
+  /// Sets `out` to the ids of the K smallest (key, id) pairs, smallest
+  /// first, leaving the heap as it is: a best-first walk down from the
+  /// root, whose frontier never holds more than K + 1 slots.
+  template <std::size_t K>
+  void smallest(std::vector<int>* out) const {
+    out->clear();
+    std::size_t open[K + 1] = {0};
+    std::size_t n = heap_.empty() ? 0 : 1;
+    while (n > 0 && out->size() < K) {
+      std::size_t* best =
+          std::min_element(open, open + n, [&](std::size_t a, std::size_t b) {
+            return less(heap_[a], heap_[b]);
+          });
+      const std::size_t i = *best;
+      *best = open[--n];
+      out->push_back(heap_[i].id);
+      for (std::size_t c = 2 * i + 1; c <= 2 * i + 2; ++c) {
+        if (c < heap_.size()) open[n++] = c;
+      }
+    }
   }
 
   /// Removes and returns the id with the minimum (key, id) pair.

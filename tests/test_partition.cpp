@@ -9,6 +9,7 @@
 #include <bit>
 #include <optional>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -189,6 +190,11 @@ TEST(Partition, CommOutputPinnedAtScale) {
        {0x713de5845bca8325ull, 0x4aa942e0a7194bc4ull,
         0xbd4860cb9ebec325ull, 0xe639a5f9b0964325ull},
        {8460288.0, 17449344.0, 16920576.0, 33841152.0}},
+      // The end-to-end benchmark's threaded Time Warp shape.
+      {"sweep3d", 16384, true, 0x33536fb6bcf34ce5ull,
+       {0x9f63df183ea82325ull, 0x8bf3c6af6da98bc4ull,
+        0x110e2210c7ec2325ull, 0x9b6e9192a5642325ull},
+       {270729216.0, 545688576.0, 541458432.0, 1082916864.0}},
   };
   const int ks[4] = {2, 3, 4, 8};
   for (const Case& c : cases) {
@@ -296,6 +302,93 @@ TEST(Affinity, WalkerEdgeCasesSurviveTapes) {
       {7, 1, 24}, {7, 2, 1},
   };
   EXPECT_EQ(edges, want);
+}
+
+TEST(Affinity, WalkerReplayEdgeCases) {
+  // A loop sample is replayed from the previous one's edges only when the
+  // body cannot see the difference; each program below targets one way
+  // it could. Every row was recorded from the walker before replay
+  // existed, which walked each sample.
+  using sym::Expr;
+  constexpr int kRanks = 16;
+  using Row = std::vector<std::pair<int, double>>;
+  auto row0 = [&](const std::function<void(ir::ProgramBuilder&, Expr, Expr)>&
+                      body) {
+    ir::ProgramBuilder b("walker_replay");
+    const Expr me = b.get_rank("me");
+    const Expr np = b.get_size("np");
+    b.decl_array("buf", {Expr::integer(64)});
+    body(b, me, np);
+    const ir::Program prog = b.take();
+    return harness::comm_affinity(ir::Plan(prog), kRanks).neighbors(0);
+  };
+
+  // 1. A loop-carried scalar: every sample sees a different `x`.
+  EXPECT_EQ(row0([](ir::ProgramBuilder& b, Expr me, Expr np) {
+              const Expr x = b.decl_int("x", Expr::integer(0));
+              b.for_loop("i", Expr::integer(0), Expr::integer(5), [&](Expr) {
+                b.assign("x", x + 1);
+                b.send("buf", sym::imod(me + x, np), Expr::integer(1),
+                       Expr::integer(0), 1);
+              });
+            }),
+            (Row{{1, 8}, {2, 8}, {3, 8}, {13, 8}, {14, 8}, {15, 8}}));
+  // 2. The loop variable reaches the peer only through an assignment.
+  EXPECT_EQ(row0([](ir::ProgramBuilder& b, Expr me, Expr np) {
+              b.for_loop("j", Expr::integer(0), Expr::integer(3), [&](Expr j) {
+                b.assign("y", j * 2 + 1);
+                b.send("buf", sym::imod(me + Expr::var("y"), np),
+                       Expr::integer(2), Expr::integer(0), 2);
+              });
+            }),
+            (Row{{1, 16}, {3, 16}, {7, 16}, {9, 16}, {13, 16}, {15, 16}}));
+  // 3. Nested invariant loops, and an invariant loop around a variant one.
+  EXPECT_EQ(row0([](ir::ProgramBuilder& b, Expr me, Expr np) {
+              b.for_loop("a", Expr::integer(0), Expr::integer(9), [&](Expr) {
+                b.for_loop("b", Expr::integer(0), Expr::integer(9), [&](Expr) {
+                  b.send("buf", sym::imod(me + 5, np), Expr::integer(3),
+                         Expr::integer(0), 3);
+                });
+                b.for_loop("c", Expr::integer(1), Expr::integer(3),
+                           [&](Expr c) {
+                             b.send("buf", sym::imod(me + c * 4, np),
+                                    Expr::integer(1), Expr::integer(0), 4);
+                           });
+              });
+            }),
+            (Row{{5, 216}, {4, 48}, {8, 48}, {12, 48}, {11, 216}}));
+  // 4. A kCall inside an invariant loop, and one whose callee reads the
+  //    caller's loop variable (procedures share the caller's frame).
+  EXPECT_EQ(row0([](ir::ProgramBuilder& b, Expr me, Expr np) {
+              b.procedure("inv", [&] {
+                b.send("buf", sym::imod(me + 6, np), Expr::integer(4),
+                       Expr::integer(0), 5);
+              });
+              b.procedure("uses_d", [&] {
+                b.send("buf", sym::imod(me + Expr::var("d") + 9, np),
+                       Expr::integer(1), Expr::integer(0), 6);
+              });
+              b.for_loop("e", Expr::integer(0), Expr::integer(7),
+                         [&](Expr) { b.call("inv"); });
+              b.for_loop("d", Expr::integer(0), Expr::integer(2),
+                         [&](Expr) { b.call("uses_d"); });
+            }),
+            (Row{{6, 104}, {9, 8}, {10, 104}, {11, 8}, {5, 8}, {7, 8}}));
+  // 5. Unresolvable bounds inside an invariant loop, around one.
+  EXPECT_EQ(row0([](ir::ProgramBuilder& b, Expr me, Expr np) {
+              const Expr q = b.read_param("q", "w_q");
+              b.for_loop("t", Expr::integer(0), Expr::integer(3), [&](Expr) {
+                b.for_loop("u", Expr::integer(0), q, [&](Expr u) {
+                  b.for_loop("v", Expr::integer(0), Expr::integer(4),
+                             [&](Expr) {
+                               b.send("buf", sym::imod(me + 7, np),
+                                      Expr::integer(5), Expr::integer(0), 7);
+                             });
+                  b.send("buf", u, Expr::integer(1), Expr::integer(0), 8);
+                });
+              });
+            }),
+            (Row{{7, 360}, {9, 360}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -433,6 +433,35 @@ TEST(IndexedMinHeap, MatchesPriorityQueueUnderRandomWorkload) {
   EXPECT_TRUE(h.empty());
 }
 
+// smallest<K> must list the K least (key, id) pairs in order, as the first
+// K pops would, without changing the heap.
+TEST(IndexedMinHeap, SmallestListsTheFirstPopsInOrder) {
+  std::mt19937 rng(20261021);
+  IndexedMinHeap<long long> h(64);
+  std::vector<std::pair<long long, int>> ref;
+  std::vector<int> got;
+  for (int step = 0; step < 2000; ++step) {
+    const int id = static_cast<int>(rng() % 64);
+    const long long key = static_cast<long long>(rng() % 20);
+    if (h.contains(id)) {
+      h.update(id, key);
+      for (auto& e : ref) {
+        if (e.second == id) e.first = key;
+      }
+    } else {
+      h.push(id, key);
+      ref.emplace_back(key, id);
+    }
+    std::sort(ref.begin(), ref.end());
+    h.smallest<8>(&got);
+    ASSERT_EQ(got.size(), std::min<std::size_t>(8, ref.size()));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], ref[i].second) << "step " << step << " rank " << i;
+    }
+    ASSERT_EQ(h.top(), ref.front());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Locale-independent number parsing (numparse.hpp)
 // ---------------------------------------------------------------------------
